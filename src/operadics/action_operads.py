@@ -45,7 +45,13 @@ from .reporting import Report
 
 @dataclass(frozen=True)
 class ActionOperad:
-    """A family of groups with operad structure and projection to permutations."""
+    """
+    A family of groups with operad structure and projection to permutations.
+
+    Group elements must be hashable: finite operads key their action tables
+    by (arity, label, element).  `Permutation`, `BraidWord` and the `int`
+    arities of the trivial groups all are.
+    """
 
     name: str
     identity: Callable[[int], Any]

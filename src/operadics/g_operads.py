@@ -14,11 +14,17 @@ structure:
 with k_i the arity of y_i as listed on the left-hand side.  The checkers
 in this module verify all of these exhaustively up to the operad's arity
 bound (sampling group elements when the group is infinite) and report one
-PASS/FAIL line per law.
+PASS/FAIL line per law, each stopping at its first counterexample.
 
-Everything here is finite and table-sized: levels are tuples of label
-strings, substitution is total within the bound, and operads can round-trip
-through a JSON document format for the command-line tools.
+One representation serves every finite operad: `FiniteGOperad` holds a
+compose table keyed by (n, ks, head, args) and an action table keyed by
+(n, label, g), and `FiniteGCollection` is its action-only part.
+`load_operad` fills both tables completely while validating the document;
+builders and direct construction fill an entry from their generating rule
+the first time it is asked for (a substitution's signature is validated
+first).  Errors are never stored, so a bad call raises every time.
+Operads round-trip through a JSON document format for the command-line
+tools.
 """
 
 from __future__ import annotations
@@ -33,39 +39,81 @@ from .permutations import Permutation, act_on_list, all_permutations
 from .reporting import Report
 
 
-@dataclass
 class FiniteGCollection:
-    """Finite label sets per arity with a right group action on each."""
+    """
+    Finite label sets per arity with a right group action on each.
 
-    name: str
-    group: ActionOperad
-    levels: Mapping[int, tuple[str, ...]]
-    action: Callable[[int, str, Any], str]
+    `action(n, label, g)` answers from `action_table` and computes a missing
+    entry once from the rule given at construction.  It is an ordinary
+    attribute, so it can be rebound (for instance to inject a fault).
+    """
+
+    def __init__(
+        self,
+        name: str,
+        group: ActionOperad,
+        levels: Mapping[int, Iterable[str]],
+        action: Callable[[int, str, Any], str],
+    ):
+        self.name = name
+        self.group = group
+        self.levels = {n: tuple(labels) for n, labels in levels.items()}
+        self.action_rule = action
+        self.action_table: dict[tuple[int, str, Any], str] = {}
+
+    def action(self, n: int, label: str, g: Any) -> str:
+        key = (n, label, g)
+        try:
+            return self.action_table[key]
+        except KeyError:
+            pass
+        result = self.action_table[key] = self.action_rule(n, label, g)
+        return result
 
     def labels(self, n: int) -> tuple[str, ...]:
-        return tuple(self.levels.get(n, ()))
+        return self.levels.get(n, ())
 
     def arities(self) -> list[int]:
         return sorted(n for n, labels in self.levels.items() if labels)
 
 
-@dataclass
-class FiniteGOperad:
-    """A finite collection with unit and substitution, bounded in arity."""
+class FiniteGOperad(FiniteGCollection):
+    """
+    A finite collection with unit and substitution, bounded in arity.
 
-    name: str
-    group: ActionOperad
-    levels: Mapping[int, tuple[str, ...]]
-    unit: str
-    action: Callable[[int, str, Any], str]
-    compose: Callable[[int, Sequence[int], str, Sequence[str]], str]
-    max_arity: int
+    `compose(n, ks, head, args)` answers from `compose_table`; a missing
+    entry has its signature validated and is then computed once from the
+    rule given at construction.  Like `action`, it can be rebound.
+    """
 
-    def labels(self, n: int) -> tuple[str, ...]:
-        return tuple(self.levels.get(n, ()))
+    def __init__(
+        self,
+        name: str,
+        group: ActionOperad,
+        levels: Mapping[int, Iterable[str]],
+        unit: str,
+        action: Callable[[int, str, Any], str],
+        compose: Callable[[int, Sequence[int], str, Sequence[str]], str],
+        max_arity: int,
+    ):
+        super().__init__(name, group, levels, action)
+        self.unit = unit
+        self.max_arity = max_arity
+        self.compose_rule = compose
+        self.compose_table: dict[tuple[int, tuple[int, ...], str, tuple[str, ...]], str] = {}
+
+    def compose(self, n: int, ks: Sequence[int], head: str, args: Sequence[str]) -> str:
+        key = (n, tuple(ks), head, tuple(args))
+        try:
+            return self.compose_table[key]
+        except (KeyError, TypeError):
+            _require_signature(n, ks, head, args, self.levels, self.max_arity)
+        result = self.compose_table[key] = self.compose_rule(*key)
+        return result
 
     def collection(self) -> FiniteGCollection:
-        return FiniteGCollection(self.name, self.group, dict(self.levels), self.action)
+        """The action-only view, acting through this operad's `action`."""
+        return FiniteGCollection(self.name, self.group, self.levels, self.action)
 
 
 @dataclass
@@ -100,48 +148,53 @@ def _group_elements(group: ActionOperad, n: int, budget: int, seed: int) -> list
 # --------------------------------------------------------------- checkers
 
 
+def _record_law(report: Report, law: str, cases: Iterable[str | None]) -> None:
+    """Record one law from its cases, None for a pass or a witness, stopping at the first failure."""
+    checked = 0
+    for witness in cases:
+        checked += 1
+        if witness is not None:
+            report.record(law, False, witness, checked)
+            return
+    report.record(law, True, "", checked)
+
+
 def check_collection(
     x: FiniteGCollection, *, bound: int | None = None, budget: int = 25, seed: int = 9
 ) -> Report:
     report = Report(f"collection laws: {x.name}")
-    arities = (
-        range(bound + 1) if bound is not None else x.arities() or [0]
-    )
+    group = x.group
+    arities = range(bound + 1) if bound is not None else x.arities() or [0]
 
-    typed_ok, typed_witness, typed_count = True, "", 0
-    for n in arities:
-        for label in x.labels(n):
-            for g in _group_elements(x.group, n, budget, seed):
-                typed_count += 1
-                if x.action(n, label, g) not in x.labels(n):
-                    typed_ok, typed_witness = False, f"n={n}, x={label}, g={x.group.describe(g)}"
-                    break
-    report.record("action stays inside each level", typed_ok, typed_witness, typed_count)
+    def typed() -> Iterator[str | None]:
+        for n in arities:
+            gs = _group_elements(group, n, budget, seed)
+            for label in x.labels(n):
+                for g in gs:
+                    if x.action(n, label, g) not in x.labels(n):
+                        yield f"n={n}, x={label}, g={group.describe(g)}"
+                    yield None
 
-    unit_ok, unit_witness, unit_count = True, "", 0
-    for n in arities:
-        e = x.group.identity(n)
-        for label in x.labels(n):
-            unit_count += 1
-            if x.action(n, label, e) != label:
-                unit_ok, unit_witness = False, f"n={n}, x={label}"
-    report.record("action unit law", unit_ok, unit_witness, unit_count)
+    def unit() -> Iterator[str | None]:
+        for n in arities:
+            e = group.identity(n)
+            for label in x.labels(n):
+                yield None if x.action(n, label, e) == label else f"n={n}, x={label}"
 
-    comp_ok, comp_witness, comp_count = True, "", 0
-    for n in arities:
-        gs = _group_elements(x.group, n, budget, seed)
-        for label in x.labels(n):
-            for g, h in itertools.product(gs, repeat=2):
-                comp_count += 1
-                stepwise = x.action(n, x.action(n, label, g), h)
-                combined = x.action(n, label, x.group.multiply(g, h))
-                if stepwise != combined:
-                    comp_ok = False
-                    comp_witness = (
-                        f"n={n}, x={label}, g={x.group.describe(g)}, h={x.group.describe(h)}"
-                    )
-                    break
-    report.record("action composition law", comp_ok, comp_witness, comp_count)
+    def composition() -> Iterator[str | None]:
+        for n in arities:
+            gs = _group_elements(group, n, budget, seed)
+            for label in x.labels(n):
+                for g, h in itertools.product(gs, repeat=2):
+                    stepwise = x.action(n, x.action(n, label, g), h)
+                    combined = x.action(n, label, group.multiply(g, h))
+                    if stepwise != combined:
+                        yield f"n={n}, x={label}, g={group.describe(g)}, h={group.describe(h)}"
+                    yield None
+
+    _record_law(report, "action stays inside each level", typed())
+    _record_law(report, "action unit law", unit())
+    _record_law(report, "action composition law", composition())
     return report
 
 
@@ -149,137 +202,116 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     """Exhaustively verify the operad and equivariance laws within the bound."""
     group = p.group
     bound = p.max_arity
+    labels = p.labels
+    mu = p.compose
+    act = p.action
+    signatures = list(arity_signatures(bound))
     report = Report(f"operad laws: {p.name}")
 
-    def mu(n: int, ks: Sequence[int], head: str, args: Sequence[str]) -> str:
-        return p.compose(n, ks, head, args)
-
     # Well-typedness: the unit, every substitution result, every action result.
-    typed_ok, typed_witness, typed_count = True, "", 0
-    if p.unit not in p.labels(1):
-        typed_ok, typed_witness = False, f"unit {p.unit!r} not in level 1"
-    for n, ks in arity_signatures(bound):
-        total = sum(ks)
-        for head in p.labels(n):
-            for args in itertools.product(*(p.labels(k) for k in ks)):
-                typed_count += 1
-                if mu(n, ks, head, args) not in p.labels(total):
-                    typed_ok = False
-                    typed_witness = f"mu result escapes level {total}: n={n}, ks={list(ks)}, p={head}, qs={list(args)}"
-                    break
-    for n in range(bound + 1):
-        for head in p.labels(n):
-            for g in _group_elements(group, n, budget, seed):
-                typed_count += 1
-                if p.action(n, head, g) not in p.labels(n):
-                    typed_ok = False
-                    typed_witness = f"action escapes level {n}: p={head}, g={group.describe(g)}"
-                    break
-    report.record("tables are well-typed", typed_ok, typed_witness, typed_count)
+    def typed() -> Iterator[str | None]:
+        if p.unit not in labels(1):
+            yield f"unit {p.unit!r} not in level 1"
+        for n, ks in signatures:
+            total = sum(ks)
+            for head in labels(n):
+                for args in itertools.product(*(labels(k) for k in ks)):
+                    if mu(n, ks, head, args) not in labels(total):
+                        yield f"mu result escapes level {total}: n={n}, ks={list(ks)}, p={head}, qs={list(args)}"
+                    yield None
+        for n in range(bound + 1):
+            gs = _group_elements(group, n, budget, seed)
+            for head in labels(n):
+                for g in gs:
+                    if act(n, head, g) not in labels(n):
+                        yield f"action escapes level {n}: p={head}, g={group.describe(g)}"
+                    yield None
 
-    # Unit laws.
-    unit_ok, unit_witness, unit_count = True, "", 0
-    for n in range(bound + 1):
-        for head in p.labels(n):
-            unit_count += 2
-            if mu(1, (n,), p.unit, (head,)) != head:
-                unit_ok, unit_witness = False, f"mu(unit; {head}) != {head}"
-                break
-            if mu(n, (1,) * n, head, (p.unit,) * n) != head:
-                unit_ok, unit_witness = False, f"mu({head}; unit...) != {head}"
-                break
-    report.record("operad unit", unit_ok, unit_witness, unit_count)
+    # Unit laws, two cases per label.
+    def unit() -> Iterator[str | None]:
+        for n in range(bound + 1):
+            for head in labels(n):
+                yield None if mu(1, (n,), p.unit, (head,)) == head else f"mu(unit; {head}) != {head}"
+                yield None if mu(n, (1,) * n, head, (p.unit,) * n) == head else f"mu({head}; unit...) != {head}"
 
-    # Associativity.
-    assoc_ok, assoc_witness, assoc_count = True, "", 0
-    for n, ks in arity_signatures(bound):
-        total = sum(ks)
-        for ls in itertools.product(range(bound + 1), repeat=total):
-            if sum(ls) > bound:
-                continue
-            splits = []
-            start = 0
-            for k in ks:
-                splits.append(ls[start:start + k])
-                start += k
-            for head in p.labels(n):
-                for args in itertools.product(*(p.labels(k) for k in ks)):
-                    for flats in itertools.product(*(p.labels(l) for l in ls)):
-                        assoc_count += 1
-                        chunks = []
-                        start = 0
-                        for k in ks:
-                            chunks.append(flats[start:start + k])
-                            start += k
-                        lhs = mu(total, ls, mu(n, ks, head, args), flats)
-                        inner = [
-                            mu(len(split), split, arg, chunk)
-                            for split, arg, chunk in zip(splits, args, chunks)
-                        ]
-                        rhs = mu(n, tuple(sum(s) for s in splits), head, inner)
-                        if lhs != rhs:
-                            assoc_ok = False
-                            assoc_witness = (
-                                f"n={n}, ks={list(ks)}, ls={list(ls)}, p={head}, "
-                                f"qs={list(args)}, rs={list(flats)}"
-                            )
-                            break
-    report.record("operad associativity", assoc_ok, assoc_witness, assoc_count)
+    def associativity() -> Iterator[str | None]:
+        for n, ks in signatures:
+            total = sum(ks)
+            starts = list(itertools.accumulate(ks, initial=0))
+            for ls in itertools.product(range(bound + 1), repeat=total):
+                if sum(ls) > bound:
+                    continue
+                splits = [ls[a:b] for a, b in zip(starts, starts[1:])]
+                inner_ks = tuple(sum(split) for split in splits)
+                for head in labels(n):
+                    for args in itertools.product(*(labels(k) for k in ks)):
+                        composite = mu(n, ks, head, args)
+                        for flats in itertools.product(*(labels(l) for l in ls)):
+                            lhs = mu(total, ls, composite, flats)
+                            inner = [
+                                mu(len(split), split, arg, flats[a:b])
+                                for split, arg, a, b in zip(splits, args, starts, starts[1:])
+                            ]
+                            if lhs != mu(n, inner_ks, head, inner):
+                                yield (
+                                    f"n={n}, ks={list(ks)}, ls={list(ls)}, p={head}, "
+                                    f"qs={list(args)}, rs={list(flats)}"
+                                )
+                            yield None
 
     # Equivariance in the operad slot (the acting element cables up).
-    slot_ok, slot_witness, slot_count = True, "", 0
-    for n, ks in arity_signatures(bound):
-        total = sum(ks)
-        for g in _group_elements(group, n, budget, seed):
-            pi = group.project(g)
-            pi_inv = pi.inverse()
-            permuted_ks = tuple(ks[pi_inv(i) - 1] for i in range(1, n + 1))
-            cable = group.operad_mu(g, [group.identity(k) for k in ks])
-            for head in p.labels(n):
-                for args in itertools.product(*(p.labels(k) for k in ks)):
-                    slot_count += 1
-                    lhs = mu(n, ks, p.action(n, head, g), args)
-                    permuted_args = tuple(args[pi_inv(i) - 1] for i in range(1, n + 1))
-                    rhs = p.action(total, mu(n, permuted_ks, head, permuted_args), cable)
-                    if lhs != rhs:
-                        slot_ok = False
-                        slot_witness = (
-                            f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
-                            f"g={group.describe(g)}"
-                        )
-                        break
-    report.record("equivariance in the operad slot", slot_ok, slot_witness, slot_count)
+    def slot() -> Iterator[str | None]:
+        for n, ks in signatures:
+            total = sum(ks)
+            for g in _group_elements(group, n, budget, seed):
+                pi_inv = group.project(g).inverse()
+                order = [pi_inv(i) - 1 for i in range(1, n + 1)]
+                permuted_ks = tuple(ks[j] for j in order)
+                cable = group.operad_mu(g, [group.identity(k) for k in ks])
+                for head in labels(n):
+                    acted = act(n, head, g)
+                    for args in itertools.product(*(labels(k) for k in ks)):
+                        lhs = mu(n, ks, acted, args)
+                        permuted_args = tuple(args[j] for j in order)
+                        if lhs != act(total, mu(n, permuted_ks, head, permuted_args), cable):
+                            yield (
+                                f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
+                                f"g={group.describe(g)}"
+                            )
+                        yield None
 
     # Equivariance in the argument slots (the acting elements block-sum up).
-    arg_ok, arg_witness, arg_count = True, "", 0
-    for n, ks in arity_signatures(bound):
-        total = sum(ks)
-        element_lists = [_group_elements(group, k, max(budget // 5, 2), seed + 1) for k in ks]
-        for head in p.labels(n):
-            for args in itertools.product(*(p.labels(k) for k in ks)):
-                for gs in itertools.product(*element_lists):
-                    arg_count += 1
-                    acted_args = tuple(
-                        p.action(k, arg, g) for k, arg, g in zip(ks, args, gs)
-                    )
-                    lhs = mu(n, ks, head, acted_args)
-                    block = group.operad_mu(group.identity(n), list(gs))
-                    rhs = p.action(total, mu(n, ks, head, args), block)
-                    if lhs != rhs:
-                        arg_ok = False
-                        arg_witness = (
-                            f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
-                            f"gs=[{', '.join(group.describe(g) for g in gs)}]"
-                        )
-                        break
-    report.record("equivariance in the argument slots", arg_ok, arg_witness, arg_count)
+    def argument_slots() -> Iterator[str | None]:
+        for n, ks in signatures:
+            total = sum(ks)
+            element_lists = [_group_elements(group, k, max(budget // 5, 2), seed + 1) for k in ks]
+            blocks = [
+                (gs, group.operad_mu(group.identity(n), list(gs)))
+                for gs in itertools.product(*element_lists)
+            ]
+            for head in labels(n):
+                for args in itertools.product(*(labels(k) for k in ks)):
+                    composite = mu(n, ks, head, args)
+                    for gs, block in blocks:
+                        acted_args = tuple(act(k, arg, g) for k, arg, g in zip(ks, args, gs))
+                        if mu(n, ks, head, acted_args) != act(total, composite, block):
+                            yield (
+                                f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
+                                f"gs=[{', '.join(group.describe(g) for g in gs)}]"
+                            )
+                        yield None
+
+    _record_law(report, "tables are well-typed", typed())
+    _record_law(report, "operad unit", unit())
+    _record_law(report, "operad associativity", associativity())
+    _record_law(report, "equivariance in the operad slot", slot())
+    _record_law(report, "equivariance in the argument slots", argument_slots())
 
     # The per-level right-action laws.
     collection_report = check_collection(
         p.collection(), bound=bound, budget=budget, seed=seed
     )
-    for result in collection_report.results:
-        report.results.append(result)
+    report.results.extend(collection_report.results)
     return report
 
 
@@ -289,19 +321,13 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
 def operad_comm(group: ActionOperad | None = None, max_arity: int = 4) -> FiniteGOperad:
     """One operation per arity, any group acting trivially: the terminal operad."""
     group = group if group is not None else instance_symmetric()
-    levels = {n: ("*",) for n in range(max_arity + 1)}
-
-    def compose(n: int, ks: Sequence[int], head: str, args: Sequence[str]) -> str:
-        _require_signature(n, ks, head, args, levels, max_arity)
-        return "*"
-
     return FiniteGOperad(
         name=f"comm/{group.name}",
         group=group,
-        levels=levels,
+        levels={n: ("*",) for n in range(max_arity + 1)},
         unit="*",
         action=lambda n, label, g: label,
-        compose=compose,
+        compose=lambda n, ks, head, args: "*",
         max_arity=max_arity,
     )
 
@@ -328,27 +354,18 @@ def operad_ass(max_arity: int = 3) -> FiniteGOperad:
     if max_arity > 9:
         raise ValueError("digit labels support arities up to 9 only")
     group = instance_symmetric()
-    levels = {
-        n: tuple(sorted(_perm_label(p) for p in all_permutations(n)))
-        for n in range(max_arity + 1)
-    }
-
-    def action(n: int, label: str, g: Permutation) -> str:
-        return _perm_label(group.multiply(_label_perm(label), g))
-
-    def compose(n: int, ks: Sequence[int], head: str, args: Sequence[str]) -> str:
-        _require_signature(n, ks, head, args, levels, max_arity)
-        return _perm_label(
-            group.operad_mu(_label_perm(head), [_label_perm(a) for a in args])
-        )
-
     return FiniteGOperad(
         name="ass",
         group=group,
-        levels=levels,
+        levels={
+            n: tuple(sorted(_perm_label(p) for p in all_permutations(n)))
+            for n in range(max_arity + 1)
+        },
         unit="1",
-        action=action,
-        compose=compose,
+        action=lambda n, label, g: _perm_label(group.multiply(_label_perm(label), g)),
+        compose=lambda n, ks, head, args: _perm_label(
+            group.operad_mu(_label_perm(head), [_label_perm(a) for a in args])
+        ),
         max_arity=max_arity,
     )
 
@@ -383,9 +400,6 @@ def endomorphism_operad(
     if not alphabet:
         raise ValueError("carrier must be nonempty")
 
-    def inputs(n: int) -> list[tuple[str, ...]]:
-        return list(itertools.product(alphabet, repeat=n))
-
     levels: dict[int, tuple[str, ...]] = {}
     for n in range(max_arity + 1):
         size = len(alphabet) ** (len(alphabet) ** n)
@@ -398,38 +412,36 @@ def endomorphism_operad(
             ",".join(outputs) for outputs in itertools.product(alphabet, repeat=len(alphabet) ** n)
         )
 
-    def decode(n: int, label: str) -> dict[tuple[str, ...], str]:
-        return dict(zip(inputs(n), label.split(",")))
+    position = {x: i for i, x in enumerate(alphabet)}
 
-    def encode(n: int, table: Mapping[tuple[str, ...], str]) -> str:
-        return ",".join(table[xs] for xs in inputs(n))
+    def rank(xs: Iterable[str]) -> int:
+        """The index of an input tuple in lexicographic order, i.e. in a label."""
+        index = 0
+        for x in xs:
+            index = index * len(alphabet) + position[x]
+        return index
 
     def action(n: int, label: str, g: Any) -> str:
-        fn = decode(n, label)
+        outputs = label.split(",")
         pi = group.project(g)
-        return encode(n, {xs: fn[tuple(act_on_list(pi, xs))] for xs in inputs(n)})
+        return ",".join(
+            outputs[rank(act_on_list(pi, xs))] for xs in itertools.product(alphabet, repeat=n)
+        )
 
     def compose(n: int, ks: Sequence[int], head: str, args: Sequence[str]) -> str:
-        _require_signature(n, ks, head, args, levels, max_arity)
-        fn = decode(n, head)
-        arg_fns = [decode(k, a) for k, a in zip(ks, args)]
-        total = sum(ks)
-        table = {}
-        for xs in inputs(total):
-            values = []
-            start = 0
-            for k, arg_fn in zip(ks, arg_fns):
-                values.append(arg_fn[tuple(xs[start:start + k])])
-                start += k
-            table[xs] = fn[tuple(values)]
-        return encode(total, table)
+        outer = head.split(",")
+        inner = [arg.split(",") for arg in args]
+        starts = list(itertools.accumulate(ks, initial=0))
+        return ",".join(
+            outer[rank(fn[rank(xs[a:b])] for fn, a, b in zip(inner, starts, starts[1:]))]
+            for xs in itertools.product(alphabet, repeat=starts[-1])
+        )
 
-    identity_label = ",".join(x for (x,) in inputs(1))
     return FiniteGOperad(
         name=f"endomorphisms of {{{','.join(alphabet)}}}",
         group=group,
         levels=levels,
-        unit=identity_label,
+        unit=",".join(alphabet),
         action=action,
         compose=compose,
         max_arity=max_arity,
@@ -446,7 +458,7 @@ def change_groups(
     return FiniteGOperad(
         name=f"{p.name} over {new_group.name}",
         group=new_group,
-        levels=dict(p.levels),
+        levels=p.levels,
         unit=p.unit,
         action=lambda n, label, g: p.action(n, label, f(g)),
         compose=p.compose,
@@ -462,55 +474,43 @@ def check_algebra(p: FiniteGOperad, algebra: AlgebraStructure, *, budget: int = 
     report = Report(f"algebra laws on {{{','.join(algebra.carrier)}}} for {p.name}")
     carrier = algebra.carrier
     bound = p.max_arity
+    evaluate = algebra.maps
 
-    unit_ok, unit_witness, unit_count = True, "", 0
-    for x in carrier:
-        unit_count += 1
-        if algebra.maps(1, p.unit, (x,)) != x:
-            unit_ok, unit_witness = False, f"x={x}"
-            break
-    report.record("algebra unit", unit_ok, unit_witness, unit_count)
+    def unit() -> Iterator[str | None]:
+        for x in carrier:
+            yield None if evaluate(1, p.unit, (x,)) == x else f"x={x}"
 
-    assoc_ok, assoc_witness, assoc_count = True, "", 0
-    for n, ks in arity_signatures(bound):
-        total = sum(ks)
-        for head in p.labels(n):
-            for args in itertools.product(*(p.labels(k) for k in ks)):
-                composite = p.compose(n, ks, head, args)
-                for xs in itertools.product(carrier, repeat=total):
-                    assoc_count += 1
-                    lhs = algebra.maps(total, composite, xs)
-                    values = []
-                    start = 0
-                    for k, arg in zip(ks, args):
-                        values.append(algebra.maps(k, arg, xs[start:start + k]))
-                        start += k
-                    rhs = algebra.maps(n, head, tuple(values))
-                    if lhs != rhs:
-                        assoc_ok = False
-                        assoc_witness = (
-                            f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, xs={list(xs)}"
-                        )
-                        break
-    report.record("algebra associativity", assoc_ok, assoc_witness, assoc_count)
-
-    equiv_ok, equiv_witness, equiv_count = True, "", 0
-    for n in range(bound + 1):
-        for g in _group_elements(p.group, n, budget, seed):
-            pi = p.group.project(g)
+    def associativity() -> Iterator[str | None]:
+        for n, ks in arity_signatures(bound):
+            total = sum(ks)
+            starts = list(itertools.accumulate(ks, initial=0))
             for head in p.labels(n):
-                acted = p.action(n, head, g)
-                for xs in itertools.product(carrier, repeat=n):
-                    equiv_count += 1
-                    lhs = algebra.maps(n, acted, xs)
-                    rhs = algebra.maps(n, head, tuple(act_on_list(pi, xs)))
-                    if lhs != rhs:
-                        equiv_ok = False
-                        equiv_witness = (
-                            f"n={n}, p={head}, g={p.group.describe(g)}, xs={list(xs)}"
+                for args in itertools.product(*(p.labels(k) for k in ks)):
+                    composite = p.compose(n, ks, head, args)
+                    for xs in itertools.product(carrier, repeat=total):
+                        lhs = evaluate(total, composite, xs)
+                        values = tuple(
+                            evaluate(k, arg, xs[a:b])
+                            for k, arg, a, b in zip(ks, args, starts, starts[1:])
                         )
-                        break
-    report.record("algebra equivariance", equiv_ok, equiv_witness, equiv_count)
+                        if lhs != evaluate(n, head, values):
+                            yield f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, xs={list(xs)}"
+                        yield None
+
+    def equivariance() -> Iterator[str | None]:
+        for n in range(bound + 1):
+            for g in _group_elements(p.group, n, budget, seed):
+                pi = p.group.project(g)
+                for head in p.labels(n):
+                    acted = p.action(n, head, g)
+                    for xs in itertools.product(carrier, repeat=n):
+                        if evaluate(n, acted, xs) != evaluate(n, head, tuple(act_on_list(pi, xs))):
+                            yield f"n={n}, p={head}, g={p.group.describe(g)}, xs={list(xs)}"
+                        yield None
+
+    _record_law(report, "algebra unit", unit())
+    _record_law(report, "algebra associativity", associativity())
+    _record_law(report, "algebra equivariance", equivariance())
     return report
 
 
@@ -562,41 +562,30 @@ def enumerate_operad_maps(p: FiniteGOperad, q: FiniteGOperad, limit: int = 1 << 
         if count > limit:
             raise ValueError(f"candidate map count exceeds the enumeration limit {limit}")
 
-    group_samples = {
-        n: _group_elements(p.group, n, 10, 3) for n in range(bound + 1)
-    }
-    maps = []
-    for images in itertools.product(*spaces):
-        table = dict(zip(domain, images))
-        if table[(1, p.unit)] != q.unit:
-            continue
-        ok = True
-        for n, ks in arity_signatures(bound):
-            for head in p.labels(n):
-                for args in itertools.product(*(p.labels(k) for k in ks)):
-                    lhs = table[(sum(ks), p.compose(n, ks, head, args))]
-                    rhs = q.compose(n, ks, table[(n, head)], [table[(k, a)] for k, a in zip(ks, args)])
-                    if lhs != rhs:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            for n in range(bound + 1):
-                for head in p.labels(n):
-                    for g in group_samples[n]:
-                        if table[(n, p.action(n, head, g))] != q.action(n, table[(n, head)], g):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        if ok:
-            maps.append(table)
-    return maps
+    group_samples = {n: _group_elements(p.group, n, 10, 3) for n in range(bound + 1)}
+    substitutions = [
+        (n, ks, head, args)
+        for n, ks in arity_signatures(bound)
+        for head in p.labels(n)
+        for args in itertools.product(*(p.labels(k) for k in ks))
+    ]
+
+    def is_map(table: dict[tuple[int, str], str]) -> bool:
+        return (
+            table[(1, p.unit)] == q.unit
+            and all(
+                table[(sum(ks), p.compose(n, ks, head, args))]
+                == q.compose(n, ks, table[(n, head)], [table[(k, a)] for k, a in zip(ks, args)])
+                for n, ks, head, args in substitutions
+            )
+            and all(
+                table[(n, p.action(n, head, g))] == q.action(n, table[(n, head)], g)
+                for n in range(bound + 1) for head in p.labels(n) for g in group_samples[n]
+            )
+        )
+
+    tables = (dict(zip(domain, images)) for images in itertools.product(*spaces))
+    return [table for table in tables if is_map(table)]
 
 
 # ------------------------------------------------------ document format
@@ -729,28 +718,36 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
                         f"compose: missing entry for n={n}, ks={list(ks)}, args={[head, *rest]}"
                     )
 
-    def action(n: int, label: str, g: Any) -> str:
+    # Tabulate the action of every element by folding the generator rows
+    # along its positive word; a right action applies the factors from the
+    # last to the first.
+    action_table: dict[tuple[int, str, Any], str] = {}
+    for n in range(max_arity + 1):
+        for g in group.elements(n):
+            word = permutation_braid(group.project(g)).word[::-1]
+            for start in levels[n]:
+                label = start
+                for i in word:
+                    label = action_rows[n][i - 1][label]
+                action_table[(n, start, g)] = label
+
+    def missing_action(n: int, label: str, g: Any) -> str:
         if label not in levels.get(n, ()):
             raise ValueError(f"unknown label {label!r} at arity {n}")
-        # Decompose the underlying permutation into adjacent transpositions;
-        # a right action applies them from the last factor to the first.
-        for i in reversed(permutation_braid(group.project(g)).word):
-            label = action_rows[n][i - 1][label]
-        return label
+        raise ValueError(f"{g!r} is not a group element of arity {n}")
 
-    def compose(n: int, ks: Sequence[int], head: str, args: Sequence[str]) -> str:
-        _require_signature(n, ks, head, args, levels, max_arity)
-        return compose_table[(n, tuple(ks), head, tuple(args))]
-
-    return FiniteGOperad(
+    operad = FiniteGOperad(
         name=name,
         group=group,
         levels=levels,
         unit=unit,
-        action=action,
-        compose=compose,
+        action=missing_action,
+        compose=lambda *key: compose_table[key],   # complete: reached by no valid signature
         max_arity=max_arity,
     )
+    operad.action_table = action_table
+    operad.compose_table = compose_table
+    return operad
 
 
 # ------------------------------------------------- composition product

@@ -20,6 +20,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from operadics.action_operads import instance_braid, instance_symmetric
 from operadics.braids import (
     BraidWord,
@@ -414,6 +416,7 @@ def _run_cli(*arguments, cwd=None):
     )
 
 
+@pytest.mark.usefixtures("cli_env")
 def test_criterion_14_cli_golden_invocations(capsys, tmp_path):
     failures = []
 

@@ -12,6 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+pytestmark = pytest.mark.usefixtures("cli_env")
+
 GOLDEN = Path(__file__).parent / "golden"
 PACKAGE_DATA = Path(__file__).parent.parent / "src" / "operadics" / "data"
 

@@ -10,6 +10,7 @@ out in comments next to each assertion.
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,8 @@ from operadics.g_operads import (
     write_operad_document,
 )
 from operadics.permutations import Permutation
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "operadics" / "data"
 
 
 # ------------------------------------------------------------ law checks
@@ -72,6 +75,30 @@ def test_unit_law_mutation_is_caught():
     failure = report.result("operad unit")
     assert not failure.passed
     assert "12" in failure.witness
+
+
+def test_operad_laws_report_the_first_counterexample():
+    # Two mu(unit; x) entries changed, at arities 2 and 3: the unit law
+    # stops at the earlier one, and the count stops with it.
+    document = json.loads((DATA / "ass.json").read_text())
+    for record in document["compose"]:
+        if record["n"] == 1 and record["args"] in (["1", "12"], ["1", "123"]):
+            record["result"] = record["result"][::-1]
+    report = check_operad(load_operad(document, name="twice corrupted ass"))
+    failure = report.result("operad unit")
+    assert not failure.passed
+    assert failure.witness == "mu(unit; 12) != 12"
+    # Arities 0 and 1 pass with two cases per label; "12" is the first label of arity 2.
+    assert failure.checked == 2 * 2 + 1
+
+
+def test_collection_unit_law_reports_the_first_counterexample():
+    swap = {"p": "q", "q": "p", "u": "v", "v": "u"}
+    x = FiniteGCollection("swapped", instance_symmetric(), {1: ("p", "q"), 2: ("u", "v")},
+                          lambda n, label, g: swap[label])
+    failure = check_collection(x).result("action unit law")
+    assert not failure.passed
+    assert (failure.witness, failure.checked) == ("n=1, x=p", 1)
 
 
 def test_signatures_enumeration():
