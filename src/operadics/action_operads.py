@@ -166,6 +166,26 @@ def _cases(
     return [sample_one() for _ in range(budget)]
 
 
+def _element_tuples(
+    inst: ActionOperad,
+    draw: Callable[[random.Random, int], Any],
+    rng: random.Random,
+    arities: range,
+    width: int,
+    budget: int,
+) -> list[tuple]:
+    """Tuples of `width` elements of one arity: all of them if they fit the budget, else drawn."""
+    enumerated = None if inst.elements is None else (
+        tup for n in arities for tup in itertools.product(inst.elements(n), repeat=width)
+    )
+
+    def sample_one() -> tuple:
+        n = rng.choice(arities)
+        return tuple(draw(rng, n) for _ in range(width))
+
+    return _cases(enumerated, sample_one, budget)
+
+
 def _arity_tuples(max_arity: int) -> Iterable[tuple[int, tuple[int, ...]]]:
     for n in range(max_arity + 1):
         for ks in itertools.product(range(max_arity + 1), repeat=n):
@@ -185,67 +205,48 @@ def check_axioms(
     draw = sampler if sampler is not None else inst.sample
     report = Report(f"action operad laws: {inst.name}")
     arities = range(max_arity + 1)
+    eq = inst.equal
 
-    def enum_tuples(width: int) -> Iterator[tuple] | None:
-        if inst.elements is None:
-            return None
-        return (
-            tup
-            for n in arities
-            for tup in itertools.product(inst.elements(n), repeat=width)
-        )
+    def tuples(width: int) -> list[tuple]:
+        return _element_tuples(inst, draw, rng, arities, width, budget)
 
-    def draw_tuple(width: int) -> tuple:
-        n = rng.choice(arities)
-        return tuple(draw(rng, n) for _ in range(width))
-
-    def run(law: str, cases: Sequence[tuple], check: Callable[..., tuple[bool, str]]) -> None:
-        for case in cases:
-            ok, witness = check(*case)
-            if not ok:
-                report.record(law, False, witness, checked=len(cases))
-                return
-        report.record(law, True, checked=len(cases))
-
-    def eq(g: Any, h: Any) -> bool:
-        return inst.equal(g, h)
-
+    # Each check returns None when its case holds and the witness otherwise.
     # --- group laws, one arity at a time -------------------------------
     def check_assoc(g, h, k):
         lhs = inst.multiply(inst.multiply(g, h), k)
         rhs = inst.multiply(g, inst.multiply(h, k))
-        return eq(lhs, rhs), f"g={inst.describe(g)}, h={inst.describe(h)}, k={inst.describe(k)}"
+        if not eq(lhs, rhs):
+            return f"g={inst.describe(g)}, h={inst.describe(h)}, k={inst.describe(k)}"
 
-    run("group associativity", _cases(enum_tuples(3), lambda: draw_tuple(3), budget), check_assoc)
+    report.check("group associativity", itertools.starmap(check_assoc, tuples(3)))
 
     def check_identity(g):
         e = inst.identity(inst.arity(g))
-        ok = eq(inst.multiply(e, g), g) and eq(inst.multiply(g, e), g)
-        return ok, f"g={inst.describe(g)}"
+        if not (eq(inst.multiply(e, g), g) and eq(inst.multiply(g, e), g)):
+            return f"g={inst.describe(g)}"
 
-    run("group identity", _cases(enum_tuples(1), lambda: draw_tuple(1), budget), check_identity)
+    report.check("group identity", itertools.starmap(check_identity, tuples(1)))
 
     def check_inverses(g):
         e = inst.identity(inst.arity(g))
         gi = inst.invert(g)
-        ok = eq(inst.multiply(g, gi), e) and eq(inst.multiply(gi, g), e)
-        return ok, f"g={inst.describe(g)}"
+        if not (eq(inst.multiply(g, gi), e) and eq(inst.multiply(gi, g), e)):
+            return f"g={inst.describe(g)}"
 
-    run("group inverses", _cases(enum_tuples(1), lambda: draw_tuple(1), budget), check_inverses)
+    report.check("group inverses", itertools.starmap(check_inverses, tuples(1)))
 
     # --- operad unit laws: the arity-1 group identity is the unit ------
     def check_left_unit(f):
-        got = inst.operad_mu(inst.identity(1), [f])
-        return eq(got, f), f"f={inst.describe(f)}"
+        if not eq(inst.operad_mu(inst.identity(1), [f]), f):
+            return f"f={inst.describe(f)}"
 
-    run("operad left unit", _cases(enum_tuples(1), lambda: draw_tuple(1), budget), check_left_unit)
+    report.check("operad left unit", itertools.starmap(check_left_unit, tuples(1)))
 
     def check_right_unit(g):
-        n = inst.arity(g)
-        got = inst.operad_mu(g, [inst.identity(1)] * n)
-        return eq(got, g), f"g={inst.describe(g)}"
+        if not eq(inst.operad_mu(g, [inst.identity(1)] * inst.arity(g)), g):
+            return f"g={inst.describe(g)}"
 
-    run("operad right unit", _cases(enum_tuples(1), lambda: draw_tuple(1), budget), check_right_unit)
+    report.check("operad right unit", itertools.starmap(check_right_unit, tuples(1)))
 
     # --- operad associativity ------------------------------------------
     inner_cap = min(2, max_arity)
@@ -262,26 +263,23 @@ def check_axioms(
         flat = [h for chunk in hss for h in chunk]
         lhs = inst.operad_mu(inst.operad_mu(g, fs), flat)
         rhs = inst.operad_mu(g, [inst.operad_mu(f, chunk) for f, chunk in zip(fs, hss)])
-        witness = (
-            f"g={inst.describe(g)}, fs=[{', '.join(inst.describe(f) for f in fs)}], "
-            f"hs=[{', '.join(inst.describe(h) for h in flat)}]"
-        )
-        return eq(lhs, rhs), witness
+        if not eq(lhs, rhs):
+            return (
+                f"g={inst.describe(g)}, fs=[{', '.join(inst.describe(f) for f in fs)}], "
+                f"hs=[{', '.join(inst.describe(h) for h in flat)}]"
+            )
 
-    run("operad associativity", [draw_assoc_case() for _ in range(budget)], check_operad_assoc)
+    assoc_cases = [draw_assoc_case() for _ in range(budget)]
+    report.check("operad associativity", itertools.starmap(check_operad_assoc, assoc_cases))
 
     # --- the projection ------------------------------------------------
     def check_hom(g, h):
         got = inst.project(inst.multiply(g, h))
         # The classical product of the projections: h first, then g.
-        want = compose(inst.project(h), inst.project(g))
-        return got == want, f"g={inst.describe(g)}, h={inst.describe(h)}"
+        if got != compose(inst.project(h), inst.project(g)):
+            return f"g={inst.describe(g)}, h={inst.describe(h)}"
 
-    run(
-        "projection is a group homomorphism",
-        _cases(enum_tuples(2), lambda: draw_tuple(2), budget),
-        check_hom,
-    )
+    report.check("projection is a group homomorphism", itertools.starmap(check_hom, tuples(2)))
 
     def draw_mu_case() -> tuple:
         n = rng.randrange(max_arity + 1)
@@ -291,11 +289,11 @@ def check_axioms(
 
     def check_operad_map(g, fs):
         got = inst.project(inst.operad_mu(g, fs))
-        want = mu_sigma(inst.project(g), [inst.project(f) for f in fs])
-        witness = f"g={inst.describe(g)}, fs=[{', '.join(inst.describe(f) for f in fs)}]"
-        return got == want, witness
+        if got != mu_sigma(inst.project(g), [inst.project(f) for f in fs]):
+            return f"g={inst.describe(g)}, fs=[{', '.join(inst.describe(f) for f in fs)}]"
 
-    run("projection is an operad map", [draw_mu_case() for _ in range(budget)], check_operad_map)
+    mu_cases = [draw_mu_case() for _ in range(budget)]
+    report.check("projection is an operad map", itertools.starmap(check_operad_map, mu_cases))
 
     # --- compatibility of the two structures ---------------------------
     # multiply(mu(g; fs), mu(g'; f's)) = mu(multiply(g, g'); pairwise),
@@ -318,44 +316,45 @@ def check_axioms(
             inst.multiply(g, gp),
             [inst.multiply(fs[pgp(i) - 1], fps[i - 1]) for i in range(1, len(fps) + 1)],
         )
-        witness = (
-            f"g={inst.describe(g)}, g'={inst.describe(gp)}, "
-            f"fs=[{', '.join(inst.describe(u) for u in fs)}], "
-            f"f's=[{', '.join(inst.describe(v) for v in fps)}]"
-        )
-        return eq(lhs, rhs), witness
+        if not eq(lhs, rhs):
+            return (
+                f"g={inst.describe(g)}, g'={inst.describe(gp)}, "
+                f"fs=[{', '.join(inst.describe(u) for u in fs)}], "
+                f"f's=[{', '.join(inst.describe(v) for v in fps)}]"
+            )
 
-    run(
+    compat_cases = [draw_compat_case() for _ in range(budget)]
+    report.check(
         "compatibility of product and substitution",
-        [draw_compat_case() for _ in range(budget)],
-        check_compatibility,
+        itertools.starmap(check_compatibility, compat_cases),
     )
 
     # --- consequences worth checking on their own ----------------------
     def check_identities_compose(n, ks):
         got = inst.operad_mu(inst.identity(n), [inst.identity(k) for k in ks])
-        return eq(got, inst.identity(sum(ks))), f"n={n}, ks={list(ks)}"
+        if not eq(got, inst.identity(sum(ks))):
+            return f"n={n}, ks={list(ks)}"
 
     def draw_arity_tuple() -> tuple:
         n = rng.randrange(max_arity + 1)
         return n, tuple(rng.randrange(max_arity + 1) for _ in range(n))
 
-    run(
+    arity_cases = _cases(iter(_arity_tuples(max_arity)), draw_arity_tuple, budget)
+    report.check(
         "identities compose to identities",
-        _cases(iter(_arity_tuples(max_arity)), draw_arity_tuple, budget),
-        check_identities_compose,
+        itertools.starmap(check_identities_compose, arity_cases),
     )
 
     def check_abelian(g, h):
-        ok = eq(inst.multiply(g, h), inst.multiply(h, g))
-        return ok, f"g={inst.describe(g)}, h={inst.describe(h)}"
+        if not eq(inst.multiply(g, h), inst.multiply(h, g)):
+            return f"g={inst.describe(g)}, h={inst.describe(h)}"
 
     arity_one_pairs = (
         [(g, h) for g in inst.elements(1) for h in inst.elements(1)]
         if inst.elements is not None
         else [(draw(rng, 1), draw(rng, 1)) for _ in range(budget)]
     )
-    run("arity-1 group is abelian", arity_one_pairs, check_abelian)
+    report.check("arity-1 group is abelian", itertools.starmap(check_abelian, arity_one_pairs))
 
     return report
 
@@ -377,38 +376,20 @@ def map_of_action_operads(
     report = Report(f"map of action operads: {src.name} -> {dst.name}")
     arities = range(max_arity + 1)
 
-    def enum_tuples(width: int) -> Iterator[tuple] | None:
-        if src.elements is None:
-            return None
-        return (
-            tup
-            for n in arities
-            for tup in itertools.product(src.elements(n), repeat=width)
-        )
-
-    def draw_tuple(width: int) -> tuple:
-        n = rng.choice(arities)
-        return tuple(src.sample(rng, n) for _ in range(width))
-
-    def run(law: str, cases: Sequence[tuple], check: Callable[..., tuple[bool, str]]) -> None:
-        for case in cases:
-            ok, witness = check(*case)
-            if not ok:
-                report.record(law, False, witness, checked=len(cases))
-                return
-        report.record(law, True, checked=len(cases))
+    def tuples(width: int) -> list[tuple]:
+        return _element_tuples(src, src.sample, rng, arities, width, budget)
 
     def check_identities(n):
-        got = f(src.identity(n))
-        return dst.equal(got, dst.identity(n)), f"n={n}"
+        if not dst.equal(f(src.identity(n)), dst.identity(n)):
+            return f"n={n}"
 
-    run("preserves identities", [(n,) for n in arities], check_identities)
+    report.check("preserves identities", map(check_identities, arities))
 
     def check_hom(g, h):
-        ok = dst.equal(f(src.multiply(g, h)), dst.multiply(f(g), f(h)))
-        return ok, f"g={src.describe(g)}, h={src.describe(h)}"
+        if not dst.equal(f(src.multiply(g, h)), dst.multiply(f(g), f(h))):
+            return f"g={src.describe(g)}, h={src.describe(h)}"
 
-    run("group homomorphism per arity", _cases(enum_tuples(2), lambda: draw_tuple(2), budget), check_hom)
+    report.check("group homomorphism per arity", itertools.starmap(check_hom, tuples(2)))
 
     def draw_mu_case() -> tuple:
         n = rng.randrange(max_arity + 1)
@@ -418,19 +399,16 @@ def map_of_action_operads(
 
     def check_operad_map(g, fs):
         got = f(src.operad_mu(g, fs))
-        want = dst.operad_mu(f(g), [f(x) for x in fs])
-        witness = f"g={src.describe(g)}, fs=[{', '.join(src.describe(x) for x in fs)}]"
-        return dst.equal(got, want), witness
+        if not dst.equal(got, dst.operad_mu(f(g), [f(x) for x in fs])):
+            return f"g={src.describe(g)}, fs=[{', '.join(src.describe(x) for x in fs)}]"
 
-    run("operad map", [draw_mu_case() for _ in range(budget)], check_operad_map)
+    mu_cases = [draw_mu_case() for _ in range(budget)]
+    report.check("operad map", itertools.starmap(check_operad_map, mu_cases))
 
     def check_projections(g):
-        return dst.project(f(g)) == src.project(g), f"g={src.describe(g)}"
+        if dst.project(f(g)) != src.project(g):
+            return f"g={src.describe(g)}"
 
-    run(
-        "commutes with projections",
-        _cases(enum_tuples(1), lambda: (src.sample(rng, rng.choice(arities)),), budget),
-        check_projections,
-    )
+    report.check("commutes with projections", itertools.starmap(check_projections, tuples(1)))
 
     return report

@@ -26,6 +26,7 @@ from typing import Any, Iterator, Mapping, Sequence
 from .g_operads import (
     AlgebraStructure,
     FiniteGOperad,
+    _UnionFind,
     check_algebra,
     enumerate_algebra_structures,
 )
@@ -94,36 +95,23 @@ def free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None
             for label in p.labels(n)
             for xs in itertools.product(carrier, repeat=n)
         ]
-        parent = {state: state for state in states}
-
-        def find(state):
-            root = state
-            while parent[root] != root:
-                root = parent[root]
-            while parent[state] != root:
-                parent[state], state = root, parent[state]
-            return root
-
+        uf = _UnionFind()
+        for state in states:
+            uf.add(state)
         for label, xs in states:
             for g in p.group.elements(n):
                 mate = (
                     p.action(n, label, g),
                     tuple(act_on_list(p.group.project(g).inverse(), xs)),
                 )
-                ra, rb = find((label, xs)), find(mate)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
+                uf.unite((label, xs), mate)
 
-        orbits: dict[tuple, list[tuple]] = {}
-        for state in states:
-            orbits.setdefault(find(state), []).append(state)
-        representatives = []
-        for members in orbits.values():
-            rep = FreeAlgebraClass(*min(members))
-            representatives.append(rep)
-            for member in members:
-                canonical[member] = rep
-        classes_by_arity[n] = sorted(representatives, key=lambda c: (c.label, c.items))
+        # A class is represented by its least member, which is its root.
+        roots = {state: uf.find(state) for state in states}
+        representatives = {root: FreeAlgebraClass(*root) for root in sorted(set(roots.values()))}
+        for state, root in roots.items():
+            canonical[state] = representatives[root]
+        classes_by_arity[n] = list(representatives.values())
 
     return FreeAlgebra(p, carrier, bound, classes_by_arity, canonical)
 
@@ -198,72 +186,57 @@ def check_monad_laws(
     group = p.group
     report = Report(f"monad laws: {p.name} on {{{','.join(free.carrier)}}}")
 
-    well_ok, well_witness, well_count = True, "", 0
-    for n, label, inner in _nestings(free):
-        value = mult_mu(free, label, inner)
-        for g in group.elements(n):
-            well_count += 1
-            moved_label = p.action(n, label, g)
-            moved_inner = tuple(act_on_list(group.project(g).inverse(), inner))
-            if mult_mu(free, moved_label, moved_inner) != value:
-                well_ok = False
-                well_witness = f"label={label}, inner={[str(c) for c in inner]}, g={group.describe(g)}"
-                break
-    report.record("multiplication is constant on classes", well_ok, well_witness, well_count)
+    def well_defined() -> Iterator[str | None]:
+        for n, label, inner in _nestings(free):
+            value = mult_mu(free, label, inner)
+            for g in group.elements(n):
+                moved_label = p.action(n, label, g)
+                moved_inner = tuple(act_on_list(group.project(g).inverse(), inner))
+                if mult_mu(free, moved_label, moved_inner) != value:
+                    yield f"label={label}, inner={[str(c) for c in inner]}, g={group.describe(g)}"
+                yield None
 
-    left_ok, left_witness, left_count = True, "", 0
-    for cls in free.all_classes():
-        left_count += 1
-        if mult_mu(free, p.unit, (cls,)) != cls:
-            left_ok, left_witness = False, str(cls)
-            break
-    report.record("left unit law", left_ok, left_witness, left_count)
+    def left_unit() -> Iterator[str | None]:
+        for cls in free.all_classes():
+            yield None if mult_mu(free, p.unit, (cls,)) == cls else str(cls)
 
-    right_ok, right_witness, right_count = True, "", 0
-    for cls in free.all_classes():
-        right_count += 1
-        wrapped = tuple(unit_eta(free, x) for x in cls.items)
-        if mult_mu(free, cls.label, wrapped) != cls:
-            right_ok, right_witness = False, str(cls)
-            break
-    report.record("right unit law", right_ok, right_witness, right_count)
+    def right_unit() -> Iterator[str | None]:
+        for cls in free.all_classes():
+            wrapped = tuple(unit_eta(free, x) for x in cls.items)
+            yield None if mult_mu(free, cls.label, wrapped) == cls else str(cls)
 
     # Associativity: a three-level nesting [q; [p_i; classes_i]] flattens
     # either middle-first (each [p_i; classes_i] collapses to one class)
     # or outer-first (q and the p_i merge, then one flattening).
-    assoc_ok, assoc_witness, assoc_count = True, "", 0
-    pool = free.all_classes()
-    for n in range(bound + 1):
-        for rs in itertools.product(range(bound + 1), repeat=n):
-            if sum(rs) > bound:
-                continue
-            for q in p.labels(n):
-                for ps in itertools.product(*(p.labels(r) for r in rs)):
-                    for flat in itertools.product(pool, repeat=sum(rs)):
-                        if sum(c.arity for c in flat) > bound:
-                            continue
-                        assoc_count += 1
-                        groups = []
-                        start = 0
-                        for r in rs:
-                            groups.append(flat[start:start + r])
-                            start += r
-                        middle_first = mult_mu(
-                            free,
-                            q,
-                            tuple(
-                                mult_mu(free, head, group)
-                                for head, group in zip(ps, groups)
-                            ),
-                        )
-                        outer_first = mult_mu(free, p.compose(n, rs, q, ps), flat)
-                        if middle_first != outer_first:
-                            assoc_ok = False
-                            assoc_witness = (
-                                f"q={q}, ps={list(ps)}, classes={[str(c) for c in flat]}"
+    def associativity() -> Iterator[str | None]:
+        pool = free.all_classes()
+        for n in range(bound + 1):
+            for rs in itertools.product(range(bound + 1), repeat=n):
+                if sum(rs) > bound:
+                    continue
+                starts = list(itertools.accumulate(rs, initial=0))
+                for q in p.labels(n):
+                    for ps in itertools.product(*(p.labels(r) for r in rs)):
+                        for flat in itertools.product(pool, repeat=sum(rs)):
+                            if sum(c.arity for c in flat) > bound:
+                                continue
+                            middle_first = mult_mu(
+                                free,
+                                q,
+                                tuple(
+                                    mult_mu(free, head, flat[a:b])
+                                    for head, a, b in zip(ps, starts, starts[1:])
+                                ),
                             )
-                            break
-    report.record("associativity", assoc_ok, assoc_witness, assoc_count)
+                            outer_first = mult_mu(free, p.compose(n, rs, q, ps), flat)
+                            if middle_first != outer_first:
+                                yield f"q={q}, ps={list(ps)}, classes={[str(c) for c in flat]}"
+                            yield None
+
+    report.check("multiplication is constant on classes", well_defined())
+    report.check("left unit law", left_unit())
+    report.check("right unit law", right_unit())
+    report.check("associativity", associativity())
 
     truncated = _truncate(p, min(correspondence_bound, bound))
     algebras = enumerate_algebra_structures(truncated, free.carrier)
@@ -299,14 +272,10 @@ def _monad_algebra_maps(p: FiniteGOperad, carrier: Sequence[str]) -> list[tuple[
         h = dict(zip(classes, values))
         if any(h[unit_eta(free, x)] != x for x in free.carrier):
             continue
-        ok = True
-        for n, label, inner in nestings:
-            flattened = h[mult_mu(free, label, inner)]
-            substituted = free.canonical(label, tuple(h[c] for c in inner))
-            if flattened != h[substituted]:
-                ok = False
-                break
-        if ok:
+        if all(
+            h[mult_mu(free, label, inner)] == h[free.canonical(label, tuple(h[c] for c in inner))]
+            for _, label, inner in nestings
+        ):
             found.append(values)
     return found
 

@@ -148,17 +148,6 @@ def _group_elements(group: ActionOperad, n: int, budget: int, seed: int) -> list
 # --------------------------------------------------------------- checkers
 
 
-def _record_law(report: Report, law: str, cases: Iterable[str | None]) -> None:
-    """Record one law from its cases, None for a pass or a witness, stopping at the first failure."""
-    checked = 0
-    for witness in cases:
-        checked += 1
-        if witness is not None:
-            report.record(law, False, witness, checked)
-            return
-    report.record(law, True, "", checked)
-
-
 def check_collection(
     x: FiniteGCollection, *, bound: int | None = None, budget: int = 25, seed: int = 9
 ) -> Report:
@@ -192,9 +181,9 @@ def check_collection(
                         yield f"n={n}, x={label}, g={group.describe(g)}, h={group.describe(h)}"
                     yield None
 
-    _record_law(report, "action stays inside each level", typed())
-    _record_law(report, "action unit law", unit())
-    _record_law(report, "action composition law", composition())
+    report.check("action stays inside each level", typed())
+    report.check("action unit law", unit())
+    report.check("action composition law", composition())
     return report
 
 
@@ -301,11 +290,11 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
                             )
                         yield None
 
-    _record_law(report, "tables are well-typed", typed())
-    _record_law(report, "operad unit", unit())
-    _record_law(report, "operad associativity", associativity())
-    _record_law(report, "equivariance in the operad slot", slot())
-    _record_law(report, "equivariance in the argument slots", argument_slots())
+    report.check("tables are well-typed", typed())
+    report.check("operad unit", unit())
+    report.check("operad associativity", associativity())
+    report.check("equivariance in the operad slot", slot())
+    report.check("equivariance in the argument slots", argument_slots())
 
     # The per-level right-action laws.
     collection_report = check_collection(
@@ -508,9 +497,9 @@ def check_algebra(p: FiniteGOperad, algebra: AlgebraStructure, *, budget: int = 
                             yield f"n={n}, p={head}, g={p.group.describe(g)}, xs={list(xs)}"
                         yield None
 
-    _record_law(report, "algebra unit", unit())
-    _record_law(report, "algebra associativity", associativity())
-    _record_law(report, "algebra equivariance", equivariance())
+    report.check("algebra unit", unit())
+    report.check("algebra associativity", associativity())
+    report.check("algebra equivariance", equivariance())
     return report
 
 
@@ -631,6 +620,8 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     goes; every failure names the offending location.  Law checking is a
     separate step (`check_operad`) — this only rejects malformed tables.
     """
+    if not isinstance(document, Mapping):
+        raise ValueError("document: expected a JSON object")
     group_name = document.get("group")
     if group_name == "trivial":
         group = instance_trivial()
@@ -666,13 +657,19 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
         rows = raw_action.get(str(n))
         if rows is None:
             raise ValueError(f"action: missing arity {n}")
+        if not isinstance(rows, list):
+            raise ValueError(f"action[{n}]: expected a list of generator rows")
         if len(rows) != len(generators):
             raise ValueError(
                 f"action[{n}]: expected {len(generators)} generator rows, got {len(rows)}"
             )
         table = []
         for index, row in enumerate(rows):
-            if sorted(row) != sorted(levels[n]):
+            if (
+                not isinstance(row, list)
+                or not all(isinstance(label, str) for label in row)
+                or sorted(row) != sorted(levels[n])
+            ):
                 raise ValueError(f"action[{n}][{index}]: not a permutation of the labels")
             table.append(dict(zip(levels[n], row)))
         action_rows[n] = table
@@ -691,11 +688,11 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
             n, ks, args, result = record["n"], record["ks"], record["args"], record["result"]
         except (KeyError, TypeError):
             raise ValueError(f"{where}: needs the keys n, ks, args, result") from None
-        if not isinstance(ks, list) or len(ks) != n:
+        if not isinstance(ks, list) or len(ks) != n or not all(isinstance(k, int) for k in ks):
             raise ValueError(f"{where}: ks must list {n} arities")
         if sum(ks) > max_arity:
             raise ValueError(f"{where}: result arity {sum(ks)} exceeds the bound {max_arity}")
-        if len(args) != n + 1:
+        if not isinstance(args, list) or len(args) != n + 1:
             raise ValueError(f"{where}: args must hold the head label plus {n} arguments")
         head, rest = args[0], args[1:]
         if head not in levels.get(n, ()):
@@ -754,6 +751,8 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
 
 
 class _UnionFind:
+    """Disjoint sets whose root is always the least member of its class."""
+
     def __init__(self):
         self._parent: dict = {}
 
@@ -769,18 +768,15 @@ class _UnionFind:
         return root
 
     def unite(self, a, b) -> None:
-        self.add(a)
-        self.add(b)
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self._parent[max(ra, rb)] = min(ra, rb)
 
-    def items(self):
-        return self._parent.keys()
 
-
-def _element_order_key(group: ActionOperad, g: Any):
-    return (tuple(group.project(g).image), group.describe(g))
+def _state_key(group: ActionOperad, state: tuple) -> tuple:
+    """The lookup and ordering key of a composite tuple (r; ks; x; ys; g)."""
+    r, ks, x, ys, g = state
+    return (r, tuple(ks), x, tuple(ys), (tuple(group.project(g).image), group.describe(g)))
 
 
 @dataclass
@@ -803,7 +799,7 @@ class ComposedCollection:
         return list(self.classes_by_arity.get(n, []))
 
     def canonical(self, state: tuple) -> tuple:
-        key = self._state_key(state)
+        key = _state_key(self.group, state)
         if key not in self._canonical:
             raise ValueError(f"unknown composite tuple {self.describe_state(state)}")
         return self._canonical[key]
@@ -815,10 +811,6 @@ class ComposedCollection:
     def describe_state(self, state: tuple) -> str:
         _, _, x, ys, g = state
         return f"[{x}; {','.join(ys)}; {self.group.describe(g)}]"
-
-    def _state_key(self, state: tuple) -> tuple:
-        r, ks, x, ys, g = state
-        return (r, tuple(ks), x, tuple(ys), _element_order_key(self.group, g))
 
     def collection(self) -> FiniteGCollection:
         labels = {
@@ -870,12 +862,8 @@ def compose_collections(
         uf = _UnionFind()
         states: dict[tuple, tuple] = {}
 
-        def key_of(state: tuple) -> tuple:
-            r, ks, head, ys, g = state
-            return (r, tuple(ks), head, tuple(ys), _element_order_key(group, g))
-
         def register(state: tuple) -> tuple:
-            key = key_of(state)
+            key = _state_key(group, state)
             states.setdefault(key, state)
             uf.add(key)
             return key
@@ -910,16 +898,10 @@ def compose_collections(
                 right = register((r, ks, head, acted, g))
                 uf.unite(left, right)
 
-        groups: dict[tuple, list[tuple]] = {}
+        # A class is represented by its least key, which is its root.
         for key in states:
-            groups.setdefault(uf.find(key), []).append(key)
-        representatives = []
-        for members in groups.values():
-            rep_key = min(members)
-            for member in members:
-                canonical[member] = states[rep_key]
-            representatives.append(states[rep_key])
-        classes_by_arity[n] = sorted(representatives, key=key_of)
+            canonical[key] = states[uf.find(key)]
+        classes_by_arity[n] = [states[root] for root in sorted({uf.find(key) for key in states})]
 
     return ComposedCollection(
         name=f"{x.name} o {y.name}",

@@ -233,6 +233,14 @@ def _split_parameters(bound: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
                 yield l, m, ns
 
 
+def _grouped_where(l: int, ms: tuple[int, ...], n: int) -> str:
+    return f"l={l}, ms={list(ms)}, n={n}"
+
+
+def _split_where(l: int, m: int, ns: tuple[int, ...]) -> str:
+    return f"l={l}, m={m}, ns={list(ns)}"
+
+
 def resolve_orientation(group: ActionOperad | None = None, bound: int = 3) -> Orientation:
     """
     Determine the index convention by exhaustion over the symmetric groups
@@ -298,56 +306,40 @@ CONTRACTIBILITY_NOTE = (
 )
 
 
-def _projection_law(group: ActionOperad, tf: TFamily, bound: int) -> tuple[bool, str, int]:
-    ok, witness, cases = True, "", 0
+def _projection_law(group: ActionOperad, tf: TFamily, bound: int) -> Iterator[str | None]:
     for m in range(1, bound + 1):
         for n in range(1, bound + 1):
-            cases += 1
-            if group.project(tf(m, n)) != tau(m, n):
-                return False, f"(m,n)=({m},{n})", cases
-    return ok, witness, cases
+            yield None if group.project(tf(m, n)) == tau(m, n) else f"(m,n)=({m},{n})"
 
 
 def _interchange_laws(group: ActionOperad, tf: TFamily, bound: int, report: Report) -> None:
     prefix = f"{tf.name} family"
+    # Each equation that held leaves its left-hand side here, with the
+    # witness naming it, so the minimal-lift law reuses it instead of
+    # building it again.
+    lefts: list[tuple[Any, str]] = []
 
-    ok, witness, cases = True, "", 0
-    minimal_ok, minimal_witness, minimal_cases = True, "", 0
-    for l, ms, n in _grouped_parameters(bound):
-        cases += 1
-        lhs, rhs = _grouped_sides(group, tf, l, ms, n)
-        held, tag = _sides_equal(group, lhs, rhs)
-        if not held or tag == "fallback":
-            ok, witness = False, f"l={l}, ms={list(ms)}, n={n} ({tag})"
-            break
-        if group.name == "braid":
-            minimal_cases += 1
-            if not _lhs_is_minimal(lhs):
-                minimal_ok = False
-                minimal_witness = f"l={l}, ms={list(ms)}, n={n}"
-    report.record(f"{prefix}: grouped interchange equations", ok, witness, cases)
+    def equations(sides, parameters, where, suffix) -> Iterator[str | None]:
+        for params in parameters:
+            lhs, rhs = sides(group, tf, *params)
+            held, tag = _sides_equal(group, lhs, rhs)
+            if not held or tag == "fallback":
+                yield f"{where(*params)} ({tag})"
+            lefts.append((lhs, where(*params) + suffix))
+            yield None
 
-    dual_ok, dual_witness, dual_cases = True, "", 0
-    for l, m, ns in _split_parameters(bound):
-        dual_cases += 1
-        lhs, rhs = _split_sides(group, tf, l, m, ns)
-        held, tag = _sides_equal(group, lhs, rhs)
-        if not held or tag == "fallback":
-            dual_ok, dual_witness = False, f"l={l}, m={m}, ns={list(ns)} ({tag})"
-            break
-        if group.name == "braid":
-            minimal_cases += 1
-            if not _lhs_is_minimal(lhs):
-                minimal_ok = False
-                minimal_witness = f"l={l}, m={m}, ns={list(ns)} (split)"
-    report.record(f"{prefix}: split interchange equations", dual_ok, dual_witness, dual_cases)
-
+    report.check(
+        f"{prefix}: grouped interchange equations",
+        equations(_grouped_sides, _grouped_parameters(bound), _grouped_where, ""),
+    )
+    report.check(
+        f"{prefix}: split interchange equations",
+        equations(_split_sides, _split_parameters(bound), _split_where, " (split)"),
+    )
     if group.name == "braid":
-        report.record(
+        report.check(
             f"{prefix}: every left-hand composite is a minimal lift",
-            minimal_ok,
-            minimal_witness,
-            minimal_cases,
+            (None if _lhs_is_minimal(lhs) else witness for lhs, witness in lefts),
         )
 
 
@@ -361,8 +353,7 @@ def symmetric_theorem_report(bound: int = 3) -> Report:
         report.note(line)
     report.note(CONTRACTIBILITY_NOTE)
 
-    ok, witness, cases = _projection_law(sym, tf, max(bound, 5))
-    report.record("projections are the grid transpositions", ok, witness, cases)
+    report.check("projections are the grid transpositions", _projection_law(sym, tf, max(bound, 5)))
     report.record("unit family t(1,n) = e = t(n,1)", verify_unit_family(sym, tf), "", 6)
     _interchange_laws(sym, tf, bound, report)
     symmetric, sym_witness = verify_symmetry(sym, tf, bound=4)
@@ -393,8 +384,7 @@ def braid_theorem_report(bound: int = 3) -> Report:
 
     for tf in (t_family_braid_positive(orientation), t_family_braid_negative(orientation)):
         prefix = f"{tf.name} family"
-        ok, witness, cases = _projection_law(br, tf, 5)
-        report.record(f"{prefix}: projections are the grid transpositions", ok, witness, cases)
+        report.check(f"{prefix}: projections are the grid transpositions", _projection_law(br, tf, 5))
         report.record(f"{prefix}: unit family t(1,n) = e = t(n,1)", verify_unit_family(br, tf), "", 6)
         _interchange_laws(br, tf, bound, report)
         symmetric, sym_witness = verify_symmetry(br, tf, bound=3)

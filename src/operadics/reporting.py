@@ -5,11 +5,17 @@ Every checker in this package returns a Report: one CheckResult per law,
 where a failure carries a human-readable witness (the offending inputs).
 Failures are data, not exceptions — a checker only raises on malformed
 input, never on a law that happens to be false.
+
+A law with many cases runs through `Report.check(law, cases)`: `cases`
+yields None for each case that holds and a witness string for one that
+fails.  The run stops at the first witness, so the witness is the earliest
+counterexample, and the recorded count includes that failing case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -37,6 +43,16 @@ class Report:
 
     def record(self, law: str, passed: bool, witness: str = "", checked: int = 0) -> None:
         self.results.append(CheckResult(law, passed, witness, checked))
+
+    def check(self, law: str, cases: Iterable[str | None]) -> None:
+        """Record a law from its cases: None for a pass, a witness for the first failure."""
+        checked = 0
+        for witness in cases:
+            checked += 1
+            if witness is not None:
+                self.record(law, False, witness, checked)
+                return
+        self.record(law, True, "", checked)
 
     def note(self, text: str) -> None:
         """Attach an informational line, rendered between title and laws."""

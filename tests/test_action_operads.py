@@ -72,6 +72,20 @@ def test_corrupted_projection_fails_compatibility():
     assert "g=" in failure.witness and "f's=" in failure.witness
 
 
+def test_failing_law_counts_cases_up_to_the_first_failure():
+    # `equal` is wrong only about the 3-cycle 2 3 1, so "group identity"
+    # passes its early cases and fails at that element's position in the
+    # exhaustive enumeration, which is not the last one.
+    symmetric = instance_symmetric()
+    target = Permutation((2, 3, 1))
+    lying = dataclasses.replace(symmetric, equal=lambda g, h: g == h and g != target)
+    failure = check_axioms(lying).result("group identity")
+    cases = [g for n in range(4) for g in all_permutations(n)]
+    assert not failure.passed
+    assert failure.witness == "g=2 3 1"
+    assert failure.checked == cases.index(target) + 1 < len(cases)
+
+
 def test_mixing_arities_is_an_error():
     trivial = instance_trivial()
     with pytest.raises(ValueError, match="arities 2 and 3"):

@@ -251,6 +251,7 @@ def test_packaged_documents_regenerate_byte_identically():
 def test_verify_all_is_deterministic_and_green(tmp_path):
     first = run_cli("verify", "all", cwd=tmp_path)
     assert first.returncode == 0, first.stdout + first.stderr
+    assert first.stdout == (GOLDEN / "verify_all.txt").read_text()
     assert first.stdout.rstrip().endswith("VERIFY ALL: OK [13 suites]")
     assert "FAIL" not in first.stdout
 

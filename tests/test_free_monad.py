@@ -7,6 +7,9 @@ plain tuple counting for operads whose action is free (each orbit has full
 group size).  Both are computed in comments beside the assertions.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from operadics.action_operads import instance_braid
@@ -19,8 +22,10 @@ from operadics.free_monad import (
     pullback_witness_test,
     unit_eta,
 )
-from operadics.g_operads import change_groups, operad_ass, operad_comm, operad_comm_trivial
+from operadics.g_operads import change_groups, load_operad, operad_ass, operad_comm, operad_comm_trivial
 from operadics.permutations import Permutation
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "operadics" / "data"
 
 
 # ------------------------------------------------------------ enumeration
@@ -143,6 +148,24 @@ def test_corrupted_substitution_is_caught():
     failure = report.result("multiplication is constant on classes")
     assert not failure.passed
     assert "21" in failure.witness or "12" in failure.witness
+
+
+def test_monad_associativity_reports_the_earliest_failing_nesting():
+    # With mu(unit; 12) reversed, flattening [1; [1; [12; a,b]]] middle-first
+    # applies the swap twice and outer-first once.  Associativity runs
+    # n = 0 (one case), then n = 1 with rs = (0,) (one case) and rs = (1,)
+    # over the classes [e;], [1; a], [1; b], [12; a,a], [12; a,b]; the
+    # first four are fixed by the swap, so the seventh case is the first
+    # failure.
+    document = json.loads((DATA / "ass.json").read_text())
+    for record in document["compose"]:
+        if record["n"] == 1 and record["args"] == ["1", "12"]:
+            record["result"] = "21"
+    report = check_monad_laws(load_operad(document, name="corrupted ass"), ("a", "b"))
+    failure = report.result("associativity")
+    assert not failure.passed
+    assert failure.witness == "q=1, ps=['1'], classes=['[12; a,b]']"
+    assert failure.checked == 7
 
 
 # ------------------------------------------------------ pullback behaviour

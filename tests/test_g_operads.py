@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from operadics.action_operads import instance_braid, instance_symmetric, instance_trivial
+from operadics.cli import main
 from operadics.g_operads import (
     AlgebraStructure,
     FiniteGCollection,
@@ -253,6 +254,27 @@ def test_document_validation_errors():
     for mutate, message in cases:
         with pytest.raises(ValueError, match=message):
             load_operad(_broken(document, mutate))
+
+
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        (lambda d: list(d), "document: expected a JSON object"),
+        (lambda d: {**d, "action": {"0": 5}}, "action[0]: expected a list of generator rows"),
+        (
+            lambda d: {**d, "compose": [{**d["compose"][0], "args": 7}, *d["compose"][1:]]},
+            "compose[0]: args must hold the head label plus 0 arguments",
+        ),
+    ],
+    ids=["json-list", "action-level-not-a-list", "compose-args-not-a-list"],
+)
+def test_malformed_document_shapes_exit_two(tmp_path, capsys, malform, message):
+    # A wrong JSON shape is a malformed document (exit 2), not a crash that
+    # would exit 1 as if a law had failed.
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(malform(write_operad_document(operad_ass(2)))))
+    assert main(["operad", "check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_document_duplicate_conflict():

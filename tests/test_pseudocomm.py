@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from operadics import pseudocomm
 from operadics.action_operads import instance_braid, instance_symmetric
 from operadics.braids import BraidWord, t_positive
 from operadics.permutations import tau
@@ -131,6 +132,27 @@ def test_braid_theorem_report_passes_and_carries_notes():
     minimal = [r for r in report.results if "minimal lift" in r.law]
     assert len(minimal) == 2
     assert all(r.passed and r.checked == 234 for r in minimal)
+
+
+def test_minimal_lift_law_reports_the_first_failing_equation(monkeypatch):
+    # Declare the left-hand sides of one grouped and one later split
+    # equation of the positive family non-minimal (no other equation of
+    # either family has the same left-hand word): the law stops at the
+    # grouped one.
+    tf = t_family_braid_positive()
+    bad = {
+        pseudocomm._grouped_sides(BR, tf, 2, (2, 1), 2)[0],
+        pseudocomm._split_sides(BR, tf, 2, 2, (1, 2))[0],
+    }
+    honest = pseudocomm._lhs_is_minimal
+    monkeypatch.setattr(pseudocomm, "_lhs_is_minimal", lambda lhs: lhs not in bad and honest(lhs))
+    report = braid_theorem_report(bound=3)
+    failure = report.result("positive family: every left-hand composite is a minimal lift")
+    assert not failure.passed
+    assert failure.witness == "l=2, ms=[2, 1], n=2"
+    grouped = [(l, tuple(ms), n) for l, ms, n in grouped_parameters(3)]
+    assert failure.checked == grouped.index((2, (2, 1), 2)) + 1
+    assert report.result("negative family: every left-hand composite is a minimal lift").passed
 
 
 def test_braid_theorem_report_rejects_degenerate_bounds():
