@@ -90,21 +90,20 @@ def free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None
     classes_by_arity: dict[int, list[FreeAlgebraClass]] = {}
     canonical: dict[tuple[str, tuple[str, ...]], FreeAlgebraClass] = {}
     for n in range(bound + 1):
-        states = [
-            (label, xs)
-            for label in p.labels(n)
-            for xs in itertools.product(carrier, repeat=n)
-        ]
+        labels = p.labels(n)
+        tuples = list(itertools.product(carrier, repeat=n))
+        states = [(label, xs) for label in labels for xs in tuples]
         uf = _UnionFind()
         for state in states:
             uf.add(state)
-        for label, xs in states:
-            for g in p.group.elements(n):
-                mate = (
-                    p.action(n, label, g),
-                    tuple(act_on_list(p.group.project(g).inverse(), xs)),
-                )
-                uf.unite((label, xs), mate)
+        # (p.g; xs) ~ (p; xs moved by pi(g)^-1), whose j-th entry is xs[pi(g)(j)].
+        for g in p.group.elements(n):
+            order = [i - 1 for i in p.group.project(g).image]
+            moved = [tuple(xs[i] for i in order) for xs in tuples]
+            for label in labels:
+                acted = p.action(n, label, g)
+                for xs, mate in zip(tuples, moved):
+                    uf.unite((label, xs), (acted, mate))
 
         # A class is represented by its least member, which is its root.
         roots = {state: uf.find(state) for state in states}

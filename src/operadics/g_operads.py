@@ -30,6 +30,7 @@ tools.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -631,7 +632,9 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
         raise ValueError(f"group: expected 'trivial' or 'symmetric', got {group_name!r}")
 
     max_arity = document.get("max_arity")
-    if not isinstance(max_arity, int) or max_arity < 0:
+    # Arities are exact ints: `type(...) is int` also turns away the bools
+    # that JSON true/false decode to, which isinstance(..., int) accepts.
+    if type(max_arity) is not int or max_arity < 0:
         raise ValueError(f"max_arity: expected a nonnegative integer, got {max_arity!r}")
 
     raw_levels = document.get("levels")
@@ -678,6 +681,8 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     if unit not in levels.get(1, ()):
         raise ValueError(f"unit: {unit!r} is not a label of arity 1")
 
+    label_sets = {n: frozenset(labels) for n, labels in levels.items()}
+
     compose_table: dict[tuple, str] = {}
     entries = document.get("compose")
     if not isinstance(entries, list):
@@ -688,32 +693,43 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
             n, ks, args, result = record["n"], record["ks"], record["args"], record["result"]
         except (KeyError, TypeError):
             raise ValueError(f"{where}: needs the keys n, ks, args, result") from None
-        if not isinstance(ks, list) or len(ks) != n or not all(isinstance(k, int) for k in ks):
+        if type(n) is not int:
+            raise ValueError(f"{where}: n must be an integer, got {n!r}")
+        if not isinstance(ks, list) or len(ks) != n or not all(type(k) is int for k in ks):
             raise ValueError(f"{where}: ks must list {n} arities")
         if sum(ks) > max_arity:
             raise ValueError(f"{where}: result arity {sum(ks)} exceeds the bound {max_arity}")
         if not isinstance(args, list) or len(args) != n + 1:
             raise ValueError(f"{where}: args must hold the head label plus {n} arguments")
         head, rest = args[0], args[1:]
-        if head not in levels.get(n, ()):
+        if head not in label_sets.get(n, ()):
             raise ValueError(f"{where}: head label {head!r} is not in level {n}")
         for k, arg in zip(ks, rest):
-            if arg not in levels.get(k, ()):
+            if arg not in label_sets.get(k, ()):
                 raise ValueError(f"{where}: argument {arg!r} is not in level {k}")
-        if result not in levels.get(sum(ks), ()):
+        if result not in label_sets.get(sum(ks), ()):
             raise ValueError(f"{where}: result {result!r} is not in level {sum(ks)}")
         key = (n, tuple(ks), head, tuple(rest))
         if key in compose_table and compose_table[key] != result:
             raise ValueError(f"{where}: conflicting duplicate for n={n}, ks={ks}, args={args}")
         compose_table[key] = result
 
-    for n, ks in arity_signatures(max_arity):
-        for head in levels[n]:
-            for rest in itertools.product(*(levels[k] for k in ks)):
-                if (n, ks, head, rest) not in compose_table:
-                    raise ValueError(
-                        f"compose: missing entry for n={n}, ks={list(ks)}, args={[head, *rest]}"
-                    )
+    # Every validated key is a well-formed substitution, so the table is
+    # complete exactly when it holds as many keys as there are substitutions,
+    # sum |P(n)| * prod |P(k_i)|; only a shortfall is worth the enumeration
+    # that names the first gap.
+    substitutions = sum(
+        len(levels[n]) * math.prod(len(levels[k]) for k in ks)
+        for n, ks in arity_signatures(max_arity)
+    )
+    if len(compose_table) != substitutions:
+        for n, ks in arity_signatures(max_arity):
+            for head in levels[n]:
+                for rest in itertools.product(*(levels[k] for k in ks)):
+                    if (n, ks, head, rest) not in compose_table:
+                        raise ValueError(
+                            f"compose: missing entry for n={n}, ks={list(ks)}, args={[head, *rest]}"
+                        )
 
     # Tabulate the action of every element by folding the generator rows
     # along its positive word; a right action applies the factors from the
@@ -773,10 +789,15 @@ class _UnionFind:
             self._parent[max(ra, rb)] = min(ra, rb)
 
 
+def _element_key(group: ActionOperad, g: Any) -> tuple:
+    """The lookup and ordering key of a group element: its permutation image, then its name."""
+    return (tuple(group.project(g).image), group.describe(g))
+
+
 def _state_key(group: ActionOperad, state: tuple) -> tuple:
     """The lookup and ordering key of a composite tuple (r; ks; x; ys; g)."""
     r, ks, x, ys, g = state
-    return (r, tuple(ks), x, tuple(ys), (tuple(group.project(g).image), group.describe(g)))
+    return (r, tuple(ks), x, tuple(ys), _element_key(group, g))
 
 
 @dataclass
@@ -841,10 +862,29 @@ def _compositions(total: int, parts: Sequence[int], slots: int) -> Iterator[tupl
                 yield (first, *rest)
 
 
+def _level_action(c: FiniteGCollection, n: int, g: Any) -> dict[str, str]:
+    """The action of g on level n of c as a table, checked to stay inside the level."""
+    table = {label: c.action(n, label, g) for label in c.labels(n)}
+    for label, result in table.items():
+        if result not in table:
+            raise ValueError(
+                f"{c.name}: the action at arity {n} sends {label!r} to {result!r}, outside its level"
+            )
+    return table
+
+
 def compose_collections(
     x: FiniteGCollection, y: FiniteGCollection, bound: int
 ) -> ComposedCollection:
-    """Enumerate and quotient the composite tuples (x; y_1..y_r; g), n <= bound."""
+    """
+    Enumerate and quotient the composite tuples (x; y_1..y_r; g), n <= bound.
+
+    The group-element work of each relation is done once per signature
+    (r; ks), not once per tuple: every move h out of the x slot and every
+    move gs out of the argument slots is turned into its relabelling of the
+    heads or arguments and its product with each g in G(n), and those are
+    reused for every (head, ys).
+    """
     group = x.group
     if group.elements is None:
         raise ValueError(
@@ -854,49 +894,62 @@ def compose_collections(
         raise ValueError(
             f"collections live over different groups: {x.group.name} and {y.group.name}"
         )
+    x_arities = sorted(m for m in x.levels if x.labels(m))
     y_arities = [n for n in range(bound + 1) if y.labels(n)]
+    elements = {m: group.elements(m) for m in {*range(bound + 1), *x_arities}}
     classes_by_arity: dict[int, list[tuple]] = {}
     canonical: dict[tuple, tuple] = {}
 
     for n in range(bound + 1):
+        element_keys = {g: _element_key(group, g) for g in elements[n]}
+        keys = list(element_keys.values())
+
+        def moved(factor: Any) -> list[tuple]:
+            """The keys of multiply(factor, g) for every g in G(n), in element order."""
+            return [element_keys[group.multiply(factor, g)] for g in elements[n]]
+
         uf = _UnionFind()
         states: dict[tuple, tuple] = {}
+        signatures = [(r, ks) for r in x_arities for ks in _compositions(n, y_arities, r)]
+        arguments = {ks: list(itertools.product(*(y.labels(k) for k in ks))) for _, ks in signatures}
+        for r, ks in signatures:
+            for head in x.labels(r):
+                for ys in arguments[ks]:
+                    for g, g_key in element_keys.items():
+                        key = (r, ks, head, ys, g_key)
+                        states.setdefault(key, (r, ks, head, ys, g))
+                        uf.add(key)
 
-        def register(state: tuple) -> tuple:
-            key = _state_key(group, state)
-            states.setdefault(key, state)
-            uf.add(key)
-            return key
-
-        for r in sorted(m for m in x.levels if x.labels(m)):
-            for ks in _compositions(n, y_arities, r):
-                for head in x.labels(r):
-                    for ys in itertools.product(*(y.labels(k) for k in ks)):
-                        for g in group.elements(n):
-                            register((r, ks, head, ys, g))
-
-        for key in list(states):
-            r, ks, head, ys, g = states[key]
+        for r, ks in signatures:
+            heads = x.labels(r)
+            argument_tuples = arguments[ks]
             # Moving h out of the x slot permutes the arguments and cables h
             # onto the final coordinate.
-            for h in group.elements(r):
-                pi_inv = group.project(h).inverse()
-                permuted_ks = tuple(ks[pi_inv(i) - 1] for i in range(1, r + 1))
-                permuted_ys = tuple(ys[pi_inv(i) - 1] for i in range(1, r + 1))
-                cable = group.operad_mu(h, [group.identity(k) for k in ks])
-                left = register((r, ks, x.action(r, head, h), ys, g))
-                right = register(
-                    (r, permuted_ks, head, permuted_ys, group.multiply(cable, g))
-                )
-                uf.unite(left, right)
+            identities = [group.identity(k) for k in ks]
+            for h in elements[r]:
+                order = [i - 1 for i in group.project(h).inverse().image]
+                permuted_ks = tuple(ks[j] for j in order)
+                cabled = moved(group.operad_mu(h, identities))
+                acted = _level_action(x, r, h)
+                for ys in argument_tuples:
+                    permuted_ys = tuple(ys[j] for j in order)
+                    for head in heads:
+                        for g_key, cabled_key in zip(keys, cabled):
+                            uf.unite(
+                                (r, ks, acted[head], ys, g_key),
+                                (r, permuted_ks, head, permuted_ys, cabled_key),
+                            )
             # Moving g_i out of the argument slots block-sums them onto the
             # final coordinate.
-            for gs in itertools.product(*(group.elements(k) for k in ks)):
-                block = group.operad_mu(group.identity(r), list(gs))
-                left = register((r, ks, head, ys, group.multiply(block, g)))
-                acted = tuple(y.action(k, label, gi) for k, label, gi in zip(ks, ys, gs))
-                right = register((r, ks, head, acted, g))
-                uf.unite(left, right)
+            identity = group.identity(r)
+            for gs in itertools.product(*(elements[k] for k in ks)):
+                blocked = moved(group.operad_mu(identity, list(gs)))
+                relabel = [_level_action(y, k, g) for k, g in zip(ks, gs)]
+                for ys in argument_tuples:
+                    acted_ys = tuple(table[label] for table, label in zip(relabel, ys))
+                    for head in heads:
+                        for g_key, blocked_key in zip(keys, blocked):
+                            uf.unite((r, ks, head, ys, blocked_key), (r, ks, head, acted_ys, g_key))
 
         # A class is represented by its least key, which is its root.
         for key in states:

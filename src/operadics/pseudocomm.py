@@ -200,23 +200,30 @@ def verify_interchange_dual(group: ActionOperad, tf: TFamily, l: int, m: int, ns
     return held
 
 
-def verify_unit_family(group: ActionOperad, tf: TFamily, bound: int = 6) -> bool:
-    """t(1, n) and t(n, 1) are the arity-n identity for n up to the bound."""
+def _unit_family_cases(group: ActionOperad, tf: TFamily, bound: int) -> Iterator[str | None]:
+    """One case per n up to the bound: t(1, n) and t(n, 1) are the arity-n identity."""
     for n in range(1, bound + 1):
         e = group.identity(n)
-        if not group.equal(tf(1, n), e) or not group.equal(tf(n, 1), e):
-            return False
-    return True
+        yield None if group.equal(tf(1, n), e) and group.equal(tf(n, 1), e) else f"n={n}"
+
+
+def _symmetry_cases(group: ActionOperad, tf: TFamily, bound: int) -> Iterator[tuple[int, int] | None]:
+    """One case per (m, n) up to the bound: None when t(m,n) * t(n,m) = e, else (m, n)."""
+    for m in range(1, bound + 1):
+        for n in range(1, bound + 1):
+            product = group.multiply(tf(m, n), tf(n, m))
+            yield None if group.equal(product, group.identity(m * n)) else (m, n)
+
+
+def verify_unit_family(group: ActionOperad, tf: TFamily, bound: int = 6) -> bool:
+    """t(1, n) and t(n, 1) are the arity-n identity for n up to the bound."""
+    return all(case is None for case in _unit_family_cases(group, tf, bound))
 
 
 def verify_symmetry(group: ActionOperad, tf: TFamily, bound: int = 4) -> tuple[bool, tuple[int, int] | None]:
     """Check t(m,n) * t(n,m) = e for m, n up to the bound; first failure wins."""
-    for m in range(1, bound + 1):
-        for n in range(1, bound + 1):
-            product = group.multiply(tf(m, n), tf(n, m))
-            if not group.equal(product, group.identity(m * n)):
-                return False, (m, n)
-    return True, None
+    witness = next((case for case in _symmetry_cases(group, tf, bound) if case is not None), None)
+    return witness is None, witness
 
 
 def _grouped_parameters(bound: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
@@ -354,14 +361,11 @@ def symmetric_theorem_report(bound: int = 3) -> Report:
     report.note(CONTRACTIBILITY_NOTE)
 
     report.check("projections are the grid transpositions", _projection_law(sym, tf, max(bound, 5)))
-    report.record("unit family t(1,n) = e = t(n,1)", verify_unit_family(sym, tf), "", 6)
+    report.check("unit family t(1,n) = e = t(n,1)", _unit_family_cases(sym, tf, 6))
     _interchange_laws(sym, tf, bound, report)
-    symmetric, sym_witness = verify_symmetry(sym, tf, bound=4)
-    report.record(
+    report.check(
         "the family is symmetric: t(m,n) inverts t(n,m)",
-        symmetric,
-        "" if symmetric else f"(m,n)={sym_witness}",
-        16,
+        (None if case is None else f"(m,n)={case}" for case in _symmetry_cases(sym, tf, 4)),
     )
     return report
 
@@ -385,7 +389,7 @@ def braid_theorem_report(bound: int = 3) -> Report:
     for tf in (t_family_braid_positive(orientation), t_family_braid_negative(orientation)):
         prefix = f"{tf.name} family"
         report.check(f"{prefix}: projections are the grid transpositions", _projection_law(br, tf, 5))
-        report.record(f"{prefix}: unit family t(1,n) = e = t(n,1)", verify_unit_family(br, tf), "", 6)
+        report.check(f"{prefix}: unit family t(1,n) = e = t(n,1)", _unit_family_cases(br, tf, 6))
         _interchange_laws(br, tf, bound, report)
         symmetric, sym_witness = verify_symmetry(br, tf, bound=3)
         report.record(

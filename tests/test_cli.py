@@ -224,6 +224,18 @@ def test_operad_compose_matches_golden(tmp_path):
     assert result.stdout == (GOLDEN / "compose_trivial_2.txt").read_text()
 
 
+def test_operad_compose_over_the_symmetric_group_matches_golden(tmp_path):
+    result = run_cli("operad", "compose", "ass.json", "comm.json", "--bound", "3", cwd=tmp_path)
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / "compose_ass_comm_3.txt").read_text()
+
+
+def test_operad_free_over_a_free_action_matches_golden(tmp_path):
+    result = run_cli("operad", "free", "ass.json", "--carrier", "a,b", "--bound", "3", cwd=tmp_path)
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / "free_ass_ab_3.txt").read_text()
+
+
 def test_operad_example_prints_the_packaged_document():
     result = run_cli("operad", "example", "comm")
     assert result.returncode == 0

@@ -277,6 +277,26 @@ def test_malformed_document_shapes_exit_two(tmp_path, capsys, malform, message):
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "malform, message",
+    [
+        (lambda d: d.update(max_arity=True), "max_arity: expected a nonnegative integer, got True"),
+        (lambda d: d["compose"][2].update(n=True), "compose[2]: n must be an integer, got True"),
+        (lambda d: d["compose"][2].update(ks=[True]), "compose[2]: ks must list 1 arities"),
+    ],
+    ids=["max_arity", "n", "ks"],
+)
+def test_booleans_are_not_arities(tmp_path, capsys, malform, message):
+    # JSON true decodes to a bool, which Python also counts as the int 1.
+    document = write_operad_document(operad_comm_trivial(1))
+    assert document["compose"][2] == {"n": 1, "ks": [1], "args": ["*", "*"], "result": "*"}
+    malform(document)
+    path = tmp_path / "boolean.json"
+    path.write_text(json.dumps(document))
+    assert main(["operad", "check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_document_duplicate_conflict():
     document = write_operad_document(operad_ass(2))
     record = copy.deepcopy(document["compose"][-1])

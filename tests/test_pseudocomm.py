@@ -7,7 +7,7 @@ import pytest
 from operadics import pseudocomm
 from operadics.action_operads import instance_braid, instance_symmetric
 from operadics.braids import BraidWord, t_positive
-from operadics.permutations import tau
+from operadics.permutations import Permutation, tau
 from operadics.pseudocomm import (
     RESOLVED_ORIENTATION,
     FamilyOrientation,
@@ -86,6 +86,25 @@ def test_symmetry_holds_for_permutations_and_fails_for_braids():
     assert verify_symmetry(SYM, t_family_symmetric(), bound=4) == (True, None)
     assert verify_symmetry(BR, t_family_braid_positive(), bound=3) == (False, (2, 2))
     assert verify_symmetry(BR, t_family_braid_negative(), bound=3) == (False, (2, 2))
+
+
+def test_a_broken_unit_family_is_reported_with_its_witness(monkeypatch):
+    def broken(m, n):
+        return Permutation((2, 1)) if (m, n) == (1, 2) else tau(m, n)
+
+    assert not verify_unit_family(SYM, TFamily("broken", broken), bound=6)
+    assert verify_symmetry(SYM, TFamily("broken", broken), bound=4) == (False, (1, 2))
+    # The orientation is resolved against the real tau family, as before.
+    monkeypatch.setattr(pseudocomm, "resolve_orientation", lambda *args, **kwargs: RESOLVED_ORIENTATION)
+    monkeypatch.setattr(
+        pseudocomm, "t_family_symmetric",
+        lambda orientation=RESOLVED_ORIENTATION: TFamily("tau", broken, orientation),
+    )
+    report = symmetric_theorem_report(bound=3)
+    lines = report.render().splitlines()
+    # Both laws stop at their first failing case and name it.
+    assert "FAIL unit family t(1,n) = e = t(n,1) [2 cases]: n=2" in lines
+    assert "FAIL the family is symmetric: t(m,n) inverts t(n,m) [2 cases]: (m,n)=(1, 2)" in lines
 
 
 def test_smallest_nonsymmetric_member_is_a_single_crossing():
