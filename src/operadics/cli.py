@@ -134,9 +134,19 @@ def _resolve_document_path(argument: str) -> Path:
     raise CliError(f"{argument}: no such operad file (and no packaged file by that name)")
 
 
+def _read_text(path: Path, shown: str) -> str:
+    """The file as UTF-8 text; an unreadable or undecodable file is a located error."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"{shown}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{shown}: not UTF-8 text ({exc})") from None
+
+
 def _load_document(argument: str) -> FiniteGOperad:
     path = _resolve_document_path(argument)
-    text = path.read_text()
+    text = _read_text(path, str(path))
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -153,7 +163,7 @@ def _read_word_file(path_text: str) -> list[BraidWord]:
     if not path.exists():
         raise CliError(f"{path_text}: no such file")
     words = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path, path_text).splitlines(), 1):
         stripped = line.strip()
         if not stripped:
             continue
@@ -174,7 +184,7 @@ def _read_perm_file(path_text: str) -> list[Permutation]:
     if not path.exists():
         raise CliError(f"{path_text}: no such file")
     perms = []
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path, path_text).splitlines(), 1):
         if not line.strip():
             continue
         try:

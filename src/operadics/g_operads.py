@@ -25,6 +25,18 @@ the first time it is asked for (a substitution's signature is validated
 first).  Errors are never stored, so a bad call raises every time.
 Operads round-trip through a JSON document format for the command-line
 tools.
+
+Loading validates every compose record.  Once per document it tabulates,
+for each signature ks within the bound, the head labels, every valid
+argument tuple and the result level, so a well-formed record is accepted
+by a few set lookups and an exact-int test on ks.  A record that fails
+this test is checked field by field in a fixed order, and the first fault
+is reported with its position.  The table is complete exactly when it
+holds sum |P(n)| * prod |P(k_i)| keys.
+
+The composition product numbers the states of each arity in key order
+and runs its union-find over those integers, so the root of a class, its
+least id, is also its least key and its representative.
 """
 
 from __future__ import annotations
@@ -129,11 +141,29 @@ class AlgebraStructure:
 
 
 def arity_signatures(bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """All substitution signatures (n; k_1..k_n) with n and sum(k) within bound."""
+    """
+    All substitution signatures (n; k_1..k_n) with n and sum(k) within
+    bound, by n and then lexicographically in ks.
+    """
     for n in range(bound + 1):
-        for ks in itertools.product(range(bound + 1), repeat=n):
-            if sum(ks) <= bound:
-                yield n, ks
+        ks = [0] * n
+        total = 0
+        while True:
+            yield n, tuple(ks)
+            if n and total < bound:
+                ks[-1] += 1
+                total += 1
+                continue
+            # At the bound: zero the last nonzero arity and raise the one
+            # before it, which is the lexicographic successor.
+            j = n - 1
+            while j >= 0 and not ks[j]:
+                j -= 1
+            if j <= 0:
+                break
+            total -= ks[j] - 1
+            ks[j] = 0
+            ks[j - 1] += 1
 
 
 def _group_elements(group: ActionOperad, n: int, budget: int, seed: int) -> list[Any]:
@@ -682,46 +712,49 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
         raise ValueError(f"unit: {unit!r} is not a label of arity 1")
 
     label_sets = {n: frozenset(labels) for n, labels in levels.items()}
+    substitutions = sum(
+        len(levels[n]) * math.prod(len(levels[k]) for k in ks)
+        for n, ks in arity_signatures(max_arity)
+    )
 
     compose_table: dict[tuple, str] = {}
     entries = document.get("compose")
     if not isinstance(entries, list):
         raise ValueError("compose: expected a list of records")
+    # The fast test holds one argument tuple per substitution at most, so it
+    # is built only for a document with at least that many records; a
+    # shorter one is incomplete and every record takes the checked path.
+    fast = (
+        _record_signatures(levels, label_sets, arity_signatures(max_arity))
+        if len(entries) >= substitutions
+        else {}
+    )
     for position, record in enumerate(entries):
-        where = f"compose[{position}]"
         try:
             n, ks, args, result = record["n"], record["ks"], record["args"], record["result"]
-        except (KeyError, TypeError):
-            raise ValueError(f"{where}: needs the keys n, ks, args, result") from None
-        if type(n) is not int:
-            raise ValueError(f"{where}: n must be an integer, got {n!r}")
-        if not isinstance(ks, list) or len(ks) != n or not all(type(k) is int for k in ks):
-            raise ValueError(f"{where}: ks must list {n} arities")
-        if sum(ks) > max_arity:
-            raise ValueError(f"{where}: result arity {sum(ks)} exceeds the bound {max_arity}")
-        if not isinstance(args, list) or len(args) != n + 1:
-            raise ValueError(f"{where}: args must hold the head label plus {n} arguments")
-        head, rest = args[0], args[1:]
-        if head not in label_sets.get(n, ()):
-            raise ValueError(f"{where}: head label {head!r} is not in level {n}")
-        for k, arg in zip(ks, rest):
-            if arg not in label_sets.get(k, ()):
-                raise ValueError(f"{where}: argument {arg!r} is not in level {k}")
-        if result not in label_sets.get(sum(ks), ()):
-            raise ValueError(f"{where}: result {result!r} is not in level {sum(ks)}")
-        key = (n, tuple(ks), head, tuple(rest))
-        if key in compose_table and compose_table[key] != result:
-            raise ValueError(f"{where}: conflicting duplicate for n={n}, ks={ks}, args={args}")
-        compose_table[key] = result
+            if type(ks) is list and type(args) is list:
+                ks_key, int_types, heads, argument_tuples, results = fast[tuple(ks)]
+                key = (n, ks_key, args[0], tuple(args[1:]))
+                # The type test stays: True == 1 and 1.0 == 1, so a tuple of
+                # bools or floats finds the signature of the ints it equals.
+                if (
+                    type(n) is int
+                    and n == len(ks_key)
+                    and tuple(map(type, ks)) == int_types
+                    and key[2] in heads
+                    and key[3] in argument_tuples
+                    and result in results
+                    and compose_table.setdefault(key, result) == result
+                ):
+                    continue
+        except (KeyError, TypeError, IndexError):
+            pass
+        _check_compose_record(position, record, max_arity, label_sets, compose_table)
 
     # Every validated key is a well-formed substitution, so the table is
     # complete exactly when it holds as many keys as there are substitutions,
     # sum |P(n)| * prod |P(k_i)|; only a shortfall is worth the enumeration
     # that names the first gap.
-    substitutions = sum(
-        len(levels[n]) * math.prod(len(levels[k]) for k in ks)
-        for n, ks in arity_signatures(max_arity)
-    )
     if len(compose_table) != substitutions:
         for n, ks in arity_signatures(max_arity):
             for head in levels[n]:
@@ -761,6 +794,60 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     operad.action_table = action_table
     operad.compose_table = compose_table
     return operad
+
+
+def _record_signatures(
+    levels: Mapping[int, tuple[str, ...]],
+    label_sets: Mapping[int, frozenset[str]],
+    signatures: Iterable[tuple[int, tuple[int, ...]]],
+) -> dict[tuple[int, ...], tuple]:
+    """
+    Per signature ks that admits a record: ks itself, the type of each
+    arity (all int), the head labels, every valid argument tuple and the
+    result level.  A record found here is valid without further checks.
+    """
+    table = {}
+    for n, ks in signatures:
+        results = label_sets[sum(ks)]
+        if levels[n] and results:
+            argument_tuples = frozenset(itertools.product(*(levels[k] for k in ks)))
+            table[ks] = (ks, (int,) * n, label_sets[n], argument_tuples, results)
+    return table
+
+
+def _check_compose_record(
+    position: int,
+    record: Any,
+    max_arity: int,
+    label_sets: Mapping[int, frozenset[str]],
+    compose_table: dict[tuple, str],
+) -> None:
+    """Validate one compose record in order, naming the first fault, and enter it."""
+    where = f"compose[{position}]"
+    try:
+        n, ks, args, result = record["n"], record["ks"], record["args"], record["result"]
+    except (KeyError, TypeError):
+        raise ValueError(f"{where}: needs the keys n, ks, args, result") from None
+    if type(n) is not int:
+        raise ValueError(f"{where}: n must be an integer, got {n!r}")
+    if not isinstance(ks, list) or len(ks) != n or not all(type(k) is int for k in ks):
+        raise ValueError(f"{where}: ks must list {n} arities")
+    if sum(ks) > max_arity:
+        raise ValueError(f"{where}: result arity {sum(ks)} exceeds the bound {max_arity}")
+    if not isinstance(args, list) or len(args) != n + 1:
+        raise ValueError(f"{where}: args must hold the head label plus {n} arguments")
+    head, rest = args[0], args[1:]
+    if head not in label_sets.get(n, ()):
+        raise ValueError(f"{where}: head label {head!r} is not in level {n}")
+    for k, arg in zip(ks, rest):
+        if arg not in label_sets.get(k, ()):
+            raise ValueError(f"{where}: argument {arg!r} is not in level {k}")
+    if result not in label_sets.get(sum(ks), ()):
+        raise ValueError(f"{where}: result {result!r} is not in level {sum(ks)}")
+    key = (n, tuple(ks), head, tuple(rest))
+    if key in compose_table and compose_table[key] != result:
+        raise ValueError(f"{where}: conflicting duplicate for n={n}, ks={ks}, args={args}")
+    compose_table[key] = result
 
 
 # ------------------------------------------------- composition product
@@ -834,18 +921,26 @@ class ComposedCollection:
         return f"[{x}; {','.join(ys)}; {self.group.describe(g)}]"
 
     def collection(self) -> FiniteGCollection:
-        labels = {
-            n: tuple(self.describe_state(state) for state in states)
-            for n, states in self.classes_by_arity.items()
-        }
-        by_label = {
-            (n, self.describe_state(state)): state
-            for n, states in self.classes_by_arity.items()
-            for state in states
-        }
+        """
+        The classes as a collection.  A class is labelled by `describe_state`,
+        which leaves out the arities ks, unless two classes of its arity
+        would share a label that way; then every class of that arity is
+        labelled by the repr of its key, which is distinct for distinct keys.
+        """
+        labels: dict[int, tuple[str, ...]] = {}
+        label_of: dict[tuple, str] = {}
+        by_label: dict[tuple[int, str], tuple] = {}
+        for n, states in self.classes_by_arity.items():
+            keys = [_state_key(self.group, state) for state in states]
+            names = [self.describe_state(state) for state in states]
+            if len(set(names)) < len(names):
+                names = [repr(key) for key in keys]
+            labels[n] = tuple(names)
+            label_of.update(zip(keys, names))
+            by_label.update(((n, name), state) for name, state in zip(names, states))
 
         def action(n: int, label: str, gamma: Any) -> str:
-            return self.describe_state(self.act(by_label[(n, label)], gamma))
+            return label_of[_state_key(self.group, self.act(by_label[(n, label)], gamma))]
 
         return FiniteGCollection(self.name, self.group, labels, action)
 
@@ -908,7 +1003,6 @@ def compose_collections(
             """The keys of multiply(factor, g) for every g in G(n), in element order."""
             return [element_keys[group.multiply(factor, g)] for g in elements[n]]
 
-        uf = _UnionFind()
         states: dict[tuple, tuple] = {}
         signatures = [(r, ks) for r in x_arities for ks in _compositions(n, y_arities, r)]
         arguments = {ks: list(itertools.product(*(y.labels(k) for k in ks))) for _, ks in signatures}
@@ -916,9 +1010,14 @@ def compose_collections(
             for head in x.labels(r):
                 for ys in arguments[ks]:
                     for g, g_key in element_keys.items():
-                        key = (r, ks, head, ys, g_key)
-                        states.setdefault(key, (r, ks, head, ys, g))
-                        uf.add(key)
+                        states.setdefault((r, ks, head, ys, g_key), (r, ks, head, ys, g))
+        # The union-find runs over state ids numbered in key order, so the
+        # least id of a class is its least key.
+        ordered = sorted(states)
+        state_id = {key: i for i, key in enumerate(ordered)}
+        uf = _UnionFind()
+        for i in range(len(ordered)):
+            uf.add(i)
 
         for r, ks in signatures:
             heads = x.labels(r)
@@ -936,8 +1035,8 @@ def compose_collections(
                     for head in heads:
                         for g_key, cabled_key in zip(keys, cabled):
                             uf.unite(
-                                (r, ks, acted[head], ys, g_key),
-                                (r, permuted_ks, head, permuted_ys, cabled_key),
+                                state_id[(r, ks, acted[head], ys, g_key)],
+                                state_id[(r, permuted_ks, head, permuted_ys, cabled_key)],
                             )
             # Moving g_i out of the argument slots block-sums them onto the
             # final coordinate.
@@ -949,12 +1048,16 @@ def compose_collections(
                     acted_ys = tuple(table[label] for table, label in zip(relabel, ys))
                     for head in heads:
                         for g_key, blocked_key in zip(keys, blocked):
-                            uf.unite((r, ks, head, ys, blocked_key), (r, ks, head, acted_ys, g_key))
+                            uf.unite(
+                                state_id[(r, ks, head, ys, blocked_key)],
+                                state_id[(r, ks, head, acted_ys, g_key)],
+                            )
 
         # A class is represented by its least key, which is its root.
-        for key in states:
-            canonical[key] = states[uf.find(key)]
-        classes_by_arity[n] = [states[root] for root in sorted({uf.find(key) for key in states})]
+        roots = [uf.find(i) for i in range(len(ordered))]
+        for key, root in zip(ordered, roots):
+            canonical[key] = states[ordered[root]]
+        classes_by_arity[n] = [states[ordered[root]] for root in sorted(set(roots))]
 
     return ComposedCollection(
         name=f"{x.name} o {y.name}",

@@ -230,6 +230,44 @@ def test_operad_compose_over_the_symmetric_group_matches_golden(tmp_path):
     assert result.stdout == (GOLDEN / "compose_ass_comm_3.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "left, right, golden",
+    [
+        ("ass.json", "comm.json", "compose_ass_comm_4.txt"),
+        ("comm.json", "ass.json", "compose_comm_ass_4.txt"),
+    ],
+)
+def test_operad_compose_at_arity_four_matches_golden(tmp_path, left, right, golden):
+    result = run_cli("operad", "compose", left, right, "--bound", "4", cwd=tmp_path)
+    assert result.returncode == 0
+    assert result.stdout == (GOLDEN / golden).read_text()
+
+
+def _a_directory(tmp_path):
+    path = tmp_path / "directory"
+    path.mkdir()
+    return path, "Is a directory"
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"1 2 \xe9\n")
+    return path, "not UTF-8 text ("
+
+
+@pytest.mark.parametrize("make", [_a_directory, _not_utf8], ids=["directory", "not-utf8"])
+@pytest.mark.parametrize(
+    "command",
+    [["operad", "check"], ["braid", "mu", "-n", "2", "1", "--args"], ["perm", "mu", "2", "1", "--args"]],
+    ids=["document", "word-file", "perm-file"],
+)
+def test_unreadable_files_are_located_errors(tmp_path, make, command):
+    path, reason = make(tmp_path)
+    result = run_cli(*command, str(path), cwd=tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: {path}: {reason}")
+
+
 def test_operad_free_over_a_free_action_matches_golden(tmp_path):
     result = run_cli("operad", "free", "ass.json", "--carrier", "a,b", "--bound", "3", cwd=tmp_path)
     assert result.returncode == 0

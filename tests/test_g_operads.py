@@ -415,6 +415,25 @@ def test_composition_product_associativity_counts():
     assert counts_left == counts_right
 
 
+def test_composed_collection_labels_every_class_distinctly():
+    # describe_state leaves out ks: at arity 2 of ass o comm, the heads 12
+    # and 21 with the arguments *,* come with ks = (0,2), (1,1) and (2,0),
+    # so 14 classes have only 12 descriptions.
+    ass = load_operad(json.loads((DATA / "ass.json").read_text()), name="ass")
+    comm = load_operad(json.loads((DATA / "comm.json").read_text()), name="comm")
+    xy = compose_collections(ass.collection(), comm.collection(), 2)
+    assert len(xy.classes(2)) == 14
+    assert len(set(map(xy.describe_state, xy.classes(2)))) == 12
+    labelled = xy.collection()
+    for n in range(3):
+        assert len(set(labelled.labels(n))) == len(xy.classes(n))
+    assert check_collection(labelled, bound=2).ok
+    # Labels that merged classes would lose them in a product with the unit.
+    unit = unit_collection(instance_symmetric())
+    nested = compose_collections(labelled, unit, 2)
+    assert [len(nested.classes(n)) for n in range(3)] == [len(xy.classes(n)) for n in range(3)]
+
+
 def test_composition_product_over_trivial_group():
     trivial = instance_trivial()
     x = _constant_collection("x", {1: 2}, trivial)

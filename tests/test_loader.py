@@ -1,0 +1,301 @@
+"""
+Document loading against the earlier per-record loader.
+
+`load_operad` accepts a well-formed compose record by a few lookups in a
+per-signature table and checks only the records that fail that test field
+by field.  The reference below is the earlier loader, kept verbatim up to
+naming, which checks every record field by field.  Hypothesis mutates one
+record of a built document and both loaders must raise the same
+`ValueError` text or build equal tables, down to the types of the keys.
+"""
+
+import copy
+import itertools
+import json
+import math
+from pathlib import Path
+from typing import Any, Mapping
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from operadics import g_operads
+from operadics.action_operads import instance_symmetric, instance_trivial
+from operadics.braids import permutation_braid
+from operadics.g_operads import (
+    FiniteGOperad,
+    arity_signatures,
+    endomorphism_operad,
+    load_operad,
+    operad_ass,
+    operad_comm,
+    write_operad_document,
+)
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "operadics" / "data"
+
+
+# ------------------------------------------------------------ references
+
+
+def reference_arity_signatures(bound):
+    for n in range(bound + 1):
+        for ks in itertools.product(range(bound + 1), repeat=n):
+            if sum(ks) <= bound:
+                yield n, ks
+
+
+def reference_load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad:
+    """The per-record loader: every compose record checked field by field."""
+    if not isinstance(document, Mapping):
+        raise ValueError("document: expected a JSON object")
+    group_name = document.get("group")
+    if group_name == "trivial":
+        group = instance_trivial()
+    elif group_name == "symmetric":
+        group = instance_symmetric()
+    else:
+        raise ValueError(f"group: expected 'trivial' or 'symmetric', got {group_name!r}")
+
+    max_arity = document.get("max_arity")
+    if type(max_arity) is not int or max_arity < 0:
+        raise ValueError(f"max_arity: expected a nonnegative integer, got {max_arity!r}")
+
+    raw_levels = document.get("levels")
+    if not isinstance(raw_levels, Mapping):
+        raise ValueError("levels: expected a mapping from arity to label lists")
+    levels: dict[int, tuple[str, ...]] = {}
+    for n in range(max_arity + 1):
+        if str(n) not in raw_levels:
+            raise ValueError(f"levels: missing arity {n}")
+        entries = raw_levels[str(n)]
+        if not isinstance(entries, list) or not all(isinstance(x, str) for x in entries):
+            raise ValueError(f"levels[{n}]: expected a list of strings")
+        if len(set(entries)) != len(entries):
+            raise ValueError(f"levels[{n}]: duplicate labels")
+        levels[n] = tuple(entries)
+
+    raw_action = document.get("action")
+    if not isinstance(raw_action, Mapping):
+        raise ValueError("action: expected a mapping from arity to generator rows")
+    action_rows: dict[int, list[dict[str, str]]] = {}
+    for n in range(max_arity + 1):
+        generators = group.generators(n)
+        rows = raw_action.get(str(n))
+        if rows is None:
+            raise ValueError(f"action: missing arity {n}")
+        if not isinstance(rows, list):
+            raise ValueError(f"action[{n}]: expected a list of generator rows")
+        if len(rows) != len(generators):
+            raise ValueError(
+                f"action[{n}]: expected {len(generators)} generator rows, got {len(rows)}"
+            )
+        table = []
+        for index, row in enumerate(rows):
+            if (
+                not isinstance(row, list)
+                or not all(isinstance(label, str) for label in row)
+                or sorted(row) != sorted(levels[n])
+            ):
+                raise ValueError(f"action[{n}][{index}]: not a permutation of the labels")
+            table.append(dict(zip(levels[n], row)))
+        action_rows[n] = table
+
+    unit = document.get("unit")
+    if unit not in levels.get(1, ()):
+        raise ValueError(f"unit: {unit!r} is not a label of arity 1")
+
+    label_sets = {n: frozenset(labels) for n, labels in levels.items()}
+
+    compose_table: dict[tuple, str] = {}
+    entries = document.get("compose")
+    if not isinstance(entries, list):
+        raise ValueError("compose: expected a list of records")
+    for position, record in enumerate(entries):
+        where = f"compose[{position}]"
+        try:
+            n, ks, args, result = record["n"], record["ks"], record["args"], record["result"]
+        except (KeyError, TypeError):
+            raise ValueError(f"{where}: needs the keys n, ks, args, result") from None
+        if type(n) is not int:
+            raise ValueError(f"{where}: n must be an integer, got {n!r}")
+        if not isinstance(ks, list) or len(ks) != n or not all(type(k) is int for k in ks):
+            raise ValueError(f"{where}: ks must list {n} arities")
+        if sum(ks) > max_arity:
+            raise ValueError(f"{where}: result arity {sum(ks)} exceeds the bound {max_arity}")
+        if not isinstance(args, list) or len(args) != n + 1:
+            raise ValueError(f"{where}: args must hold the head label plus {n} arguments")
+        head, rest = args[0], args[1:]
+        if head not in label_sets.get(n, ()):
+            raise ValueError(f"{where}: head label {head!r} is not in level {n}")
+        for k, arg in zip(ks, rest):
+            if arg not in label_sets.get(k, ()):
+                raise ValueError(f"{where}: argument {arg!r} is not in level {k}")
+        if result not in label_sets.get(sum(ks), ()):
+            raise ValueError(f"{where}: result {result!r} is not in level {sum(ks)}")
+        key = (n, tuple(ks), head, tuple(rest))
+        if key in compose_table and compose_table[key] != result:
+            raise ValueError(f"{where}: conflicting duplicate for n={n}, ks={ks}, args={args}")
+        compose_table[key] = result
+
+    substitutions = sum(
+        len(levels[n]) * math.prod(len(levels[k]) for k in ks)
+        for n, ks in reference_arity_signatures(max_arity)
+    )
+    if len(compose_table) != substitutions:
+        for n, ks in reference_arity_signatures(max_arity):
+            for head in levels[n]:
+                for rest in itertools.product(*(levels[k] for k in ks)):
+                    if (n, ks, head, rest) not in compose_table:
+                        raise ValueError(
+                            f"compose: missing entry for n={n}, ks={list(ks)}, args={[head, *rest]}"
+                        )
+
+    action_table: dict[tuple[int, str, Any], str] = {}
+    for n in range(max_arity + 1):
+        for g in group.elements(n):
+            word = permutation_braid(group.project(g)).word[::-1]
+            for start in levels[n]:
+                label = start
+                for i in word:
+                    label = action_rows[n][i - 1][label]
+                action_table[(n, start, g)] = label
+
+    def missing_action(n: int, label: str, g: Any) -> str:
+        if label not in levels.get(n, ()):
+            raise ValueError(f"unknown label {label!r} at arity {n}")
+        raise ValueError(f"{g!r} is not a group element of arity {n}")
+
+    operad = FiniteGOperad(
+        name=name,
+        group=group,
+        levels=levels,
+        unit=unit,
+        action=missing_action,
+        compose=lambda *key: compose_table[key],
+        max_arity=max_arity,
+    )
+    operad.action_table = action_table
+    operad.compose_table = compose_table
+    return operad
+
+
+def outcome(loader, document):
+    """The error text, or everything the loaded operad holds, with exact key types."""
+    try:
+        p = loader(copy.deepcopy(document), "mutant")
+    except ValueError as exc:
+        return ("error", str(exc))
+    return (
+        "loaded", p.name, p.group.name, p.max_arity, p.unit, p.levels,
+        sorted(map(repr, p.compose_table.items())),
+        sorted(map(repr, p.action_table.items())),
+    )
+
+
+# ------------------------------------------------------------ signatures
+
+
+@pytest.mark.parametrize("bound", range(7))
+def test_arity_signatures_match_product_and_filter(bound):
+    assert list(arity_signatures(bound)) == list(reference_arity_signatures(bound))
+
+
+# ------------------------------------------------------------- mutations
+
+
+BASES = {
+    "ass2": write_operad_document(operad_ass(2)),
+    "ass3": json.loads((DATA / "ass.json").read_text()),
+    "comm3": write_operad_document(operad_comm(instance_symmetric(), max_arity=3)),
+    "commT2": write_operad_document(operad_comm(instance_trivial(), max_arity=2)),
+    "endoAB1": write_operad_document(endomorphism_operad(("a", "b"), instance_symmetric(), 1)),
+}
+
+
+def _all_labels(document):
+    return sorted({label for labels in document["levels"].values() for label in labels})
+
+
+@st.composite
+def mutants(draw):
+    """A base document with one compose record changed, added, dropped or replaced."""
+    document = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
+    records = document["compose"]
+    position = draw(st.integers(0, len(records) - 1))
+    record = records[position]
+    n = record["n"]
+    foreign = draw(st.sampled_from([*_all_labels(document), "nope", ""]))
+    kind = draw(st.sampled_from([
+        "n-bool", "n-float", "n-other", "ks-bool", "ks-float", "ks-length",
+        "args-short", "args-string", "args-foreign", "result",
+        "duplicate-conflicting", "duplicate-consistent", "drop", "not-a-dict",
+    ]))
+    if kind == "n-bool":
+        record["n"] = draw(st.booleans())
+    elif kind == "n-float":
+        record["n"] = float(n)
+    elif kind == "n-other":
+        record["n"] = draw(st.sampled_from([n - 1, n + 1]))
+    elif kind in ("ks-bool", "ks-float") and n:
+        slot = draw(st.integers(0, n - 1))
+        k = record["ks"][slot]
+        record["ks"][slot] = bool(k) if kind == "ks-bool" else float(k)
+    elif kind == "ks-length":
+        if n and draw(st.booleans()):
+            record["ks"].pop()
+        else:
+            record["ks"].append(draw(st.integers(0, 2)))
+    elif kind == "args-short":
+        record["args"].pop()
+    elif kind == "args-string":
+        record["args"] = ",".join(record["args"])
+    elif kind == "args-foreign":
+        record["args"][draw(st.integers(0, n))] = foreign
+    elif kind == "result":
+        record["result"] = foreign
+    elif kind.startswith("duplicate"):
+        twin = copy.deepcopy(record)
+        if kind == "duplicate-conflicting":
+            twin["result"] = foreign
+        records.insert(draw(st.integers(0, len(records))), twin)
+    elif kind == "drop":
+        records.pop(position)
+    elif kind == "not-a-dict":
+        records[position] = draw(st.sampled_from([list(record.values()), "record", None, 7]))
+    return document
+
+
+@settings(max_examples=300, deadline=None)
+@given(document=mutants())
+def test_loader_agrees_with_the_per_record_reference(document):
+    assert outcome(load_operad, document) == outcome(reference_load_operad, document)
+
+
+@pytest.mark.parametrize("name", sorted(BASES))
+def test_unmutated_documents_load_as_before(name):
+    loaded = outcome(load_operad, BASES[name])
+    assert loaded[0] == "loaded"
+    assert loaded == outcome(reference_load_operad, BASES[name])
+
+
+def test_a_short_document_never_builds_the_signature_table(monkeypatch):
+    # The table holds one argument tuple per substitution at most, so it is
+    # only worth building, and only bounded by the input, when there are at
+    # least as many records as substitutions.
+    built = []
+    original = g_operads._record_signatures
+    monkeypatch.setattr(
+        g_operads, "_record_signatures", lambda *a: built.append(1) or original(*a)
+    )
+    document = copy.deepcopy(BASES["ass2"])
+    load_operad(copy.deepcopy(document))
+    assert built == [1]
+    gone = document["compose"].pop()
+    with pytest.raises(ValueError, match="missing entry") as caught:
+        load_operad(document)
+    assert built == [1]
+    assert str(caught.value) == (
+        f"compose: missing entry for n={gone['n']}, ks={gone['ks']}, args={gone['args']}"
+    )
