@@ -146,24 +146,18 @@ def arity_signatures(bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     bound, by n and then lexicographically in ks.
     """
     for n in range(bound + 1):
-        ks = [0] * n
-        total = 0
-        while True:
-            yield n, tuple(ks)
-            if n and total < bound:
-                ks[-1] += 1
-                total += 1
-                continue
-            # At the bound: zero the last nonzero arity and raise the one
-            # before it, which is the lexicographic successor.
-            j = n - 1
-            while j >= 0 and not ks[j]:
-                j -= 1
-            if j <= 0:
-                break
-            total -= ks[j] - 1
-            ks[j] = 0
-            ks[j - 1] += 1
+        for ks in _within(bound, n):
+            yield n, ks
+
+
+def _within(bound: int, slots: int) -> Iterator[tuple[int, ...]]:
+    """All slot-tuples of naturals summing to at most bound, lexicographically."""
+    if slots == 0:
+        yield ()
+        return
+    for first in range(bound + 1):
+        for rest in _within(bound - first, slots - 1):
+            yield (first, *rest)
 
 
 def _group_elements(group: ActionOperad, n: int, budget: int, seed: int) -> list[Any]:
@@ -725,7 +719,7 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     # is built only for a document with at least that many records; a
     # shorter one is incomplete and every record takes the checked path.
     fast = (
-        _record_signatures(levels, label_sets, arity_signatures(max_arity))
+        _record_signatures(levels, label_sets, max_arity)
         if len(entries) >= substitutions
         else {}
     )
@@ -733,14 +727,15 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
         try:
             n, ks, args, result = record["n"], record["ks"], record["args"], record["result"]
             if type(ks) is list and type(args) is list:
-                ks_key, int_types, heads, argument_tuples, results = fast[tuple(ks)]
-                key = (n, ks_key, args[0], tuple(args[1:]))
+                ks_t = tuple(ks)
+                heads, argument_tuples, results = fast[ks_t]
+                key = (n, ks_t, args[0], tuple(args[1:]))
                 # The type test stays: True == 1 and 1.0 == 1, so a tuple of
                 # bools or floats finds the signature of the ints it equals.
                 if (
                     type(n) is int
-                    and n == len(ks_key)
-                    and tuple(map(type, ks)) == int_types
+                    and n == len(ks_t)
+                    and tuple(map(type, ks)) == (int,) * n
                     and key[2] in heads
                     and key[3] in argument_tuples
                     and result in results
@@ -799,19 +794,19 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
 def _record_signatures(
     levels: Mapping[int, tuple[str, ...]],
     label_sets: Mapping[int, frozenset[str]],
-    signatures: Iterable[tuple[int, tuple[int, ...]]],
+    max_arity: int,
 ) -> dict[tuple[int, ...], tuple]:
     """
-    Per signature ks that admits a record: ks itself, the type of each
-    arity (all int), the head labels, every valid argument tuple and the
-    result level.  A record found here is valid without further checks.
+    Per signature ks within max_arity that admits a record: the head
+    labels, every valid argument tuple and the result level.  A record of
+    integer arities found here is valid without further checks.
     """
     table = {}
-    for n, ks in signatures:
+    for n, ks in arity_signatures(max_arity):
         results = label_sets[sum(ks)]
         if levels[n] and results:
             argument_tuples = frozenset(itertools.product(*(levels[k] for k in ks)))
-            table[ks] = (ks, (int,) * n, label_sets[n], argument_tuples, results)
+            table[ks] = (label_sets[n], argument_tuples, results)
     return table
 
 
@@ -922,19 +917,16 @@ class ComposedCollection:
 
     def collection(self) -> FiniteGCollection:
         """
-        The classes as a collection.  A class is labelled by `describe_state`,
-        which leaves out the arities ks, unless two classes of its arity
-        would share a label that way; then every class of that arity is
-        labelled by the repr of its key, which is distinct for distinct keys.
+        The classes as a collection.  A class is labelled by the repr of its
+        state key, which holds ks as well as x, ys and g, so distinct classes
+        get distinct labels.
         """
         labels: dict[int, tuple[str, ...]] = {}
         label_of: dict[tuple, str] = {}
         by_label: dict[tuple[int, str], tuple] = {}
         for n, states in self.classes_by_arity.items():
             keys = [_state_key(self.group, state) for state in states]
-            names = [self.describe_state(state) for state in states]
-            if len(set(names)) < len(names):
-                names = [repr(key) for key in keys]
+            names = [repr(key) for key in keys]
             labels[n] = tuple(names)
             label_of.update(zip(keys, names))
             by_label.update(((n, name), state) for name, state in zip(names, states))
