@@ -17,6 +17,21 @@ never trivial).  For comparisons between positive words there is a much
 cheaper route: a positive word whose length equals the crossing number of its
 underlying permutation is the unique minimal positive braid for that
 permutation, so two such words are equal exactly when the permutations match.
+
+"First" means the handle with the earliest end, and the scan for it resumes
+where the word last changed.  When the handle at positions j < k is rewritten
+and the word free-reduced, the new word keeps the first p letters of the old
+one, where p <= j is the shortest length the prefix ``word[:j]`` is cancelled
+down to.  No handle of the old word ended before k, and whether a handle ends
+at a position depends only on the letters up to it, so no handle of the new
+word ends before p: scanning from p finds the same handle as scanning from 0.
+Free reduction, too, happens only where the word was rewritten: the
+replacement is pushed onto the prefix with cancellation, then cancelled
+against the already reduced suffix ``word[k+1:]`` at the junction.
+
+Words derived from validated words (reductions, products, inverses, mirrors)
+are built by ``_trusted_word`` without validating them again; ``BraidWord``
+and ``parse_word`` validate their input.
 """
 
 from __future__ import annotations
@@ -61,10 +76,18 @@ class BraidWord:
         return concatenate(self, other)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.strands, tuple(-entry for entry in reversed(self.word)))
+        return _trusted_word(self.strands, tuple(-entry for entry in reversed(self.word)))
 
     def __repr__(self) -> str:
         return f"BraidWord({self.strands}, {list(self.word)})"
+
+
+def _trusted_word(strands: int, word: tuple[int, ...]) -> BraidWord:
+    """A word built from the letters of validated words, skipping validation."""
+    w = object.__new__(BraidWord)
+    object.__setattr__(w, "strands", strands)
+    object.__setattr__(w, "word", word)
+    return w
 
 
 def braid_identity(strands: int) -> BraidWord:
@@ -75,7 +98,7 @@ def concatenate(w1: BraidWord, w2: BraidWord) -> BraidWord:
     """Diagrammatic product: first w1, then w2."""
     if w1.strands != w2.strands:
         raise ValueError(f"cannot multiply braids on {w1.strands} and {w2.strands} strands")
-    return BraidWord(w1.strands, w1.word + w2.word)
+    return _trusted_word(w1.strands, w1.word + w2.word)
 
 
 def inverse_word(w: BraidWord) -> BraidWord:
@@ -131,21 +154,23 @@ def free_reduce(w: BraidWord) -> BraidWord:
             stack.pop()
         else:
             stack.append(entry)
-    return BraidWord(w.strands, tuple(stack))
+    return _trusted_word(w.strands, tuple(stack))
 
 
-def _first_handle(word: list[int]) -> tuple[int, int] | None:
+def _first_handle(word: list[int], start: int) -> tuple[int, int] | None:
     """
-    Find the handle with the earliest possible end: positions j < k with
-    word[j] == -word[k] and every letter strictly between of larger index.
-    Scanning backwards from k, the first letter of index <= |word[k]| decides.
+    Find the handle with the earliest end at or after ``start``: positions
+    j < k with word[j] == -word[k] and every letter strictly between of larger
+    index.  Scanning backwards from k, the first letter of index <= |word[k]|
+    decides.
     """
-    for k in range(len(word)):
-        index = abs(word[k])
+    for k in range(start, len(word)):
+        letter = word[k]
+        index = abs(letter)
         for j in range(k - 1, -1, -1):
             if abs(word[j]) > index:
                 continue
-            if word[j] == -word[k]:
+            if word[j] == -letter:
                 return j, k
             break
     return None
@@ -157,24 +182,39 @@ def handle_reduce(w: BraidWord) -> BraidWord:
     it is empty if and only if the braid is trivial.
     """
     word = list(free_reduce(w).word)
+    start = 0
     while True:
-        found = _first_handle(word)
+        found = _first_handle(word, start)
         if found is None:
-            return BraidWord(w.strands, tuple(word))
+            return _trusted_word(w.strands, tuple(word))
         j, k = found
         index = abs(word[k])
-        sign = 1 if word[j] > 0 else -1
-        replacement: list[int] = []
-        for entry in word[j + 1:k]:
+        outer = index + 1 if word[j] > 0 else -index - 1
+        interior = word[j + 1:k]
+        suffix = word[k + 1:]
+        del word[j:]
+        # word is now the kept prefix; push the replacement onto it with
+        # cancellation, tracking the shortest length the prefix reaches.
+        start = j
+        for entry in interior:
             if abs(entry) == index + 1:
-                inner_sign = 1 if entry > 0 else -1
-                replacement.extend(
-                    [-sign * (index + 1), inner_sign * index, sign * (index + 1)]
-                )
+                letters = (-outer, index if entry > 0 else -index, outer)
             else:
-                replacement.append(entry)
-        word[j:k + 1] = replacement
-        word = list(free_reduce(BraidWord(w.strands, tuple(word))).word)
+                letters = (entry,)
+            for letter in letters:
+                if word and word[-1] == -letter:
+                    word.pop()
+                    if len(word) < start:
+                        start = len(word)
+                else:
+                    word.append(letter)
+        at = 0
+        while at < len(suffix) and word and word[-1] == -suffix[at]:
+            word.pop()
+            at += 1
+        if len(word) < start:
+            start = len(word)
+        word.extend(suffix[at:])
 
 
 def is_trivial(w: BraidWord) -> bool:
@@ -194,8 +234,8 @@ def equal(w1: BraidWord, w2: BraidWord) -> bool:
     a, b = free_reduce(w1), free_reduce(w2)
     if all(entry < 0 for entry in a.word) and all(entry < 0 for entry in b.word):
         # Flipping every crossing is an automorphism, so compare the mirrors.
-        a = BraidWord(a.strands, tuple(-entry for entry in a.word))
-        b = BraidWord(b.strands, tuple(-entry for entry in b.word))
+        a = _trusted_word(a.strands, tuple(-entry for entry in a.word))
+        b = _trusted_word(b.strands, tuple(-entry for entry in b.word))
     if is_minimal_positive(a) and is_minimal_positive(b):
         return underlying_permutation(a) == underlying_permutation(b)
     return is_trivial(concatenate(a, b.inverse()))

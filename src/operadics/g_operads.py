@@ -145,18 +145,28 @@ def arity_signatures(bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     All substitution signatures (n; k_1..k_n) with n and sum(k) within
     bound, by n and then lexicographically in ks.
     """
-    for n in range(bound + 1):
-        for ks in _within(bound, n):
+    return _signatures(bound, range(bound + 1))
+
+
+def _signatures(bound: int, arities: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """
+    The signatures of `arity_signatures(bound)` whose n and every k_i are
+    among the ascending `arities`, in the same order.
+    """
+    for n in arities:
+        for ks in _within(bound, n, arities):
             yield n, ks
 
 
-def _within(bound: int, slots: int) -> Iterator[tuple[int, ...]]:
-    """All slot-tuples of naturals summing to at most bound, lexicographically."""
+def _within(bound: int, slots: int, arities: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """All slot-tuples from the ascending `arities` summing to at most bound, lexicographically."""
     if slots == 0:
         yield ()
         return
-    for first in range(bound + 1):
-        for rest in _within(bound - first, slots - 1):
+    for first in arities:
+        if first > bound:
+            break
+        for rest in _within(bound - first, slots - 1, arities):
             yield (first, *rest)
 
 
@@ -706,9 +716,12 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
         raise ValueError(f"unit: {unit!r} is not a label of arity 1")
 
     label_sets = {n: frozenset(labels) for n, labels in levels.items()}
+    # A signature with an empty head or argument level has no substitutions,
+    # so only the non-empty arities are enumerated.
+    inhabited = [n for n in range(max_arity + 1) if levels[n]]
     substitutions = sum(
         len(levels[n]) * math.prod(len(levels[k]) for k in ks)
-        for n, ks in arity_signatures(max_arity)
+        for n, ks in _signatures(max_arity, inhabited)
     )
 
     compose_table: dict[tuple, str] = {}
@@ -719,7 +732,7 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     # is built only for a document with at least that many records; a
     # shorter one is incomplete and every record takes the checked path.
     fast = (
-        _record_signatures(levels, label_sets, max_arity)
+        _record_signatures(levels, label_sets, max_arity, inhabited)
         if len(entries) >= substitutions
         else {}
     )
@@ -751,7 +764,7 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     # sum |P(n)| * prod |P(k_i)|; only a shortfall is worth the enumeration
     # that names the first gap.
     if len(compose_table) != substitutions:
-        for n, ks in arity_signatures(max_arity):
+        for n, ks in _signatures(max_arity, inhabited):
             for head in levels[n]:
                 for rest in itertools.product(*(levels[k] for k in ks)):
                     if (n, ks, head, rest) not in compose_table:
@@ -795,16 +808,18 @@ def _record_signatures(
     levels: Mapping[int, tuple[str, ...]],
     label_sets: Mapping[int, frozenset[str]],
     max_arity: int,
+    inhabited: Sequence[int],
 ) -> dict[tuple[int, ...], tuple]:
     """
     Per signature ks within max_arity that admits a record: the head
     labels, every valid argument tuple and the result level.  A record of
-    integer arities found here is valid without further checks.
+    integer arities found here is valid without further checks.  Only
+    signatures over the `inhabited` (non-empty) arities can admit one.
     """
     table = {}
-    for n, ks in arity_signatures(max_arity):
+    for n, ks in _signatures(max_arity, inhabited):
         results = label_sets[sum(ks)]
-        if levels[n] and results:
+        if results:
             argument_tuples = frozenset(itertools.product(*(levels[k] for k in ks)))
             table[ks] = (label_sets[n], argument_tuples, results)
     return table
@@ -832,12 +847,14 @@ def _check_compose_record(
     if not isinstance(args, list) or len(args) != n + 1:
         raise ValueError(f"{where}: args must hold the head label plus {n} arguments")
     head, rest = args[0], args[1:]
-    if head not in label_sets.get(n, ()):
+    # Labels are strings; the type test comes first because a list or an
+    # object from the document cannot be looked up in a set.
+    if type(head) is not str or head not in label_sets.get(n, ()):
         raise ValueError(f"{where}: head label {head!r} is not in level {n}")
     for k, arg in zip(ks, rest):
-        if arg not in label_sets.get(k, ()):
+        if type(arg) is not str or arg not in label_sets.get(k, ()):
             raise ValueError(f"{where}: argument {arg!r} is not in level {k}")
-    if result not in label_sets.get(sum(ks), ()):
+    if type(result) is not str or result not in label_sets.get(sum(ks), ()):
         raise ValueError(f"{where}: result {result!r} is not in level {sum(ks)}")
     key = (n, tuple(ks), head, tuple(rest))
     if key in compose_table and compose_table[key] != result:

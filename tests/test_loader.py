@@ -4,9 +4,12 @@ Document loading against the earlier per-record loader.
 `load_operad` accepts a well-formed compose record by a few lookups in a
 per-signature table and checks only the records that fail that test field
 by field.  The reference below is the earlier loader, kept verbatim up to
-naming, which checks every record field by field.  Hypothesis mutates one
-record of a built document and both loaders must raise the same
-`ValueError` text or build equal tables, down to the types of the keys.
+naming, which checks every record field by field; its label checks test
+the type first, as the loader's do, so that a list or an object where a
+label belongs is reported instead of failing a set lookup.  Hypothesis
+mutates one record of a built document, or one value of it, and both
+loaders must raise the same `ValueError` text or build equal tables, down
+to the types of the keys.
 """
 
 import copy
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operadics import g_operads
+from operadics import cli, g_operads
 from operadics.action_operads import instance_symmetric, instance_trivial
 from operadics.braids import permutation_braid
 from operadics.g_operads import (
@@ -127,12 +130,12 @@ def reference_load_operad(document: Mapping, name: str = "loaded operad") -> Fin
         if not isinstance(args, list) or len(args) != n + 1:
             raise ValueError(f"{where}: args must hold the head label plus {n} arguments")
         head, rest = args[0], args[1:]
-        if head not in label_sets.get(n, ()):
+        if type(head) is not str or head not in label_sets.get(n, ()):
             raise ValueError(f"{where}: head label {head!r} is not in level {n}")
         for k, arg in zip(ks, rest):
-            if arg not in label_sets.get(k, ()):
+            if type(arg) is not str or arg not in label_sets.get(k, ()):
                 raise ValueError(f"{where}: argument {arg!r} is not in level {k}")
-        if result not in label_sets.get(sum(ks), ()):
+        if type(result) is not str or result not in label_sets.get(sum(ks), ()):
             raise ValueError(f"{where}: result {result!r} is not in level {sum(ks)}")
         key = (n, tuple(ks), head, tuple(rest))
         if key in compose_table and compose_table[key] != result:
@@ -205,12 +208,25 @@ def test_arity_signatures_match_product_and_filter(bound):
 # ------------------------------------------------------------- mutations
 
 
+def unit_only_document(max_arity: int) -> dict:
+    """The trivial-group operad with one label, the unit, and every other level empty."""
+    return {
+        "group": "trivial",
+        "max_arity": max_arity,
+        "levels": {str(n): ["e"] if n == 1 else [] for n in range(max_arity + 1)},
+        "action": {str(n): [] for n in range(max_arity + 1)},
+        "unit": "e",
+        "compose": [{"n": 1, "ks": [1], "args": ["e", "e"], "result": "e"}],
+    }
+
+
 BASES = {
     "ass2": write_operad_document(operad_ass(2)),
     "ass3": json.loads((DATA / "ass.json").read_text()),
     "comm3": write_operad_document(operad_comm(instance_symmetric(), max_arity=3)),
     "commT2": write_operad_document(operad_comm(instance_trivial(), max_arity=2)),
     "endoAB1": write_operad_document(endomorphism_operad(("a", "b"), instance_symmetric(), 1)),
+    "unitT4": unit_only_document(4),
 }
 
 
@@ -231,7 +247,13 @@ def mutants(draw):
         "n-bool", "n-float", "n-other", "ks-bool", "ks-float", "ks-length",
         "args-short", "args-string", "args-foreign", "result",
         "duplicate-conflicting", "duplicate-consistent", "drop", "not-a-dict",
+        "field-value", "slot-value", "document-value",
     ]))
+
+    def odd(value):
+        """A JSON value of another shape than a label or an arity."""
+        return draw(st.sampled_from([[value], {"label": value}, None, True, 1.5]))
+
     if kind == "n-bool":
         record["n"] = draw(st.booleans())
     elif kind == "n-float":
@@ -264,6 +286,16 @@ def mutants(draw):
         records.pop(position)
     elif kind == "not-a-dict":
         records[position] = draw(st.sampled_from([list(record.values()), "record", None, 7]))
+    elif kind == "field-value":
+        field = draw(st.sampled_from(["n", "ks", "args", "result"]))
+        record[field] = odd(record[field])
+    elif kind == "slot-value":
+        field = draw(st.sampled_from(["ks", "args"] if n else ["args"]))
+        slot = draw(st.integers(0, len(record[field]) - 1))
+        record[field][slot] = odd(record[field][slot])
+    elif kind == "document-value":
+        key = draw(st.sampled_from(["group", "max_arity", "levels", "action", "unit", "compose"]))
+        document[key] = odd(document[key])
     return document
 
 
@@ -299,3 +331,43 @@ def test_a_short_document_never_builds_the_signature_table(monkeypatch):
     assert str(caught.value) == (
         f"compose: missing entry for n={gone['n']}, ks={gone['ks']}, args={gone['args']}"
     )
+
+
+@pytest.mark.parametrize("value", [["12"], {"label": "12"}])
+def test_an_unhashable_label_is_a_located_error_with_exit_2(tmp_path, capsys, value):
+    document = write_operad_document(operad_ass(2))
+    head = document["compose"][3]["args"][0]
+    document["compose"][3]["args"][0] = value
+    path = tmp_path / "ass2.json"
+    path.write_text(json.dumps(document))
+    assert cli.main(["operad", "check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: compose[3]: head label {value!r} is not in level {document['compose'][3]['n']}\n"
+    )
+    document["compose"][3]["args"][0] = head
+    document["compose"][3]["result"] = value
+    with pytest.raises(ValueError, match=r"^compose\[3\]: result "):
+        load_operad(document)
+
+
+def test_loading_enumerates_only_signatures_over_non_empty_levels(monkeypatch):
+    visited = []
+    original = g_operads._signatures
+
+    def counted(bound, arities):
+        for signature in original(bound, arities):
+            visited.append(signature)
+            yield signature
+
+    monkeypatch.setattr(g_operads, "_signatures", counted)
+    document = unit_only_document(11)
+    p = load_operad(copy.deepcopy(document))
+    assert p.compose_table == {(1, (1,), "e", ("e",)): "e"}
+    # Counting the substitutions, then building the per-signature table.
+    assert visited == [(1, (1,))] * 2
+    visited.clear()
+    document["compose"] = []
+    with pytest.raises(ValueError, match=r"^compose: missing entry for n=1, ks=\[1\], args=\['e', 'e'\]$"):
+        load_operad(document)
+    # Counting, then naming the first gap; no table for a short document.
+    assert visited == [(1, (1,))] * 2
