@@ -13,10 +13,7 @@ subword ``i^e ... i^-e`` whose interior only uses generators of larger index,
 and rewrite it so the pair cancels.  The rewriting terminates, and a fully
 reduced word represents the identity exactly when it is empty (a nonempty
 reduced word uses its lowest generator with only one sign, and such words are
-never trivial).  For comparisons between positive words there is a much
-cheaper route: a positive word whose length equals the crossing number of its
-underlying permutation is the unique minimal positive braid for that
-permutation, so two such words are equal exactly when the permutations match.
+never trivial).
 
 "First" means the handle with the earliest end, and the scan for it resumes
 where the word last changed.  When the handle at positions j < k is rewritten
@@ -28,6 +25,14 @@ word ends before p: scanning from p finds the same handle as scanning from 0.
 Free reduction, too, happens only where the word was rewritten: the
 replacement is pushed onto the prefix with cancellation, then cancelled
 against the already reduced suffix ``word[k+1:]`` at the junction.
+
+Equality first tries ``certify_equal``, the minimal-positive certificate
+(Elrifai & Morton): a positive word whose length equals the crossing number
+of its permutation is the unique minimal positive braid over it.  Length and
+permutation are invariants, so two positive words that differ in either are
+unequal, and two minimal ones that agree are equal (tag ``"positive"``); two
+nonempty all-negative words are decided through their mirrors
+(``"mirrored"``); anything else is a ``"fallback"`` to handle reduction.
 
 Words derived from validated words (reductions, products, inverses, mirrors)
 are built by ``_trusted_word`` without validating them again; ``BraidWord``
@@ -57,6 +62,8 @@ class BraidWord:
     word: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.word, tuple):
+            raise ValueError(f"braid word must be a tuple, got {type(self.word).__name__}")
         if self.strands < 0:
             raise ValueError(f"strand count must be nonnegative, got {self.strands}")
         for entry in self.word:
@@ -143,7 +150,7 @@ def is_minimal_positive(w: BraidWord) -> bool:
     Positive, and no pair of strands crosses twice -- equivalently, positive
     with length equal to the crossing number of the underlying permutation.
     """
-    return is_positive(w) and len(w.word) == inversions(underlying_permutation(w))
+    return is_positive(w) and is_minimal_lift(w)
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
@@ -221,24 +228,40 @@ def is_trivial(w: BraidWord) -> bool:
     return len(handle_reduce(w).word) == 0
 
 
-def equal(w1: BraidWord, w2: BraidWord) -> bool:
-    """
-    Decide whether two words present the same braid.
+def _sign_tag(w: BraidWord) -> str | None:
+    """``"positive"`` for a positive word, ``"mirrored"`` for a nonempty all-negative one."""
+    if all(entry > 0 for entry in w.word):
+        return "positive"
+    return "mirrored" if all(entry < 0 for entry in w.word) else None
 
-    Minimal positive words are compared through their permutations (they are
-    unique per permutation); mirrored all-negative words reduce to that case;
-    everything else goes through handle reduction of ``w1 * w2^-1``.
-    """
+
+def certify_equal(w1: BraidWord, w2: BraidWord) -> tuple[bool | None, str]:
+    """The certificate's verdict on ``w1 == w2`` (None if it does not decide) and its tag."""
+    tag = _sign_tag(w1)
+    if tag is None or _sign_tag(w2) != tag:
+        return None, "fallback"
+    if len(w1.word) != len(w2.word):
+        return False, tag
+    if tag == "mirrored":
+        w1, w2 = (_trusted_word(w.strands, tuple(-entry for entry in w.word)) for w in (w1, w2))
+    perm = underlying_permutation(w1)
+    if perm != underlying_permutation(w2):
+        return False, tag
+    return (True, tag) if len(w1.word) == inversions(perm) else (None, "fallback")
+
+
+def is_minimal_lift(w: BraidWord) -> bool:
+    """Minimal positive, or the mirror of a nonempty minimal positive word."""
+    return _sign_tag(w) is not None and len(w.word) == inversions(underlying_permutation(w))
+
+
+def equal(w1: BraidWord, w2: BraidWord) -> bool:
+    """Whether two words present the same braid: free reduction, the certificate, then handles."""
     if w1.strands != w2.strands:
         raise ValueError(f"cannot compare braids on {w1.strands} and {w2.strands} strands")
     a, b = free_reduce(w1), free_reduce(w2)
-    if all(entry < 0 for entry in a.word) and all(entry < 0 for entry in b.word):
-        # Flipping every crossing is an automorphism, so compare the mirrors.
-        a = _trusted_word(a.strands, tuple(-entry for entry in a.word))
-        b = _trusted_word(b.strands, tuple(-entry for entry in b.word))
-    if is_minimal_positive(a) and is_minimal_positive(b):
-        return underlying_permutation(a) == underlying_permutation(b)
-    return is_trivial(concatenate(a, b.inverse()))
+    held, _ = certify_equal(a, b)
+    return is_trivial(concatenate(a, b.inverse())) if held is None else held
 
 
 def block_sum_braids(braids: Sequence[BraidWord]) -> BraidWord:

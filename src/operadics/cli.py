@@ -157,41 +157,28 @@ def _load_document(argument: str) -> FiniteGOperad:
         raise CliError(f"{path}: {exc}") from None
 
 
-def _read_word_file(path_text: str) -> list[BraidWord]:
-    """Each nonblank line is ``STRANDS: LETTERS``, e.g. ``3: 1 -2``."""
+def _read_lines(path_text: str, parse: Callable[[str], object]) -> list:
+    """Parse each nonblank line of a file, locating errors as ``path:lineno: message``."""
     path = Path(path_text)
     if not path.exists():
         raise CliError(f"{path_text}: no such file")
-    words = []
-    for lineno, line in enumerate(_read_text(path, path_text).splitlines(), 1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        head, colon, tail = stripped.partition(":")
-        if not colon:
-            raise CliError(f"{path_text}:{lineno}: expected 'STRANDS: LETTERS'")
-        try:
-            strands = int(head.strip())
-            words.append(parse_word(tail, strands))
-        except ValueError as exc:
-            raise CliError(f"{path_text}:{lineno}: {exc}") from None
-    return words
-
-
-def _read_perm_file(path_text: str) -> list[Permutation]:
-    """Each nonblank line is a space-separated permutation image."""
-    path = Path(path_text)
-    if not path.exists():
-        raise CliError(f"{path_text}: no such file")
-    perms = []
+    parsed = []
     for lineno, line in enumerate(_read_text(path, path_text).splitlines(), 1):
         if not line.strip():
             continue
         try:
-            perms.append(parse_permutation(line))
+            parsed.append(parse(line))
         except ValueError as exc:
             raise CliError(f"{path_text}:{lineno}: {exc}") from None
-    return perms
+    return parsed
+
+
+def _parse_word_line(line: str) -> BraidWord:
+    """A word-file line ``STRANDS: LETTERS``, e.g. ``3: 1 -2``."""
+    head, colon, tail = line.partition(":")
+    if not colon:
+        raise ValueError("expected 'STRANDS: LETTERS'")
+    return parse_word(tail, int(head.strip()))
 
 
 # -------------------------------------------------- `--`-separated commands
@@ -261,7 +248,7 @@ def _cmd_braid_cable(args) -> int:
 
 def _cmd_braid_mu(args) -> int:
     word = _parse_word_tokens(args.word, args.strands)
-    arguments = _read_word_file(args.args)
+    arguments = _read_lines(args.args, _parse_word_line)
     if len(arguments) != args.strands:
         raise CliError(
             f"operadic substitution on {args.strands} strands needs "
@@ -297,7 +284,7 @@ def _cmd_perm_inv(args) -> int:
 
 def _cmd_perm_mu(args) -> int:
     head = _parse_perm_tokens(args.image)
-    arguments = _read_perm_file(args.args)
+    arguments = _read_lines(args.args, parse_permutation)
     if len(arguments) != head.n:
         raise CliError(
             f"operadic substitution into an arity-{head.n} permutation "

@@ -18,10 +18,11 @@ The index placement in these equations is not obvious (plausible variants
 differ by swapping the two grid dimensions), so `resolve_orientation`
 settles it by brute force over the symmetric groups, where t = tau is an
 exact oracle.  The resolved orientation is then applied verbatim to the
-braid groups, where both sides are positive braid words and equality is
-certified by the minimal-positive criterion: a positive word equals the
-unique minimal positive lift of its permutation iff its length equals the
-inversion count.
+braid groups, where both sides are positive (or both all-negative) braid
+words and `braids.certify_equal` certifies equality by the minimal-positive
+criterion, tagging each equation "positive" or "mirrored".  An equation the
+certificate cannot decide is tagged "fallback" and goes to handle reduction
+through `braid_equal`, the checker's only route there.
 
 `braid_theorem_report` assembles the desk-scale verification that braided
 strict monoidal categories carry two pseudo-commutative structures (one
@@ -39,13 +40,12 @@ from typing import Any, Callable, Iterator
 from .action_operads import ActionOperad, instance_braid, instance_symmetric
 from .braids import (
     BraidWord,
+    certify_equal,
     equal as braid_equal,
     format_word,
-    is_minimal_positive,
-    is_positive,
+    is_minimal_lift,
     t_negative,
     t_positive,
-    underlying_permutation,
 )
 from .permutations import tau
 from .reporting import Report
@@ -139,34 +139,12 @@ def _split_sides(group: ActionOperad, tf: TFamily, l: int, m: int, ns: tuple[int
 # ------------------------------------------------------- certified equality
 
 
-def _mirror(word: BraidWord) -> BraidWord:
-    """The crossing-reversal automorphism; sends all-negative to all-positive."""
-    return BraidWord(word.strands, tuple(-letter for letter in word.word))
-
-
 def _braid_sides_equal(lhs: BraidWord, rhs: BraidWord) -> tuple[bool, str]:
-    """
-    Decide lhs == rhs with a certificate tag.  For positive words the
-    decision needs no rewriting: equal braids have equal exponent sums and
-    permutations, and a positive word of length inversions(pi) is the
-    unique minimal lift of pi.  All-negative pairs reduce to that through
-    the mirror automorphism.  Anything else falls back to handle reduction
-    — reachable only if a side fails to be positive as the construction
-    promises, so the tag marks it as an anomaly.
-    """
-    if is_positive(lhs) and is_positive(rhs):
-        if underlying_permutation(lhs) != underlying_permutation(rhs) or len(lhs) != len(rhs):
-            return False, "positive"
-        if is_minimal_positive(lhs):
-            return True, "positive"
-        return braid_equal(lhs, rhs), "fallback"
-    negative = lambda w: len(w) > 0 and all(letter < 0 for letter in w.word)
-    if negative(lhs) and negative(rhs):
-        held, tag = _braid_sides_equal(_mirror(lhs), _mirror(rhs))
-        return held, ("mirrored" if tag == "positive" else "fallback")
-    if len(lhs) == 0 and len(rhs) == 0:
-        return True, "positive"
-    return braid_equal(lhs, rhs), "fallback"
+    """Decide lhs == rhs with its certificate tag; the construction promises no "fallback"."""
+    held, tag = certify_equal(lhs, rhs)
+    if held is None:
+        return braid_equal(lhs, rhs), tag
+    return held, tag
 
 
 def _sides_equal(group: ActionOperad, lhs: Any, rhs: Any) -> tuple[bool, str]:
@@ -177,10 +155,7 @@ def _sides_equal(group: ActionOperad, lhs: Any, rhs: Any) -> tuple[bool, str]:
 
 def _lhs_is_minimal(lhs: BraidWord) -> bool:
     """Positive (or all-negative, mirrored) with length = inversion count."""
-    word = lhs
-    if len(word) > 0 and all(letter < 0 for letter in word.word):
-        word = _mirror(word)
-    return is_minimal_positive(word)
+    return is_minimal_lift(lhs)
 
 
 # ------------------------------------------------------------ verification

@@ -506,3 +506,11 @@ def test_render_dot_mentions_every_crossing():
     assert text.startswith("graph braid {")
     assert '"+1"' in text and '"-2"' in text
     assert "c1 -- c2" in text
+
+
+def test_a_word_that_is_not_a_tuple_is_rejected():
+    # A list would be accepted and then fail far away, in hash or in a product.
+    with pytest.raises(ValueError, match="^braid word must be a tuple, got list$"):
+        BraidWord(3, [1, 2])
+    with pytest.raises(ValueError, match="^braid word must be a tuple, got str$"):
+        BraidWord(3, "12")

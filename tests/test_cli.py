@@ -317,3 +317,30 @@ def test_usage_errors_exit_two():
     assert run_cli("nonsense").returncode == 2
     assert run_cli("braid").returncode == 2
     assert run_cli("tmn", "2", "2").returncode == 2  # --family is required
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        (["braid", "mu", "-n", "2", "1"], "2: 1\n\n2 1\n", "3: expected 'STRANDS: LETTERS'"),
+        (["braid", "mu", "-n", "2", "1"], "2: 1\nx: 1\n", "2: invalid literal for int() with base 10: 'x'"),
+        (["braid", "mu", "-n", "2", "1"], "  \n2: 1 2\n", "2: generator 2 does not exist on 2 strands"),
+        (["perm", "mu", "2", "1"], "2 1\n\n1 1\n", "3: not a permutation: duplicate value 1"),
+        (["perm", "mu", "2", "1"], "1 x\n", "1: permutation entry 'x' is not an integer"),
+        (["perm", "mu", "2", "1"], "\n3 1\n", "2: permutation value 3 out of range 1..2"),
+    ],
+    ids=["word-colon", "word-strands", "word-generator", "perm-duplicate", "perm-entry", "perm-range"],
+)
+def test_argument_file_errors_name_the_file_and_line(tmp_path, command, text, message):
+    args_file = tmp_path / "args.txt"
+    args_file.write_text(text)
+    result = run_cli(*command, "--args", str(args_file))
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: {args_file}:{message}\n"
+
+
+@pytest.mark.parametrize("command", [["braid", "mu", "-n", "2", "1"], ["perm", "mu", "2", "1"]])
+def test_a_missing_argument_file_is_a_located_error(tmp_path, command):
+    missing = tmp_path / "absent.txt"
+    result = run_cli(*command, "--args", str(missing))
+    assert (result.returncode, result.stderr) == (2, f"error: {missing}: no such file\n")

@@ -371,3 +371,44 @@ def test_loading_enumerates_only_signatures_over_non_empty_levels(monkeypatch):
         load_operad(document)
     # Counting, then naming the first gap; no table for a short document.
     assert visited == [(1, (1,))] * 2
+
+
+@st.composite
+def table_mutants(draw):
+    """
+    A base document with one value inside ``levels`` or ``action`` -- a
+    label, a whole level, a row entry, a whole row or a whole arity's rows --
+    wrapped in a list or an object, or replaced by null, a bool or a float;
+    with the start of the location the error must name.
+    """
+    document = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
+    levels, action = document["levels"], document["action"]
+    targets = [("level", n) for n in levels] + [("rows", n) for n in action]
+    targets += [("label", n) for n, labels in levels.items() if labels]
+    targets += [("row", n) for n, rows in action.items() if rows]
+    kind, n = draw(st.sampled_from(targets))
+    if kind == "level":
+        container, key, location = levels, n, f"levels[{n}]: "
+    elif kind == "label":
+        container, key, location = levels[n], draw(st.integers(0, len(levels[n]) - 1)), f"levels[{n}]: "
+    elif kind == "rows":
+        container, key, location = action, n, f"action[{n}]"
+    else:
+        index = draw(st.integers(0, len(action[n]) - 1))
+        container, key, location = action[n], index, f"action[{n}][{index}]: "
+        if action[n][index] and draw(st.booleans()):
+            container, key = action[n][index], draw(st.integers(0, len(action[n][index]) - 1))
+    value = draw(st.sampled_from([[container[key]], {"label": container[key]}, None, True, 1.5]))
+    container[key] = value
+    if kind == "rows" and value is None:
+        location = f"action: missing arity {n}"
+    return document, location
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutant=table_mutants())
+def test_a_foreign_value_in_the_tables_is_a_located_error(mutant):
+    document, location = mutant
+    result = outcome(load_operad, document)
+    assert result[0] == "error" and result[1].startswith(location)
+    assert result == outcome(reference_load_operad, document)

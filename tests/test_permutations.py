@@ -338,3 +338,11 @@ def test_adjacent_transposition():
     assert adjacent_transposition(4, 2) == perm(1, 3, 2, 4)
     with pytest.raises(ValueError, match="out of range"):
         adjacent_transposition(3, 3)
+
+
+def test_an_image_that_is_not_a_tuple_is_rejected():
+    # A list would be accepted and then fail far away, in hash.
+    with pytest.raises(ValueError, match="^permutation image must be a tuple, got list$"):
+        Permutation([2, 1])
+    with pytest.raises(ValueError, match="^permutation image must be a tuple, got range$"):
+        Permutation(range(1, 3))
