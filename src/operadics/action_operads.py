@@ -120,13 +120,17 @@ def instance_symmetric() -> ActionOperad:
     )
 
 
-def instance_braid(max_sample_length: int = 4) -> ActionOperad:
+# Sampled braid words have at most this many letters.
+MAX_SAMPLE_LENGTH = 4
+
+
+def instance_braid() -> ActionOperad:
     """The braid groups with strand substitution; projection forgets crossings."""
 
     def sample(rng: random.Random, n: int) -> BraidWord:
         if n < 2:
             return braid_identity(n)
-        length = rng.randrange(max_sample_length + 1)
+        length = rng.randrange(MAX_SAMPLE_LENGTH + 1)
         word = tuple(
             rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(length)
         )

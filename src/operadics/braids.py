@@ -30,13 +30,14 @@ Equality first tries ``certify_equal``, the minimal-positive certificate
 (Elrifai & Morton): a positive word whose length equals the crossing number
 of its permutation is the unique minimal positive braid over it.  Length and
 permutation are invariants, so two positive words that differ in either are
-unequal, and two minimal ones that agree are equal (tag ``"positive"``); two
-nonempty all-negative words are decided through their mirrors
-(``"mirrored"``); anything else is a ``"fallback"`` to handle reduction.
+unequal, and two minimal ones that agree are equal (tag ``"positive"``).  The
+permutation forgets signs, so two nonempty all-negative words are decided the
+same way, without building mirrors (``"mirrored"``); anything else is a
+``"fallback"`` to handle reduction.
 
-Words derived from validated words (reductions, products, inverses, mirrors)
-are built by ``_trusted_word`` without validating them again; ``BraidWord``
-and ``parse_word`` validate their input.
+Words derived from validated words (reductions, products, inverses) are
+built by ``_trusted_word`` without validating them again; ``BraidWord`` and
+``parse_word`` validate their input.
 """
 
 from __future__ import annotations
@@ -242,8 +243,6 @@ def certify_equal(w1: BraidWord, w2: BraidWord) -> tuple[bool | None, str]:
         return None, "fallback"
     if len(w1.word) != len(w2.word):
         return False, tag
-    if tag == "mirrored":
-        w1, w2 = (_trusted_word(w.strands, tuple(-entry for entry in w.word)) for w in (w1, w2))
     perm = underlying_permutation(w1)
     if perm != underlying_permutation(w2):
         return False, tag

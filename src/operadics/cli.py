@@ -341,7 +341,7 @@ def _constant_collection(name: str, sizes: dict[int, int], group: ActionOperad) 
 def _composition_product_report() -> Report:
     report = Report("composition product of collections")
     sym = instance_symmetric()
-    comm = operad_comm(max_arity=3).collection()
+    comm = operad_comm(max_arity=3)
     unit = unit_collection(sym)
 
     left = compose_collections(unit, comm, bound=3)
@@ -480,7 +480,7 @@ def _cmd_operad_compose(args) -> int:
         )
     if args.bound < 0:
         raise CliError("bound must be nonnegative")
-    product = compose_collections(x.collection(), y.collection(), bound=args.bound)
+    product = compose_collections(x, y, bound=args.bound)
     for n in range(args.bound + 1):
         classes = product.classes(n)
         if classes:

@@ -13,7 +13,9 @@ rendered as "[p; x1,...,xn]".  The construction is a monad: `unit_eta`
 wraps a carrier element as [unit; x], and `mult_mu` flattens a class
 whose items are themselves classes.  `check_monad_laws` verifies the
 monad laws and the correspondence between algebra structures and monad
-algebras; `cartesian_condition` and `pullback_witness_test` decide, in two
+algebras, drawing its tuples of classes by `g_operads._within` (a class
+weighs its arity), so only those that flatten within the bound are built.
+`cartesian_condition` and `pullback_witness_test` decide, in two
 independent ways, whether the construction preserves pullbacks.
 """
 
@@ -21,13 +23,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Sequence
 
 from .g_operads import (
-    AlgebraStructure,
     FiniteGOperad,
     _UnionFind,
-    check_algebra,
+    _within,
+    arity_signatures,
     enumerate_algebra_structures,
 )
 from .permutations import act_on_list
@@ -145,10 +147,9 @@ def mult_mu(free: FreeAlgebra, label: str, inner: Sequence[FreeAlgebraClass]) ->
 def _nestings(free: FreeAlgebra) -> Iterator[tuple[int, str, tuple[FreeAlgebraClass, ...]]]:
     """All (n, label, inner classes) with the flattened arity in bounds."""
     pool = free.all_classes()
+    arities = [c.arity for c in pool]
     for n in range(free.max_arity + 1):
-        for inner in itertools.product(pool, repeat=n):
-            if sum(c.arity for c in inner) > free.max_arity:
-                continue
+        for inner in _within(free.max_arity, n, pool, arities):
             for label in free.operad.labels(n):
                 yield n, label, inner
 
@@ -167,18 +168,18 @@ def _truncate(p: FiniteGOperad, bound: int) -> FiniteGOperad:
     )
 
 
+# The arity bound of the algebra/monad-algebra correspondence, which enumerates whole tables.
+CORRESPONDENCE_BOUND = 2
+
+
 def check_monad_laws(
-    p: FiniteGOperad,
-    carrier: Sequence[str],
-    *,
-    max_arity: int | None = None,
-    correspondence_bound: int = 2,
+    p: FiniteGOperad, carrier: Sequence[str], *, max_arity: int | None = None
 ) -> Report:
     """
     Verify that the free construction really is a monad on finite sets:
     well-definedness of the flattening, both unit laws, associativity, and
     the correspondence between operad algebras and monad algebras (the
-    latter at a smaller bound, since it enumerates whole function tables).
+    latter up to CORRESPONDENCE_BOUND).
     """
     free = free_algebra(p, carrier, max_arity)
     bound = free.max_arity
@@ -209,38 +210,35 @@ def check_monad_laws(
     # or outer-first (q and the p_i merge, then one flattening).
     def associativity() -> Iterator[str | None]:
         pool = free.all_classes()
-        for n in range(bound + 1):
-            for rs in itertools.product(range(bound + 1), repeat=n):
-                if sum(rs) > bound:
-                    continue
-                starts = list(itertools.accumulate(rs, initial=0))
-                for q in p.labels(n):
-                    for ps in itertools.product(*(p.labels(r) for r in rs)):
-                        for flat in itertools.product(pool, repeat=sum(rs)):
-                            if sum(c.arity for c in flat) > bound:
-                                continue
-                            middle_first = mult_mu(
-                                free,
-                                q,
-                                tuple(
-                                    mult_mu(free, head, flat[a:b])
-                                    for head, a, b in zip(ps, starts, starts[1:])
-                                ),
-                            )
-                            outer_first = mult_mu(free, p.compose(n, rs, q, ps), flat)
-                            if middle_first != outer_first:
-                                yield f"q={q}, ps={list(ps)}, classes={[str(c) for c in flat]}"
-                            yield None
+        arities = [c.arity for c in pool]
+        for n, rs in arity_signatures(bound):
+            starts = list(itertools.accumulate(rs, initial=0))
+            flats = _within(bound, starts[-1], pool, arities)
+            for q in p.labels(n):
+                for ps in itertools.product(*(p.labels(r) for r in rs)):
+                    for flat in flats:
+                        middle_first = mult_mu(
+                            free,
+                            q,
+                            tuple(
+                                mult_mu(free, head, flat[a:b])
+                                for head, a, b in zip(ps, starts, starts[1:])
+                            ),
+                        )
+                        outer_first = mult_mu(free, p.compose(n, rs, q, ps), flat)
+                        if middle_first != outer_first:
+                            yield f"q={q}, ps={list(ps)}, classes={[str(c) for c in flat]}"
+                        yield None
 
     report.check("multiplication is constant on classes", well_defined())
     report.check("left unit law", left_unit())
     report.check("right unit law", right_unit())
     report.check("associativity", associativity())
 
-    truncated = _truncate(p, min(correspondence_bound, bound))
+    truncated = _truncate(p, min(CORRESPONDENCE_BOUND, bound))
     algebras = enumerate_algebra_structures(truncated, free.carrier)
-    monad_maps = _monad_algebra_maps(truncated, free.carrier)
     small = free_algebra(truncated, free.carrier)
+    monad_maps = _monad_algebra_maps(small)
     induced = {
         tuple(algebra.maps(c.arity, c.label, c.items) for c in small.all_classes())
         for algebra in algebras
@@ -258,12 +256,11 @@ def check_monad_laws(
     return report
 
 
-def _monad_algebra_maps(p: FiniteGOperad, carrier: Sequence[str]) -> list[tuple[str, ...]]:
+def _monad_algebra_maps(free: FreeAlgebra) -> list[tuple[str, ...]]:
     """
     Enumerate every map h from the free-algebra classes to the carrier
     satisfying the monad-algebra laws, as value tuples over all_classes().
     """
-    free = free_algebra(p, carrier)
     classes = free.all_classes()
     nestings = list(_nestings(free))
     found = []

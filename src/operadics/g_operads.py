@@ -15,6 +15,8 @@ with k_i the arity of y_i as listed on the left-hand side.  The checkers
 in this module verify all of these exhaustively up to the operad's arity
 bound (sampling group elements when the group is infinite) and report one
 PASS/FAIL line per law, each stopping at its first counterexample.
+Every bounded space of arity tuples they walk is listed by `_within`,
+which builds only the tuples within the bound, in `itertools.product` order.
 
 One representation serves every finite operad: `FiniteGOperad` holds a
 compose table keyed by (n, ks, head, args) and an action table keyed by
@@ -124,10 +126,6 @@ class FiniteGOperad(FiniteGCollection):
         result = self.compose_table[key] = self.compose_rule(*key)
         return result
 
-    def collection(self) -> FiniteGCollection:
-        """The action-only view, acting through this operad's `action`."""
-        return FiniteGCollection(self.name, self.group, self.levels, self.action)
-
 
 @dataclass
 class AlgebraStructure:
@@ -158,16 +156,18 @@ def _signatures(bound: int, arities: Sequence[int]) -> Iterator[tuple[int, tuple
             yield n, ks
 
 
-def _within(bound: int, slots: int, arities: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All slot-tuples from the ascending `arities` summing to at most bound, lexicographically."""
-    if slots == 0:
-        yield ()
-        return
-    for first in arities:
-        if first > bound:
-            break
-        for rest in _within(bound - first, slots - 1, arities):
-            yield (first, *rest)
+def _within(bound: int, slots: int, items: Sequence, weights: Sequence[int] | None = None) -> list[tuple]:
+    """
+    The tuples of `itertools.product(items, repeat=slots)` whose weights sum
+    to at most bound, in product order.  Slot by slot, each kept prefix is
+    extended in order by every item that still fits, so no tuple over the
+    bound is built.  An arity weighs itself (the default), a class its arity.
+    """
+    pairs = list(zip(items, items if weights is None else weights))
+    level = [((), bound)]
+    for _ in range(slots):
+        level = [(t + (item,), left - w) for t, left in level for item, w in pairs if w <= left]
+    return [t for t, _ in level]
 
 
 def _group_elements(group: ActionOperad, n: int, budget: int, seed: int) -> list[Any]:
@@ -262,9 +262,7 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
         for n, ks in signatures:
             total = sum(ks)
             starts = list(itertools.accumulate(ks, initial=0))
-            for ls in itertools.product(range(bound + 1), repeat=total):
-                if sum(ls) > bound:
-                    continue
+            for ls in _within(bound, total, range(bound + 1)):
                 splits = [ls[a:b] for a, b in zip(starts, starts[1:])]
                 inner_ks = tuple(sum(split) for split in splits)
                 for head in labels(n):
@@ -332,9 +330,7 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     report.check("equivariance in the argument slots", argument_slots())
 
     # The per-level right-action laws.
-    collection_report = check_collection(
-        p.collection(), bound=bound, budget=budget, seed=seed
-    )
+    collection_report = check_collection(p, bound=bound, budget=budget, seed=seed)
     report.results.extend(collection_report.results)
     return report
 
@@ -954,18 +950,6 @@ class ComposedCollection:
         return FiniteGCollection(self.name, self.group, labels, action)
 
 
-def _compositions(total: int, parts: Sequence[int], slots: int) -> Iterator[tuple[int, ...]]:
-    """All slot-tuples drawn from `parts` summing to `total`."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in parts:
-        if first <= total:
-            for rest in _compositions(total - first, parts, slots - 1):
-                yield (first, *rest)
-
-
 def _level_action(c: FiniteGCollection, n: int, g: Any) -> dict[str, str]:
     """The action of g on level n of c as a table, checked to stay inside the level."""
     table = {label: c.action(n, label, g) for label in c.labels(n)}
@@ -1003,6 +987,11 @@ def compose_collections(
     elements = {m: group.elements(m) for m in {*range(bound + 1), *x_arities}}
     classes_by_arity: dict[int, list[tuple]] = {}
     canonical: dict[tuple, tuple] = {}
+    # The signatures (r; ks) within the bound by arity n = sum(ks), each by r, then ks.
+    by_arity: dict[int, list[tuple[int, tuple[int, ...]]]] = {n: [] for n in range(bound + 1)}
+    for r in x_arities:
+        for ks in _within(bound, r, y_arities):
+            by_arity[sum(ks)].append((r, ks))
 
     for n in range(bound + 1):
         element_keys = {g: _element_key(group, g) for g in elements[n]}
@@ -1013,7 +1002,7 @@ def compose_collections(
             return [element_keys[group.multiply(factor, g)] for g in elements[n]]
 
         states: dict[tuple, tuple] = {}
-        signatures = [(r, ks) for r in x_arities for ks in _compositions(n, y_arities, r)]
+        signatures = by_arity[n]
         arguments = {ks: list(itertools.product(*(y.labels(k) for k in ks))) for _, ks in signatures}
         for r, ks in signatures:
             for head in x.labels(r):

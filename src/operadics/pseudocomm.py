@@ -39,7 +39,6 @@ from typing import Any, Callable, Iterator
 
 from .action_operads import ActionOperad, instance_braid, instance_symmetric
 from .braids import (
-    BraidWord,
     certify_equal,
     equal as braid_equal,
     format_word,
@@ -139,23 +138,12 @@ def _split_sides(group: ActionOperad, tf: TFamily, l: int, m: int, ns: tuple[int
 # ------------------------------------------------------- certified equality
 
 
-def _braid_sides_equal(lhs: BraidWord, rhs: BraidWord) -> tuple[bool, str]:
-    """Decide lhs == rhs with its certificate tag; the construction promises no "fallback"."""
-    held, tag = certify_equal(lhs, rhs)
-    if held is None:
-        return braid_equal(lhs, rhs), tag
-    return held, tag
-
-
 def _sides_equal(group: ActionOperad, lhs: Any, rhs: Any) -> tuple[bool, str]:
-    if group.name == "braid":
-        return _braid_sides_equal(lhs, rhs)
-    return group.equal(lhs, rhs), "group equality"
-
-
-def _lhs_is_minimal(lhs: BraidWord) -> bool:
-    """Positive (or all-negative, mirrored) with length = inversion count."""
-    return is_minimal_lift(lhs)
+    """lhs == rhs with the braid certificate's tag (the sides promise no "fallback"), else "group equality"."""
+    if group.name != "braid":
+        return group.equal(lhs, rhs), "group equality"
+    held, tag = certify_equal(lhs, rhs)
+    return (braid_equal(lhs, rhs) if held is None else held), tag
 
 
 # ------------------------------------------------------------ verification
@@ -223,16 +211,14 @@ def _split_where(l: int, m: int, ns: tuple[int, ...]) -> str:
     return f"l={l}, m={m}, ns={list(ns)}"
 
 
-def resolve_orientation(group: ActionOperad | None = None, bound: int = 3) -> Orientation:
+def resolve_orientation(bound: int = 3) -> Orientation:
     """
     Determine the index convention by exhaustion over the symmetric groups
     with t = tau.  Ties at small bounds (where many grid transpositions
     are involutions) are broken by raising the bound; no candidate passing
     at all is a hard failure, since tau certainly satisfies one form.
     """
-    sym = group if group is not None else instance_symmetric()
-    if sym.name != "symmetric":
-        raise ValueError("orientation is resolved against the symmetric-group oracle")
+    sym = instance_symmetric()
 
     def survivors(candidates, family, b):
         kept = []
@@ -321,14 +307,14 @@ def _interchange_laws(group: ActionOperad, tf: TFamily, bound: int, report: Repo
     if group.name == "braid":
         report.check(
             f"{prefix}: every left-hand composite is a minimal lift",
-            (None if _lhs_is_minimal(lhs) else witness for lhs, witness in lefts),
+            (None if is_minimal_lift(lhs) else witness for lhs, witness in lefts),
         )
 
 
 def symmetric_theorem_report(bound: int = 3) -> Report:
     """Grid transpositions give the symmetric groups a symmetric t-family."""
     sym = instance_symmetric()
-    orientation = resolve_orientation(sym, bound=max(bound, 3))
+    orientation = resolve_orientation(bound=max(bound, 3))
     tf = t_family_symmetric(orientation)
     report = Report(f"symmetric-group interchange family (bound {bound})")
     for line in orientation.lines():

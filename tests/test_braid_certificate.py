@@ -138,7 +138,7 @@ def pairs(draw):
 def test_the_checker_agrees_with_the_reference(pair):
     lhs, rhs = pair
     expected = reference_braid_sides_equal(lhs, rhs)
-    assert pseudocomm._braid_sides_equal(lhs, rhs) == expected
+    assert pseudocomm._sides_equal(BR, lhs, rhs) == expected
     assert braid_equal(lhs, rhs) == expected[0]
     held, tag = certify_equal(lhs, rhs)
     if held is None:
@@ -164,7 +164,7 @@ def test_every_kind_and_tag_is_reached():
     }
     for (lhs, rhs), expected in cases.items():
         assert reference_braid_sides_equal(lhs, rhs) == expected
-        assert pseudocomm._braid_sides_equal(lhs, rhs) == expected
+        assert pseudocomm._sides_equal(BR, lhs, rhs) == expected
 
 
 # ------------------------------------------------------------- work

@@ -168,6 +168,22 @@ def test_monad_associativity_reports_the_earliest_failing_nesting():
     assert failure.checked == 7
 
 
+def test_well_definedness_reports_the_first_class_an_action_fault_splits():
+    # The action is made to fix 213 under the transposition 2 1 3.  The
+    # nestings run by n and then in product order over the classes, so
+    # every triple starting with [e;] comes before the first one it tells
+    # apart; witness and count were taken from the product-then-filter
+    # enumeration that `_within` replaced.
+    p = load_operad(json.loads((DATA / "ass.json").read_text()), name="faulty ass")
+    swap = next(g for g in p.group.elements(3) if p.group.describe(g) == "2 1 3")
+    honest = p.action
+    p.action = lambda n, label, g: label if (n, label, g) == (3, "213", swap) else honest(n, label, g)
+    failure = check_monad_laws(p, ("a", "b")).result("multiplication is constant on classes")
+    assert not failure.passed
+    assert failure.witness == "label=213, inner=['[1; a]', '[1; b]', '[e;]'], g=2 1 3"
+    assert failure.checked == 2189
+
+
 # ------------------------------------------------------ pullback behaviour
 
 

@@ -9,16 +9,20 @@ out in comments next to each assertion.
 """
 
 import copy
+import itertools
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from operadics.action_operads import instance_braid, instance_symmetric, instance_trivial
 from operadics.cli import main
 from operadics.g_operads import (
     AlgebraStructure,
     FiniteGCollection,
+    _within,
     arity_signatures,
     change_groups,
     check_algebra,
@@ -93,6 +97,22 @@ def test_operad_laws_report_the_first_counterexample():
     assert failure.checked == 2 * 2 + 1
 
 
+def test_operad_associativity_reports_the_first_counterexample():
+    # mu(21; 1, 12) changed from 312 to 123.  Associativity first meets it
+    # as the inner substitution of n=2, ks=(1,2) at ls=(0,1,2), several
+    # arity tuples into that signature; witness and count were taken from
+    # the product-then-filter enumeration that `_within` replaced.
+    document = json.loads((DATA / "ass.json").read_text())
+    for record in document["compose"]:
+        if (record["n"], record["ks"], record["args"]) == (2, [1, 2], ["21", "1", "12"]):
+            record["result"] = "123"
+    report = check_operad(load_operad(document, name="corrupted ass"))
+    failure = report.result("operad associativity")
+    assert not failure.passed
+    assert failure.witness == "n=2, ks=[1, 2], ls=[0, 1, 2], p=12, qs=['1', '21'], rs=['e', '1', '12']"
+    assert failure.checked == 1089
+
+
 def test_collection_unit_law_reports_the_first_counterexample():
     swap = {"p": "q", "q": "p", "u": "v", "v": "u"}
     x = FiniteGCollection("swapped", instance_symmetric(), {1: ("p", "q"), 2: ("u", "v")},
@@ -106,6 +126,26 @@ def test_signatures_enumeration():
     # Signatures (n; k_1..k_n) with n, sum(k) <= 2, counted by hand:
     # n=0: (); n=1: (0),(1),(2); n=2: (0,0),(0,1),(1,0),(0,2),(2,0),(1,1).
     assert sum(1 for _ in arity_signatures(2)) == 10
+
+
+@given(
+    weights=st.lists(st.integers(0, 6), max_size=5),
+    ascending=st.booleans(),
+    slots=st.integers(0, 4),
+    bound=st.integers(0, 6),
+)
+def test_within_is_the_filtered_product_in_order(weights, ascending, slots, bound):
+    # The reference builds every tuple and drops those over the bound.
+    # Callers list items by ascending weight; other orders work too.
+    if ascending:
+        weights.sort()
+    arities = list(itertools.product(weights, repeat=slots))
+    assert list(_within(bound, slots, weights)) == [ls for ls in arities if sum(ls) <= bound]
+    items = [f"c{i}" for i in range(len(weights))]
+    weight = dict(zip(items, weights))
+    assert list(_within(bound, slots, items, weights)) == [
+        cs for cs in itertools.product(items, repeat=slots) if sum(map(weight.get, cs)) <= bound
+    ]
 
 
 # ----------------------------------------------------- endomorphism operads
@@ -421,7 +461,7 @@ def test_composed_collection_labels_every_class_distinctly():
     # so 14 classes have only 12 descriptions.
     ass = load_operad(json.loads((DATA / "ass.json").read_text()), name="ass")
     comm = load_operad(json.loads((DATA / "comm.json").read_text()), name="comm")
-    xy = compose_collections(ass.collection(), comm.collection(), 2)
+    xy = compose_collections(ass, comm, 2)
     assert len(xy.classes(2)) == 14
     assert len(set(map(xy.describe_state, xy.classes(2)))) == 12
     labelled = xy.collection()

@@ -217,13 +217,10 @@ def test_equal_agrees_with_the_reference(w, data):
 
 def test_mirrored_and_derived_words_are_valid():
     w = BraidWord(5, (-1, -3, -2, -4, -1))
-    with checked_trusted_words() as built:
+    with checked_trusted_words():
         assert equal(w, BraidWord(5, (-3, -1, -2, -4, -1)))
         assert free_reduce(BraidWord(5, (1, 2, -2, 3))) == BraidWord(5, (1, 3))
         assert w.inverse() == BraidWord(5, (1, 4, 2, 3, 1))
-    # The mirrors that equal compares through their permutations.
-    assert BraidWord(5, (1, 3, 2, 4, 1)) in built
-    assert BraidWord(5, (3, 1, 2, 4, 1)) in built
 
 
 def test_deciding_equality_validates_no_word(monkeypatch):

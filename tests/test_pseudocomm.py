@@ -133,11 +133,6 @@ def test_rejected_orientations_fail_on_small_grids():
     assert not verify_interchange_dual(SYM, t_family_symmetric(wrong_split), 2, 1, [3])
 
 
-def test_resolver_requires_the_symmetric_oracle():
-    with pytest.raises(ValueError, match="symmetric-group oracle"):
-        resolve_orientation(BR)
-
-
 def test_braid_theorem_report_passes_and_carries_notes():
     report = braid_theorem_report(bound=3)
     assert report.ok
@@ -163,8 +158,8 @@ def test_minimal_lift_law_reports_the_first_failing_equation(monkeypatch):
         pseudocomm._grouped_sides(BR, tf, 2, (2, 1), 2)[0],
         pseudocomm._split_sides(BR, tf, 2, 2, (1, 2))[0],
     }
-    honest = pseudocomm._lhs_is_minimal
-    monkeypatch.setattr(pseudocomm, "_lhs_is_minimal", lambda lhs: lhs not in bad and honest(lhs))
+    honest = pseudocomm.is_minimal_lift
+    monkeypatch.setattr(pseudocomm, "is_minimal_lift", lambda lhs: lhs not in bad and honest(lhs))
     report = braid_theorem_report(bound=3)
     failure = report.result("positive family: every left-hand composite is a minimal lift")
     assert not failure.passed

@@ -17,6 +17,7 @@ import json
 import math
 import re
 from pathlib import Path
+from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,6 @@ from operadics.g_operads import (
     FiniteGCollection,
     FiniteGOperad,
     _UnionFind,
-    _compositions,
     compose_collections,
     load_operad,
     operad_ass,
@@ -42,6 +42,18 @@ GROUPS = {"trivial": instance_trivial(), "symmetric": instance_symmetric()}
 
 
 # ------------------------------------------------------------ references
+
+
+def _compositions(total: int, parts: Sequence[int], slots: int) -> Iterator[tuple[int, ...]]:
+    """All slot-tuples drawn from `parts` summing to `total`."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in parts:
+        if first <= total:
+            for rest in _compositions(total - first, parts, slots - 1):
+                yield (first, *rest)
 
 
 def _reference_key(group, state):
@@ -191,7 +203,7 @@ PACKAGED_PAIRS = [
 
 @pytest.mark.parametrize("left, right", PACKAGED_PAIRS)
 def test_packaged_composites_match_the_reference(left, right):
-    x, y = packaged(left).collection(), packaged(right).collection()
+    x, y = packaged(left), packaged(right)
     product = compose_collections(x, y, BOUND)
     classes, canonical = reference_compose_collections(x, y, BOUND)
     assert product.classes_by_arity == classes
