@@ -39,6 +39,19 @@ holds sum |P(n)| * prod |P(k_i)| keys.
 The composition product numbers the states of each arity in key order
 and runs its union-find over those integers, so the root of a class, its
 least id, is also its least key and its representative.
+
+Algebra structures and operad maps are found by finite-model search
+(`_backtrack`, in the style of SEM and Mace4) rather than by checking
+every candidate table.  The table's slots are set in order, each value
+tried in carrier or level order, and every unit, equivariance,
+associativity and substitution instance is tested as soon as the last
+slot it reads is set, so a failing prefix drops every table that extends
+it.  An instance whose slot depends on computed values is tested only if
+that slot is already set.  Each complete table is confirmed by the full
+checker (`check_algebra`, `is_map`), so the search returns exactly the
+tables, in `itertools.product` order, that checking every candidate would.
+A document is refused before its action is tabulated when one level
+would hold more than MAX_ACTION_ENTRIES entries |G(n)| * |P(n)|.
 """
 
 from __future__ import annotations
@@ -545,8 +558,86 @@ def table_algebra(carrier: Sequence[str], table: Mapping[tuple[int, str, tuple[s
     return AlgebraStructure(tuple(carrier), maps)
 
 
+# A test of the model search: reads the assigned prefix of a table and
+# answers False only if no table extending it can be accepted.
+_Test = Callable[[list], bool]
+
+
+def _backtrack(
+    domains: Sequence[Sequence[Any]],
+    tests: Sequence[Sequence[_Test]],
+    accept: Callable[[tuple], Any],
+) -> Iterator[Any]:
+    """
+    Finite-model search: the non-None results of `accept` on the complete
+    assignments of a value from domains[i] to each slot i, in
+    `itertools.product` order.  Slots are set in order and each takes its
+    domain's values in order.  Once slot i is set, every test in tests[i]
+    reads the assigned prefix, and one that answers False drops every
+    assignment extending it.  A test may answer False only where `accept`
+    would reject every such assignment, so the tests decide how many
+    assignments reach `accept`, never what comes out.
+    """
+    values: list = []
+    if not domains:
+        result = accept(())
+        if result is not None:
+            yield result
+        return
+    last = len(domains) - 1
+    stack = [iter(domains[0])]
+    while stack:
+        slot = len(values)
+        for value in stack[-1]:
+            values.append(value)
+            if all(test(values) for test in tests[slot]):
+                break
+            values.pop()
+        else:
+            stack.pop()
+            if values:
+                values.pop()
+            continue
+        if slot < last:
+            stack.append(iter(domains[slot + 1]))
+            continue
+        result = accept(tuple(values))
+        if result is not None:
+            yield result
+        values.pop()
+
+
+def _equal_slots(a: int, b: int) -> _Test:
+    return lambda values: values[a] == values[b]
+
+
+def _equal_value(slot: int, value: Any) -> _Test:
+    return lambda values: values[slot] == value
+
+
+def _equal_at_read_slot(lhs: int, reads: tuple[int, ...], slot_of: Mapping[tuple, int]) -> _Test:
+    """
+    values[lhs] equals the value at the slot that `slot_of` assigns to the
+    values read at `reads`; the test holds while that slot is still unset.
+    """
+    def test(values: list) -> bool:
+        at = slot_of[tuple([values[i] for i in reads])]
+        return at >= len(values) or values[lhs] == values[at]
+
+    return test
+
+
 def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str], limit: int = 1 << 20) -> list[AlgebraStructure]:
-    """Brute-force every algebra structure on the carrier, within the bound."""
+    """
+    Every algebra structure on the carrier, within the bound, in the
+    `itertools.product` order of its value tables over the slots
+    (n, label, xs).  The tables are searched by `_backtrack`: each unit,
+    equivariance and associativity instance is tested once the last slot
+    it reads is set.  An associativity instance also reads the head's slot
+    at the computed arguments; it is tested there only if that slot is
+    already set, and otherwise left to `check_algebra`, which confirms
+    every complete table.
+    """
     carrier = tuple(carrier)
     slots = [
         (n, label, xs)
@@ -557,20 +648,58 @@ def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str], limit
     count = len(carrier) ** len(slots)
     if count > limit:
         raise ValueError(f"{count} candidate tables exceed the enumeration limit {limit}")
-    found = []
-    for values in itertools.product(carrier, repeat=len(slots)):
+    index = {slot: i for i, slot in enumerate(slots)}
+    tests: list[list[_Test]] = [[] for _ in slots]
+    bound = p.max_arity
+
+    # A label outside its level has no slot; `check_algebra` meets it instead.
+    if p.unit in p.labels(1):
+        for x in carrier:
+            at = index[(1, p.unit, (x,))]
+            tests[at].append(_equal_value(at, x))
+    for n in range(bound + 1):
+        for g in _group_elements(p.group, n, 25, 9):
+            pi = p.group.project(g)
+            for head in p.labels(n):
+                acted = p.action(n, head, g)
+                for xs in itertools.product(carrier, repeat=n):
+                    a = index.get((n, acted, xs))
+                    b = index[(n, head, tuple(act_on_list(pi, xs)))]
+                    if a is not None and a != b:
+                        tests[max(a, b)].append(_equal_slots(a, b))
+    for n, ks in arity_signatures(bound):
+        total = sum(ks)
+        starts = list(itertools.accumulate(ks, initial=0))
+        for head in p.labels(n):
+            slot_of = {xs: index[(n, head, xs)] for xs in itertools.product(carrier, repeat=n)}
+            for args in itertools.product(*(p.labels(k) for k in ks)):
+                composite = p.compose(n, ks, head, args)
+                for xs in itertools.product(carrier, repeat=total):
+                    lhs = index.get((total, composite, xs))
+                    reads = tuple(
+                        index[(k, arg, xs[a:b])] for k, arg, a, b in zip(ks, args, starts, starts[1:])
+                    )
+                    if lhs is not None:
+                        tests[max((lhs, *reads))].append(_equal_at_read_slot(lhs, reads, slot_of))
+
+    def accept(values: tuple[str, ...]) -> AlgebraStructure | None:
         algebra = table_algebra(carrier, dict(zip(slots, values)))
-        if check_algebra(p, algebra).ok:
-            found.append(algebra)
-    return found
+        return algebra if check_algebra(p, algebra).ok else None
+
+    return list(_backtrack([carrier] * len(slots), tests, accept))
 
 
 def enumerate_operad_maps(p: FiniteGOperad, q: FiniteGOperad, limit: int = 1 << 20) -> list[dict[tuple[int, str], str]]:
     """
-    Brute-force every equivariant operad map from p to q (same group, same
-    bound): unit-preserving, substitution-preserving, action-preserving
-    per-arity label functions, returned as {(arity, label): image} tables.
+    Every equivariant operad map from p to q (same group, same bound):
+    unit-preserving, substitution-preserving, action-preserving per-arity
+    label functions, returned as {(arity, label): image} tables in the
+    `itertools.product` order of their images.  The tables are searched by
+    `_backtrack`, each unit, substitution and equivariance instance tested
+    once the last label it reads is mapped, and confirmed by `is_map`.
     """
+    if q.group is not p.group and q.group.name != p.group.name:
+        raise ValueError(f"operad maps need one group of equivariance, got {p.group.name} and {q.group.name}")
     if p.max_arity != q.max_arity:
         raise ValueError("operad maps need matching arity bounds")
     bound = p.max_arity
@@ -604,8 +733,39 @@ def enumerate_operad_maps(p: FiniteGOperad, q: FiniteGOperad, limit: int = 1 << 
             )
         )
 
-    tables = (dict(zip(domain, images)) for images in itertools.product(*spaces))
-    return [table for table in tables if is_map(table)]
+    index = {key: i for i, key in enumerate(domain)}
+    tests: list[list[_Test]] = [[] for _ in domain]
+    # A label outside its level has no slot; `is_map` meets it instead.
+    if (1, p.unit) in index:
+        at = index[(1, p.unit)]
+        tests[at].append(_equal_value(at, q.unit))
+    for n, ks, head, args in substitutions:
+        lhs = index.get((sum(ks), p.compose(n, ks, head, args)))
+        reads = (index[(n, head)], *(index[(k, a)] for k, a in zip(ks, args)))
+        if lhs is not None:
+            tests[max((lhs, *reads))].append(_preserves_substitution(q, n, ks, lhs, reads))
+    for n in range(bound + 1):
+        for head in p.labels(n):
+            for g in group_samples[n]:
+                acted = index.get((n, p.action(n, head, g)))
+                at = index[(n, head)]
+                if acted is not None:
+                    tests[max(acted, at)].append(_preserves_action(q, n, g, acted, at))
+
+    def accept(images: tuple[str, ...]) -> dict[tuple[int, str], str] | None:
+        table = dict(zip(domain, images))
+        return table if is_map(table) else None
+
+    return list(_backtrack(spaces, tests, accept))
+
+
+def _preserves_substitution(q: FiniteGOperad, n: int, ks: tuple[int, ...], lhs: int, reads: tuple[int, ...]) -> _Test:
+    head, *args = reads
+    return lambda values: values[lhs] == q.compose(n, ks, values[head], [values[a] for a in args])
+
+
+def _preserves_action(q: FiniteGOperad, n: int, g: Any, acted: int, at: int) -> _Test:
+    return lambda values: values[acted] == q.action(n, values[at], g)
 
 
 # ------------------------------------------------------ document format
@@ -643,6 +803,11 @@ def write_operad_document(p: FiniteGOperad) -> dict:
                     }
                 )
     return document
+
+
+# The most action entries |G(n)| * |P(n)| one level of a symmetric
+# document may tabulate: 8!, one label at arity 8 or eight at arity 7.
+MAX_ACTION_ENTRIES = 40_320
 
 
 def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad:
@@ -686,6 +851,14 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
         raise ValueError("action: expected a mapping from arity to generator rows")
     action_rows: dict[int, list[dict[str, str]]] = {}
     for n in range(max_arity + 1):
+        # Only a non-empty level is tabulated, so only its n! is computed.
+        if group_name == "symmetric" and levels[n]:
+            entries = len(levels[n]) * math.factorial(n)
+            if entries > MAX_ACTION_ENTRIES:
+                raise ValueError(
+                    f"action[{n}]: {len(levels[n])} labels under {n}! permutations make "
+                    f"{entries} action entries, more than the limit {MAX_ACTION_ENTRIES}"
+                )
         generators = group.generators(n)
         rows = raw_action.get(str(n))
         if rows is None:
@@ -768,11 +941,11 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
                             f"compose: missing entry for n={n}, ks={list(ks)}, args={[head, *rest]}"
                         )
 
-    # Tabulate the action of every element by folding the generator rows
-    # along its positive word; a right action applies the factors from the
-    # last to the first.
+    # Tabulate the action of every element on a non-empty level by folding
+    # the generator rows along its positive word; a right action applies
+    # the factors from the last to the first.
     action_table: dict[tuple[int, str, Any], str] = {}
-    for n in range(max_arity + 1):
+    for n in inhabited:
         for g in group.elements(n):
             word = permutation_braid(group.project(g)).word[::-1]
             for start in levels[n]:

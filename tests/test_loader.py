@@ -13,6 +13,7 @@ to the types of the keys.
 """
 
 import copy
+import dataclasses
 import itertools
 import json
 import math
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from operadics import cli, g_operads
 from operadics.action_operads import instance_symmetric, instance_trivial
 from operadics.braids import permutation_braid
+from operadics.free_monad import cartesian_condition
 from operadics.g_operads import (
     FiniteGOperad,
     arity_signatures,
@@ -412,3 +414,66 @@ def test_a_foreign_value_in_the_tables_is_a_located_error(mutant):
     result = outcome(load_operad, document)
     assert result[0] == "error" and result[1].startswith(location)
     assert result == outcome(reference_load_operad, document)
+
+
+# ------------------------------------------------------- empty levels, size
+
+
+def symmetric_document(max_arity: int, top: int = 0) -> dict:
+    """
+    A symmetric-group operad with the unit and, if `top`, that many labels
+    at arity max_arity acted on trivially; every other level is empty.
+    """
+    labels = [f"x{i}" for i in range(top)]
+    levels = {str(n): [] for n in range(max_arity + 1)}
+    levels["1"] = ["e"]
+    if top:
+        levels[str(max_arity)] = labels
+    compose = [{"n": 1, "ks": [1], "args": ["e", "e"], "result": "e"}]
+    if top:
+        compose += [{"n": 1, "ks": [max_arity], "args": ["e", x], "result": x} for x in labels]
+        compose += [
+            {"n": max_arity, "ks": [1] * max_arity, "args": [x] + ["e"] * max_arity, "result": x}
+            for x in labels
+        ]
+    return {
+        "group": "symmetric",
+        "max_arity": max_arity,
+        "levels": levels,
+        "action": {str(n): [list(levels[str(n)])] * max(n - 1, 0) for n in range(max_arity + 1)},
+        "unit": "e",
+        "compose": compose,
+    }
+
+
+def test_empty_levels_list_no_group_elements(monkeypatch):
+    # The earlier loader folded a word for each of the sum of n! = 874
+    # elements of G(0)..G(6), and the pointwise criterion listed them all.
+    words = []
+    monkeypatch.setattr(
+        g_operads, "permutation_braid", lambda p: words.append(p) or permutation_braid(p)
+    )
+    p = load_operad(symmetric_document(6))
+    assert len(words) == 1
+    listed = []
+    group = p.group
+    p.group = dataclasses.replace(group, elements=lambda n: listed.extend(group.elements(n)) or group.elements(n))
+    assert cartesian_condition(p) == (True, None)
+    assert len(listed) == 1
+
+
+def test_the_action_size_guard_at_its_limit(tmp_path, capsys, monkeypatch):
+    # Eight labels at arity 7 make 8 * 7! = 40,320 action entries, the limit.
+    assert g_operads.MAX_ACTION_ENTRIES == 8 * math.factorial(7)
+    p = load_operad(symmetric_document(7, top=8))
+    assert len(p.action_table) == 1 + 8 * math.factorial(7)
+    # A ninth label fails before any group element is listed.
+    monkeypatch.setattr(g_operads, "permutation_braid", None)
+    monkeypatch.setattr(g_operads, "_signatures", None)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(symmetric_document(7, top=9)))
+    assert cli.main(["operad", "check", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: action[7]: 9 labels under 7! permutations make 45360 action entries, "
+        f"more than the limit 40320\n"
+    )
