@@ -15,15 +15,13 @@ whose items are themselves classes.  `check_monad_laws` verifies the
 monad laws and the correspondence between algebra structures and monad
 algebras, drawing its tuples of classes by `g_operads._within` (a class
 weighs its arity), so only those that flatten within the bound are built.
-Both sides of the correspondence are found by the backtracking search
-`g_operads._backtrack`: the algebra structures by
-`enumerate_algebra_structures`, the monad algebras by
-`_monad_algebra_maps`, which tests each unit and nesting instance as soon
-as the classes it reads have values and confirms every complete map with
-the full monad-algebra test.  `cartesian_condition` and
-`pullback_witness_test` decide, in two independent ways, whether the
-construction preserves pullbacks; the first lists no group element of an
-empty level.
+The algebra structures of that correspondence are found by the
+backtracking search of `g_operads.enumerate_algebra_structures`, the
+monad algebras by checking every candidate map (at most 2^7 for the
+packaged operads over {a, b} at the correspondence bound).
+`cartesian_condition` and `pullback_witness_test` decide, in two
+independent ways, whether the construction preserves pullbacks; the
+first lists no group element of an empty level.
 """
 
 from __future__ import annotations
@@ -34,9 +32,6 @@ from typing import Any, Iterator, Sequence
 
 from .g_operads import (
     FiniteGOperad,
-    _backtrack,
-    _equal_at_read_slot,
-    _equal_value,
     _UnionFind,
     _within,
     arity_signatures,
@@ -268,42 +263,22 @@ def check_monad_laws(
 
 def _monad_algebra_maps(free: FreeAlgebra) -> list[tuple[str, ...]]:
     """
-    Every map h from the free-algebra classes to the carrier satisfying the
-    monad-algebra laws, as value tuples over all_classes() in
-    `itertools.product` order.  The tuples are searched by
-    `g_operads._backtrack`: each unit instance h(eta(x)) = x is tested at
-    its class, and each nesting instance h(mu[label; inner]) =
-    h([label; h(inner)]) once its last static class is set, if the class
-    [label; h(inner)] is already set too; the full monad-algebra test
-    confirms every complete map.
+    Enumerate every map h from the free-algebra classes to the carrier
+    satisfying the monad-algebra laws, as value tuples over all_classes().
     """
     classes = free.all_classes()
     nestings = list(_nestings(free))
-    slot = {cls: i for i, cls in enumerate(classes)}
-    # The slot of [label; xs], by (label, arity) and then xs; an empty
-    # carrier has no xs of positive arity.
-    slot_of: dict[tuple[str, int], dict[tuple[str, ...], int]] = {}
-    for (label, xs), cls in free._canonical.items():
-        slot_of.setdefault((label, len(xs)), {})[xs] = slot[cls]
-    tests: list[list] = [[] for _ in classes]
-    for x in free.carrier:
-        at = slot[unit_eta(free, x)]
-        tests[at].append(_equal_value(at, x))
-    for _, label, inner in nestings:
-        lhs = slot[mult_mu(free, label, inner)]
-        reads = tuple(slot[c] for c in inner)
-        targets = slot_of.get((label, len(inner)), {})
-        tests[max((lhs, *reads))].append(_equal_at_read_slot(lhs, reads, targets))
-
-    def accept(values: tuple[str, ...]) -> tuple[str, ...] | None:
+    found = []
+    for values in itertools.product(free.carrier, repeat=len(classes)):
         h = dict(zip(classes, values))
-        holds = all(h[unit_eta(free, x)] == x for x in free.carrier) and all(
+        if any(h[unit_eta(free, x)] != x for x in free.carrier):
+            continue
+        if all(
             h[mult_mu(free, label, inner)] == h[free.canonical(label, tuple(h[c] for c in inner))]
             for _, label, inner in nestings
-        )
-        return values if holds else None
-
-    return list(_backtrack([free.carrier] * len(classes), tests, accept))
+        ):
+            found.append(values)
+    return found
 
 
 # ----------------------------------------------------- pullback behaviour

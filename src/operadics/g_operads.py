@@ -40,16 +40,17 @@ The composition product numbers the states of each arity in key order
 and runs its union-find over those integers, so the root of a class, its
 least id, is also its least key and its representative.
 
-Algebra structures and operad maps are found by finite-model search
-(`_backtrack`, in the style of SEM and Mace4) rather than by checking
-every candidate table.  The table's slots are set in order, each value
-tried in carrier or level order, and every unit, equivariance,
-associativity and substitution instance is tested as soon as the last
-slot it reads is set, so a failing prefix drops every table that extends
-it.  An instance whose slot depends on computed values is tested only if
-that slot is already set.  Each complete table is confirmed by the full
-checker (`check_algebra`, `is_map`), so the search returns exactly the
-tables, in `itertools.product` order, that checking every candidate would.
+Algebra structures are found by finite-model search (`_backtrack`, in
+the style of SEM and Mace4) rather than by checking every candidate
+table.  The table's slots are set in order, each value tried in carrier
+order, and every unit, equivariance and associativity instance is tested
+as soon as the last slot it reads is set, so a failing prefix drops every
+table that extends it.  An instance whose slot depends on computed values
+is tested only if that slot is already set.  Each complete table is
+confirmed by `check_algebra`, drawing the same equivariance samples as
+the search, so the search returns exactly the tables, in
+`itertools.product` order, that checking every candidate would.  Operad
+maps are still found by checking every candidate table.
 A document is refused before its action is tabulated when one level
 would hold more than MAX_ACTION_ENTRIES entries |G(n)| * |P(n)|.
 """
@@ -502,7 +503,19 @@ def change_groups(
 # ------------------------------------------------------------- algebras
 
 
-def check_algebra(p: FiniteGOperad, algebra: AlgebraStructure, *, budget: int = 25, seed: int = 9) -> Report:
+# The equivariance samples of an infinite group that `check_algebra`
+# draws by default; the algebra search prunes on the same samples.
+ALGEBRA_SAMPLE_BUDGET = 25
+ALGEBRA_SAMPLE_SEED = 9
+
+
+def check_algebra(
+    p: FiniteGOperad,
+    algebra: AlgebraStructure,
+    *,
+    budget: int = ALGEBRA_SAMPLE_BUDGET,
+    seed: int = ALGEBRA_SAMPLE_SEED,
+) -> Report:
     """Verify the unit, associativity, and equivariance laws of an algebra."""
     report = Report(f"algebra laws on {{{','.join(algebra.carrier)}}} for {p.name}")
     carrier = algebra.carrier
@@ -658,7 +671,7 @@ def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str], limit
             at = index[(1, p.unit, (x,))]
             tests[at].append(_equal_value(at, x))
     for n in range(bound + 1):
-        for g in _group_elements(p.group, n, 25, 9):
+        for g in _group_elements(p.group, n, ALGEBRA_SAMPLE_BUDGET, ALGEBRA_SAMPLE_SEED):
             pi = p.group.project(g)
             for head in p.labels(n):
                 acted = p.action(n, head, g)
@@ -684,19 +697,17 @@ def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str], limit
 
     def accept(values: tuple[str, ...]) -> AlgebraStructure | None:
         algebra = table_algebra(carrier, dict(zip(slots, values)))
-        return algebra if check_algebra(p, algebra).ok else None
+        report = check_algebra(p, algebra, budget=ALGEBRA_SAMPLE_BUDGET, seed=ALGEBRA_SAMPLE_SEED)
+        return algebra if report.ok else None
 
     return list(_backtrack([carrier] * len(slots), tests, accept))
 
 
 def enumerate_operad_maps(p: FiniteGOperad, q: FiniteGOperad, limit: int = 1 << 20) -> list[dict[tuple[int, str], str]]:
     """
-    Every equivariant operad map from p to q (same group, same bound):
-    unit-preserving, substitution-preserving, action-preserving per-arity
-    label functions, returned as {(arity, label): image} tables in the
-    `itertools.product` order of their images.  The tables are searched by
-    `_backtrack`, each unit, substitution and equivariance instance tested
-    once the last label it reads is mapped, and confirmed by `is_map`.
+    Brute-force every equivariant operad map from p to q (same group, same
+    bound): unit-preserving, substitution-preserving, action-preserving
+    per-arity label functions, returned as {(arity, label): image} tables.
     """
     if q.group is not p.group and q.group.name != p.group.name:
         raise ValueError(f"operad maps need one group of equivariance, got {p.group.name} and {q.group.name}")
@@ -733,39 +744,8 @@ def enumerate_operad_maps(p: FiniteGOperad, q: FiniteGOperad, limit: int = 1 << 
             )
         )
 
-    index = {key: i for i, key in enumerate(domain)}
-    tests: list[list[_Test]] = [[] for _ in domain]
-    # A label outside its level has no slot; `is_map` meets it instead.
-    if (1, p.unit) in index:
-        at = index[(1, p.unit)]
-        tests[at].append(_equal_value(at, q.unit))
-    for n, ks, head, args in substitutions:
-        lhs = index.get((sum(ks), p.compose(n, ks, head, args)))
-        reads = (index[(n, head)], *(index[(k, a)] for k, a in zip(ks, args)))
-        if lhs is not None:
-            tests[max((lhs, *reads))].append(_preserves_substitution(q, n, ks, lhs, reads))
-    for n in range(bound + 1):
-        for head in p.labels(n):
-            for g in group_samples[n]:
-                acted = index.get((n, p.action(n, head, g)))
-                at = index[(n, head)]
-                if acted is not None:
-                    tests[max(acted, at)].append(_preserves_action(q, n, g, acted, at))
-
-    def accept(images: tuple[str, ...]) -> dict[tuple[int, str], str] | None:
-        table = dict(zip(domain, images))
-        return table if is_map(table) else None
-
-    return list(_backtrack(spaces, tests, accept))
-
-
-def _preserves_substitution(q: FiniteGOperad, n: int, ks: tuple[int, ...], lhs: int, reads: tuple[int, ...]) -> _Test:
-    head, *args = reads
-    return lambda values: values[lhs] == q.compose(n, ks, values[head], [values[a] for a in args])
-
-
-def _preserves_action(q: FiniteGOperad, n: int, g: Any, acted: int, at: int) -> _Test:
-    return lambda values: values[acted] == q.action(n, values[at], g)
+    tables = (dict(zip(domain, images)) for images in itertools.product(*spaces))
+    return [table for table in tables if is_map(table)]
 
 
 # ------------------------------------------------------ document format
