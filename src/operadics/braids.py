@@ -35,9 +35,16 @@ permutation forgets signs, so two nonempty all-negative words are decided the
 same way, without building mirrors (``"mirrored"``); anything else is a
 ``"fallback"`` to handle reduction.
 
-Words derived from validated words (reductions, products, inverses) are
-built by ``_trusted_word`` without validating them again; ``BraidWord`` and
-``parse_word`` validate their input.
+``BraidWord`` and ``parse_word`` validate their input.  Words derived from
+validated words (reductions, products, inverses) are built by
+``_trusted_word`` without validating them again.  So are the words of the
+operad structure: ``block_sum_braids`` shifts the letters of validated words
+onto disjoint strand intervals, ``cable`` emits block swaps within the
+cabled strand count from a checked list of sizes, and ``permutation_braid``
+records the swaps of an insertion sort on a permutation's image.  Through
+them ``mu_br``, ``t_positive`` and ``t_negative`` skip validation too.  Each
+kernel still checks its own arguments: matching strand counts and
+nonnegative cable sizes.
 """
 
 from __future__ import annotations
@@ -271,20 +278,18 @@ def block_sum_braids(braids: Sequence[BraidWord]) -> BraidWord:
         for entry in braid.word:
             word.append(entry + offset if entry > 0 else entry - offset)
         offset += braid.strands
-    return BraidWord(offset, tuple(word))
+    return _trusted_word(offset, tuple(word))
 
 
 def _block_swap_word(left: int, right: int) -> list[int]:
     """
     The minimal positive word on ``left + right`` strands moving the first
-    ``left`` strands past the next ``right``, each pair crossing once.
+    ``left`` strands past the next ``right``, each pair crossing once.  Right
+    strand t (from 0) moves left past the whole left block, crossing at
+    positions left + t, left + t - 1, ..., t + 1: the letters the insertion
+    sort of ``permutation_braid`` records, in the same order.
     """
-    image = [0] * (left + right)
-    for i in range(1, left + 1):
-        image[i - 1] = i + right
-    for i in range(1, right + 1):
-        image[left + i - 1] = i
-    return list(permutation_braid(Permutation(tuple(image))).word)
+    return [left + t - s for t in range(right) for s in range(left)]
 
 
 def cable(g: BraidWord, sizes: Sequence[int]) -> BraidWord:
@@ -311,7 +316,7 @@ def cable(g: BraidWord, sizes: Sequence[int]) -> BraidWord:
             # The inverse of moving the (eventual) left block past the right.
             word.extend(-(s + start) for s in reversed(_block_swap_word(right, left)))
         current[i - 1], current[i] = right, left
-    return BraidWord(sum(sizes), tuple(word))
+    return _trusted_word(sum(sizes), tuple(word))
 
 
 def mu_br(g: BraidWord, braids: Sequence[BraidWord]) -> BraidWord:
@@ -340,7 +345,7 @@ def permutation_braid(p: Permutation) -> BraidWord:
             image[i - 1], image[i] = image[i], image[i - 1]
             word.append(i)
             i -= 1
-    return BraidWord(p.n, tuple(word))
+    return _trusted_word(p.n, tuple(word))
 
 
 def t_positive(m: int, n: int) -> BraidWord:

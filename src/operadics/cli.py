@@ -73,6 +73,12 @@ PACKAGED = ("comm", "ass", "comm_trivial")
 DEFAULT_SEED = 20260819
 DEFAULT_BUDGET = 200
 
+# The most points `perm tau M N` prints: its image has m * n entries.
+MAX_TAU_POINTS = 1 << 20
+# The most strands `tmn M N` lifts to.  The word has C(m,2) * C(n,2)
+# letters, at most C(32,2)^2 = 246,016 within this limit.
+MAX_TMN_STRANDS = 1024
+
 
 class CliError(Exception):
     """A user-facing error; `code` follows the exit-code contract."""
@@ -114,6 +120,12 @@ def _parse_perm_tokens(tokens: Sequence[str]) -> Permutation:
         return parse_permutation(" ".join(tokens))
     except ValueError as exc:
         raise CliError(str(exc)) from None
+
+
+def _check_grid(m: int, n: int, limit: int, noun: str) -> None:
+    """Refuse an m-by-n grid of more than `limit` points before anything is built."""
+    if m * n > limit:
+        raise CliError(f"a {m}x{n} grid has {m * n} {noun}, more than the limit {limit}")
 
 
 def _split_on_separator(tokens: list[str], usage: str) -> tuple[list[str], list[str]]:
@@ -273,6 +285,7 @@ def _cmd_braid_render(args) -> int:
 def _cmd_perm_tau(args) -> int:
     if args.m < 0 or args.n < 0:
         raise CliError("grid dimensions must be nonnegative")
+    _check_grid(args.m, args.n, MAX_TAU_POINTS, "points")
     print(format_permutation(tau(args.m, args.n)))
     return 0
 
@@ -300,6 +313,7 @@ def _cmd_perm_mu(args) -> int:
 def _cmd_tmn(args) -> int:
     if args.m < 1 or args.n < 1:
         raise CliError("grid dimensions must be at least 1")
+    _check_grid(args.m, args.n, MAX_TMN_STRANDS, "strands")
     family = t_family_braid_positive() if args.family == "positive" else t_family_braid_negative()
     print(format_word(family(args.m, args.n)))
     return 0

@@ -191,12 +191,17 @@ def check_monad_laws(
     group = p.group
     report = Report(f"monad laws: {p.name} on {{{','.join(free.carrier)}}}")
 
+    # Each element of G(n) with the inverse of its projection, listed once per arity.
+    moves = {
+        n: [(g, group.project(g).inverse()) for g in group.elements(n)] for n in range(bound + 1)
+    }
+
     def well_defined() -> Iterator[str | None]:
         for n, label, inner in _nestings(free):
             value = mult_mu(free, label, inner)
-            for g in group.elements(n):
+            for g, pi_inv in moves[n]:
                 moved_label = p.action(n, label, g)
-                moved_inner = tuple(act_on_list(group.project(g).inverse(), inner))
+                moved_inner = tuple(act_on_list(pi_inv, inner))
                 if mult_mu(free, moved_label, moved_inner) != value:
                     yield f"label={label}, inner={[str(c) for c in inner]}, g={group.describe(g)}"
                 yield None

@@ -245,6 +245,17 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     act = p.action
     signatures = list(arity_signatures(bound))
     report = Report(f"operad laws: {p.name}")
+    # Each arity's group elements are listed once, those acting in the
+    # argument slots from a smaller sample, and each element in the operad
+    # slot comes with the order pi(g)^-1 in which it permutes the slots.
+    elements = {n: _group_elements(group, n, budget, seed) for n in range(bound + 1)}
+    slot_elements = {
+        n: [(g, [j - 1 for j in group.project(g).inverse().image]) for g in gs]
+        for n, gs in elements.items()
+    }
+    argument_elements = {
+        k: _group_elements(group, k, max(budget // 5, 2), seed + 1) for k in range(bound + 1)
+    }
 
     # Well-typedness: the unit, every substitution result, every action result.
     def typed() -> Iterator[str | None]:
@@ -257,8 +268,7 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
                     if mu(n, ks, head, args) not in labels(total):
                         yield f"mu result escapes level {total}: n={n}, ks={list(ks)}, p={head}, qs={list(args)}"
                     yield None
-        for n in range(bound + 1):
-            gs = _group_elements(group, n, budget, seed)
+        for n, gs in elements.items():
             for head in labels(n):
                 for g in gs:
                     if act(n, head, g) not in labels(n):
@@ -299,9 +309,7 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     def slot() -> Iterator[str | None]:
         for n, ks in signatures:
             total = sum(ks)
-            for g in _group_elements(group, n, budget, seed):
-                pi_inv = group.project(g).inverse()
-                order = [pi_inv(i) - 1 for i in range(1, n + 1)]
+            for g, order in slot_elements[n]:
                 permuted_ks = tuple(ks[j] for j in order)
                 cable = group.operad_mu(g, [group.identity(k) for k in ks])
                 for head in labels(n):
@@ -320,10 +328,10 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     def argument_slots() -> Iterator[str | None]:
         for n, ks in signatures:
             total = sum(ks)
-            element_lists = [_group_elements(group, k, max(budget // 5, 2), seed + 1) for k in ks]
+            e = group.identity(n)
             blocks = [
-                (gs, group.operad_mu(group.identity(n), list(gs)))
-                for gs in itertools.product(*element_lists)
+                (gs, group.operad_mu(e, list(gs)))
+                for gs in itertools.product(*(argument_elements[k] for k in ks))
             ]
             for head in labels(n):
                 for args in itertools.product(*(labels(k) for k in ks)):
@@ -839,15 +847,17 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
                     f"action[{n}]: {len(levels[n])} labels under {n}! permutations make "
                     f"{entries} action entries, more than the limit {MAX_ACTION_ENTRIES}"
                 )
-        generators = group.generators(n)
+        # One row per generator: the n - 1 adjacent transpositions of a
+        # symmetric group, none for a trivial one.  Counted, not built.
+        generators = max(n - 1, 0) if group_name == "symmetric" else 0
         rows = raw_action.get(str(n))
         if rows is None:
             raise ValueError(f"action: missing arity {n}")
         if not isinstance(rows, list):
             raise ValueError(f"action[{n}]: expected a list of generator rows")
-        if len(rows) != len(generators):
+        if len(rows) != generators:
             raise ValueError(
-                f"action[{n}]: expected {len(generators)} generator rows, got {len(rows)}"
+                f"action[{n}]: expected {generators} generator rows, got {len(rows)}"
             )
         table = []
         for index, row in enumerate(rows):

@@ -20,6 +20,14 @@ i.e. the individual twists happen first (top of the diagram) and the block
 moves below them.  The order of the two factors is not a free choice: the
 other order fails the operad associativity law (see the tests, which check
 both candidates and keep this one).
+
+``Permutation(...)`` and ``parse_permutation`` validate their input.  The
+kernels (``identity``, ``adjacent_transposition``, ``compose``, ``inverse``,
+``block_sum``, ``block_lift``, ``tau``, ``all_permutations``, and through
+them ``mu_sigma``) build their results from validated permutations and
+checked arguments, so they construct them by ``_trusted`` without
+validating them again.  Each kernel still checks its own arguments:
+matching arities, block counts, nonnegative sizes and dimensions.
 """
 
 from __future__ import annotations
@@ -66,7 +74,7 @@ class Permutation:
         inv = [0] * self.n
         for i, value in enumerate(self.image, start=1):
             inv[value - 1] = i
-        return Permutation(tuple(inv))
+        return _trusted(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(value == i for i, value in enumerate(self.image, start=1))
@@ -75,10 +83,17 @@ class Permutation:
         return f"Permutation({list(self.image)})"
 
 
+def _trusted(image: tuple[int, ...]) -> Permutation:
+    """A permutation a kernel built from validated inputs, skipping validation."""
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "image", image)
+    return p
+
+
 def identity(n: int) -> Permutation:
     if n < 0:
         raise ValueError(f"arity must be nonnegative, got {n}")
-    return Permutation(tuple(range(1, n + 1)))
+    return _trusted(tuple(range(1, n + 1)))
 
 
 def adjacent_transposition(n: int, i: int) -> Permutation:
@@ -87,14 +102,15 @@ def adjacent_transposition(n: int, i: int) -> Permutation:
         raise ValueError(f"adjacent transposition index {i} out of range 1..{n - 1}")
     image = list(range(1, n + 1))
     image[i - 1], image[i] = image[i], image[i - 1]
-    return Permutation(tuple(image))
+    return _trusted(tuple(image))
 
 
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """The diagrammatic composite "first p, then q": image[i] = q(p(i))."""
     if p.n != q.n:
         raise ValueError(f"cannot compose permutations of arities {p.n} and {q.n}")
-    return Permutation(tuple(q.image[value - 1] for value in p.image))
+    q_image = q.image
+    return _trusted(tuple([q_image[value - 1] for value in p.image]))
 
 
 def inverse(p: Permutation) -> Permutation:
@@ -108,7 +124,7 @@ def block_sum(perms: Sequence[Permutation]) -> Permutation:
     for perm in perms:
         image.extend(value + offset for value in perm.image)
         offset += perm.n
-    return Permutation(tuple(image))
+    return _trusted(tuple(image))
 
 
 def block_lift(sigma: Permutation, sizes: Sequence[int]) -> Permutation:
@@ -141,7 +157,7 @@ def block_lift(sigma: Permutation, sizes: Sequence[int]) -> Permutation:
         source = starts_in[i - 1]
         for r in range(sizes[i - 1]):
             image[source + r] = target + r + 1
-    return Permutation(tuple(image))
+    return _trusted(tuple(image))
 
 
 def mu_sigma(sigma: Permutation, taus: Sequence[Permutation]) -> Permutation:
@@ -172,7 +188,7 @@ def tau(m: int, n: int) -> Permutation:
     for p in range(1, m + 1):
         for q in range(1, n + 1):
             image[(p - 1) * n + (q - 1)] = (q - 1) * m + p
-    return Permutation(tuple(image))
+    return _trusted(tuple(image))
 
 
 def inversions(p: Permutation) -> int:
@@ -199,7 +215,7 @@ def all_permutations(n: int) -> Iterator[Permutation]:
     import itertools
 
     for image in itertools.permutations(range(1, n + 1)):
-        yield Permutation(image)
+        yield _trusted(image)
 
 
 def parse_permutation(text: str) -> Permutation:

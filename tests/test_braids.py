@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from operadics.braids import (
     BraidWord,
+    _block_swap_word,
     block_sum_braids,
     braid_identity,
     cable,
@@ -514,3 +515,85 @@ def test_a_word_that_is_not_a_tuple_is_rejected():
         BraidWord(3, [1, 2])
     with pytest.raises(ValueError, match="^braid word must be a tuple, got str$"):
         BraidWord(3, "12")
+
+
+# ------------------------------------------------------- trusted kernels
+# The operad-structure kernels build their words without validating them
+# again; each output must pass the validating constructor unchanged, and
+# the rewritten kernels must agree with the code they replaced.
+
+
+def revalidates(w: BraidWord) -> bool:
+    return BraidWord(w.strands, w.word) == w
+
+
+@st.composite
+def braid_words(draw, max_strands=5, max_len=8):
+    strands = draw(st.integers(0, max_strands))
+    if strands < 2:
+        return braid_identity(strands)
+    letters = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    return BraidWord(strands, tuple(draw(st.lists(letters, max_size=max_len))))
+
+
+def insertion_sort_block_swap(left: int, right: int) -> list[int]:
+    """The earlier `_block_swap_word`: insertion-sort the block-swap image, recording swaps."""
+    image = [i + right for i in range(1, left + 1)] + list(range(1, right + 1))
+    word = []
+    for j in range(1, len(image)):
+        i = j
+        while i > 0 and image[i - 1] > image[i]:
+            image[i - 1], image[i] = image[i], image[i - 1]
+            word.append(i)
+            i -= 1
+    return word
+
+
+def validated_fold(w: BraidWord) -> Permutation:
+    """The earlier `underlying_permutation`: one validated permutation per letter."""
+    n = w.strands
+    perm = Permutation(tuple(range(1, n + 1)))
+    for entry in w.word:
+        image = list(range(1, n + 1))
+        i = abs(entry)
+        image[i - 1], image[i] = image[i], image[i - 1]
+        step = Permutation(tuple(image))
+        perm = Permutation(tuple(step.image[value - 1] for value in perm.image))
+    return perm
+
+
+def test_block_swap_word_matches_the_insertion_sort():
+    for left in range(12):
+        for right in range(12):
+            assert _block_swap_word(left, right) == insertion_sort_block_swap(left, right), (left, right)
+
+
+@given(braid_words(max_strands=7, max_len=40))
+@settings(max_examples=200)
+def test_underlying_permutation_matches_the_validated_fold(w):
+    out = underlying_permutation(w)
+    assert out == validated_fold(w)
+    assert Permutation(out.image) == out
+
+
+@given(braid_words(), st.data())
+@settings(max_examples=150)
+def test_operad_kernels_revalidate(g, data):
+    braids = data.draw(st.lists(braid_words(max_strands=3, max_len=4), min_size=g.strands, max_size=g.strands))
+    sizes = [braid.strands for braid in braids]
+    assert revalidates(block_sum_braids(braids))
+    assert revalidates(cable(g, sizes))
+    assert revalidates(mu_br(g, braids))
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.permutations(list(range(1, n + 1)))))
+@settings(max_examples=100)
+def test_permutation_braid_revalidates(image):
+    assert revalidates(permutation_braid(Permutation(tuple(image))))
+
+
+def test_t_families_revalidate():
+    for m in range(1, 5):
+        for n in range(1, 5):
+            assert revalidates(t_positive(m, n))
+            assert revalidates(t_negative(m, n))

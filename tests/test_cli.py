@@ -4,7 +4,8 @@ Golden tests for the command-line interface.
 Every invocation runs in a fresh subprocess from a scratch directory, so
 these tests also prove that the packaged operad documents resolve by bare
 name from any working directory and that outputs are byte-identical
-across runs.
+across runs.  The size-guard tests are the exception: they call `cli.main`
+in process with the builders stubbed, so that no large grid is built.
 """
 
 import json
@@ -13,6 +14,10 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from operadics import cli
+from operadics.braids import braid_identity
+from operadics.permutations import identity
 
 pytestmark = pytest.mark.usefixtures("cli_env")
 
@@ -344,3 +349,32 @@ def test_a_missing_argument_file_is_a_located_error(tmp_path, command):
     missing = tmp_path / "absent.txt"
     result = run_cli(*command, "--args", str(missing))
     assert (result.returncode, result.stderr) == (2, f"error: {missing}: no such file\n")
+
+
+def test_perm_tau_refuses_grids_past_its_size_limit(monkeypatch, capsys):
+    # Only the first refused size is run; at the limit the builder, stubbed
+    # here so that nothing is allocated, is reached.
+    built = []
+    monkeypatch.setattr(cli, "tau", lambda m, n: built.append((m, n)) or identity(0))
+    limit = cli.MAX_TAU_POINTS
+    assert cli.main(["perm", "tau", str(limit + 1), "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: a {limit + 1}x1 grid has {limit + 1} points, more than the limit {limit}\n"
+    )
+    assert built == []
+    assert cli.main(["perm", "tau", "1", str(limit)]) == 0
+    assert built == [(1, limit)]
+
+
+def test_tmn_refuses_grids_past_its_strand_limit(monkeypatch, capsys):
+    built = []
+    family = lambda m, n: built.append((m, n)) or braid_identity(1)
+    monkeypatch.setattr(cli, "t_family_braid_negative", lambda: family)
+    limit = cli.MAX_TMN_STRANDS
+    assert cli.main(["tmn", "--family", "negative", "1", str(limit + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: a 1x{limit + 1} grid has {limit + 1} strands, more than the limit {limit}\n"
+    )
+    assert built == []
+    assert cli.main(["tmn", "--family", "negative", str(limit), "1"]) == 0
+    assert built == [(limit, 1)]

@@ -9,6 +9,7 @@ out in comments next to each assertion.
 """
 
 import copy
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -111,6 +112,40 @@ def test_operad_associativity_reports_the_first_counterexample():
     assert not failure.passed
     assert failure.witness == "n=2, ks=[1, 2], ls=[0, 1, 2], p=12, qs=['1', '21'], rs=['e', '1', '12']"
     assert failure.checked == 1089
+
+
+def test_equivariance_laws_report_the_first_counterexample():
+    # The action is made to fix 213 under the transposition 2 1 3.
+    # Witnesses and counts were taken from the checker that listed the
+    # group elements and their projections once per signature.
+    p = load_operad(json.loads((DATA / "ass.json").read_text()), name="faulty ass")
+    swap = next(g for g in p.group.elements(3) if p.group.describe(g) == "2 1 3")
+    honest = p.action
+    p.action = lambda n, label, g: label if (n, label, g) == (3, "213", swap) else honest(n, label, g)
+    report = check_operad(p)
+    slot = report.result("equivariance in the operad slot")
+    assert (slot.passed, slot.checked) == (False, 1130)
+    assert slot.witness == "n=3, ks=[1, 1, 0], p=213, qs=['1', '1', 'e'], g=2 1 3"
+    arguments = report.result("equivariance in the argument slots")
+    assert (arguments.passed, arguments.checked) == (False, 151)
+    assert arguments.witness == "n=2, ks=[2, 1], p=12, qs=['21', '1'], gs=[2 1, 1]"
+
+
+@pytest.mark.parametrize(
+    "group, projected, counts",
+    [
+        (instance_symmetric(), 1 + 1 + 2 + 6, [45, 8, 428, 145, 79, 10, 4, 42]),
+        (instance_braid(), 4 * 25, [135, 8, 428, 875, 2771, 100, 4, 2500]),
+    ],
+)
+def test_check_operad_projects_each_group_element_once(group, projected, counts):
+    # Every element of G(0)..G(3), or 25 samples per arity for the braids.
+    # The case counts were taken from the per-signature checker.
+    p = operad_comm(group, max_arity=3)
+    calls = []
+    p.group = dataclasses.replace(group, project=lambda g: calls.append(g) or group.project(g))
+    assert [r.checked for r in check_operad(p).results] == counts
+    assert len(calls) == projected
 
 
 def test_collection_unit_law_reports_the_first_counterexample():

@@ -477,3 +477,30 @@ def test_the_action_size_guard_at_its_limit(tmp_path, capsys, monkeypatch):
         f"error: {path}: action[7]: 9 labels under 7! permutations make 45360 action entries, "
         f"more than the limit 40320\n"
     )
+
+
+@pytest.mark.parametrize("group", ["symmetric", "trivial"])
+def test_generator_rows_are_counted_without_listing_generators(monkeypatch, group):
+    # The row count of arity n is n - 1 for a symmetric document and 0 for
+    # a trivial one; listing the generators built n - 1 permutations per
+    # arity, cubic in max_arity.
+    listed = []
+    for name, build in (("instance_symmetric", instance_symmetric), ("instance_trivial", instance_trivial)):
+        monkeypatch.setattr(
+            g_operads,
+            name,
+            lambda build=build: dataclasses.replace(
+                build(), generators=lambda n: listed.append(n) or build().generators(n)
+            ),
+        )
+    document = symmetric_document(40) if group == "symmetric" else unit_only_document(40)
+    assert load_operad(copy.deepcopy(document)).max_arity == 40
+    rows = document["action"]["40"]
+    document["action"]["40"] = rows[1:] if rows else [[]]
+    expected = 39 if group == "symmetric" else 0
+    with pytest.raises(ValueError) as caught:
+        load_operad(document)
+    assert str(caught.value) == (
+        f"action[40]: expected {expected} generator rows, got {len(document['action']['40'])}"
+    )
+    assert listed == []

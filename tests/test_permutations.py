@@ -346,3 +346,51 @@ def test_an_image_that_is_not_a_tuple_is_rejected():
         Permutation([2, 1])
     with pytest.raises(ValueError, match="^permutation image must be a tuple, got range$"):
         Permutation(range(1, 3))
+
+
+# --- trusted kernel outputs ----------------------------------------------
+# The kernels build their results without validating them again; each
+# output must pass the validating constructor unchanged.
+
+def revalidates(p: Permutation) -> bool:
+    return Permutation(p.image) == p
+
+
+small_perms = st.integers(0, 6).flatmap(lambda n: st.permutations(list(range(1, n + 1)))).map(
+    lambda image: Permutation(tuple(image))
+)
+
+
+@given(st.integers(0, 9), st.data())
+@settings(max_examples=100)
+def test_identity_transpositions_and_tau_revalidate(n, data):
+    assert revalidates(identity(n))
+    if n >= 2:
+        assert revalidates(adjacent_transposition(n, data.draw(st.integers(1, n - 1))))
+    assert revalidates(tau(n, data.draw(st.integers(0, 5))))
+
+
+@given(st.permutations(list(range(1, 7))), st.permutations(list(range(1, 7))))
+@settings(max_examples=100)
+def test_compose_and_inverse_revalidate(img1, img2):
+    p, q = Permutation(tuple(img1)), Permutation(tuple(img2))
+    assert revalidates(compose(p, q))
+    assert revalidates(p.inverse())
+    assert revalidates(inverse(q))
+
+
+@given(small_perms, st.data())
+@settings(max_examples=150)
+def test_block_kernels_and_substitution_revalidate(sigma, data):
+    taus = data.draw(st.lists(small_perms, min_size=sigma.n, max_size=sigma.n))
+    sizes = [tau_i.n for tau_i in taus]
+    assert revalidates(block_sum(taus))
+    assert revalidates(block_lift(sigma, sizes))
+    out = mu_sigma(sigma, taus)
+    assert revalidates(out)
+    assert out.image == mu_by_arrays(sigma, taus)
+
+
+def test_all_permutations_revalidate():
+    for n in range(6):
+        assert all(revalidates(p) for p in all_permutations(n))
