@@ -34,11 +34,23 @@ argument tuple and the result level, so a well-formed record is accepted
 by a few set lookups and an exact-int test on ks.  A record that fails
 this test is checked field by field in a fixed order, and the first fault
 is reported with its position.  The table is complete exactly when it
-holds sum |P(n)| * prod |P(k_i)| keys.
+holds sum |P(n)| * prod |P(k_i)| keys.  `_signature_counts` counts these
+by a dynamic program over arity sums, listing no signature, so a short
+document is refused without enumerating its signatures.  The action of
+each group element is tabulated from the row of the element whose
+positive word is its own minus the last letter.
 
 The composition product numbers the states of each arity in key order
 and runs its union-find over those integers, so the root of a class, its
-least id, is also its least key and its representative.
+least id, is also its least key and its representative.  Its
+identifications are orbits of group actions when the collections' actions
+are right actions, so it unites states only along generators: those of
+G(r) in the x slot and those of each G(k_i) in its argument slot.  That
+precondition is checked once per collection and arity (identity and
+x.(g s) = (x.g).s for every element g and generator s), and a failure is
+a `ValueError`.  `composite_states` counts the tuples it would enumerate
+from the level sizes alone, so a caller can refuse a product too large to
+build before listing anything.
 
 Algebra structures are found by finite-model search (`_backtrack`, in
 the style of SEM and Mace4) rather than by checking every candidate
@@ -182,6 +194,30 @@ def _within(bound: int, slots: int, items: Sequence, weights: Sequence[int] | No
     for _ in range(slots):
         level = [(t + (item,), left - w) for t, left in level for item, w in pairs if w <= left]
     return [t for t, _ in level]
+
+
+def _signature_counts(heads: Mapping[int, int], arguments: Mapping[int, int], bound: int) -> list[int]:
+    """
+    Per arity n <= bound, the substitution tuples (head; args) over the
+    signatures (r; k_1..k_r) with sum(ks) = n: the sum over r of heads[r]
+    times the sum over ks of prod arguments[k_i].  Counted by a dynamic
+    program over arity sums, in exact ints; no signature is listed.
+    """
+    weights = [(k, arguments[k]) for k in range(bound + 1) if arguments.get(k)]
+    counts = [0] * (bound + 1)
+    # ways[s]: the argument tuples of r slots whose arities sum to s.
+    ways = [1] + [0] * bound
+    top = max((r for r, size in heads.items() if size), default=-1)
+    for r in range(top + 1):
+        if heads.get(r):
+            counts = [count + heads[r] * tuples for count, tuples in zip(counts, ways)]
+        ways = [sum(w * ways[s - k] for k, w in weights if k <= s) for s in range(bound + 1)]
+    return counts
+
+
+def _group_order(group: ActionOperad, n: int) -> int:
+    """|G(n)| of a finite group family, without listing the symmetric group."""
+    return math.factorial(n) if group.name == "symmetric" else len(group.elements(n))
 
 
 def _group_elements(group: ActionOperad, n: int, budget: int, seed: int) -> list[Any]:
@@ -876,12 +912,11 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
 
     label_sets = {n: frozenset(labels) for n, labels in levels.items()}
     # A signature with an empty head or argument level has no substitutions,
-    # so only the non-empty arities are enumerated.
+    # so only the non-empty arities are ever enumerated; the substitutions
+    # are counted without enumerating anything.
     inhabited = [n for n in range(max_arity + 1) if levels[n]]
-    substitutions = sum(
-        len(levels[n]) * math.prod(len(levels[k]) for k in ks)
-        for n, ks in _signatures(max_arity, inhabited)
-    )
+    sizes = {n: len(labels) for n, labels in levels.items()}
+    substitutions = sum(_signature_counts(sizes, sizes, max_arity))
 
     compose_table: dict[tuple, str] = {}
     entries = document.get("compose")
@@ -933,16 +968,22 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
 
     # Tabulate the action of every element on a non-empty level by folding
     # the generator rows along its positive word; a right action applies
-    # the factors from the last to the first.
+    # the factors from the last to the first.  The insertion-sort words are
+    # prefix-closed, so the row of a word is the row of its prefix after the
+    # generator row of its last letter, and each element costs one step.
     action_table: dict[tuple[int, str, Any], str] = {}
     for n in inhabited:
-        for g in group.elements(n):
-            word = permutation_braid(group.project(g)).word[::-1]
+        elements = group.elements(n)
+        words = [permutation_braid(group.project(g)).word for g in elements]
+        rows = {(): {label: label for label in levels[n]}}
+        for word in sorted(words, key=len):
+            if word:
+                prefix, last = rows[word[:-1]], action_rows[n][word[-1] - 1]
+                rows[word] = {label: prefix[last[label]] for label in levels[n]}
+        for g, word in zip(elements, words):
+            row = rows[word]
             for start in levels[n]:
-                label = start
-                for i in word:
-                    label = action_rows[n][i - 1][label]
-                action_table[(n, start, g)] = label
+                action_table[(n, start, g)] = row[start]
 
     def missing_action(n: int, label: str, g: Any) -> str:
         if label not in levels.get(n, ()):
@@ -1124,17 +1165,70 @@ def _level_action(c: FiniteGCollection, n: int, g: Any) -> dict[str, str]:
     return table
 
 
+def _generator_actions(c: FiniteGCollection, n: int, group: ActionOperad) -> list[tuple[Any, dict[str, str]]]:
+    """
+    The generators of G(n) with their action tables on level n of c, once the
+    action is known to be a right one.  Every element's table is checked to
+    stay inside the level, then the identity to fix every label and each
+    product with a generator s to act as its factors do, x.(g s) = (x.g).s.
+    Since the generators build every element, these imply x.(g h) = (x.g).h
+    for all g and h, at a cost of |G(n)| * generators * |labels| lookups.
+    """
+    tables = {g: _level_action(c, n, g) for g in group.elements(n)}
+    describe = group.describe
+    identity = group.identity(n)
+    for label, result in tables[identity].items():
+        if result != label:
+            raise ValueError(
+                f"{c.name}: the action at arity {n} is not a right action: "
+                f"the identity {describe(identity)} sends {label!r} to {result!r}"
+            )
+    generators = group.generators(n)
+    for g, table in tables.items():
+        for s in generators:
+            product = group.multiply(g, s)
+            combined, step = tables[product], tables[s]
+            for label, acted in table.items():
+                if combined[label] != step[acted]:
+                    raise ValueError(
+                        f"{c.name}: the action at arity {n} is not a right action: "
+                        f"{label!r} goes to {step[acted]!r} under {describe(g)} then {describe(s)}, "
+                        f"but to {combined[label]!r} under their product {describe(product)}"
+                    )
+    return [(s, tables[s]) for s in generators]
+
+
+def composite_states(x: FiniteGCollection, y: FiniteGCollection, bound: int) -> int:
+    """
+    The number of composite tuples (x; y_1..y_r; g) with n = sum(ks) <= bound
+    that `compose_collections` enumerates, sum_n |G(n)| * sum_(r; ks)
+    |X(r)| * prod |Y(k_i)|, counted without listing a tuple or a group element.
+    """
+    heads = {r: len(x.labels(r)) for r in x.levels}
+    arguments = {k: len(y.labels(k)) for k in range(bound + 1)}
+    counts = _signature_counts(heads, arguments, bound)
+    return sum(_group_order(x.group, n) * count for n, count in enumerate(counts) if count)
+
+
 def compose_collections(
     x: FiniteGCollection, y: FiniteGCollection, bound: int
 ) -> ComposedCollection:
     """
     Enumerate and quotient the composite tuples (x; y_1..y_r; g), n <= bound.
 
-    The group-element work of each relation is done once per signature
-    (r; ks), not once per tuple: every move h out of the x slot and every
-    move gs out of the argument slots is turned into its relabelling of the
-    heads or arguments and its product with each g in G(n), and those are
-    reused for every (head, ys).
+    The identifications are the orbits of G(r) acting through the x slot and
+    of prod G(k_i) acting through the argument slots.  For right actions
+    these are group actions, whose orbits a generating set already
+    determines, so states are united only along the generators of G(r) and,
+    slot by slot, along those of each G(k_i) with the identity in the other
+    slots: the classes, their least-key representatives and the canonical
+    map are those of uniting along every element.  The precondition is
+    checked once per collection and arity, at first use, by
+    `_generator_actions`; an action that is not a right one, or that leaves
+    its level, is a `ValueError` naming the collection and the arity.  Each
+    move is turned once per signature (r; ks) into its relabelling of the
+    heads or arguments and its product with each g in G(n), and reused for
+    every (head, ys); G(n) is listed only for arities that have a signature.
     """
     group = x.group
     if group.elements is None:
@@ -1147,7 +1241,6 @@ def compose_collections(
         )
     x_arities = sorted(m for m in x.levels if x.labels(m))
     y_arities = [n for n in range(bound + 1) if y.labels(n)]
-    elements = {m: group.elements(m) for m in {*range(bound + 1), *x_arities}}
     classes_by_arity: dict[int, list[tuple]] = {}
     canonical: dict[tuple, tuple] = {}
     # The signatures (r; ks) within the bound by arity n = sum(ks), each by r, then ks.
@@ -1155,17 +1248,28 @@ def compose_collections(
     for r in x_arities:
         for ks in _within(bound, r, y_arities):
             by_arity[sum(ks)].append((r, ks))
+    # (collection, arity) -> [(generator, its action table)], checked at first use.
+    generator_moves: dict[tuple[FiniteGCollection, int], list[tuple[Any, dict[str, str]]]] = {}
+
+    def moves(c: FiniteGCollection, m: int) -> list[tuple[Any, dict[str, str]]]:
+        if (c, m) not in generator_moves:
+            generator_moves[(c, m)] = _generator_actions(c, m, group)
+        return generator_moves[(c, m)]
 
     for n in range(bound + 1):
-        element_keys = {g: _element_key(group, g) for g in elements[n]}
+        signatures = by_arity[n]
+        if not signatures:
+            classes_by_arity[n] = []
+            continue
+        elements = group.elements(n)
+        element_keys = {g: _element_key(group, g) for g in elements}
         keys = list(element_keys.values())
 
         def moved(factor: Any) -> list[tuple]:
             """The keys of multiply(factor, g) for every g in G(n), in element order."""
-            return [element_keys[group.multiply(factor, g)] for g in elements[n]]
+            return [element_keys[group.multiply(factor, g)] for g in elements]
 
         states: dict[tuple, tuple] = {}
-        signatures = by_arity[n]
         arguments = {ks: list(itertools.product(*(y.labels(k) for k in ks))) for _, ks in signatures}
         for r, ks in signatures:
             for head in x.labels(r):
@@ -1183,14 +1287,13 @@ def compose_collections(
         for r, ks in signatures:
             heads = x.labels(r)
             argument_tuples = arguments[ks]
-            # Moving h out of the x slot permutes the arguments and cables h
-            # onto the final coordinate.
+            # Moving a generator h out of the x slot permutes the arguments
+            # and cables h onto the final coordinate.
             identities = [group.identity(k) for k in ks]
-            for h in elements[r]:
+            for h, acted in moves(x, r):
                 order = [i - 1 for i in group.project(h).inverse().image]
                 permuted_ks = tuple(ks[j] for j in order)
                 cabled = moved(group.operad_mu(h, identities))
-                acted = _level_action(x, r, h)
                 for ys in argument_tuples:
                     permuted_ys = tuple(ys[j] for j in order)
                     for head in heads:
@@ -1199,20 +1302,20 @@ def compose_collections(
                                 state_id[(r, ks, acted[head], ys, g_key)],
                                 state_id[(r, permuted_ks, head, permuted_ys, cabled_key)],
                             )
-            # Moving g_i out of the argument slots block-sums them onto the
-            # final coordinate.
+            # Moving a generator s out of argument slot i block-sums it, with
+            # identities elsewhere, onto the final coordinate.
             identity = group.identity(r)
-            for gs in itertools.product(*(elements[k] for k in ks)):
-                blocked = moved(group.operad_mu(identity, list(gs)))
-                relabel = [_level_action(y, k, g) for k, g in zip(ks, gs)]
-                for ys in argument_tuples:
-                    acted_ys = tuple(table[label] for table, label in zip(relabel, ys))
-                    for head in heads:
-                        for g_key, blocked_key in zip(keys, blocked):
-                            uf.unite(
-                                state_id[(r, ks, head, ys, blocked_key)],
-                                state_id[(r, ks, head, acted_ys, g_key)],
-                            )
+            for i, k in enumerate(ks):
+                for s, table in moves(y, k):
+                    blocked = moved(group.operad_mu(identity, [*identities[:i], s, *identities[i + 1:]]))
+                    for ys in argument_tuples:
+                        acted_ys = (*ys[:i], table[ys[i]], *ys[i + 1:])
+                        for head in heads:
+                            for g_key, blocked_key in zip(keys, blocked):
+                                uf.unite(
+                                    state_id[(r, ks, head, ys, blocked_key)],
+                                    state_id[(r, ks, head, acted_ys, g_key)],
+                                )
 
         # A class is represented by its least key, which is its root.
         roots = [uf.find(i) for i in range(len(ordered))]

@@ -1,11 +1,14 @@
 """
 Golden tests for the command-line interface.
 
-Every invocation runs in a fresh subprocess from a scratch directory, so
-these tests also prove that the packaged operad documents resolve by bare
-name from any working directory and that outputs are byte-identical
-across runs.  The size-guard tests are the exception: they call `cli.main`
-in process with the builders stubbed, so that no large grid is built.
+Most invocations run `cli.main` in process through the `cli_run` runner
+(`tests/conftest.py`), which returns what a `python -m operadics`
+subprocess would: exit code, standard output and standard error.  Real
+subprocesses remain where the process itself is under test: the
+`python -m operadics` entry point, with byte-identical output across
+interpreter processes; packaged documents resolving by bare name from any
+working directory; and unreadable files.  The size-guard tests stub the
+builders, so that no large input is built.
 """
 
 import json
@@ -15,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from operadics import cli
+from operadics import cli, g_operads
 from operadics.braids import braid_identity
 from operadics.permutations import identity
 
@@ -25,7 +28,7 @@ GOLDEN = Path(__file__).parent / "golden"
 PACKAGE_DATA = Path(__file__).parent.parent / "src" / "operadics" / "data"
 
 
-def run_cli(*arguments, cwd=None):
+def run_subprocess(*arguments, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "operadics", *arguments],
         capture_output=True,
@@ -34,161 +37,161 @@ def run_cli(*arguments, cwd=None):
     )
 
 
-def test_braid_eq_uses_exit_codes_for_the_verdict():
-    equal = run_cli("braid", "eq", "-n", "3", "1", "2", "1", "--", "2", "1", "2")
+def test_braid_eq_uses_exit_codes_for_the_verdict(cli_run):
+    equal = cli_run("braid", "eq", "-n", "3", "1", "2", "1", "--", "2", "1", "2")
     assert (equal.returncode, equal.stdout) == (0, "equal\n")
 
-    unequal = run_cli("braid", "eq", "-n", "3", "1", "2", "--", "2", "1")
+    unequal = cli_run("braid", "eq", "-n", "3", "1", "2", "--", "2", "1")
     assert (unequal.returncode, unequal.stdout) == (1, "unequal\n")
 
-    inverse_pair = run_cli("braid", "eq", "-n", "4", "2", "-2", "--")
+    inverse_pair = cli_run("braid", "eq", "-n", "4", "2", "-2", "--")
     assert (inverse_pair.returncode, inverse_pair.stdout) == (0, "equal\n")
 
 
-def test_braid_eq_usage_errors_exit_two():
-    missing_separator = run_cli("braid", "eq", "-n", "3", "1", "2")
+def test_braid_eq_usage_errors_exit_two(cli_run):
+    missing_separator = cli_run("braid", "eq", "-n", "3", "1", "2")
     assert missing_separator.returncode == 2
     assert "'--' separator" in missing_separator.stderr
 
-    bad_letter = run_cli("braid", "eq", "-n", "3", "5", "--", "1")
+    bad_letter = cli_run("braid", "eq", "-n", "3", "5", "--", "1")
     assert bad_letter.returncode == 2
     assert "word position 1" in bad_letter.stderr
     assert "3 strands" in bad_letter.stderr
 
-    helped = run_cli("braid", "eq", "--help")
+    helped = cli_run("braid", "eq", "--help")
     assert helped.returncode == 0
     assert "exits 0 when equal" in helped.stdout
 
 
-def test_braid_pi_of_a_single_crossing():
-    result = run_cli("braid", "pi", "-n", "4", "2")
+def test_braid_pi_of_a_single_crossing(cli_run):
+    result = cli_run("braid", "pi", "-n", "4", "2")
     assert (result.returncode, result.stdout) == (0, "1 3 2 4\n")
 
 
-def test_braid_reduce_cancels_inverse_pairs():
-    result = run_cli("braid", "reduce", "-n", "3", "1", "-1", "2")
+def test_braid_reduce_cancels_inverse_pairs(cli_run):
+    result = cli_run("braid", "reduce", "-n", "3", "1", "-1", "2")
     assert (result.returncode, result.stdout) == (0, "2\n")
-    trivial = run_cli("braid", "reduce", "-n", "3", "1", "-1")
+    trivial = cli_run("braid", "reduce", "-n", "3", "1", "-1")
     assert (trivial.returncode, trivial.stdout) == (0, "\n")
 
 
-def test_braid_cable_expands_strands_to_bundles():
-    result = run_cli("braid", "cable", "-n", "2", "1", "--sizes", "2,2")
+def test_braid_cable_expands_strands_to_bundles(cli_run):
+    result = cli_run("braid", "cable", "-n", "2", "1", "--sizes", "2,2")
     assert (result.returncode, result.stdout) == (0, "2 1 3 2\n")
 
 
-def test_braid_mu_reads_argument_words_from_a_file(tmp_path):
+def test_braid_mu_reads_argument_words_from_a_file(tmp_path, cli_run):
     args_file = tmp_path / "args.txt"
     args_file.write_text("2: 1\n2: 1\n1:\n")
-    result = run_cli("braid", "mu", "-n", "3", "2", "--args", str(args_file))
+    result = cli_run("braid", "mu", "-n", "3", "2", "--args", str(args_file))
     assert (result.returncode, result.stdout) == (0, "1 3 4 3\n")
 
     args_file.write_text("2: 1\n")
-    short = run_cli("braid", "mu", "-n", "3", "2", "--args", str(args_file))
+    short = cli_run("braid", "mu", "-n", "3", "2", "--args", str(args_file))
     assert short.returncode == 2
     assert "needs 3 argument words, got 1" in short.stderr
 
     args_file.write_text("2 1\n")
-    malformed = run_cli("braid", "mu", "-n", "3", "2", "--args", str(args_file))
+    malformed = cli_run("braid", "mu", "-n", "3", "2", "--args", str(args_file))
     assert malformed.returncode == 2
     assert f"{args_file}:1:" in malformed.stderr
 
 
-def test_braid_render_matches_the_golden_file():
-    result = run_cli("braid", "render", "-n", "2", "1")
+def test_braid_render_matches_the_golden_file(cli_run):
+    result = cli_run("braid", "render", "-n", "2", "1")
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "braid_render_2_1.txt").read_text()
 
 
-def test_braid_render_dot_escape_hatch():
-    result = run_cli("braid", "render", "-n", "2", "1", "--format", "dot")
+def test_braid_render_dot_escape_hatch(cli_run):
+    result = cli_run("braid", "render", "-n", "2", "1", "--format", "dot")
     assert result.returncode == 0
     assert result.stdout.startswith("graph braid {\n")
     assert 'label="+1"' in result.stdout
 
 
-def test_perm_tau_fixtures():
-    assert run_cli("perm", "tau", "2", "3").stdout == "1 3 5 2 4 6\n"
-    assert run_cli("perm", "tau", "4", "2").stdout == "1 5 2 6 3 7 4 8\n"
+def test_perm_tau_fixtures(cli_run):
+    assert cli_run("perm", "tau", "2", "3").stdout == "1 3 5 2 4 6\n"
+    assert cli_run("perm", "tau", "4", "2").stdout == "1 5 2 6 3 7 4 8\n"
 
 
-def test_perm_compose_with_inverse_gives_identity():
-    result = run_cli("perm", "compose", "2", "3", "1", "--", "3", "1", "2")
+def test_perm_compose_with_inverse_gives_identity(cli_run):
+    result = cli_run("perm", "compose", "2", "3", "1", "--", "3", "1", "2")
     assert (result.returncode, result.stdout) == (0, "1 2 3\n")
 
-    mismatch = run_cli("perm", "compose", "2", "1", "--", "1", "2", "3")
+    mismatch = cli_run("perm", "compose", "2", "1", "--", "1", "2", "3")
     assert mismatch.returncode == 2
     assert "cannot compose arity 2 with arity 3" in mismatch.stderr
 
 
-def test_perm_inv():
-    result = run_cli("perm", "inv", "2", "3", "1")
+def test_perm_inv(cli_run):
+    result = cli_run("perm", "inv", "2", "3", "1")
     assert (result.returncode, result.stdout) == (0, "3 1 2\n")
 
-    garbage = run_cli("perm", "inv", "2", "x")
+    garbage = cli_run("perm", "inv", "2", "x")
     assert garbage.returncode == 2
     assert "permutation position 2" in garbage.stderr
 
 
-def test_perm_mu_reads_argument_permutations_from_a_file(tmp_path):
+def test_perm_mu_reads_argument_permutations_from_a_file(tmp_path, cli_run):
     args_file = tmp_path / "perms.txt"
     args_file.write_text("2 1\n1 2\n")
-    result = run_cli("perm", "mu", "2", "1", "--args", str(args_file))
+    result = cli_run("perm", "mu", "2", "1", "--args", str(args_file))
     assert (result.returncode, result.stdout) == (0, "4 3 1 2\n")
 
 
-def test_tmn_prints_the_braid_lift():
-    positive = run_cli("tmn", "--family", "positive", "2", "2")
+def test_tmn_prints_the_braid_lift(cli_run):
+    positive = cli_run("tmn", "--family", "positive", "2", "2")
     assert (positive.returncode, positive.stdout) == (0, "2\n")
-    negative = run_cli("tmn", "--family", "negative", "2", "2")
+    negative = cli_run("tmn", "--family", "negative", "2", "2")
     assert (negative.returncode, negative.stdout) == (0, "-2\n")
-    degenerate = run_cli("tmn", "--family", "positive", "0", "2")
+    degenerate = cli_run("tmn", "--family", "positive", "0", "2")
     assert degenerate.returncode == 2
 
 
-def test_verify_pscomm_symmetric_matches_golden():
-    result = run_cli("verify", "pscomm", "--group", "symmetric", "--bound", "3")
+def test_verify_pscomm_symmetric_matches_golden(cli_run):
+    result = cli_run("verify", "pscomm", "--group", "symmetric", "--bound", "3")
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "pscomm_symmetric_3.txt").read_text()
     assert result.stdout.rstrip().endswith("SYMMETRY: HOLDS")
 
 
-def test_verify_pscomm_braid_matches_golden():
-    result = run_cli("verify", "pscomm", "--group", "braid", "--bound", "3")
+def test_verify_pscomm_braid_matches_golden(cli_run):
+    result = cli_run("verify", "pscomm", "--group", "braid", "--bound", "3")
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "pscomm_braid_3.txt").read_text()
     assert result.stdout.rstrip().endswith("SYMMETRY: FAILS (expected)  witness m=2, n=2")
 
 
-def test_verify_pscomm_braid_rejects_degenerate_bounds():
-    result = run_cli("verify", "pscomm", "--group", "braid", "--bound", "2")
+def test_verify_pscomm_braid_rejects_degenerate_bounds(cli_run):
+    result = cli_run("verify", "pscomm", "--group", "braid", "--bound", "2")
     assert result.returncode == 2
     assert "at least 3" in result.stderr
 
 
 def test_operad_cartesian_resolves_packaged_files_from_anywhere(tmp_path):
-    comm = run_cli("operad", "cartesian", "comm.json", cwd=tmp_path)
+    comm = run_subprocess("operad", "cartesian", "comm.json", cwd=tmp_path)
     assert comm.returncode == 1
     assert comm.stdout == 'CARTESIAN: NO  witness: arity 2, label "*", fixed by 2 1\n'
 
-    ass = run_cli("operad", "cartesian", "ass.json", cwd=tmp_path)
+    ass = run_subprocess("operad", "cartesian", "ass.json", cwd=tmp_path)
     assert (ass.returncode, ass.stdout) == (0, "CARTESIAN: YES\n")
 
-    trivial = run_cli("operad", "cartesian", "comm_trivial.json", cwd=tmp_path)
+    trivial = run_subprocess("operad", "cartesian", "comm_trivial.json", cwd=tmp_path)
     assert (trivial.returncode, trivial.stdout) == (0, "CARTESIAN: YES\n")
 
 
-def test_operad_cartesian_prefers_a_local_file(tmp_path):
+def test_operad_cartesian_prefers_a_local_file(tmp_path, cli_run):
     # A file named like a packaged document but sitting in the working
     # directory wins the resolution.
     document = json.loads((PACKAGE_DATA / "ass.json").read_text())
     (tmp_path / "comm.json").write_text(json.dumps(document))
-    result = run_cli("operad", "cartesian", "comm.json", cwd=tmp_path)
+    result = cli_run("operad", "cartesian", "comm.json", cwd=tmp_path)
     assert (result.returncode, result.stdout) == (0, "CARTESIAN: YES\n")
 
 
-def test_operad_free_matches_golden(tmp_path):
-    result = run_cli(
+def test_operad_free_matches_golden(tmp_path, cli_run):
+    result = cli_run(
         "operad", "free", "comm.json", "--carrier", "a,b", "--bound", "2", cwd=tmp_path
     )
     assert result.returncode == 0
@@ -196,32 +199,32 @@ def test_operad_free_matches_golden(tmp_path):
     assert "n=2: [*; a,a]  [*; a,b]  [*; b,b]" in result.stdout
 
 
-def test_operad_check_passes_on_packaged_documents(tmp_path):
-    result = run_cli("operad", "check", "ass.json", cwd=tmp_path)
+def test_operad_check_passes_on_packaged_documents(tmp_path, cli_run):
+    result = cli_run("operad", "check", "ass.json", cwd=tmp_path)
     assert result.returncode == 0
     assert result.stdout.rstrip().endswith("OK (8 laws)")
 
 
-def test_operad_check_reports_json_errors_with_position(tmp_path):
+def test_operad_check_reports_json_errors_with_position(tmp_path, cli_run):
     bad = tmp_path / "bad.json"
     bad.write_text('{"group": "symmetric", bad\n')
-    result = run_cli("operad", "check", str(bad), cwd=tmp_path)
+    result = cli_run("operad", "check", str(bad), cwd=tmp_path)
     assert result.returncode == 2
     assert f"{bad}:1:24:" in result.stderr
 
-    missing = run_cli("operad", "check", "nope.json", cwd=tmp_path)
+    missing = cli_run("operad", "check", "nope.json", cwd=tmp_path)
     assert missing.returncode == 2
     assert "no such operad file" in missing.stderr
 
     invalid = tmp_path / "invalid.json"
     invalid.write_text('{"group": "symmetric"}\n')
-    diagnosed = run_cli("operad", "check", str(invalid), cwd=tmp_path)
+    diagnosed = cli_run("operad", "check", str(invalid), cwd=tmp_path)
     assert diagnosed.returncode == 2
     assert "max_arity" in diagnosed.stderr
 
 
-def test_operad_compose_matches_golden(tmp_path):
-    result = run_cli(
+def test_operad_compose_matches_golden(tmp_path, cli_run):
+    result = cli_run(
         "operad", "compose", "comm_trivial.json", "comm_trivial.json",
         "--bound", "2", cwd=tmp_path,
     )
@@ -229,8 +232,8 @@ def test_operad_compose_matches_golden(tmp_path):
     assert result.stdout == (GOLDEN / "compose_trivial_2.txt").read_text()
 
 
-def test_operad_compose_over_the_symmetric_group_matches_golden(tmp_path):
-    result = run_cli("operad", "compose", "ass.json", "comm.json", "--bound", "3", cwd=tmp_path)
+def test_operad_compose_over_the_symmetric_group_matches_golden(tmp_path, cli_run):
+    result = cli_run("operad", "compose", "ass.json", "comm.json", "--bound", "3", cwd=tmp_path)
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "compose_ass_comm_3.txt").read_text()
 
@@ -242,8 +245,8 @@ def test_operad_compose_over_the_symmetric_group_matches_golden(tmp_path):
         ("comm.json", "ass.json", "compose_comm_ass_4.txt"),
     ],
 )
-def test_operad_compose_at_arity_four_matches_golden(tmp_path, left, right, golden):
-    result = run_cli("operad", "compose", left, right, "--bound", "4", cwd=tmp_path)
+def test_operad_compose_at_arity_four_matches_golden(tmp_path, left, right, golden, cli_run):
+    result = cli_run("operad", "compose", left, right, "--bound", "4", cwd=tmp_path)
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / golden).read_text()
 
@@ -268,19 +271,19 @@ def _not_utf8(tmp_path):
 )
 def test_unreadable_files_are_located_errors(tmp_path, make, command):
     path, reason = make(tmp_path)
-    result = run_cli(*command, str(path), cwd=tmp_path)
+    result = run_subprocess(*command, str(path), cwd=tmp_path)
     assert result.returncode == 2
     assert result.stderr.startswith(f"error: {path}: {reason}")
 
 
-def test_operad_free_over_a_free_action_matches_golden(tmp_path):
-    result = run_cli("operad", "free", "ass.json", "--carrier", "a,b", "--bound", "3", cwd=tmp_path)
+def test_operad_free_over_a_free_action_matches_golden(tmp_path, cli_run):
+    result = cli_run("operad", "free", "ass.json", "--carrier", "a,b", "--bound", "3", cwd=tmp_path)
     assert result.returncode == 0
     assert result.stdout == (GOLDEN / "free_ass_ab_3.txt").read_text()
 
 
-def test_operad_example_prints_the_packaged_document():
-    result = run_cli("operad", "example", "comm")
+def test_operad_example_prints_the_packaged_document(cli_run):
+    result = cli_run("operad", "example", "comm")
     assert result.returncode == 0
     assert result.stdout == (PACKAGE_DATA / "comm.json").read_text()
 
@@ -303,25 +306,25 @@ def test_packaged_documents_regenerate_byte_identically():
         assert (PACKAGE_DATA / f"{name}.json").read_text() == expected
 
 
-def test_verify_all_is_deterministic_and_green(tmp_path):
-    first = run_cli("verify", "all", cwd=tmp_path)
+def test_verify_all_is_deterministic_and_green(tmp_path, cli_run):
+    first = cli_run("verify", "all", cwd=tmp_path)
     assert first.returncode == 0, first.stdout + first.stderr
     assert first.stdout == (GOLDEN / "verify_all.txt").read_text()
     assert first.stdout.rstrip().endswith("VERIFY ALL: OK [13 suites]")
     assert "FAIL" not in first.stdout
 
-    second = run_cli("verify", "all", cwd=tmp_path)
+    second = cli_run("verify", "all", cwd=tmp_path)
     assert second.stdout == first.stdout
 
-    reseeded = run_cli("verify", "all", "--seed", "7", "--budget", "50", cwd=tmp_path)
+    reseeded = cli_run("verify", "all", "--seed", "7", "--budget", "50", cwd=tmp_path)
     assert reseeded.returncode == 0
 
 
-def test_usage_errors_exit_two():
-    assert run_cli().returncode == 2
-    assert run_cli("nonsense").returncode == 2
-    assert run_cli("braid").returncode == 2
-    assert run_cli("tmn", "2", "2").returncode == 2  # --family is required
+def test_usage_errors_exit_two(cli_run):
+    assert cli_run().returncode == 2
+    assert cli_run("nonsense").returncode == 2
+    assert cli_run("braid").returncode == 2
+    assert cli_run("tmn", "2", "2").returncode == 2  # --family is required
 
 
 @pytest.mark.parametrize(
@@ -336,18 +339,18 @@ def test_usage_errors_exit_two():
     ],
     ids=["word-colon", "word-strands", "word-generator", "perm-duplicate", "perm-entry", "perm-range"],
 )
-def test_argument_file_errors_name_the_file_and_line(tmp_path, command, text, message):
+def test_argument_file_errors_name_the_file_and_line(tmp_path, command, text, message, cli_run):
     args_file = tmp_path / "args.txt"
     args_file.write_text(text)
-    result = run_cli(*command, "--args", str(args_file))
+    result = cli_run(*command, "--args", str(args_file))
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: {args_file}:{message}\n"
 
 
 @pytest.mark.parametrize("command", [["braid", "mu", "-n", "2", "1"], ["perm", "mu", "2", "1"]])
-def test_a_missing_argument_file_is_a_located_error(tmp_path, command):
+def test_a_missing_argument_file_is_a_located_error(tmp_path, command, cli_run):
     missing = tmp_path / "absent.txt"
-    result = run_cli(*command, "--args", str(missing))
+    result = cli_run(*command, "--args", str(missing))
     assert (result.returncode, result.stderr) == (2, f"error: {missing}: no such file\n")
 
 
@@ -378,3 +381,111 @@ def test_tmn_refuses_grids_past_its_strand_limit(monkeypatch, capsys):
     assert built == []
     assert cli.main(["tmn", "--family", "negative", str(limit), "1"]) == 0
     assert built == [(limit, 1)]
+
+
+def test_python_m_operadics_runs_the_same_program(tmp_path):
+    # A fresh interpreter hashes strings with another seed, so this also
+    # shows that no output depends on set or dict order by hash.
+    result = run_subprocess("verify", "all", cwd=tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == (GOLDEN / "verify_all.txt").read_text()
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, cli_run):
+    assert cli.build_parser() is cli.build_parser()
+    runs = [
+        ("operad", "compose", "ass.json", "comm.json", "--bound", "2"),
+        ("perm", "tau", "2", "3"),
+        ("braid", "pi", "-n", "4", "2", "1"),
+    ]
+    errors = [
+        ("operad", "compose", "ass.json"),
+        ("perm", "tau", "x", "1"),
+        ("tmn", "--family", "sideways", "2", "2"),
+        ("operad", "--help"),
+    ]
+    before = [cli_run(*argv, cwd=tmp_path) for argv in runs]
+    failed = [cli_run(*argv) for argv in errors]
+    assert [result.returncode for result in failed] == [2, 2, 2, 0]
+    assert all(result.stderr.startswith("usage: operadics ") for result in failed[:3])
+    after = [cli_run(*argv) for argv in runs]
+    assert [(r.returncode, r.stdout, r.stderr) for r in after] == [
+        (r.returncode, r.stdout, r.stderr) for r in before
+    ]
+    assert [result.returncode for result in before] == [0, 0, 0]
+    assert [cli_run(*argv).stderr for argv in errors] == [result.stderr for result in failed]
+
+
+def _counted_compose(monkeypatch):
+    """Stub `compose_collections` in the CLI; the list records each call's bound."""
+    calls = []
+    product = g_operads.ComposedCollection("stub", None, 0, {}, {})
+    monkeypatch.setattr(cli, "compose_collections", lambda x, y, bound: calls.append(bound) or product)
+    return calls
+
+
+def test_operad_compose_refuses_more_composite_states_than_its_limit(monkeypatch, cli_run):
+    # comm o comm at bound 7 holds 579,289 composite tuples; the count comes
+    # from the level sizes alone and the product is never started.
+    calls = _counted_compose(monkeypatch)
+    limit = cli.MAX_COMPOSITE_STATES
+    result = cli_run("operad", "compose", "comm.json", "comm.json", "--bound", "7")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"error: --bound 7: comm.json o comm.json has 579289 composite states, "
+        f"more than the limit {limit}\n"
+    )
+    assert calls == []
+
+
+@pytest.mark.parametrize("excess, code", [(0, 0), (1, 2)], ids=["at-the-limit", "limit+1"])
+def test_operad_compose_guard_at_its_limit(monkeypatch, cli_run, excess, code):
+    # ass o comm at bound 4 holds 2,957 composite tuples: a limit of that
+    # many lets it through, a limit one lower refuses it.
+    calls = _counted_compose(monkeypatch)
+    monkeypatch.setattr(cli, "MAX_COMPOSITE_STATES", 2957 - excess)
+    result = cli_run("operad", "compose", "ass.json", "comm.json", "--bound", "4")
+    assert result.returncode == code
+    if excess:
+        assert result.stderr == (
+            "error: --bound 4: ass.json o comm.json has 2957 composite states, "
+            "more than the limit 2956\n"
+        )
+        assert calls == []
+    else:
+        assert result.stderr == ""
+        assert calls == [4]
+
+
+def _rotated_document() -> dict:
+    """
+    A symmetric document with three labels at arity 3 whose first generator
+    row is the 3-cycle a -> b -> c -> a: it loads (every row permutes the
+    level), but its action is not one of S_3.
+    """
+    levels = {"0": [], "1": ["e"], "2": [], "3": ["a", "b", "c"]}
+    labels = levels["3"]
+    return {
+        "group": "symmetric",
+        "max_arity": 3,
+        "levels": levels,
+        "action": {"0": [], "1": [], "2": [[]], "3": [["b", "c", "a"], labels]},
+        "unit": "e",
+        "compose": [{"n": 1, "ks": [1], "args": ["e", "e"], "result": "e"}]
+        + [{"n": 1, "ks": [3], "args": ["e", x], "result": x} for x in labels]
+        + [{"n": 3, "ks": [1, 1, 1], "args": [x, "e", "e", "e"], "result": x} for x in labels],
+    }
+
+
+def test_an_action_that_is_not_a_right_action_fails_compose_but_not_check(tmp_path, cli_run):
+    (tmp_path / "rot.json").write_text(json.dumps(_rotated_document()))
+    checked = cli_run("operad", "check", "rot.json", cwd=tmp_path)
+    assert checked.returncode == 1
+    assert "FAIL action composition law" in checked.stdout
+    composed = cli_run("operad", "compose", "rot.json", "comm.json", "--bound", "3")
+    assert (composed.returncode, composed.stdout) == (2, "")
+    assert composed.stderr == (
+        "error: rot: the action at arity 3 is not a right action: 'a' goes to 'c' "
+        "under 2 1 3 then 2 1 3, but to 'a' under their product 1 2 3\n"
+    )
+    assert "Traceback" not in composed.stderr

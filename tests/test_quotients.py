@@ -3,12 +3,14 @@ The orbit quotients `compose_collections` and `free_algebra` against slow
 references.
 
 Both constructions precompute their group-element moves once per signature
-(composition product) or once per group element (free algebra).  The
+(composition product) or once per group element (free algebra); the
+composition product unites states along group generators only.  The
 references below are the earlier per-state loops, kept verbatim up to
 naming: every tuple is registered and related to its mates one group
-element at a time.  Property tests compare classes and canonical maps
-exactly on small collections built from regular, trivial and sign orbits
-and from the packaged operads, over the trivial and symmetric groups.
+element at a time, for every element.  Property tests compare classes and
+canonical maps exactly on small collections built from regular, trivial
+and sign orbits and from the packaged operads and the unit-only operad,
+over the trivial and symmetric groups.
 """
 
 import dataclasses
@@ -30,11 +32,13 @@ from operadics.g_operads import (
     FiniteGOperad,
     _UnionFind,
     compose_collections,
+    composite_states,
     load_operad,
     operad_ass,
     unit_collection,
+    write_operad_document,
 )
-from operadics.permutations import act_on_list, inversions
+from operadics.permutations import Permutation, act_on_list, inversions
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "operadics" / "data"
 BOUND = 3
@@ -164,7 +168,18 @@ def orbit_collection(name, group, orbits):
     return FiniteGCollection(name, group, levels, lambda n, label, g: actions[label](label, g))
 
 
+def _unit_only_document():
+    """The symmetric-group operad whose only operation is its unit, I."""
+    unit_only = FiniteGOperad(
+        "unit", GROUPS["symmetric"], {0: (), 1: ("1",)}, unit="1",
+        action=lambda n, label, g: label, compose=lambda *key: "1", max_arity=1,
+    )
+    return write_operad_document(unit_only)
+
+
 def packaged(name):
+    if name == "unit":
+        return load_operad(_unit_only_document(), name=name)
     return load_operad(json.loads((DATA / f"{name}.json").read_text()), name=name)
 
 
@@ -197,7 +212,7 @@ def test_compose_collections_matches_the_reference(group_name, data):
 
 PACKAGED_PAIRS = [
     ("ass", "ass"), ("ass", "comm"), ("comm", "ass"), ("comm", "comm"),
-    ("comm_trivial", "comm_trivial"),
+    ("comm_trivial", "comm_trivial"), ("unit", "ass"), ("ass", "unit"),
 ]
 
 
@@ -208,6 +223,13 @@ def test_packaged_composites_match_the_reference(left, right):
     classes, canonical = reference_compose_collections(x, y, BOUND)
     assert product.classes_by_arity == classes
     assert product._canonical == canonical
+
+
+@pytest.mark.parametrize("left, right", PACKAGED_PAIRS)
+def test_the_state_count_is_the_number_of_states_enumerated(left, right):
+    x, y = packaged(left), packaged(right)
+    for bound in range(BOUND + 2):
+        assert composite_states(x, y, bound) == len(compose_collections(x, y, bound)._canonical)
 
 
 @pytest.mark.parametrize("group_name", ["trivial", "symmetric"])
@@ -274,6 +296,41 @@ def test_an_action_leaving_its_level_is_an_error():
         compose_collections(_escaping("x"), unit, 2)
     with pytest.raises(ValueError, match=r"^y: the action at arity 2 sends 'a' to 'z', outside its level$"):
         compose_collections(unit, _escaping("y"), 2)
+
+
+def test_an_action_that_is_not_a_right_action_is_an_error():
+    # A regular orbit of arity 3 whose table is wrong at one element that is
+    # not a generator, the 3-cycle 2 3 1: its outputs on the first two
+    # labels are swapped, so every value stays inside the level.
+    sym = GROUPS["symmetric"]
+    regular = orbit_collection("x", sym, {3: ["regular"]})
+    labels = regular.labels(3)
+    cycle = Permutation((2, 3, 1))
+
+    def action(n, label, g):
+        if g == cycle and label in labels[:2]:
+            label = labels[1 - labels.index(label)]
+        return regular.action(n, label, g)
+
+    message = (
+        "^{}: the action at arity 3 is not a right action: 'x3r0:1 2 3' goes to "
+        "'x3r0:2 3 1' under 2 1 3 then 1 3 2, but to 'x3r0:3 2 1' under their product 2 3 1$"
+    )
+    unit = unit_collection(sym)
+    with pytest.raises(ValueError, match=message.format("x")):
+        compose_collections(FiniteGCollection("x", sym, regular.levels, action), unit, BOUND)
+    with pytest.raises(ValueError, match=message.format("y")):
+        compose_collections(unit, FiniteGCollection("y", sym, regular.levels, action), BOUND)
+
+
+def test_an_identity_that_moves_a_label_is_an_error():
+    sym = GROUPS["symmetric"]
+    moved = FiniteGCollection("x", sym, {2: ("a", "b")}, lambda n, label, g: {"a": "b", "b": "a"}[label])
+    with pytest.raises(
+        ValueError,
+        match=r"^x: the action at arity 2 is not a right action: the identity 1 2 sends 'a' to 'b'$",
+    ):
+        compose_collections(moved, unit_collection(sym), 2)
 
 
 @pytest.mark.parametrize("name", ["ass", "comm_trivial"])
