@@ -19,7 +19,8 @@ when no file of that name exists in the working directory.
 The argument parser is built once per process, on the first call of
 `main`, and reused by every later call.  `operad compose` counts the
 composite tuples its product would enumerate and refuses more than
-`MAX_COMPOSITE_STATES` before listing any.
+`MAX_COMPOSITE_STATES` before listing any; `operad free` does the same
+for the free-algebra tuples with `MAX_FREE_STATES`.
 """
 
 from __future__ import annotations
@@ -89,6 +90,11 @@ MAX_TMN_STRANDS = 1024
 # counted before any is listed.  156,573 of them (ass at arity 4 composed
 # with itself) took 2.7 s and 86 MB on a 2-vCPU machine.
 MAX_COMPOSITE_STATES = 200_000
+# The most tuples (p; x_1..x_n) `operad free` enumerates, sum over n <= bound
+# of |P(n)| * |X|^n, counted before any is listed.  198,536 of them (comm on
+# 58 carrier elements at bound 3) took 2.4 s and peaked at 93 MB on a
+# 2-vCPU machine.
+MAX_FREE_STATES = 200_000
 
 
 class CliError(Exception):
@@ -467,6 +473,12 @@ def _cmd_operad_free(args) -> int:
         raise CliError("bound must be nonnegative")
     if args.bound > p.max_arity:
         raise CliError(f"bound {args.bound} exceeds the operad's arity bound {p.max_arity}")
+    states = sum(len(p.labels(n)) * len(carrier) ** n for n in range(args.bound + 1))
+    if states > MAX_FREE_STATES:
+        raise CliError(
+            f"--bound {args.bound}: {args.file} on {len(carrier)} carrier elements has "
+            f"{states} states, more than the limit {MAX_FREE_STATES}"
+        )
     free = free_algebra(p, carrier, max_arity=args.bound)
     total = 0
     for n in range(args.bound + 1):
@@ -505,7 +517,12 @@ def _cmd_operad_compose(args) -> int:
         )
     if args.bound < 0:
         raise CliError("bound must be nonnegative")
-    states = composite_states(x, y, args.bound)
+    states = composite_states(x, y, args.bound, MAX_COMPOSITE_STATES + 1)
+    if states is None:
+        raise CliError(
+            f"--bound {args.bound}: {args.file_x} o {args.file_y} has more composite "
+            f"states than the limit {MAX_COMPOSITE_STATES}"
+        )
     if states > MAX_COMPOSITE_STATES:
         raise CliError(
             f"--bound {args.bound}: {args.file_x} o {args.file_y} has {states} composite "

@@ -15,6 +15,11 @@ whose items are themselves classes.  `check_monad_laws` verifies the
 monad laws and the correspondence between algebra structures and monad
 algebras, drawing its tuples of classes by `g_operads._within` (a class
 weighs its arity), so only those that flatten within the bound are built.
+Its associativity law computes each flattening [label; classes] once per
+report, in a dict that lives only for that call.  `free_algebra` numbers
+its states (label, xs) in key order, label rank times the number of
+tuples plus tuple rank, and unites them with `g_operads._UnionFind` over
+those ints, so a class's least id is its least state and representative.
 The algebra structures of that correspondence are found by the
 backtracking search of `g_operads.enumerate_algebra_structures`, the
 monad algebras by checking every candidate map (at most 2^7 for the
@@ -99,24 +104,33 @@ def free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None
     for n in range(bound + 1):
         labels = p.labels(n)
         tuples = list(itertools.product(carrier, repeat=n))
-        states = [(label, xs) for label in labels for xs in tuples]
-        uf = _UnionFind()
-        for state in states:
-            uf.add(state)
+        # State (label, xs) has id label_id * |tuples| + tuple_id, both ranks
+        # in sorted order, so ids run in the key order of the states.
+        sorted_labels, sorted_tuples = sorted(labels), sorted(tuples)
+        label_id = {label: i for i, label in enumerate(sorted_labels)}
+        tuple_id = {xs: i for i, xs in enumerate(sorted_tuples)}
+        width = len(tuples)
+        uf = _UnionFind(len(labels) * width)
+        unite = uf.unite
         # (p.g; xs) ~ (p; xs moved by pi(g)^-1), whose j-th entry is xs[pi(g)(j)].
         for g in p.group.elements(n):
             order = [i - 1 for i in p.group.project(g).image]
-            moved = [tuple(xs[i] for i in order) for xs in tuples]
+            mates = [tuple_id[tuple(map(xs.__getitem__, order))] for xs in sorted_tuples]
             for label in labels:
-                acted = p.action(n, label, g)
-                for xs, mate in zip(tuples, moved):
-                    uf.unite((label, xs), (acted, mate))
+                base = label_id[label] * width
+                acted = label_id[p.action(n, label, g)] * width
+                for t, mate in enumerate(mates):
+                    unite(base + t, acted + mate)
 
         # A class is represented by its least member, which is its root.
-        roots = {state: uf.find(state) for state in states}
-        representatives = {root: FreeAlgebraClass(*root) for root in sorted(set(roots.values()))}
-        for state, root in roots.items():
-            canonical[state] = representatives[root]
+        roots = [uf.find(i) for i in range(len(labels) * width)]
+        representatives: dict[int, FreeAlgebraClass] = {}
+        for root in sorted(set(roots)):
+            representatives[root] = FreeAlgebraClass(sorted_labels[root // width], sorted_tuples[root % width])
+        for label in labels:
+            base = label_id[label] * width
+            for xs in tuples:
+                canonical[(label, xs)] = representatives[roots[base + tuple_id[xs]]]
         classes_by_arity[n] = list(representatives.values())
 
     return FreeAlgebra(p, carrier, bound, classes_by_arity, canonical)
@@ -218,24 +232,31 @@ def check_monad_laws(
     # Associativity: a three-level nesting [q; [p_i; classes_i]] flattens
     # either middle-first (each [p_i; classes_i] collapses to one class)
     # or outer-first (q and the p_i merge, then one flattening).
+    # The same flattening [label; classes] recurs across (q, ps) and flat
+    # tuples, so each is computed once per report, never across reports.
     def associativity() -> Iterator[str | None]:
         pool = free.all_classes()
         arities = [c.arity for c in pool]
+        flattened: dict[tuple[str, tuple[FreeAlgebraClass, ...]], FreeAlgebraClass] = {}
+
+        def flatten(label: str, classes: tuple[FreeAlgebraClass, ...]) -> FreeAlgebraClass:
+            key = (label, classes)
+            if key not in flattened:
+                flattened[key] = mult_mu(free, label, classes)
+            return flattened[key]
+
         for n, rs in arity_signatures(bound):
             starts = list(itertools.accumulate(rs, initial=0))
+            spans = list(zip(starts, starts[1:]))
             flats = _within(bound, starts[-1], pool, arities)
             for q in p.labels(n):
                 for ps in itertools.product(*(p.labels(r) for r in rs)):
+                    outer = p.compose(n, rs, q, ps)
                     for flat in flats:
-                        middle_first = mult_mu(
-                            free,
-                            q,
-                            tuple(
-                                mult_mu(free, head, flat[a:b])
-                                for head, a, b in zip(ps, starts, starts[1:])
-                            ),
+                        middle_first = flatten(
+                            q, tuple(flatten(head, flat[a:b]) for head, (a, b) in zip(ps, spans))
                         )
-                        outer_first = mult_mu(free, p.compose(n, rs, q, ps), flat)
+                        outer_first = flatten(outer, flat)
                         if middle_first != outer_first:
                             yield f"q={q}, ps={list(ps)}, classes={[str(c) for c in flat]}"
                         yield None

@@ -35,10 +35,11 @@ by a few set lookups and an exact-int test on ks.  A record that fails
 this test is checked field by field in a fixed order, and the first fault
 is reported with its position.  The table is complete exactly when it
 holds sum |P(n)| * prod |P(k_i)| keys.  `_signature_counts` counts these
-by a dynamic program over arity sums, listing no signature, so a short
-document is refused without enumerating its signatures.  The action of
-each group element is tabulated from the row of the element whose
-positive word is its own minus the last letter.
+by a dynamic program over arity sums, listing no signature and stopping
+once the count passes the number of records, so a short document is
+refused without enumerating its signatures or counting them all.  The
+action of each group element is tabulated from the row of the element
+whose positive word is its own minus the last letter.
 
 The composition product numbers the states of each arity in key order
 and runs its union-find over those integers, so the root of a class, its
@@ -196,23 +197,33 @@ def _within(bound: int, slots: int, items: Sequence, weights: Sequence[int] | No
     return [t for t, _ in level]
 
 
-def _signature_counts(heads: Mapping[int, int], arguments: Mapping[int, int], bound: int) -> list[int]:
+def _signature_counts(
+    heads: Mapping[int, int], arguments: Mapping[int, int], bound: int, cap: float = math.inf
+) -> list[int] | None:
     """
     Per arity n <= bound, the substitution tuples (head; args) over the
     signatures (r; k_1..k_r) with sum(ks) = n: the sum over r of heads[r]
     times the sum over ks of prod arguments[k_i].  Counted by a dynamic
-    program over arity sums, in exact ints; no signature is listed.
+    program over arity sums, in exact ints; no signature is listed.  It
+    stops with None as soon as the tuples total cap or more, and no
+    intermediate count exceeds cap, so a caller that needs the total only
+    up to cap does work bounded by cap, not by the size of the count.
     """
     weights = [(k, arguments[k]) for k in range(bound + 1) if arguments.get(k)]
     counts = [0] * (bound + 1)
-    # ways[s]: the argument tuples of r slots whose arities sum to s.
+    total = 0
+    # ways[s]: the argument tuples of r slots whose arities sum to s, or cap
+    # if there are more; such a value ends the count at the next head arity.
     ways = [1] + [0] * bound
     top = max((r for r, size in heads.items() if size), default=-1)
     for r in range(top + 1):
         if heads.get(r):
             counts = [count + heads[r] * tuples for count, tuples in zip(counts, ways)]
-        ways = [sum(w * ways[s - k] for k, w in weights if k <= s) for s in range(bound + 1)]
-    return counts
+            total += heads[r] * sum(ways)
+            if total >= cap:
+                return None
+        ways = [min(cap, sum(w * ways[s - k] for k, w in weights if k <= s)) for s in range(bound + 1)]
+    return counts if total < cap else None
 
 
 def _group_order(group: ActionOperad, n: int) -> int:
@@ -273,7 +284,15 @@ def check_collection(
 
 
 def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report:
-    """Exhaustively verify the operad and equivariance laws within the bound."""
+    """
+    Exhaustively verify the operad and equivariance laws within the bound.
+
+    Every law walks its cases in a fixed order and reads each compose and
+    action value through `p.compose` and `p.action`.  The work that depends
+    only on arities is done once per call: the label product of each arity
+    tuple, the slices of each (ks, ls) pair, the identities and cable of
+    each signature and element, and the acted argument tuples of each args.
+    """
     group = p.group
     bound = p.max_arity
     labels = p.labels
@@ -292,6 +311,13 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     argument_elements = {
         k: _group_elements(group, k, max(budget // 5, 2), seed + 1) for k in range(bound + 1)
     }
+    # The label tuples of each arity tuple, listed once for this report.
+    label_products: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
+
+    def product(ks: tuple[int, ...]) -> list[tuple[str, ...]]:
+        if ks not in label_products:
+            label_products[ks] = list(itertools.product(*(labels(k) for k in ks)))
+        return label_products[ks]
 
     # Well-typedness: the unit, every substitution result, every action result.
     def typed() -> Iterator[str | None]:
@@ -300,7 +326,7 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
         for n, ks in signatures:
             total = sum(ks)
             for head in labels(n):
-                for args in itertools.product(*(labels(k) for k in ks)):
+                for args in product(ks):
                     if mu(n, ks, head, args) not in labels(total):
                         yield f"mu result escapes level {total}: n={n}, ks={list(ks)}, p={head}, qs={list(args)}"
                     yield None
@@ -319,40 +345,49 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
                 yield None if mu(n, (1,) * n, head, (p.unit,) * n) == head else f"mu({head}; unit...) != {head}"
 
     def associativity() -> Iterator[str | None]:
+        # The arity tuples ls of each length, listed once.
+        flat_arities = {total: _within(bound, total, range(bound + 1)) for total in range(bound + 1)}
         for n, ks in signatures:
             total = sum(ks)
             starts = list(itertools.accumulate(ks, initial=0))
-            for ls in _within(bound, total, range(bound + 1)):
-                splits = [ls[a:b] for a, b in zip(starts, starts[1:])]
-                inner_ks = tuple(sum(split) for split in splits)
-                for head in labels(n):
-                    for args in itertools.product(*(labels(k) for k in ks)):
-                        composite = mu(n, ks, head, args)
-                        for flats in itertools.product(*(labels(l) for l in ls)):
-                            lhs = mu(total, ls, composite, flats)
-                            inner = [
-                                mu(len(split), split, arg, flats[a:b])
-                                for split, arg, a, b in zip(splits, args, starts, starts[1:])
-                            ]
-                            if lhs != mu(n, inner_ks, head, inner):
-                                yield (
-                                    f"n={n}, ks={list(ks)}, ls={list(ls)}, p={head}, "
-                                    f"qs={list(args)}, rs={list(flats)}"
-                                )
-                            yield None
+            spans = list(zip(starts, starts[1:]))
+            # Each (head, args) with its composite, which every ls reads.
+            composites = [(head, args, mu(n, ks, head, args)) for head in labels(n) for args in product(ks)]
+            if not composites:
+                continue
+            for ls in flat_arities[total]:
+                # Each flat tuple with its slices, one slice per argument slot.
+                flat_slices = [(flats, [flats[a:b] for a, b in spans]) for flats in product(ls)]
+                splits = [(b - a, ls[a:b]) for a, b in spans]
+                inner_ks = tuple([sum(split) for _, split in splits])
+                for head, args, composite in composites:
+                    for flats, slices in flat_slices:
+                        lhs = mu(total, ls, composite, flats)
+                        inner = [
+                            mu(k, split, arg, piece)
+                            for (k, split), arg, piece in zip(splits, args, slices)
+                        ]
+                        if lhs != mu(n, inner_ks, head, inner):
+                            yield (
+                                f"n={n}, ks={list(ks)}, ls={list(ls)}, p={head}, "
+                                f"qs={list(args)}, rs={list(flats)}"
+                            )
+                        yield None
 
     # Equivariance in the operad slot (the acting element cables up).
     def slot() -> Iterator[str | None]:
         for n, ks in signatures:
             total = sum(ks)
+            identities = [group.identity(k) for k in ks]
+            arguments = product(ks)
             for g, order in slot_elements[n]:
                 permuted_ks = tuple(ks[j] for j in order)
-                cable = group.operad_mu(g, [group.identity(k) for k in ks])
+                cable = group.operad_mu(g, identities)
+                permuted = [tuple(args[j] for j in order) for args in arguments]
                 for head in labels(n):
                     acted = act(n, head, g)
-                    for args in itertools.product(*(labels(k) for k in ks)):
+                    for args, permuted_args in zip(arguments, permuted):
                         lhs = mu(n, ks, acted, args)
-                        permuted_args = tuple(args[j] for j in order)
                         if lhs != act(total, mu(n, permuted_ks, head, permuted_args), cable):
                             yield (
                                 f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
@@ -369,11 +404,14 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
                 (gs, group.operad_mu(e, list(gs)))
                 for gs in itertools.product(*(argument_elements[k] for k in ks))
             ]
+            # args -> its acted tuple under each gs of blocks, built at first use.
+            acted_arguments: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
             for head in labels(n):
-                for args in itertools.product(*(labels(k) for k in ks)):
+                for args in product(ks):
                     composite = mu(n, ks, head, args)
-                    for gs, block in blocks:
-                        acted_args = tuple(act(k, arg, g) for k, arg, g in zip(ks, args, gs))
+                    if args not in acted_arguments:
+                        acted_arguments[args] = [tuple(map(act, ks, args, gs)) for gs, _ in blocks]
+                    for (gs, block), acted_args in zip(blocks, acted_arguments[args]):
                         if mu(n, ks, head, acted_args) != act(total, composite, block):
                             yield (
                                 f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
@@ -916,12 +954,16 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     # are counted without enumerating anything.
     inhabited = [n for n in range(max_arity + 1) if levels[n]]
     sizes = {n: len(labels) for n, labels in levels.items()}
-    substitutions = sum(_signature_counts(sizes, sizes, max_arity))
 
     compose_table: dict[tuple, str] = {}
     entries = document.get("compose")
     if not isinstance(entries, list):
         raise ValueError("compose: expected a list of records")
+    # Both tests below compare the count with the number of records, so it
+    # is counted only up to one more than that: a document with fewer
+    # records than substitutions is refused without counting them all.
+    counts = _signature_counts(sizes, sizes, max_arity, len(entries) + 1)
+    substitutions = len(entries) + 1 if counts is None else sum(counts)
     # The fast test holds one argument tuple per substitution at most, so it
     # is built only for a document with at least that many records; a
     # shorter one is incomplete and every record takes the checked path.
@@ -1066,26 +1108,31 @@ def _check_compose_record(
 
 
 class _UnionFind:
-    """Disjoint sets whose root is always the least member of its class."""
+    """
+    Disjoint sets over range(size) whose root is always the least member of
+    its class, with path halving.  Callers number their states in key
+    order, so a class's root is its least key.
+    """
 
-    def __init__(self):
-        self._parent: dict = {}
+    def __init__(self, size: int):
+        self.parent = list(range(size))
 
-    def add(self, item) -> None:
-        self._parent.setdefault(item, item)
+    def find(self, item: int) -> int:
+        parent = self.parent
+        while parent[item] != item:
+            parent[item] = item = parent[parent[item]]
+        return item
 
-    def find(self, item):
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def unite(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[max(ra, rb)] = min(ra, rb)
+    def unite(self, a: int, b: int) -> None:
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
 
 
 def _element_key(group: ActionOperad, g: Any) -> tuple:
@@ -1198,15 +1245,21 @@ def _generator_actions(c: FiniteGCollection, n: int, group: ActionOperad) -> lis
     return [(s, tables[s]) for s in generators]
 
 
-def composite_states(x: FiniteGCollection, y: FiniteGCollection, bound: int) -> int:
+def composite_states(
+    x: FiniteGCollection, y: FiniteGCollection, bound: int, cap: float = math.inf
+) -> int | None:
     """
     The number of composite tuples (x; y_1..y_r; g) with n = sum(ks) <= bound
     that `compose_collections` enumerates, sum_n |G(n)| * sum_(r; ks)
-    |X(r)| * prod |Y(k_i)|, counted without listing a tuple or a group element.
+    |X(r)| * prod |Y(k_i)|, counted without listing a tuple or a group
+    element.  None if the tuples (x; y_1..y_r) alone number cap or more,
+    in which case so do the composite tuples.
     """
     heads = {r: len(x.labels(r)) for r in x.levels}
     arguments = {k: len(y.labels(k)) for k in range(bound + 1)}
-    counts = _signature_counts(heads, arguments, bound)
+    counts = _signature_counts(heads, arguments, bound, cap)
+    if counts is None:
+        return None
     return sum(_group_order(x.group, n) * count for n, count in enumerate(counts) if count)
 
 
@@ -1280,9 +1333,7 @@ def compose_collections(
         # least id of a class is its least key.
         ordered = sorted(states)
         state_id = {key: i for i, key in enumerate(ordered)}
-        uf = _UnionFind()
-        for i in range(len(ordered)):
-            uf.add(i)
+        uf = _UnionFind(len(ordered))
 
         for r, ks in signatures:
             heads = x.labels(r)

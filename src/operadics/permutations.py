@@ -28,11 +28,14 @@ them ``mu_sigma``) build their results from validated permutations and
 checked arguments, so they construct them by ``_trusted`` without
 validating them again.  Each kernel still checks its own arguments:
 matching arities, block counts, nonnegative sizes and dimensions.
+``mu_sigma`` writes its image in one pass over the blocks instead of
+building the two factors and composing them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 
@@ -163,12 +166,23 @@ def block_lift(sigma: Permutation, sizes: Sequence[int]) -> Permutation:
 def mu_sigma(sigma: Permutation, taus: Sequence[Permutation]) -> Permutation:
     """
     Operadic composition in the symmetric groups: substitute tau_i into the
-    i-th strand of sigma.  Twists first, block moves second.
+    i-th strand of sigma.  Twists first, block moves second, built in one
+    pass: point r of block i goes to the output offset of slot sigma(i)
+    plus tau_i(r), which is compose(block_sum(taus), block_lift(sigma, sizes)).
     """
     if len(taus) != sigma.n:
         raise ValueError(f"operadic composition needs {sigma.n} arguments, got {len(taus)}")
-    sizes = [tau.n for tau in taus]
-    return compose(block_sum(taus), block_lift(sigma, sizes))
+    # Output slot j has the width of the block arriving there; block i lands
+    # at the offset of slot sigma(i), its points twisted by tau_i.
+    widths = [0] * sigma.n
+    for target, twist in zip(sigma.image, taus):
+        widths[target - 1] = twist.n
+    offsets = list(accumulate(widths, initial=0))
+    image: list[int] = []
+    for target, twist in zip(sigma.image, taus):
+        offset = offsets[target - 1]
+        image.extend([offset + value for value in twist.image])
+    return _trusted(tuple(image))
 
 
 def tau(m: int, n: int) -> Permutation:

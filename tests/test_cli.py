@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from operadics import cli, g_operads
+from operadics import cli, free_monad, g_operads
 from operadics.braids import braid_identity
 from operadics.permutations import identity
 
@@ -455,6 +455,45 @@ def test_operad_compose_guard_at_its_limit(monkeypatch, cli_run, excess, code):
     else:
         assert result.stderr == ""
         assert calls == [4]
+
+
+def test_operad_compose_refuses_before_counting_past_its_limit(monkeypatch, cli_run):
+    # ass o comm at bound 4 pairs 246 heads with argument tuples; once those
+    # alone reach the limit, the count stops and the message gives no number.
+    calls = _counted_compose(monkeypatch)
+    monkeypatch.setattr(cli, "MAX_COMPOSITE_STATES", 245)
+    result = cli_run("operad", "compose", "ass.json", "comm.json", "--bound", "4")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: --bound 4: ass.json o comm.json has more composite states than the limit 245\n"
+    )
+    assert calls == []
+
+
+@pytest.mark.parametrize("excess, code", [(0, 0), (1, 2)], ids=["at-the-limit", "limit+1"])
+def test_operad_free_guard_at_its_limit(monkeypatch, cli_run, excess, code):
+    # ass on {a,b} at bound 3 holds 1 + 2 + 2*2^2 + 6*2^3 = 59 tuples (p; xs):
+    # a limit of that many lets it through, a limit one lower refuses it.
+    calls = []
+
+    def stub(p, carrier, max_arity):
+        calls.append(max_arity)
+        return free_monad.FreeAlgebra(p, tuple(carrier), max_arity, {})
+
+    monkeypatch.setattr(cli, "free_algebra", stub)
+    monkeypatch.setattr(cli, "MAX_FREE_STATES", 59 - excess)
+    result = cli_run("operad", "free", "ass.json", "--carrier", "a,b", "--bound", "3")
+    assert result.returncode == code
+    if excess:
+        assert (result.stdout, result.stderr) == ("", (
+            "error: --bound 3: ass.json on 2 carrier elements has 59 states, "
+            "more than the limit 58\n"
+        ))
+        assert calls == []
+    else:
+        assert result.stderr == ""
+        assert result.stdout.endswith("total: 0 classes\n")
+        assert calls == [3]
 
 
 def _rotated_document() -> dict:

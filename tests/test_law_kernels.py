@@ -1,0 +1,426 @@
+"""
+The law kernels of `check_operad`, `check_monad_laws`, `free_algebra` and
+`mu_sigma` against their earlier per-case versions.
+
+The kernels list each label product, slice and cable once per report and
+memoize flattenings only within one call.  The references below are the
+earlier loops, kept verbatim up to naming, which redo that work for every
+case.  Hypothesis draws the packaged documents and operads made by
+`operad_ass`, `operad_comm` and `endomorphism_operad`, and changes one
+compose or action entry by rebinding `p.compose` or `p.action`, so both
+sides see the fault.  Every law must give the same verdict, case count and
+witness, or both sides the same error; the free algebras must have the
+same classes and canonical maps.  The one-pass `mu_sigma` must equal the
+composite of its two block factors, arity 0 included.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+from pathlib import Path
+from typing import Any, Callable, Iterator, Sequence
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from operadics.action_operads import instance_braid, instance_symmetric, instance_trivial
+from operadics.free_monad import (
+    FreeAlgebra,
+    FreeAlgebraClass,
+    check_monad_laws,
+    free_algebra,
+    mult_mu,
+)
+from operadics.g_operads import (
+    FiniteGOperad,
+    _group_elements,
+    _within,
+    arity_signatures,
+    check_collection,
+    check_operad,
+    endomorphism_operad,
+    load_operad,
+    operad_ass,
+    operad_comm,
+)
+from operadics.permutations import (
+    Permutation,
+    all_permutations,
+    block_lift,
+    block_sum,
+    compose,
+    mu_sigma,
+)
+from operadics.reporting import Report
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "operadics" / "data"
+
+
+# ------------------------------------------------------------ references
+
+
+def reference_check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report:
+    """Exhaustively verify the operad and equivariance laws within the bound."""
+    group = p.group
+    bound = p.max_arity
+    labels = p.labels
+    mu = p.compose
+    act = p.action
+    signatures = list(arity_signatures(bound))
+    report = Report(f"operad laws: {p.name}")
+    # Each arity's group elements are listed once, those acting in the
+    # argument slots from a smaller sample, and each element in the operad
+    # slot comes with the order pi(g)^-1 in which it permutes the slots.
+    elements = {n: _group_elements(group, n, budget, seed) for n in range(bound + 1)}
+    slot_elements = {
+        n: [(g, [j - 1 for j in group.project(g).inverse().image]) for g in gs]
+        for n, gs in elements.items()
+    }
+    argument_elements = {
+        k: _group_elements(group, k, max(budget // 5, 2), seed + 1) for k in range(bound + 1)
+    }
+
+    # Well-typedness: the unit, every substitution result, every action result.
+    def typed() -> Iterator[str | None]:
+        if p.unit not in labels(1):
+            yield f"unit {p.unit!r} not in level 1"
+        for n, ks in signatures:
+            total = sum(ks)
+            for head in labels(n):
+                for args in itertools.product(*(labels(k) for k in ks)):
+                    if mu(n, ks, head, args) not in labels(total):
+                        yield f"mu result escapes level {total}: n={n}, ks={list(ks)}, p={head}, qs={list(args)}"
+                    yield None
+        for n, gs in elements.items():
+            for head in labels(n):
+                for g in gs:
+                    if act(n, head, g) not in labels(n):
+                        yield f"action escapes level {n}: p={head}, g={group.describe(g)}"
+                    yield None
+
+    # Unit laws, two cases per label.
+    def unit() -> Iterator[str | None]:
+        for n in range(bound + 1):
+            for head in labels(n):
+                yield None if mu(1, (n,), p.unit, (head,)) == head else f"mu(unit; {head}) != {head}"
+                yield None if mu(n, (1,) * n, head, (p.unit,) * n) == head else f"mu({head}; unit...) != {head}"
+
+    def associativity() -> Iterator[str | None]:
+        for n, ks in signatures:
+            total = sum(ks)
+            starts = list(itertools.accumulate(ks, initial=0))
+            for ls in _within(bound, total, range(bound + 1)):
+                splits = [ls[a:b] for a, b in zip(starts, starts[1:])]
+                inner_ks = tuple(sum(split) for split in splits)
+                for head in labels(n):
+                    for args in itertools.product(*(labels(k) for k in ks)):
+                        composite = mu(n, ks, head, args)
+                        for flats in itertools.product(*(labels(l) for l in ls)):
+                            lhs = mu(total, ls, composite, flats)
+                            inner = [
+                                mu(len(split), split, arg, flats[a:b])
+                                for split, arg, a, b in zip(splits, args, starts, starts[1:])
+                            ]
+                            if lhs != mu(n, inner_ks, head, inner):
+                                yield (
+                                    f"n={n}, ks={list(ks)}, ls={list(ls)}, p={head}, "
+                                    f"qs={list(args)}, rs={list(flats)}"
+                                )
+                            yield None
+
+    # Equivariance in the operad slot (the acting element cables up).
+    def slot() -> Iterator[str | None]:
+        for n, ks in signatures:
+            total = sum(ks)
+            for g, order in slot_elements[n]:
+                permuted_ks = tuple(ks[j] for j in order)
+                cable = group.operad_mu(g, [group.identity(k) for k in ks])
+                for head in labels(n):
+                    acted = act(n, head, g)
+                    for args in itertools.product(*(labels(k) for k in ks)):
+                        lhs = mu(n, ks, acted, args)
+                        permuted_args = tuple(args[j] for j in order)
+                        if lhs != act(total, mu(n, permuted_ks, head, permuted_args), cable):
+                            yield (
+                                f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
+                                f"g={group.describe(g)}"
+                            )
+                        yield None
+
+    # Equivariance in the argument slots (the acting elements block-sum up).
+    def argument_slots() -> Iterator[str | None]:
+        for n, ks in signatures:
+            total = sum(ks)
+            e = group.identity(n)
+            blocks = [
+                (gs, group.operad_mu(e, list(gs)))
+                for gs in itertools.product(*(argument_elements[k] for k in ks))
+            ]
+            for head in labels(n):
+                for args in itertools.product(*(labels(k) for k in ks)):
+                    composite = mu(n, ks, head, args)
+                    for gs, block in blocks:
+                        acted_args = tuple(act(k, arg, g) for k, arg, g in zip(ks, args, gs))
+                        if mu(n, ks, head, acted_args) != act(total, composite, block):
+                            yield (
+                                f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
+                                f"gs=[{', '.join(group.describe(g) for g in gs)}]"
+                            )
+                        yield None
+
+    report.check("tables are well-typed", typed())
+    report.check("operad unit", unit())
+    report.check("operad associativity", associativity())
+    report.check("equivariance in the operad slot", slot())
+    report.check("equivariance in the argument slots", argument_slots())
+
+    # The per-level right-action laws.
+    collection_report = check_collection(p, bound=bound, budget=budget, seed=seed)
+    report.results.extend(collection_report.results)
+    return report
+
+
+class _UnionFind:
+    """Disjoint sets whose root is always the least member of its class."""
+
+    def __init__(self):
+        self._parent: dict = {}
+
+    def add(self, item) -> None:
+        self._parent.setdefault(item, item)
+
+    def find(self, item):
+        root = item
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[item] != root:
+            self._parent[item], item = root, self._parent[item]
+        return root
+
+    def unite(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[max(ra, rb)] = min(ra, rb)
+
+
+def reference_free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None = None) -> FreeAlgebra:
+    """Enumerate the classes [p; x1..xn] for n up to the arity bound."""
+    if p.group.elements is None:
+        raise ValueError("free-algebra classes need a finite group of equivariance")
+    carrier = tuple(carrier)
+    if len(set(carrier)) != len(carrier):
+        raise ValueError("carrier elements must be distinct")
+    bound = p.max_arity if max_arity is None else max_arity
+    if bound > p.max_arity:
+        raise ValueError(f"arity bound {bound} exceeds the operad's bound {p.max_arity}")
+
+    classes_by_arity: dict[int, list[FreeAlgebraClass]] = {}
+    canonical: dict[tuple[str, tuple[str, ...]], FreeAlgebraClass] = {}
+    for n in range(bound + 1):
+        labels = p.labels(n)
+        tuples = list(itertools.product(carrier, repeat=n))
+        states = [(label, xs) for label in labels for xs in tuples]
+        uf = _UnionFind()
+        for state in states:
+            uf.add(state)
+        # (p.g; xs) ~ (p; xs moved by pi(g)^-1), whose j-th entry is xs[pi(g)(j)].
+        for g in p.group.elements(n):
+            order = [i - 1 for i in p.group.project(g).image]
+            moved = [tuple(xs[i] for i in order) for xs in tuples]
+            for label in labels:
+                acted = p.action(n, label, g)
+                for xs, mate in zip(tuples, moved):
+                    uf.unite((label, xs), (acted, mate))
+
+        # A class is represented by its least member, which is its root.
+        roots = {state: uf.find(state) for state in states}
+        representatives = {root: FreeAlgebraClass(*root) for root in sorted(set(roots.values()))}
+        for state, root in roots.items():
+            canonical[state] = representatives[root]
+        classes_by_arity[n] = list(representatives.values())
+
+    return FreeAlgebra(p, carrier, bound, classes_by_arity, canonical)
+
+
+def reference_monad_associativity(p: FiniteGOperad, free: FreeAlgebra) -> Iterator[str | None]:
+    """The associativity cases of `check_monad_laws` on a free algebra of p."""
+    bound = free.max_arity
+
+    # Associativity: a three-level nesting [q; [p_i; classes_i]] flattens
+    # either middle-first (each [p_i; classes_i] collapses to one class)
+    # or outer-first (q and the p_i merge, then one flattening).
+    def associativity() -> Iterator[str | None]:
+        pool = free.all_classes()
+        arities = [c.arity for c in pool]
+        for n, rs in arity_signatures(bound):
+            starts = list(itertools.accumulate(rs, initial=0))
+            flats = _within(bound, starts[-1], pool, arities)
+            for q in p.labels(n):
+                for ps in itertools.product(*(p.labels(r) for r in rs)):
+                    for flat in flats:
+                        middle_first = mult_mu(
+                            free,
+                            q,
+                            tuple(
+                                mult_mu(free, head, flat[a:b])
+                                for head, a, b in zip(ps, starts, starts[1:])
+                            ),
+                        )
+                        outer_first = mult_mu(free, p.compose(n, rs, q, ps), flat)
+                        if middle_first != outer_first:
+                            yield f"q={q}, ps={list(ps)}, classes={[str(c) for c in flat]}"
+                        yield None
+
+    return associativity()
+
+
+def reference_mu_sigma(sigma: Permutation, taus: Sequence[Permutation]) -> Permutation:
+    """
+    Operadic composition in the symmetric groups: substitute tau_i into the
+    i-th strand of sigma.  Twists first, block moves second.
+    """
+    if len(taus) != sigma.n:
+        raise ValueError(f"operadic composition needs {sigma.n} arguments, got {len(taus)}")
+    sizes = [tau.n for tau in taus]
+    return compose(block_sum(taus), block_lift(sigma, sizes))
+
+
+# ------------------------------------------------------------ operads
+
+DOCUMENTS = {name: json.loads((DATA / f"{name}.json").read_text()) for name in ("ass", "comm", "comm_trivial")}
+
+# Each factory builds a fresh operad, so a rebound entry never outlives its example.
+OPERADS: dict[str, Callable[[], FiniteGOperad]] = {
+    "ass.json": lambda: load_operad(DOCUMENTS["ass"], "ass"),
+    "comm.json": lambda: load_operad(DOCUMENTS["comm"], "comm"),
+    "comm_trivial.json": lambda: load_operad(DOCUMENTS["comm_trivial"], "comm_trivial"),
+    "ass2": lambda: operad_ass(2),
+    "comm/symmetric 3": lambda: operad_comm(instance_symmetric(), max_arity=3),
+    "comm/trivial 3": lambda: operad_comm(instance_trivial(), max_arity=3),
+    "comm/braid 2": lambda: operad_comm(instance_braid(), max_arity=2),
+    "endo {a} 2": lambda: endomorphism_operad(("a",), instance_symmetric(), max_arity=2),
+    "endo {a,b} 1": lambda: endomorphism_operad(("a", "b"), instance_symmetric(), max_arity=1),
+}
+# The operads over a finite group, which have free algebras.
+FINITE = [name for name in OPERADS if "braid" not in name]
+
+
+@st.composite
+def faulty_operads(draw, names: Sequence[str] = tuple(OPERADS), foreign: bool = True) -> FiniteGOperad:
+    """
+    An operad with one compose entry, or one action entry of a finite group,
+    answering another label of its level, or with `foreign` also a label
+    from outside every level.
+    """
+    p = OPERADS[draw(st.sampled_from(sorted(names)))]()
+    substitutions = [
+        (n, ks, head, args)
+        for n, ks in arity_signatures(p.max_arity)
+        for head in p.labels(n)
+        for args in itertools.product(*(p.labels(k) for k in ks))
+    ]
+    actions = []
+    if p.group.elements is not None:
+        actions = [
+            (n, label, g)
+            for n in range(p.max_arity + 1)
+            for label in p.labels(n)
+            for g in p.group.elements(n)
+        ]
+    kinds = ["compose"] + (["action"] if actions else [])
+    if draw(st.sampled_from(kinds)) == "compose":
+        key = draw(st.sampled_from(substitutions))
+        level = p.labels(sum(key[1]))
+    else:
+        key = draw(st.sampled_from(actions))
+        level = p.labels(key[0])
+    value = draw(st.sampled_from([*level, "foreign"] if foreign else level))
+    if len(key) == 4:
+        original = p.compose
+
+        def faulty_compose(n, ks, head, args):
+            return value if (n, tuple(ks), head, tuple(args)) == key else original(n, ks, head, args)
+
+        p.compose = faulty_compose
+    else:
+        original_action = p.action
+
+        def faulty_action(n, label, g):
+            return value if (n, label, g) == key else original_action(n, label, g)
+
+        p.action = faulty_action
+    return p
+
+
+def outcome(run: Callable[[], Any]) -> tuple:
+    """The value of run(), or the type and text of the error it raised."""
+    try:
+        return ("value", run())
+    except (ValueError, KeyError, TypeError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+
+
+def results(report: Report) -> list[tuple]:
+    return [(r.law, r.passed, r.witness, r.checked) for r in report.results]
+
+
+# ------------------------------------------------------------ the laws
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=faulty_operads())
+def test_check_operad_matches_the_per_case_loops(p):
+    assert outcome(lambda: results(check_operad(p))) == outcome(
+        lambda: results(reference_check_operad(p))
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=faulty_operads(FINITE, foreign=False), carrier=st.sampled_from([("a",), ("a", "b"), ("b", "a")]))
+def test_monad_associativity_matches_the_per_case_loops(p, carrier):
+    bound = min(p.max_arity, 2 if len(carrier) > 1 else 3)
+    law = check_monad_laws(p, carrier, max_arity=bound).result("associativity")
+    reference = Report("reference")
+    reference.check("associativity", reference_monad_associativity(p, free_algebra(p, carrier, bound)))
+    assert law == reference.results[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=faulty_operads(FINITE), carrier=st.sampled_from([("a",), ("a", "b"), ("b", "a"), ("y", "x", "z")]))
+def test_free_algebra_matches_the_tuple_keyed_union_find(p, carrier):
+    bound = min(p.max_arity, 2)
+
+    def quotient(build):
+        free = build(p, carrier, bound)
+        return free.classes_by_arity, free._canonical
+
+    # A label outside its level is a KeyError on both sides, raised inside
+    # each side's own union-find, so only its type is compared.
+    assert outcome(lambda: quotient(free_algebra))[:2] == outcome(lambda: quotient(reference_free_algebra))[:2]
+
+
+@pytest.mark.parametrize("name", sorted(OPERADS))
+def test_the_unchanged_operads_match_the_per_case_loops(name):
+    p = OPERADS[name]()
+    assert results(check_operad(p)) == results(reference_check_operad(p))
+    if name in FINITE:
+        bound = min(p.max_arity, 2)
+        law = check_monad_laws(p, ("a", "b"), max_arity=bound).result("associativity")
+        reference = Report("reference")
+        reference.check("associativity", reference_monad_associativity(p, free_algebra(p, ("a", "b"), bound)))
+        assert law == reference.results[0]
+
+
+# ------------------------------------------------------------ mu_sigma
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 5))
+def test_mu_sigma_equals_its_two_block_factors(data, n):
+    sigma = data.draw(st.sampled_from(list(all_permutations(n))))
+    sizes = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    taus = [data.draw(st.sampled_from(list(all_permutations(k)))) for k in sizes]
+    expected = compose(block_sum(taus), block_lift(sigma, sizes))
+    assert mu_sigma(sigma, taus) == reference_mu_sigma(sigma, taus) == expected

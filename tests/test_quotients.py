@@ -6,8 +6,9 @@ Both constructions precompute their group-element moves once per signature
 (composition product) or once per group element (free algebra); the
 composition product unites states along group generators only.  The
 references below are the earlier per-state loops, kept verbatim up to
-naming: every tuple is registered and related to its mates one group
-element at a time, for every element.  Property tests compare classes and
+naming, with the tuple-keyed union-find they ran on: every tuple is
+registered and related to its mates one group element at a time, for
+every element.  Property tests compare classes and
 canonical maps exactly on small collections built from regular, trivial
 and sign orbits and from the packaged operads and the unit-only operad,
 over the trivial and symmetric groups.
@@ -30,7 +31,6 @@ from operadics.free_monad import free_algebra
 from operadics.g_operads import (
     FiniteGCollection,
     FiniteGOperad,
-    _UnionFind,
     compose_collections,
     composite_states,
     load_operad,
@@ -46,6 +46,29 @@ GROUPS = {"trivial": instance_trivial(), "symmetric": instance_symmetric()}
 
 
 # ------------------------------------------------------------ references
+
+
+class _UnionFind:
+    """Disjoint sets whose root is always the least member of its class."""
+
+    def __init__(self):
+        self._parent: dict = {}
+
+    def add(self, item) -> None:
+        self._parent.setdefault(item, item)
+
+    def find(self, item):
+        root = item
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[item] != root:
+            self._parent[item], item = root, self._parent[item]
+        return root
+
+    def unite(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self._parent[max(ra, rb)] = min(ra, rb)
 
 
 def _compositions(total: int, parts: Sequence[int], slots: int) -> Iterator[tuple[int, ...]]:
