@@ -88,12 +88,13 @@ MAX_TAU_POINTS = 1 << 20
 MAX_TMN_STRANDS = 1024
 # The most composite tuples (x; y_1..y_r; g) `operad compose` enumerates,
 # counted before any is listed.  156,573 of them (ass at arity 4 composed
-# with itself) took 2.7 s and 86 MB on a 2-vCPU machine.
+# with itself) took 0.64 s and peaked at 47 MB on a 2-vCPU machine.
 MAX_COMPOSITE_STATES = 200_000
 # The most tuples (p; x_1..x_n) `operad free` enumerates, sum over n <= bound
 # of |P(n)| * |X|^n, counted before any is listed.  198,536 of them (comm on
-# 58 carrier elements at bound 3) took 2.4 s and peaked at 93 MB on a
-# 2-vCPU machine.
+# 58 carrier elements at bound 3) took 0.73 s and peaked at 76 MB, and
+# 168,421 (comm on 20 at bound 4) 0.63 s and 60 MB, on a 2-vCPU machine;
+# memory, not time, sets the limit.
 MAX_FREE_STATES = 200_000
 
 

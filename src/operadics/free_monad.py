@@ -16,10 +16,13 @@ monad laws and the correspondence between algebra structures and monad
 algebras, drawing its tuples of classes by `g_operads._within` (a class
 weighs its arity), so only those that flatten within the bound are built.
 Its associativity law computes each flattening [label; classes] once per
-report, in a dict that lives only for that call.  `free_algebra` numbers
-its states (label, xs) in key order, label rank times the number of
-tuples plus tuple rank, and unites them with `g_operads._UnionFind` over
-those ints, so a class's least id is its least state and representative.
+report, in a dict that lives only for that call.  `free_algebra` keeps no
+quotient of its own: the free algebra is the composition product P o X with
+the carrier X a collection in arity 0 under the trivial action, so it runs
+`g_operads._orbit_quotient` on P up to the bound and X at bound 0, and
+reads its classes (r; 0..0; label; xs; e) by r.  Each class is represented
+by its least state, and the action must be a right action that keeps every
+level, or the quotient raises a `ValueError`.
 The algebra structures of that correspondence are found by the
 backtracking search of `g_operads.enumerate_algebra_structures`, the
 monad algebras by checking every candidate map (at most 2^7 for the
@@ -36,8 +39,9 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
 
 from .g_operads import (
+    FiniteGCollection,
     FiniteGOperad,
-    _UnionFind,
+    _orbit_quotient,
     _within,
     arity_signatures,
     enumerate_algebra_structures,
@@ -89,7 +93,10 @@ class FreeAlgebra:
 
 
 def free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None = None) -> FreeAlgebra:
-    """Enumerate the classes [p; x1..xn] for n up to the arity bound."""
+    """
+    Enumerate the classes [p; x1..xn] for n up to the arity bound.  An action
+    that is not a right action, or that leaves its level, is a `ValueError`.
+    """
     if p.group.elements is None:
         raise ValueError("free-algebra classes need a finite group of equivariance")
     carrier = tuple(carrier)
@@ -99,40 +106,19 @@ def free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None
     if bound > p.max_arity:
         raise ValueError(f"arity bound {bound} exceeds the operad's bound {p.max_arity}")
 
-    classes_by_arity: dict[int, list[FreeAlgebraClass]] = {}
+    # The arity-0 part of P o X, X the carrier in arity 0: its states are
+    # (r; 0..0; label; xs; e), least key first in each class.
+    points = FiniteGCollection("carrier", p.group, {0: carrier}, lambda n, label, g: label)
+    arities = [n for n in range(bound + 1) if p.labels(n)]
+    classes_by_arity: dict[int, list[FreeAlgebraClass]] = {n: [] for n in range(bound + 1)}
     canonical: dict[tuple[str, tuple[str, ...]], FreeAlgebraClass] = {}
-    for n in range(bound + 1):
-        labels = p.labels(n)
-        tuples = list(itertools.product(carrier, repeat=n))
-        # State (label, xs) has id label_id * |tuples| + tuple_id, both ranks
-        # in sorted order, so ids run in the key order of the states.
-        sorted_labels, sorted_tuples = sorted(labels), sorted(tuples)
-        label_id = {label: i for i, label in enumerate(sorted_labels)}
-        tuple_id = {xs: i for i, xs in enumerate(sorted_tuples)}
-        width = len(tuples)
-        uf = _UnionFind(len(labels) * width)
-        unite = uf.unite
-        # (p.g; xs) ~ (p; xs moved by pi(g)^-1), whose j-th entry is xs[pi(g)(j)].
-        for g in p.group.elements(n):
-            order = [i - 1 for i in p.group.project(g).image]
-            mates = [tuple_id[tuple(map(xs.__getitem__, order))] for xs in sorted_tuples]
-            for label in labels:
-                base = label_id[label] * width
-                acted = label_id[p.action(n, label, g)] * width
-                for t, mate in enumerate(mates):
-                    unite(base + t, acted + mate)
-
-        # A class is represented by its least member, which is its root.
-        roots = [uf.find(i) for i in range(len(labels) * width)]
+    for _, _, states, roots in _orbit_quotient(p, points, 0, arities):
         representatives: dict[int, FreeAlgebraClass] = {}
-        for root in sorted(set(roots)):
-            representatives[root] = FreeAlgebraClass(sorted_labels[root // width], sorted_tuples[root % width])
-        for label in labels:
-            base = label_id[label] * width
-            for xs in tuples:
-                canonical[(label, xs)] = representatives[roots[base + tuple_id[xs]]]
-        classes_by_arity[n] = list(representatives.values())
-
+        for i, ((n, _, label, xs, _), root) in enumerate(zip(states, roots)):
+            if root == i:
+                representatives[i] = FreeAlgebraClass(label, xs)
+                classes_by_arity[n].append(representatives[i])
+            canonical[label, xs] = representatives[root]
     return FreeAlgebra(p, carrier, bound, classes_by_arity, canonical)
 
 

@@ -41,17 +41,20 @@ refused without enumerating its signatures or counting them all.  The
 action of each group element is tabulated from the row of the element
 whose positive word is its own minus the last letter.
 
-The composition product numbers the states of each arity in key order
-and runs its union-find over those integers, so the root of a class, its
-least id, is also its least key and its representative.  Its
-identifications are orbits of group actions when the collections' actions
-are right actions, so it unites states only along generators: those of
-G(r) in the x slot and those of each G(k_i) in its argument slot.  That
-precondition is checked once per collection and arity (identity and
-x.(g s) = (x.g).s for every element g and generator s), and a failure is
-a `ValueError`.  `composite_states` counts the tuples it would enumerate
-from the level sizes alone, so a caller can refuse a product too large to
-build before listing anything.
+One orbit quotient, `_orbit_quotient`, serves the composition product and
+`free_monad`, whose free algebra is the arity-0 part of P o X with the
+carrier X in arity 0.  It computes the id of a state (r; ks; x; ys; g) as
+the offset of its signature (r; ks) + (head rank * argument tuples +
+argument-tuple rank) * |G(n)| + element rank, labels ranked sorted and
+elements by `_element_key`, so the root of a class, its least id, is its
+least key and its representative.  For right actions the identifications
+are orbits of group actions, so states are united only along generators:
+those of G(r) in the x slot and those of each G(k_i) in its argument slot.
+That precondition is checked once per collection and arity in a call
+(identity and x.(g s) = (x.g).s for every element g and generator s), and
+a failure is a `ValueError`.  `composite_states` counts the tuples the
+composition product enumerates from the level sizes alone, so a caller can
+refuse a product too large to build before listing anything.
 
 Algebra structures are found by finite-model search (`_backtrack`, in
 the style of SEM and Mace4) rather than by checking every candidate
@@ -1107,34 +1110,6 @@ def _check_compose_record(
 # ------------------------------------------------- composition product
 
 
-class _UnionFind:
-    """
-    Disjoint sets over range(size) whose root is always the least member of
-    its class, with path halving.  Callers number their states in key
-    order, so a class's root is its least key.
-    """
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, item: int) -> int:
-        parent = self.parent
-        while parent[item] != item:
-            parent[item] = item = parent[parent[item]]
-        return item
-
-    def unite(self, a: int, b: int) -> None:
-        parent = self.parent
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-
-
 def _element_key(group: ActionOperad, g: Any) -> tuple:
     """The lookup and ordering key of a group element: its permutation image, then its name."""
     return (tuple(group.project(g).image), group.describe(g))
@@ -1263,25 +1238,125 @@ def composite_states(
     return sum(_group_order(x.group, n) * count for n, count in enumerate(counts) if count)
 
 
+def _mixed_radix(columns: Sequence[Sequence[int]]) -> list[int]:
+    """columns[0][d_0] + columns[1][d_1] + ... for every digit tuple (d_0, d_1, ...), in product order."""
+    sums = [0]
+    for column in columns:
+        sums = [total + value for total in sums for value in column]
+    return sums
+
+
+def _orbit_quotient(
+    x: FiniteGCollection, y: FiniteGCollection, bound: int, heads: Sequence[int]
+) -> Iterator[tuple[int, list[Any], Iterator[tuple], list[int]]]:
+    """
+    The orbit quotient of the composite states (r; ks; x; ys; g) with r in
+    `heads` (ascending) and n = sum(ks) <= bound, numbered by mixed radix and
+    united along generators as the module docstring describes.  Yields, arity
+    by arity, n, the elements of G(n) in key order, the states in id order as
+    (r, ks, x, ys, element rank) and the root of each id.
+    """
+    group = x.group
+    y_arities = [k for k in range(bound + 1) if y.labels(k)]
+    # The signatures (r; ks) within the bound by arity n = sum(ks), each by r, then ks.
+    by_arity: dict[int, list[tuple[int, tuple[int, ...]]]] = {n: [] for n in range(bound + 1)}
+    for r in heads:
+        for ks in _within(bound, r, y_arities):
+            by_arity[sum(ks)].append((r, ks))
+    levels: dict[tuple[FiniteGCollection, int], tuple[list[str], list[tuple[Any, list[int]]]]] = {}
+
+    def level(c: FiniteGCollection, m: int) -> tuple[list[str], list[tuple[Any, list[int]]]]:
+        """Level m of c sorted, with each generator s of G(m) and the rank of label.s by label rank."""
+        if (c, m) not in levels:
+            labels = sorted(c.labels(m))
+            rank = {label: i for i, label in enumerate(labels)}
+            moves = [(s, [rank[table[label]] for label in labels]) for s, table in _generator_actions(c, m, group)]
+            levels[c, m] = labels, moves
+        return levels[c, m]
+
+    def states(signatures: list[tuple[int, tuple[int, ...]]], order: int) -> Iterator[tuple]:
+        for r, ks in signatures:
+            arguments = list(itertools.product(*(level(y, k)[0] for k in ks)))
+            for head, ys, e in itertools.product(level(x, r)[0], arguments, range(order)):
+                yield r, ks, head, ys, e
+
+    for n in range(bound + 1):
+        signatures = by_arity[n]
+        if not signatures:
+            yield n, [], iter(()), []
+            continue
+        elements = sorted(group.elements(n), key=lambda g: _element_key(group, g))
+        element_rank = {g: e for e, g in enumerate(elements)}
+        order = len(elements)
+
+        def moved(factor: Any) -> list[int]:
+            """The rank of multiply(factor, g) for every g in G(n), in key order."""
+            return [element_rank[group.multiply(factor, g)] for g in elements]
+
+        offsets = {}
+        size = 0
+        for r, ks in signatures:
+            offsets[r, ks] = size
+            size += len(x.labels(r)) * math.prod(len(y.labels(k)) for k in ks) * order
+        # Union-find over the ids with path halving, every root the least id
+        # of its class, so no parent is greater than its child.
+        parent = list(range(size))
+
+        def unite(left: int, right: int, mates: list[int]) -> None:
+            for j, mate in enumerate(mates):
+                a, b = left + j, right + mate
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+
+        for r, ks in signatures:
+            base = offsets[r, ks]
+            radices = [len(y.labels(k)) for k in ks]
+            block = math.prod(radices) * order   # the ids of one head label
+            strides = [order * math.prod(radices[i + 1:]) for i in range(r)]
+            identities = [group.identity(k) for k in ks]
+            # Moving a generator h out of the x slot permutes the arguments
+            # and cables h onto the final coordinate: argument slot j lands
+            # at position pi(j) of the permuted signature, with its stride.
+            for h, acted in level(x, r)[1]:
+                pi = group.project(h)
+                landed = act_on_list(pi, radices)
+                weights = [order * math.prod(landed[p:]) for p in pi.image]
+                mates = _mixed_radix([
+                    *(range(0, m * weight, weight) for m, weight in zip(radices, weights)),
+                    moved(group.operad_mu(h, identities)),
+                ])
+                target = offsets[r, tuple(act_on_list(pi, ks))]
+                for a, b in enumerate(acted):
+                    unite(base + b * block, target + a * block, mates)
+            # Moving a generator s out of argument slot i block-sums it, with
+            # identities elsewhere, onto the final coordinate.
+            columns = [range(0, m * stride, stride) for m, stride in zip(radices, strides)]
+            for i, k in enumerate(ks):
+                for s, acted in level(y, k)[1]:
+                    blocked = moved(group.operad_mu(group.identity(r), [*identities[:i], s, *identities[i + 1:]]))
+                    restored = sorted(range(order), key=blocked.__getitem__)   # the inverse of blocked
+                    mates = _mixed_radix([*columns[:i], [d * strides[i] for d in acted], *columns[i + 1:], restored])
+                    for left in range(base, base + len(x.labels(r)) * block, block):
+                        unite(left, left, mates)
+
+        for i, above in enumerate(parent):
+            parent[i] = parent[above]   # final already, since above <= i
+        yield n, elements, states(signatures, order), parent
+
+
 def compose_collections(
     x: FiniteGCollection, y: FiniteGCollection, bound: int
 ) -> ComposedCollection:
     """
-    Enumerate and quotient the composite tuples (x; y_1..y_r; g), n <= bound.
-
-    The identifications are the orbits of G(r) acting through the x slot and
-    of prod G(k_i) acting through the argument slots.  For right actions
-    these are group actions, whose orbits a generating set already
-    determines, so states are united only along the generators of G(r) and,
-    slot by slot, along those of each G(k_i) with the identity in the other
-    slots: the classes, their least-key representatives and the canonical
-    map are those of uniting along every element.  The precondition is
-    checked once per collection and arity, at first use, by
-    `_generator_actions`; an action that is not a right one, or that leaves
-    its level, is a `ValueError` naming the collection and the arity.  Each
-    move is turned once per signature (r; ks) into its relabelling of the
-    heads or arguments and its product with each g in G(n), and reused for
-    every (head, ys); G(n) is listed only for arities that have a signature.
+    Enumerate and quotient the composite tuples (x; y_1..y_r; g), n <= bound,
+    by `_orbit_quotient`: the orbits of G(r) acting through the x slot and of
+    prod G(k_i) acting through the argument slots.  An action that is not a
+    right one, or that leaves its level, is a `ValueError` naming the
+    collection and the arity.
     """
     group = x.group
     if group.elements is None:
@@ -1292,87 +1367,17 @@ def compose_collections(
         raise ValueError(
             f"collections live over different groups: {x.group.name} and {y.group.name}"
         )
-    x_arities = sorted(m for m in x.levels if x.labels(m))
-    y_arities = [n for n in range(bound + 1) if y.labels(n)]
     classes_by_arity: dict[int, list[tuple]] = {}
     canonical: dict[tuple, tuple] = {}
-    # The signatures (r; ks) within the bound by arity n = sum(ks), each by r, then ks.
-    by_arity: dict[int, list[tuple[int, tuple[int, ...]]]] = {n: [] for n in range(bound + 1)}
-    for r in x_arities:
-        for ks in _within(bound, r, y_arities):
-            by_arity[sum(ks)].append((r, ks))
-    # (collection, arity) -> [(generator, its action table)], checked at first use.
-    generator_moves: dict[tuple[FiniteGCollection, int], list[tuple[Any, dict[str, str]]]] = {}
-
-    def moves(c: FiniteGCollection, m: int) -> list[tuple[Any, dict[str, str]]]:
-        if (c, m) not in generator_moves:
-            generator_moves[(c, m)] = _generator_actions(c, m, group)
-        return generator_moves[(c, m)]
-
-    for n in range(bound + 1):
-        signatures = by_arity[n]
-        if not signatures:
-            classes_by_arity[n] = []
-            continue
-        elements = group.elements(n)
-        element_keys = {g: _element_key(group, g) for g in elements}
-        keys = list(element_keys.values())
-
-        def moved(factor: Any) -> list[tuple]:
-            """The keys of multiply(factor, g) for every g in G(n), in element order."""
-            return [element_keys[group.multiply(factor, g)] for g in elements]
-
-        states: dict[tuple, tuple] = {}
-        arguments = {ks: list(itertools.product(*(y.labels(k) for k in ks))) for _, ks in signatures}
-        for r, ks in signatures:
-            for head in x.labels(r):
-                for ys in arguments[ks]:
-                    for g, g_key in element_keys.items():
-                        states.setdefault((r, ks, head, ys, g_key), (r, ks, head, ys, g))
-        # The union-find runs over state ids numbered in key order, so the
-        # least id of a class is its least key.
-        ordered = sorted(states)
-        state_id = {key: i for i, key in enumerate(ordered)}
-        uf = _UnionFind(len(ordered))
-
-        for r, ks in signatures:
-            heads = x.labels(r)
-            argument_tuples = arguments[ks]
-            # Moving a generator h out of the x slot permutes the arguments
-            # and cables h onto the final coordinate.
-            identities = [group.identity(k) for k in ks]
-            for h, acted in moves(x, r):
-                order = [i - 1 for i in group.project(h).inverse().image]
-                permuted_ks = tuple(ks[j] for j in order)
-                cabled = moved(group.operad_mu(h, identities))
-                for ys in argument_tuples:
-                    permuted_ys = tuple(ys[j] for j in order)
-                    for head in heads:
-                        for g_key, cabled_key in zip(keys, cabled):
-                            uf.unite(
-                                state_id[(r, ks, acted[head], ys, g_key)],
-                                state_id[(r, permuted_ks, head, permuted_ys, cabled_key)],
-                            )
-            # Moving a generator s out of argument slot i block-sums it, with
-            # identities elsewhere, onto the final coordinate.
-            identity = group.identity(r)
-            for i, k in enumerate(ks):
-                for s, table in moves(y, k):
-                    blocked = moved(group.operad_mu(identity, [*identities[:i], s, *identities[i + 1:]]))
-                    for ys in argument_tuples:
-                        acted_ys = (*ys[:i], table[ys[i]], *ys[i + 1:])
-                        for head in heads:
-                            for g_key, blocked_key in zip(keys, blocked):
-                                uf.unite(
-                                    state_id[(r, ks, head, ys, blocked_key)],
-                                    state_id[(r, ks, head, acted_ys, g_key)],
-                                )
-
-        # A class is represented by its least key, which is its root.
-        roots = [uf.find(i) for i in range(len(ordered))]
-        for key, root in zip(ordered, roots):
-            canonical[key] = states[ordered[root]]
-        classes_by_arity[n] = [states[ordered[root]] for root in sorted(set(roots))]
+    for n, elements, states, roots in _orbit_quotient(x, y, bound, x.arities()):
+        keys = [_element_key(group, g) for g in elements]
+        # A class is represented by its least key, which is its root and comes first.
+        representatives: dict[int, tuple] = {}
+        for i, ((r, ks, head, ys, e), root) in enumerate(zip(states, roots)):
+            if root == i:
+                representatives[i] = (r, ks, head, ys, elements[e])
+            canonical[(r, ks, head, ys, keys[e])] = representatives[root]
+        classes_by_arity[n] = list(representatives.values())
 
     return ComposedCollection(
         name=f"{x.name} o {y.name}",

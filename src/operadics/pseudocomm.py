@@ -282,10 +282,10 @@ def _projection_law(group: ActionOperad, tf: TFamily, bound: int) -> Iterator[st
 
 def _interchange_laws(group: ActionOperad, tf: TFamily, bound: int, report: Report) -> None:
     prefix = f"{tf.name} family"
-    # Each equation that held leaves its left-hand side here, with the
-    # witness naming it, so the minimal-lift law reuses it instead of
-    # building it again.
-    lefts: list[tuple[Any, str]] = []
+    # Over the braid groups, each equation that held has its left-hand side
+    # tested for minimality as it is checked, up to the first that is not
+    # minimal; only the verdicts are kept, not the words.
+    lifts: list[str | None] = []
 
     def equations(sides, parameters, where, suffix) -> Iterator[str | None]:
         for params in parameters:
@@ -293,7 +293,8 @@ def _interchange_laws(group: ActionOperad, tf: TFamily, bound: int, report: Repo
             held, tag = _sides_equal(group, lhs, rhs)
             if not held or tag == "fallback":
                 yield f"{where(*params)} ({tag})"
-            lefts.append((lhs, where(*params) + suffix))
+            if group.name == "braid" and (not lifts or lifts[-1] is None):
+                lifts.append(None if is_minimal_lift(lhs) else where(*params) + suffix)
             yield None
 
     report.check(
@@ -305,10 +306,7 @@ def _interchange_laws(group: ActionOperad, tf: TFamily, bound: int, report: Repo
         equations(_split_sides, _split_parameters(bound), _split_where, " (split)"),
     )
     if group.name == "braid":
-        report.check(
-            f"{prefix}: every left-hand composite is a minimal lift",
-            (None if is_minimal_lift(lhs) else witness for lhs, witness in lefts),
-        )
+        report.check(f"{prefix}: every left-hand composite is a minimal lift", lifts)
 
 
 def symmetric_theorem_report(bound: int = 3) -> Report:

@@ -528,3 +528,7 @@ def test_an_action_that_is_not_a_right_action_fails_compose_but_not_check(tmp_pa
         "under 2 1 3 then 2 1 3, but to 'a' under their product 1 2 3\n"
     )
     assert "Traceback" not in composed.stderr
+    freed = cli_run("operad", "free", "rot.json", "--carrier", "a,b", "--bound", "3")
+    assert (freed.returncode, freed.stdout) == (2, "")
+    assert freed.stderr == composed.stderr
+    assert "Traceback" not in freed.stderr

@@ -8,6 +8,7 @@ group size).  Both are computed in comments beside the assertions.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -169,19 +170,28 @@ def test_monad_associativity_reports_the_earliest_failing_nesting():
 
 
 def test_well_definedness_reports_the_first_class_an_action_fault_splits():
-    # The action is made to fix 213 under the transposition 2 1 3.  The
-    # nestings run by n and then in product order over the classes, so
-    # every triple starting with [e;] comes before the first one it tells
-    # apart; witness and count were taken from the product-then-filter
-    # enumeration that `_within` replaced.
+    # Level 3 is acted on trivially: still a right action, so the free
+    # algebra is built, but one the substitutions are not equivariant for.
+    # The nestings run by n and then in product order over the classes;
+    # witness and count were taken from the per-element quotient that
+    # uniting along generators replaced.
     p = load_operad(json.loads((DATA / "ass.json").read_text()), name="faulty ass")
-    swap = next(g for g in p.group.elements(3) if p.group.describe(g) == "2 1 3")
     honest = p.action
-    p.action = lambda n, label, g: label if (n, label, g) == (3, "213", swap) else honest(n, label, g)
+    p.action = lambda n, label, g: label if n == 3 else honest(n, label, g)
     failure = check_monad_laws(p, ("a", "b")).result("multiplication is constant on classes")
     assert not failure.passed
-    assert failure.witness == "label=213, inner=['[1; a]', '[1; b]', '[e;]'], g=2 1 3"
-    assert failure.checked == 2189
+    assert failure.witness == "label=12, inner=['[1; a]', '[12; a,a]'], g=2 1"
+    assert failure.checked == 170
+    # Fixing 213 under the transposition 2 1 3 alone leaves no right action,
+    # which the quotient refuses before any law runs.
+    swap = next(g for g in p.group.elements(3) if p.group.describe(g) == "2 1 3")
+    p.action = lambda n, label, g: label if (n, label, g) == (3, "213", swap) else honest(n, label, g)
+    message = (
+        "faulty ass: the action at arity 3 is not a right action: '231' goes to '213' "
+        "under 1 3 2 then 2 1 3, but to '123' under their product 3 1 2"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_monad_laws(p, ("a", "b"))
 
 
 # ------------------------------------------------------ pullback behaviour

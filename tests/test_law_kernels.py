@@ -10,8 +10,11 @@ case.  Hypothesis draws the packaged documents and operads made by
 compose or action entry by rebinding `p.compose` or `p.action`, so both
 sides see the fault.  Every law must give the same verdict, case count and
 witness, or both sides the same error; the free algebras must have the
-same classes and canonical maps.  The one-pass `mu_sigma` must equal the
-composite of its two block factors, arity 0 included.
+same classes and canonical maps.  A fault that leaves no right action
+inside its level (decided by `is_right_action`) must instead make
+`free_algebra` and `check_monad_laws` raise a `ValueError`.  The one-pass
+`mu_sigma` must equal the composite of its two block factors, arity 0
+included.
 """
 
 from __future__ import annotations
@@ -244,6 +247,29 @@ def reference_free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: 
     return FreeAlgebra(p, carrier, bound, classes_by_arity, canonical)
 
 
+def is_right_action(p: FiniteGOperad, bound: int) -> bool:
+    """
+    Whether the action on every level up to bound stays inside it, fixes
+    every label under the identity and satisfies x.(gh) = (x.g).h for all
+    g and h: the precondition `free_algebra` checks and refuses with a
+    `ValueError`.
+    """
+    group = p.group
+    for n in range(bound + 1):
+        labels = p.labels(n)
+        elements = group.elements(n)
+        for label in labels:
+            if p.action(n, label, group.identity(n)) != label:
+                return False
+            for g in elements:
+                acted = p.action(n, label, g)
+                if acted not in labels:
+                    return False
+                if any(p.action(n, acted, h) != p.action(n, label, group.multiply(g, h)) for h in elements):
+                    return False
+    return True
+
+
 def reference_monad_associativity(p: FiniteGOperad, free: FreeAlgebra) -> Iterator[str | None]:
     """The associativity cases of `check_monad_laws` on a free algebra of p."""
     bound = free.max_arity
@@ -381,6 +407,10 @@ def test_check_operad_matches_the_per_case_loops(p):
 @given(p=faulty_operads(FINITE, foreign=False), carrier=st.sampled_from([("a",), ("a", "b"), ("b", "a")]))
 def test_monad_associativity_matches_the_per_case_loops(p, carrier):
     bound = min(p.max_arity, 2 if len(carrier) > 1 else 3)
+    if not is_right_action(p, bound):
+        with pytest.raises(ValueError, match="not a right action"):
+            check_monad_laws(p, carrier, max_arity=bound)
+        return
     law = check_monad_laws(p, carrier, max_arity=bound).result("associativity")
     reference = Report("reference")
     reference.check("associativity", reference_monad_associativity(p, free_algebra(p, carrier, bound)))
@@ -396,9 +426,11 @@ def test_free_algebra_matches_the_tuple_keyed_union_find(p, carrier):
         free = build(p, carrier, bound)
         return free.classes_by_arity, free._canonical
 
-    # A label outside its level is a KeyError on both sides, raised inside
-    # each side's own union-find, so only its type is compared.
-    assert outcome(lambda: quotient(free_algebra))[:2] == outcome(lambda: quotient(reference_free_algebra))[:2]
+    if not is_right_action(p, bound):
+        with pytest.raises(ValueError, match="outside its level|not a right action"):
+            quotient(free_algebra)
+        return
+    assert outcome(lambda: quotient(free_algebra)) == outcome(lambda: quotient(reference_free_algebra))
 
 
 @pytest.mark.parametrize("name", sorted(OPERADS))

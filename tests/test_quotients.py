@@ -1,17 +1,18 @@
 """
 The orbit quotients `compose_collections` and `free_algebra` against slow
-references.
+references, and the two pullback criteria against each other.
 
-Both constructions precompute their group-element moves once per signature
-(composition product) or once per group element (free algebra); the
-composition product unites states along group generators only.  The
-references below are the earlier per-state loops, kept verbatim up to
-naming, with the tuple-keyed union-find they ran on: every tuple is
-registered and related to its mates one group element at a time, for
-every element.  Property tests compare classes and
-canonical maps exactly on small collections built from regular, trivial
-and sign orbits and from the packaged operads and the unit-only operad,
-over the trivial and symmetric groups.
+Both constructions are views of one quotient, which numbers its states by
+mixed radix and unites them along group generators only; the free algebra
+is the composition product with the carrier in arity 0.  The references
+below are the earlier per-state loops, kept verbatim up to naming, with
+the tuple-keyed union-find they ran on: every tuple is registered and
+related to its mates one group element at a time, for every element.
+Property tests compare classes and canonical maps exactly on small
+collections built from regular, trivial and sign orbits and from the
+packaged operads and the unit-only operad, over the trivial and symmetric
+groups, and require `cartesian_condition` and `pullback_witness_test` to
+give the same verdict on the orbit collections dressed as operads.
 """
 
 import dataclasses
@@ -27,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operadics.action_operads import instance_symmetric, instance_trivial
-from operadics.free_monad import free_algebra
+from operadics.free_monad import cartesian_condition, free_algebra, pullback_witness_test
 from operadics.g_operads import (
     FiniteGCollection,
     FiniteGOperad,
@@ -35,6 +36,7 @@ from operadics.g_operads import (
     composite_states,
     load_operad,
     operad_ass,
+    operad_comm,
     unit_collection,
     write_operad_document,
 )
@@ -295,6 +297,39 @@ def test_packaged_free_algebras_match_the_reference(name):
     classes, canonical = reference_free_algebra(p, ("b", "a"), BOUND)
     assert {n: [(c.label, c.items) for c in cs] for n, cs in free.classes_by_arity.items()} == classes
     assert {state: (c.label, c.items) for state, c in free._canonical.items()} == canonical
+
+
+# Past arity 3, uniting along generators does much less work than uniting
+# along every element: n - 1 generators against n! elements.
+LARGE_FREE_ALGEBRAS = {
+    "comm/symmetric 5 on 3, bound 5": (lambda: operad_comm(GROUPS["symmetric"], max_arity=5), 5),
+    "ass 4 on 3, bound 4": (lambda: operad_ass(4), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_FREE_ALGEBRAS))
+def test_free_algebras_past_arity_three_match_the_reference(name):
+    build, bound = LARGE_FREE_ALGEBRAS[name]
+    p = build()
+    free = free_algebra(p, ("c", "a", "b"), bound)
+    classes, canonical = reference_free_algebra(p, ("c", "a", "b"), bound)
+    assert {n: [(c.label, c.items) for c in cs] for n, cs in free.classes_by_arity.items()} == classes
+    assert {state: (c.label, c.items) for state, c in free._canonical.items()} == canonical
+
+
+# ------------------------------------------------------ the cartesian theorem
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("group_name", ["trivial", "symmetric"])
+def test_the_pointwise_criterion_agrees_with_the_pullback_square(group_name, data):
+    # An operad is cartesian iff its actions are nearly free: no label is
+    # fixed by an element with a nontrivial permutation.  Both sides read
+    # only labels and actions, so orbit operads cover every mix of free
+    # (regular), fixed (trivial) and half-fixed (sign) orbits.
+    p = _orbit_operad(data.draw(collections(GROUPS[group_name], "p", range(4)), label="p"))
+    assert cartesian_condition(p)[0] == pullback_witness_test(p)[0]
 
 
 # ------------------------------------------------------ failure modes
