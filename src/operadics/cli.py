@@ -20,7 +20,9 @@ The argument parser is built once per process, on the first call of
 `main`, and reused by every later call.  `operad compose` counts the
 composite tuples its product would enumerate and refuses more than
 `MAX_COMPOSITE_STATES` before listing any; `operad free` does the same
-for the free-algebra tuples with `MAX_FREE_STATES`.
+for the free-algebra tuples with `MAX_FREE_STATES`, `braid cable` for the
+letters of its word with `MAX_CABLE_LETTERS`, and `verify pscomm` refuses
+an index bound above `MAX_PSCOMM_BOUND` before building anything.
 """
 
 from __future__ import annotations
@@ -86,6 +88,15 @@ MAX_TAU_POINTS = 1 << 20
 # The most strands `tmn M N` lifts to.  The word has C(m,2) * C(n,2)
 # letters, at most C(32,2)^2 = 246,016 within this limit.
 MAX_TMN_STRANDS = 1024
+# The most letters `braid cable` writes, counted from the word and the sizes
+# before any is built: a crossing of cables of k and l strands becomes k * l
+# letters.  262,144 of them took 0.19 s CPU and peaked at 48 MB on a 2-vCPU
+# machine, about what `tmn` does at its limit.
+MAX_CABLE_LETTERS = 1 << 18
+# The highest index bound `verify pscomm` sweeps.  Bound 5 over the braid
+# groups took about 598 s CPU and peaked at 20.2 MB on a 2-vCPU machine;
+# bound 6 has never been run.
+MAX_PSCOMM_BOUND = 5
 # The most composite tuples (x; y_1..y_r; g) `operad compose` enumerates,
 # counted before any is listed.  156,573 of them (ass at arity 4 composed
 # with itself) took 0.64 s and peaked at 47 MB on a 2-vCPU machine.
@@ -265,9 +276,31 @@ def _cmd_braid_pi(args) -> int:
     return 0
 
 
+def _cable_letters(word: BraidWord, sizes: Sequence[int]) -> int:
+    """
+    The letters `braids.cable(word, sizes)` writes: k * l for each letter
+    crossing cables of k and l strands, the cables swapping as they cross.
+    """
+    current = list(sizes)
+    letters = 0
+    for entry in word.word:
+        i = abs(entry)
+        letters += current[i - 1] * current[i]
+        current[i - 1], current[i] = current[i], current[i - 1]
+    return letters
+
+
 def _cmd_braid_cable(args) -> int:
     word = _parse_word_tokens(args.word, args.strands)
     sizes = [_parse_int(part, "cable size") for part in args.sizes.split(",")]
+    # Sizes `braids.cable` refuses are left to its own located message.
+    if len(sizes) == word.strands and min(sizes) >= 0:
+        letters = _cable_letters(word, sizes)
+        if letters > MAX_CABLE_LETTERS:
+            raise CliError(
+                f"--sizes {args.sizes}: the cabled word has {letters} letters, "
+                f"more than the limit {MAX_CABLE_LETTERS}"
+            )
     try:
         result = braids.cable(word, sizes)
     except ValueError as exc:
@@ -343,6 +376,11 @@ def _cmd_tmn(args) -> int:
 def _cmd_verify_pscomm(args) -> int:
     if args.bound < 1:
         raise CliError("bound must be at least 1")
+    if args.bound > MAX_PSCOMM_BOUND:
+        raise CliError(
+            f"--bound {args.bound}: the interchange sweep to index bound {args.bound} is "
+            f"more than the limit {MAX_PSCOMM_BOUND}"
+        )
     if args.group == "symmetric":
         report = symmetric_theorem_report(bound=args.bound)
         print(report.render())
@@ -653,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pscomm_parser.add_argument("--group", choices=("braid", "symmetric"), required=True)
     pscomm_parser.add_argument("--bound", type=int, default=3,
-                               help="index bound for the interchange sweep (default 3)")
+                               help="index bound for the interchange sweep (default 3, at most 5)")
     pscomm_parser.set_defaults(handler=_cmd_verify_pscomm)
 
     all_parser = verify_sub.add_parser("all", help="run every verification suite")

@@ -15,8 +15,9 @@ whose items are themselves classes.  `check_monad_laws` verifies the
 monad laws and the correspondence between algebra structures and monad
 algebras, drawing its tuples of classes by `g_operads._within` (a class
 weighs its arity), so only those that flatten within the bound are built.
-Its associativity law computes each flattening [label; classes] once per
-report, in a dict that lives only for that call.  `free_algebra` keeps no
+Its laws read each flattening [label; classes] and each action value
+through `g_operads._ReadThrough` tables that live only for that call, so
+each is computed once per report.  `free_algebra` keeps no
 quotient of its own: the free algebra is the composition product P o X with
 the carrier X a collection in arity 0 under the trivial action, so it runs
 `g_operads._orbit_quotient` on P up to the bound and X at bound 0, and
@@ -29,11 +30,13 @@ monad algebras by checking every candidate map (at most 2^7 for the
 packaged operads over {a, b} at the correspondence bound).
 `cartesian_condition` and `pullback_witness_test` decide, in two
 independent ways, whether the construction preserves pullbacks; the
-first lists no group element of an empty level.
+first lists no group element of an empty level, and the second builds its
+four free algebras on one memo of P's checked level moves.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Sequence
@@ -41,7 +44,9 @@ from typing import Any, Iterator, Sequence
 from .g_operads import (
     FiniteGCollection,
     FiniteGOperad,
+    _Levels,
     _orbit_quotient,
+    _ReadThrough,
     _within,
     arity_signatures,
     enumerate_algebra_structures,
@@ -97,6 +102,11 @@ def free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None
     Enumerate the classes [p; x1..xn] for n up to the arity bound.  An action
     that is not a right action, or that leaves its level, is a `ValueError`.
     """
+    return _free_algebra(p, carrier, max_arity, {})
+
+
+def _free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None, levels: _Levels) -> FreeAlgebra:
+    """`free_algebra`, reading the checked level moves of P from `levels` and adding those it checks."""
     if p.group.elements is None:
         raise ValueError("free-algebra classes need a finite group of equivariance")
     carrier = tuple(carrier)
@@ -112,7 +122,7 @@ def free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None
     arities = [n for n in range(bound + 1) if p.labels(n)]
     classes_by_arity: dict[int, list[FreeAlgebraClass]] = {n: [] for n in range(bound + 1)}
     canonical: dict[tuple[str, tuple[str, ...]], FreeAlgebraClass] = {}
-    for _, _, states, roots in _orbit_quotient(p, points, 0, arities):
+    for _, _, states, roots in _orbit_quotient(p, points, 0, arities, levels):
         representatives: dict[int, FreeAlgebraClass] = {}
         for i, ((n, _, label, xs, _), root) in enumerate(zip(states, roots)):
             if root == i:
@@ -190,6 +200,10 @@ def check_monad_laws(
     bound = free.max_arity
     group = p.group
     report = Report(f"monad laws: {p.name} on {{{','.join(free.carrier)}}}")
+    # The flattenings [label; classes] and actions every law reads, each
+    # computed at its first read in this call and never kept after it.
+    flatten = _ReadThrough(functools.partial(mult_mu, free))
+    act = _ReadThrough(p.action)
 
     # Each element of G(n) with the inverse of its projection, listed once per arity.
     moves = {
@@ -198,51 +212,38 @@ def check_monad_laws(
 
     def well_defined() -> Iterator[str | None]:
         for n, label, inner in _nestings(free):
-            value = mult_mu(free, label, inner)
+            value = flatten[label, inner]
             for g, pi_inv in moves[n]:
-                moved_label = p.action(n, label, g)
-                moved_inner = tuple(act_on_list(pi_inv, inner))
-                if mult_mu(free, moved_label, moved_inner) != value:
+                if flatten[act[n, label, g], tuple(act_on_list(pi_inv, inner))] != value:
                     yield f"label={label}, inner={[str(c) for c in inner]}, g={group.describe(g)}"
                 yield None
 
     def left_unit() -> Iterator[str | None]:
         for cls in free.all_classes():
-            yield None if mult_mu(free, p.unit, (cls,)) == cls else str(cls)
+            yield None if flatten[p.unit, (cls,)] == cls else str(cls)
 
     def right_unit() -> Iterator[str | None]:
         for cls in free.all_classes():
             wrapped = tuple(unit_eta(free, x) for x in cls.items)
-            yield None if mult_mu(free, cls.label, wrapped) == cls else str(cls)
+            yield None if flatten[cls.label, wrapped] == cls else str(cls)
 
     # Associativity: a three-level nesting [q; [p_i; classes_i]] flattens
     # either middle-first (each [p_i; classes_i] collapses to one class)
     # or outer-first (q and the p_i merge, then one flattening).
-    # The same flattening [label; classes] recurs across (q, ps) and flat
-    # tuples, so each is computed once per report, never across reports.
     def associativity() -> Iterator[str | None]:
         pool = free.all_classes()
         arities = [c.arity for c in pool]
-        flattened: dict[tuple[str, tuple[FreeAlgebraClass, ...]], FreeAlgebraClass] = {}
-
-        def flatten(label: str, classes: tuple[FreeAlgebraClass, ...]) -> FreeAlgebraClass:
-            key = (label, classes)
-            if key not in flattened:
-                flattened[key] = mult_mu(free, label, classes)
-            return flattened[key]
-
         for n, rs in arity_signatures(bound):
             starts = list(itertools.accumulate(rs, initial=0))
             spans = list(zip(starts, starts[1:]))
-            flats = _within(bound, starts[-1], pool, arities)
+            # Each flat tuple with its slices, one slice per middle label.
+            flats = [(flat, [flat[a:b] for a, b in spans]) for flat in _within(bound, starts[-1], pool, arities)]
             for q in p.labels(n):
                 for ps in itertools.product(*(p.labels(r) for r in rs)):
                     outer = p.compose(n, rs, q, ps)
-                    for flat in flats:
-                        middle_first = flatten(
-                            q, tuple(flatten(head, flat[a:b]) for head, (a, b) in zip(ps, spans))
-                        )
-                        outer_first = flatten(outer, flat)
+                    for flat, slices in flats:
+                        middle_first = flatten[q, tuple(map(flatten.__getitem__, zip(ps, slices)))]
+                        outer_first = flatten[outer, flat]
                         if middle_first != outer_first:
                             yield f"q={q}, ps={list(ps)}, classes={[str(c) for c in flat]}"
                         yield None
@@ -320,7 +321,9 @@ def pullback_witness_test(p: FiniteGOperad, max_arity: int | None = None) -> tup
     The transformation-level criterion on one concrete square: apply the
     free construction to the pullback of two two-element sets over a
     point and check, arity by arity, that classes of pairs biject with
-    pairs of classes.  Returns (True, "") or (False, witness).
+    pairs of classes.  Returns (True, "") or (False, witness).  The four
+    free algebras share the checked level moves of P, and each class is
+    pushed forward once.
     """
     left = ("x1", "x2")
     right = ("y1", "y2")
@@ -328,10 +331,11 @@ def pullback_witness_test(p: FiniteGOperad, max_arity: int | None = None) -> tup
     first = {f"{u}{v}": u for u in left for v in right}
     second = {f"{u}{v}": v for u in left for v in right}
 
-    free_pairs = free_algebra(p, pairs, max_arity)
-    free_left = free_algebra(p, left, max_arity)
-    free_right = free_algebra(p, right, max_arity)
-    free_point = free_algebra(p, ("z",), max_arity)
+    levels: _Levels = {}
+    free_pairs = _free_algebra(p, pairs, max_arity, levels)
+    free_left = _free_algebra(p, left, max_arity, levels)
+    free_right = _free_algebra(p, right, max_arity, levels)
+    free_point = _free_algebra(p, ("z",), max_arity, levels)
 
     def push(free_target, mapping, cls):
         return free_target.canonical(cls.label, tuple(mapping[x] for x in cls.items))
@@ -349,11 +353,13 @@ def pullback_witness_test(p: FiniteGOperad, max_arity: int | None = None) -> tup
                     f"({image[0]}, {image[1]})"
                 )
             images[image] = cls
+        # The right-hand classes by their image in F(1), in list order, so
+        # the pairs come in the order of the product of the two lists.
+        over: dict[FreeAlgebraClass, list[FreeAlgebraClass]] = {}
+        for b in free_right.classes(n):
+            over.setdefault(push(free_point, collapse_right, b), []).append(b)
         fiber_pairs = [
-            (a, b)
-            for a in free_left.classes(n)
-            for b in free_right.classes(n)
-            if push(free_point, collapse_left, a) == push(free_point, collapse_right, b)
+            (a, b) for a in free_left.classes(n) for b in over.get(push(free_point, collapse_left, a), ())
         ]
         for pair in fiber_pairs:
             if pair not in images:

@@ -17,6 +17,10 @@ bound (sampling group elements when the group is infinite) and report one
 PASS/FAIL line per law, each stopping at its first counterexample.
 Every bounded space of arity tuples they walk is listed by `_within`,
 which builds only the tuples within the bound, in `itertools.product` order.
+A law report reads its compose and action values through `_ReadThrough`
+tables that live for one call: the first read of a key goes through
+`p.compose` or `p.action`, in the order the cases read it, so rebinding
+either still injects a fault, and every later read is a dict subscript.
 
 One representation serves every finite operad: `FiniteGOperad` holds a
 compose table keyed by (n, ks, head, args) and an action table keyed by
@@ -50,11 +54,13 @@ elements by `_element_key`, so the root of a class, its least id, is its
 least key and its representative.  For right actions the identifications
 are orbits of group actions, so states are united only along generators:
 those of G(r) in the x slot and those of each G(k_i) in its argument slot.
-That precondition is checked once per collection and arity in a call
-(identity and x.(g s) = (x.g).s for every element g and generator s), and
-a failure is a `ValueError`.  `composite_states` counts the tuples the
-composition product enumerates from the level sizes alone, so a caller can
-refuse a product too large to build before listing anything.
+That precondition is checked once per collection and arity in the memo of
+checked levels the caller passes (identity and x.(g s) = (x.g).s for every
+element g and generator s), so quotients that share a memo check each
+level once, and a failure is a `ValueError`.  `composite_states` counts
+the tuples the composition product enumerates from the level sizes alone,
+so a caller can refuse a product too large to build before listing
+anything.
 
 Algebra structures are found by finite-model search (`_backtrack`, in
 the style of SEM and Mace4) rather than by checking every candidate
@@ -157,6 +163,24 @@ class FiniteGOperad(FiniteGCollection):
         return result
 
 
+class _ReadThrough(dict):
+    """
+    The values one call reads from `read`, keyed by its argument tuples: a
+    missing key is read through read(*key) and stored, so a later read of
+    it is a plain subscript.  An error is raised, never stored.
+    """
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable[..., Any]):
+        super().__init__()
+        self.read = read
+
+    def __missing__(self, key: tuple) -> Any:
+        value = self[key] = self.read(*key)
+        return value
+
+
 @dataclass
 class AlgebraStructure:
     """A finite carrier together with one evaluation map per arity."""
@@ -250,6 +274,13 @@ def _group_elements(group: ActionOperad, n: int, budget: int, seed: int) -> list
 def check_collection(
     x: FiniteGCollection, *, bound: int | None = None, budget: int = 25, seed: int = 9
 ) -> Report:
+    return _check_collection(x, _ReadThrough(x.action), bound, budget, seed)
+
+
+def _check_collection(
+    x: FiniteGCollection, act: _ReadThrough, bound: int | None, budget: int, seed: int
+) -> Report:
+    """The right-action laws of x, reading each action value through the table act."""
     report = Report(f"collection laws: {x.name}")
     group = x.group
     arities = range(bound + 1) if bound is not None else x.arities() or [0]
@@ -259,7 +290,7 @@ def check_collection(
             gs = _group_elements(group, n, budget, seed)
             for label in x.labels(n):
                 for g in gs:
-                    if x.action(n, label, g) not in x.labels(n):
+                    if act[n, label, g] not in x.labels(n):
                         yield f"n={n}, x={label}, g={group.describe(g)}"
                     yield None
 
@@ -267,16 +298,18 @@ def check_collection(
         for n in arities:
             e = group.identity(n)
             for label in x.labels(n):
-                yield None if x.action(n, label, e) == label else f"n={n}, x={label}"
+                yield None if act[n, label, e] == label else f"n={n}, x={label}"
 
     def composition() -> Iterator[str | None]:
         for n in arities:
+            if not x.labels(n):
+                continue
             gs = _group_elements(group, n, budget, seed)
+            # Each pair (g, h) with its product, formed once per arity.
+            pairs = [(g, h, group.multiply(g, h)) for g, h in itertools.product(gs, repeat=2)]
             for label in x.labels(n):
-                for g, h in itertools.product(gs, repeat=2):
-                    stepwise = x.action(n, x.action(n, label, g), h)
-                    combined = x.action(n, label, group.multiply(g, h))
-                    if stepwise != combined:
+                for g, h, gh in pairs:
+                    if act[n, act[n, label, g], h] != act[n, label, gh]:
                         yield f"n={n}, x={label}, g={group.describe(g)}, h={group.describe(h)}"
                     yield None
 
@@ -290,17 +323,20 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     """
     Exhaustively verify the operad and equivariance laws within the bound.
 
-    Every law walks its cases in a fixed order and reads each compose and
-    action value through `p.compose` and `p.action`.  The work that depends
-    only on arities is done once per call: the label product of each arity
-    tuple, the slices of each (ks, ls) pair, the identities and cable of
-    each signature and element, and the acted argument tuples of each args.
+    Every law walks its cases in a fixed order.  The compose and action
+    values are read through two `_ReadThrough` tables of this call, shared
+    by all its laws: the first read of a key calls `p.compose` or
+    `p.action`, in the order the cases read it, and every later read of
+    that key is a subscript.  The work that depends only on arities is
+    also done once per call: the label product of each arity tuple, the
+    slices of each (ks, ls) pair, and the identities and cable of each
+    signature and element.  Nothing is kept after the call returns.
     """
     group = p.group
     bound = p.max_arity
     labels = p.labels
-    mu = p.compose
-    act = p.action
+    mu = _ReadThrough(p.compose)
+    act = _ReadThrough(p.action)
     signatures = list(arity_signatures(bound))
     report = Report(f"operad laws: {p.name}")
     # Each arity's group elements are listed once, those acting in the
@@ -330,13 +366,13 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
             total = sum(ks)
             for head in labels(n):
                 for args in product(ks):
-                    if mu(n, ks, head, args) not in labels(total):
+                    if mu[n, ks, head, args] not in labels(total):
                         yield f"mu result escapes level {total}: n={n}, ks={list(ks)}, p={head}, qs={list(args)}"
                     yield None
         for n, gs in elements.items():
             for head in labels(n):
                 for g in gs:
-                    if act(n, head, g) not in labels(n):
+                    if act[n, head, g] not in labels(n):
                         yield f"action escapes level {n}: p={head}, g={group.describe(g)}"
                     yield None
 
@@ -344,8 +380,8 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     def unit() -> Iterator[str | None]:
         for n in range(bound + 1):
             for head in labels(n):
-                yield None if mu(1, (n,), p.unit, (head,)) == head else f"mu(unit; {head}) != {head}"
-                yield None if mu(n, (1,) * n, head, (p.unit,) * n) == head else f"mu({head}; unit...) != {head}"
+                yield None if mu[1, (n,), p.unit, (head,)] == head else f"mu(unit; {head}) != {head}"
+                yield None if mu[n, (1,) * n, head, (p.unit,) * n] == head else f"mu({head}; unit...) != {head}"
 
     def associativity() -> Iterator[str | None]:
         # The arity tuples ls of each length, listed once.
@@ -355,22 +391,19 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
             starts = list(itertools.accumulate(ks, initial=0))
             spans = list(zip(starts, starts[1:]))
             # Each (head, args) with its composite, which every ls reads.
-            composites = [(head, args, mu(n, ks, head, args)) for head in labels(n) for args in product(ks)]
+            composites = [(head, args, mu[n, ks, head, args]) for head in labels(n) for args in product(ks)]
             if not composites:
                 continue
             for ls in flat_arities[total]:
                 # Each flat tuple with its slices, one slice per argument slot.
                 flat_slices = [(flats, [flats[a:b] for a, b in spans]) for flats in product(ls)]
-                splits = [(b - a, ls[a:b]) for a, b in spans]
-                inner_ks = tuple([sum(split) for _, split in splits])
+                splits = [ls[a:b] for a, b in spans]
+                inner_ks = tuple([sum(split) for split in splits])
                 for head, args, composite in composites:
                     for flats, slices in flat_slices:
-                        lhs = mu(total, ls, composite, flats)
-                        inner = [
-                            mu(k, split, arg, piece)
-                            for (k, split), arg, piece in zip(splits, args, slices)
-                        ]
-                        if lhs != mu(n, inner_ks, head, inner):
+                        lhs = mu[total, ls, composite, flats]
+                        inner = tuple(map(mu.__getitem__, zip(ks, splits, args, slices)))
+                        if lhs != mu[n, inner_ks, head, inner]:
                             yield (
                                 f"n={n}, ks={list(ks)}, ls={list(ls)}, p={head}, "
                                 f"qs={list(args)}, rs={list(flats)}"
@@ -388,10 +421,10 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
                 cable = group.operad_mu(g, identities)
                 permuted = [tuple(args[j] for j in order) for args in arguments]
                 for head in labels(n):
-                    acted = act(n, head, g)
+                    acted = act[n, head, g]
                     for args, permuted_args in zip(arguments, permuted):
-                        lhs = mu(n, ks, acted, args)
-                        if lhs != act(total, mu(n, permuted_ks, head, permuted_args), cable):
+                        lhs = mu[n, ks, acted, args]
+                        if lhs != act[total, mu[n, permuted_ks, head, permuted_args], cable]:
                             yield (
                                 f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
                                 f"g={group.describe(g)}"
@@ -407,15 +440,12 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
                 (gs, group.operad_mu(e, list(gs)))
                 for gs in itertools.product(*(argument_elements[k] for k in ks))
             ]
-            # args -> its acted tuple under each gs of blocks, built at first use.
-            acted_arguments: dict[tuple[str, ...], list[tuple[str, ...]]] = {}
             for head in labels(n):
                 for args in product(ks):
-                    composite = mu(n, ks, head, args)
-                    if args not in acted_arguments:
-                        acted_arguments[args] = [tuple(map(act, ks, args, gs)) for gs, _ in blocks]
-                    for (gs, block), acted_args in zip(blocks, acted_arguments[args]):
-                        if mu(n, ks, head, acted_args) != act(total, composite, block):
+                    composite = mu[n, ks, head, args]
+                    for gs, block in blocks:
+                        acted_args = tuple(map(act.__getitem__, zip(ks, args, gs)))
+                        if mu[n, ks, head, acted_args] != act[total, composite, block]:
                             yield (
                                 f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
                                 f"gs=[{', '.join(group.describe(g) for g in gs)}]"
@@ -428,8 +458,8 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     report.check("equivariance in the operad slot", slot())
     report.check("equivariance in the argument slots", argument_slots())
 
-    # The per-level right-action laws.
-    collection_report = check_collection(p, bound=bound, budget=budget, seed=seed)
+    # The per-level right-action laws, on the same action table.
+    collection_report = _check_collection(p, act, bound, budget, seed)
     report.results.extend(collection_report.results)
     return report
 
@@ -1246,15 +1276,22 @@ def _mixed_radix(columns: Sequence[Sequence[int]]) -> list[int]:
     return sums
 
 
+# Level m of a collection c, keyed (c, m): its labels sorted, with each
+# generator s of G(m) and the rank of label.s by label rank.
+_Levels = dict[tuple[FiniteGCollection, int], tuple[list[str], list[tuple[Any, list[int]]]]]
+
+
 def _orbit_quotient(
-    x: FiniteGCollection, y: FiniteGCollection, bound: int, heads: Sequence[int]
+    x: FiniteGCollection, y: FiniteGCollection, bound: int, heads: Sequence[int], levels: _Levels
 ) -> Iterator[tuple[int, list[Any], Iterator[tuple], list[int]]]:
     """
     The orbit quotient of the composite states (r; ks; x; ys; g) with r in
     `heads` (ascending) and n = sum(ks) <= bound, numbered by mixed radix and
     united along generators as the module docstring describes.  Yields, arity
     by arity, n, the elements of G(n) in key order, the states in id order as
-    (r, ks, x, ys, element rank) and the root of each id.
+    (r, ks, x, ys, element rank) and the root of each id.  A level's moves are
+    checked by `_generator_actions` only if `levels`, which the caller may
+    share among quotients of one call, does not hold them yet.
     """
     group = x.group
     y_arities = [k for k in range(bound + 1) if y.labels(k)]
@@ -1263,7 +1300,6 @@ def _orbit_quotient(
     for r in heads:
         for ks in _within(bound, r, y_arities):
             by_arity[sum(ks)].append((r, ks))
-    levels: dict[tuple[FiniteGCollection, int], tuple[list[str], list[tuple[Any, list[int]]]]] = {}
 
     def level(c: FiniteGCollection, m: int) -> tuple[list[str], list[tuple[Any, list[int]]]]:
         """Level m of c sorted, with each generator s of G(m) and the rank of label.s by label rank."""
@@ -1369,7 +1405,7 @@ def compose_collections(
         )
     classes_by_arity: dict[int, list[tuple]] = {}
     canonical: dict[tuple, tuple] = {}
-    for n, elements, states, roots in _orbit_quotient(x, y, bound, x.arities()):
+    for n, elements, states, roots in _orbit_quotient(x, y, bound, x.arities(), {}):
         keys = [_element_key(group, g) for g in elements]
         # A class is represented by its least key, which is its root and comes first.
         representatives: dict[int, tuple] = {}

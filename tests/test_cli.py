@@ -21,6 +21,7 @@ import pytest
 from operadics import cli, free_monad, g_operads
 from operadics.braids import braid_identity
 from operadics.permutations import identity
+from operadics.reporting import Report
 
 pytestmark = pytest.mark.usefixtures("cli_env")
 
@@ -381,6 +382,43 @@ def test_tmn_refuses_grids_past_its_strand_limit(monkeypatch, capsys):
     assert built == []
     assert cli.main(["tmn", "--family", "negative", str(limit), "1"]) == 0
     assert built == [(limit, 1)]
+
+
+def test_braid_cable_refuses_words_past_its_letter_limit(monkeypatch, capsys):
+    # The letters are counted from the word and the sizes: 1 2 on cables of
+    # 1, l and 1 strands crosses 1 with l, then 1 with 1 (the cables swap).
+    built = []
+    monkeypatch.setattr(cli.braids, "cable", lambda word, sizes: built.append(sizes) or braid_identity(1))
+    limit = cli.MAX_CABLE_LETTERS
+    sizes = f"1,{limit},1"
+    assert cli.main(["braid", "cable", "-n", "3", "--sizes", sizes, "1", "2"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --sizes {sizes}: the cabled word has {limit + 1} letters, more than the limit {limit}\n"
+    )
+    assert built == []
+    assert cli.main(["braid", "cable", "-n", "3", "--sizes", f"1,{limit - 1},1", "1", "2"]) == 0
+    assert built == [[1, limit - 1, 1]]
+
+
+@pytest.mark.parametrize("group", ["symmetric", "braid"])
+def test_verify_pscomm_refuses_bounds_past_its_limit(monkeypatch, capsys, group):
+    # The sweeps are stubbed: bound 5 runs for about ten minutes.
+    swept = []
+    report = Report("stub")
+    report.record("the family is symmetric: t(m,n) inverts t(n,m)", True, "", 1)
+    monkeypatch.setattr(cli, "symmetric_theorem_report", lambda bound: swept.append(bound) or report)
+    monkeypatch.setattr(cli, "braid_theorem_report", lambda bound: swept.append(bound) or report)
+    monkeypatch.setattr(cli, "verify_symmetry", lambda *args, **kwargs: (False, (2, 2)))
+    limit = cli.MAX_PSCOMM_BOUND
+    assert limit == 5
+    assert cli.main(["verify", "pscomm", "--group", group, "--bound", str(limit + 1)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --bound {limit + 1}: the interchange sweep to index bound {limit + 1} is "
+        f"more than the limit {limit}\n"
+    )
+    assert swept == []
+    assert cli.main(["verify", "pscomm", "--group", group, "--bound", str(limit)]) == 0
+    assert swept == [limit]
 
 
 def test_python_m_operadics_runs_the_same_program(tmp_path):

@@ -1,24 +1,31 @@
 """
-The law kernels of `check_operad`, `check_monad_laws`, `free_algebra` and
-`mu_sigma` against their earlier per-case versions.
+The law kernels of `check_operad`, `check_monad_laws`, `free_algebra`,
+`pullback_witness_test` and `mu_sigma` against their earlier per-case
+versions.
 
 The kernels list each label product, slice and cable once per report and
-memoize flattenings only within one call.  The references below are the
-earlier loops, kept verbatim up to naming, which redo that work for every
-case.  Hypothesis draws the packaged documents and operads made by
-`operad_ass`, `operad_comm` and `endomorphism_operad`, and changes one
-compose or action entry by rebinding `p.compose` or `p.action`, so both
-sides see the fault.  Every law must give the same verdict, case count and
-witness, or both sides the same error; the free algebras must have the
-same classes and canonical maps.  A fault that leaves no right action
+read each compose, action and flattening value through a table that lives
+only for one call.  The references below are the earlier loops, kept
+verbatim up to naming, which redo that work for every case; the reference
+pullback test builds its four free algebras separately and pushes each
+class once per pair it meets.  Hypothesis draws the packaged documents
+and operads made by `operad_ass`, `operad_comm` and `endomorphism_operad`,
+and changes one compose or action entry by rebinding `p.compose` or
+`p.action`, so both sides see the fault.  Every law must give the same
+verdict, case count and witness, or both sides the same error; the free
+algebras must have the same classes and canonical maps, and the pullback
+tests the same verdict and witness.  A fault that leaves no right action
 inside its level (decided by `is_right_action`) must instead make
-`free_algebra` and `check_monad_laws` raise a `ValueError`.  The one-pass
-`mu_sigma` must equal the composite of its two block factors, arity 0
-included.
+`free_algebra` and `check_monad_laws` raise a `ValueError`.  Counting
+wrappers pin the savings: `check_operad` reads each compose and action key
+of a packaged document once, and one `pullback_witness_test` checks the
+action of each level of P once.  The one-pass `mu_sigma` must equal the
+composite of its two block factors, arity 0 included.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 from pathlib import Path
@@ -28,6 +35,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from operadics import g_operads
 from operadics.action_operads import instance_braid, instance_symmetric, instance_trivial
 from operadics.free_monad import (
     FreeAlgebra,
@@ -35,6 +43,7 @@ from operadics.free_monad import (
     check_monad_laws,
     free_algebra,
     mult_mu,
+    pullback_witness_test,
 )
 from operadics.g_operads import (
     FiniteGOperad,
@@ -302,6 +311,54 @@ def reference_monad_associativity(p: FiniteGOperad, free: FreeAlgebra) -> Iterat
     return associativity()
 
 
+def reference_pullback_witness_test(p: FiniteGOperad, max_arity: int | None = None) -> tuple[bool, str]:
+    """
+    The transformation-level criterion on one concrete square: apply the
+    free construction to the pullback of two two-element sets over a
+    point and check, arity by arity, that classes of pairs biject with
+    pairs of classes.  Returns (True, "") or (False, witness).
+    """
+    left = ("x1", "x2")
+    right = ("y1", "y2")
+    pairs = tuple(f"{u}{v}" for u in left for v in right)
+    first = {f"{u}{v}": u for u in left for v in right}
+    second = {f"{u}{v}": v for u in left for v in right}
+
+    free_pairs = free_algebra(p, pairs, max_arity)
+    free_left = free_algebra(p, left, max_arity)
+    free_right = free_algebra(p, right, max_arity)
+    free_point = free_algebra(p, ("z",), max_arity)
+
+    def push(free_target, mapping, cls):
+        return free_target.canonical(cls.label, tuple(mapping[x] for x in cls.items))
+
+    collapse_left = {x: "z" for x in left}
+    collapse_right = {y: "z" for y in right}
+
+    for n in range(free_pairs.max_arity + 1):
+        images = {}
+        for cls in free_pairs.classes(n):
+            image = (push(free_left, first, cls), push(free_right, second, cls))
+            if image in images:
+                return False, (
+                    f"classes {images[image]} and {cls} both map to "
+                    f"({image[0]}, {image[1]})"
+                )
+            images[image] = cls
+        fiber_pairs = [
+            (a, b)
+            for a in free_left.classes(n)
+            for b in free_right.classes(n)
+            if push(free_point, collapse_left, a) == push(free_point, collapse_right, b)
+        ]
+        for pair in fiber_pairs:
+            if pair not in images:
+                return False, f"pair ({pair[0]}, {pair[1]}) has no class of pairs above it"
+        if len(fiber_pairs) != len(images):
+            return False, f"arity {n}: {len(images)} classes vs {len(fiber_pairs)} fiber pairs"
+    return True, ""
+
+
 def reference_mu_sigma(sigma: Permutation, taus: Sequence[Permutation]) -> Permutation:
     """
     Operadic composition in the symmetric groups: substitute tau_i into the
@@ -443,6 +500,50 @@ def test_the_unchanged_operads_match_the_per_case_loops(name):
         reference = Report("reference")
         reference.check("associativity", reference_monad_associativity(p, free_algebra(p, ("a", "b"), bound)))
         assert law == reference.results[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=faulty_operads(FINITE))
+def test_pullback_witness_test_matches_four_separate_free_algebras(p):
+    assert outcome(lambda: pullback_witness_test(p)) == outcome(lambda: reference_pullback_witness_test(p))
+
+
+# ------------------------------------------------------------ reads
+
+
+@pytest.mark.parametrize("name", ["ass.json", "comm.json", "comm_trivial.json"])
+def test_check_operad_reads_each_table_entry_once(name):
+    p = OPERADS[name]()
+    reads: collections.Counter = collections.Counter()
+    compose, action = p.compose, p.action
+
+    def counted_compose(n, ks, head, args):
+        reads["compose", n, tuple(ks), head, tuple(args)] += 1
+        return compose(n, ks, head, args)
+
+    def counted_action(n, label, g):
+        reads["action", n, label, g] += 1
+        return action(n, label, g)
+
+    p.compose, p.action = counted_compose, counted_action
+    assert check_operad(p).ok
+    assert reads and max(reads.values()) == 1
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_one_pullback_test_checks_each_level_of_p_once(monkeypatch, name):
+    p = OPERADS[name]()
+    checked: collections.Counter = collections.Counter()
+    generator_actions = g_operads._generator_actions
+
+    def counted(c, n, group):
+        if c is p:
+            checked[n] += 1
+        return generator_actions(c, n, group)
+
+    monkeypatch.setattr(g_operads, "_generator_actions", counted)
+    pullback_witness_test(p)
+    assert checked == {n: 1 for n in range(p.max_arity + 1) if p.labels(n)}
 
 
 # ------------------------------------------------------------ mu_sigma

@@ -12,7 +12,8 @@ Property tests compare classes and canonical maps exactly on small
 collections built from regular, trivial and sign orbits and from the
 packaged operads and the unit-only operad, over the trivial and symmetric
 groups, and require `cartesian_condition` and `pullback_witness_test` to
-give the same verdict on the orbit collections dressed as operads.
+give the same verdict on the orbit collections dressed as operads and on
+sub-operads of endomorphism operads generated by a few operations.
 """
 
 import dataclasses
@@ -32,8 +33,10 @@ from operadics.free_monad import cartesian_condition, free_algebra, pullback_wit
 from operadics.g_operads import (
     FiniteGCollection,
     FiniteGOperad,
+    arity_signatures,
     compose_collections,
     composite_states,
+    endomorphism_operad,
     load_operad,
     operad_ass,
     operad_comm,
@@ -329,6 +332,64 @@ def test_the_pointwise_criterion_agrees_with_the_pullback_square(group_name, dat
     # only labels and actions, so orbit operads cover every mix of free
     # (regular), fixed (trivial) and half-fixed (sign) orbits.
     p = _orbit_operad(data.draw(collections(GROUPS[group_name], "p", range(4)), label="p"))
+    assert cartesian_condition(p)[0] == pullback_witness_test(p)[0]
+
+
+# The endomorphism operads the generated sub-operads live in, built once:
+# over {a} every level holds one function, over {a,b} arity 2 holds 16.
+ENDOMORPHISMS = {
+    (carrier, group_name): endomorphism_operad(carrier, GROUPS[group_name], max_arity=3 if len(carrier) == 1 else 2)
+    for carrier in [("a",), ("a", "b")]
+    for group_name in GROUPS
+}
+
+
+def generated_sub_operad(e: FiniteGOperad, generators: Sequence[tuple[int, str]]) -> FiniteGOperad:
+    """
+    The least sub-operad of e within its bound holding the unit and the
+    generators (arity, label): their closure under e's action and
+    substitution, with e's tables.
+    """
+    group = e.group
+    levels = {n: set() for n in range(e.max_arity + 1)}
+    levels[1].add(e.unit)
+    for n, label in generators:
+        levels[n].add(label)
+    size = 0
+    while size != sum(map(len, levels.values())):
+        size = sum(map(len, levels.values()))
+        for n, labels in levels.items():
+            labels.update([e.action(n, label, g) for label in labels for g in group.elements(n)])
+        for n, ks in arity_signatures(e.max_arity):
+            found = [
+                e.compose(n, ks, head, args)
+                for head in levels[n]
+                for args in itertools.product(*(levels[k] for k in ks))
+            ]
+            levels[sum(ks)].update(found)
+    return FiniteGOperad(
+        name=f"generated by {list(generators)} in {e.name}",
+        group=group,
+        levels={n: tuple(sorted(labels)) for n, labels in levels.items()},
+        unit=e.unit,
+        action=e.action,
+        compose=e.compose,
+        max_arity=e.max_arity,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("carrier", [("a",), ("a", "b")])
+@pytest.mark.parametrize("group_name", ["trivial", "symmetric"])
+def test_the_pointwise_criterion_agrees_on_generated_sub_operads(group_name, carrier, data):
+    # Sub-operads of an endomorphism operad mix fixed operations (constant
+    # and symmetric functions) with free ones (projections) as substitution
+    # and the action generate them, not as orbits are drawn.
+    e = ENDOMORPHISMS[carrier, group_name]
+    operations = [(n, label) for n in range(e.max_arity + 1) for label in e.labels(n)]
+    generators = data.draw(st.lists(st.sampled_from(operations), min_size=1, max_size=3), label="generators")
+    p = generated_sub_operad(e, generators)
     assert cartesian_condition(p)[0] == pullback_witness_test(p)[0]
 
 
