@@ -8,19 +8,26 @@ element:
 
     (p . g; x_1..x_n)  ~  (p; x_{pi(g)^-1(1)}, ..., x_{pi(g)^-1(n)})
 
-Classes are stored by their lexicographically least representative and
-rendered as "[p; x1,...,xn]".  The construction is a monad: `unit_eta`
-wraps a carrier element as [unit; x], and `mult_mu` flattens a class
-whose items are themselves classes.  `check_monad_laws` verifies the
-monad laws and the correspondence between algebra structures and monad
-algebras, drawing its tuples of classes by `g_operads._within` (a class
-weighs its arity), so only those that flatten within the bound are built.
+Classes are stored by their lexicographically least representative, a
+`FreeAlgebraClass`: the named tuple (label, items), which hashes and
+compares as that tuple, rendered as "[p; x1,...,xn]".  The construction is
+a monad: `unit_eta` wraps a carrier element as [unit; x], and `mult_mu`
+flattens a class whose items are themselves classes.  `check_monad_laws`
+verifies the monad laws and the correspondence between algebra structures
+and monad algebras, drawing its tuples of classes by `g_operads._within`
+(a class weighs its arity), so only those that flatten within the bound
+are built.
 Its laws read each flattening [label; classes] and each action value
 through `g_operads._ReadThrough` tables that live only for that call, so
-each is computed once per report.  `free_algebra` keeps no
-quotient of its own: the free algebra is the composition product P o X with
-the carrier X a collection in arity 0 under the trivial action, so it runs
-`g_operads._orbit_quotient` on P up to the bound and X at bound 0, and
+each is computed once per report.  Associativity decides the cases of each
+(q, ps) as two rows over the flat tuples, middle-first and outer-first,
+and replays them case by case only when the rows differ or a read raises.
+The correspondence reads its classes from the free algebra the laws were
+checked on, truncated to its bound, so one call runs one orbit quotient.
+`free_algebra` keeps no quotient of its own: the free algebra is the
+composition product P o X with the carrier X a collection in arity 0
+under the trivial action, so it runs `g_operads._orbit_quotient` on P up
+to the bound and X at bound 0, and
 reads its classes (r; 0..0; label; xs; e) by r.  Each class is represented
 by its least state, and the action must be a right action that keeps every
 level, or the quotient raises a `ValueError`.
@@ -39,7 +46,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from .g_operads import (
     FiniteGCollection,
@@ -59,9 +66,12 @@ class ArityOverflowError(Exception):
     """Raised when flattening nested classes would exceed the arity bound."""
 
 
-@dataclass(frozen=True)
-class FreeAlgebraClass:
-    """A canonical representative (operation label; carrier items)."""
+class FreeAlgebraClass(NamedTuple):
+    """
+    A canonical representative (operation label; carrier items).  As a named
+    tuple it hashes and compares as the plain tuple (label, items), which it
+    equals.
+    """
 
     label: str
     items: tuple[str, ...]
@@ -169,6 +179,18 @@ def _nestings(free: FreeAlgebra) -> Iterator[tuple[int, str, tuple[FreeAlgebraCl
                 yield n, label, inner
 
 
+def _restrict(free: FreeAlgebra, p: FiniteGOperad) -> FreeAlgebra:
+    """
+    The free algebra over p, a truncation of free's operad, on the same
+    carrier: free's classes and canonical map up to p's bound, which are
+    exactly those its own quotient would find.
+    """
+    bound = p.max_arity
+    classes_by_arity = {n: free.classes_by_arity[n] for n in range(bound + 1)}
+    canonical = {key: cls for key, cls in free._canonical.items() if len(key[1]) <= bound}
+    return FreeAlgebra(p, free.carrier, bound, classes_by_arity, canonical)
+
+
 def _truncate(p: FiniteGOperad, bound: int) -> FiniteGOperad:
     if bound >= p.max_arity:
         return p
@@ -194,7 +216,13 @@ def check_monad_laws(
     Verify that the free construction really is a monad on finite sets:
     well-definedness of the flattening, both unit laws, associativity, and
     the correspondence between operad algebras and monad algebras (the
-    latter up to CORRESPONDENCE_BOUND).
+    latter up to CORRESPONDENCE_BOUND, on this free algebra's classes).
+
+    Flattenings and actions are read through tables of this call, each key
+    once.  Associativity builds, per (q, ps), the row of middle-first and
+    the row of outer-first flattenings over the flat tuples; a (q, ps)
+    whose rows differ, or where a read raises, is replayed case by case,
+    so the first witness or error is the one the per-case order meets.
     """
     free = free_algebra(p, carrier, max_arity)
     bound = free.max_arity
@@ -236,12 +264,33 @@ def check_monad_laws(
         for n, rs in arity_signatures(bound):
             starts = list(itertools.accumulate(rs, initial=0))
             spans = list(zip(starts, starts[1:]))
-            # Each flat tuple with its slices, one slice per middle label.
-            flats = [(flat, [flat[a:b] for a, b in spans]) for flat in _within(bound, starts[-1], pool, arities)]
+            flats = _within(bound, starts[-1], pool, arities)
+            # The slices of the flat tuples, one column per middle label.
+            columns = [[flat[a:b] for flat in flats] for a, b in spans]
             for q in p.labels(n):
                 for ps in itertools.product(*(p.labels(r) for r in rs)):
                     outer = p.compose(n, rs, q, ps)
-                    for flat, slices in flats:
+                    # Both rows over the flat tuples: each column flattened
+                    # under its p_i and the results flattened under q, and
+                    # each flat tuple flattened under the composite.
+                    try:
+                        middles = [
+                            map(flatten.__getitem__, zip(itertools.repeat(head), column))
+                            for head, column in zip(ps, columns)
+                        ]
+                        inner = zip(*middles) if middles else itertools.repeat((), len(flats))
+                        middle_first = list(map(flatten.__getitem__, zip(itertools.repeat(q), inner)))
+                        outer_first = list(map(flatten.__getitem__, zip(itertools.repeat(outer), flats)))
+                        same = middle_first == outer_first
+                    except Exception:
+                        # Whatever a read raised, the case that reaches that read raises again.
+                        same = False
+                    if same:
+                        yield from itertools.repeat(None, len(flats))
+                        continue
+                    # Case by case, for the first witness or error.
+                    for flat in flats:
+                        slices = [flat[a:b] for a, b in spans]
                         middle_first = flatten[q, tuple(map(flatten.__getitem__, zip(ps, slices)))]
                         outer_first = flatten[outer, flat]
                         if middle_first != outer_first:
@@ -255,7 +304,7 @@ def check_monad_laws(
 
     truncated = _truncate(p, min(CORRESPONDENCE_BOUND, bound))
     algebras = enumerate_algebra_structures(truncated, free.carrier)
-    small = free_algebra(truncated, free.carrier)
+    small = _restrict(free, truncated)
     monad_maps = _monad_algebra_maps(small)
     induced = {
         tuple(algebra.maps(c.arity, c.label, c.items) for c in small.all_classes())

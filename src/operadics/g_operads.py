@@ -19,8 +19,12 @@ Every bounded space of arity tuples they walk is listed by `_within`,
 which builds only the tuples within the bound, in `itertools.product` order.
 A law report reads its compose and action values through `_ReadThrough`
 tables that live for one call: the first read of a key goes through
-`p.compose` or `p.action`, in the order the cases read it, so rebinding
-either still injects a fault, and every later read is a dict subscript.
+`p.compose` or `p.action`, so rebinding either still injects a fault, and
+every later read is a dict subscript.  Reads are taken to depend on the key
+alone: operad associativity reads whole rows before its cases, and replays
+a signature case by case only when the rows disagree or a read raises, so
+its verdict, case count, first witness and raised error are those of the
+per-case loop.
 
 One representation serves every finite operad: `FiniteGOperad` holds a
 compose table keyed by (n, ks, head, args) and an action table keyed by
@@ -326,11 +330,20 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     Every law walks its cases in a fixed order.  The compose and action
     values are read through two `_ReadThrough` tables of this call, shared
     by all its laws: the first read of a key calls `p.compose` or
-    `p.action`, in the order the cases read it, and every later read of
-    that key is a subscript.  The work that depends only on arities is
-    also done once per call: the label product of each arity tuple, the
-    slices of each (ks, ls) pair, and the identities and cable of each
+    `p.action`, and every later read of that key is a subscript.  The work
+    that depends only on arities is also done once per call: the label
+    product of each arity tuple, and the identities and cable of each
     signature and element.  Nothing is kept after the call returns.
+
+    Associativity reads rows per signature: the composites of a label of
+    level m over every (ls, rs), of a head of arity n over every (js, qs),
+    and of an argument over every (split, rs) of its arity, each row built
+    once per call and each key in it read once.  A signature holds when,
+    for every (head, args), the composite's row read at the flat keys
+    equals the head's row read at the products of the argument rows.  A
+    signature whose rows differ, or where a read raises, is replayed case
+    by case, so the first witness or error is the one the per-case order
+    meets, at the same case count.
     """
     group = p.group
     bound = p.max_arity
@@ -384,29 +397,105 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
                 yield None if mu[n, (1,) * n, head, (p.unit,) * n] == head else f"mu({head}; unit...) != {head}"
 
     def associativity() -> Iterator[str | None]:
-        # The arity tuples ls of each length, listed once.
-        flat_arities = {total: _within(bound, total, range(bound + 1)) for total in range(bound + 1)}
+        # The arity tuples ls of each length with their label tuples, listed
+        # once; an ls with an empty level has no cases.
+        flat_arities = {
+            total: [(ls, product(ls)) for ls in _within(bound, total, range(bound + 1)) if product(ls)]
+            for total in range(bound + 1)
+        }
+        flat_counts = {total: sum(len(flats) for _, flats in flat_arities[total]) for total in flat_arities}
+        # Rows of compose values, read once through mu and keyed by the pairs
+        # zip(arities, labels) of the arguments: a composite c of level total
+        # over every (ls, rs), and a head of arity n over every (js, qs).
+        composite_rows = _ReadThrough(
+            lambda total, c: {
+                tuple(zip(ls, rs)): mu[total, ls, c, rs] for ls, flats in flat_arities[total] for rs in flats
+            }
+        )
+        head_rows = _ReadThrough(
+            lambda n, head: {
+                tuple(zip(js, qs)): mu[n, js, head, qs] for m, js in signatures if m == n for qs in product(js)
+            }
+        )
+        # The (split, rs) of each length k by ascending sum(split), as their
+        # keys zip(split, rs), with starts[k][s] the first of sum s.  The row
+        # of an argument q of arity k lists, in that order, the inner
+        # composites (sum(split), mu(k; split; q; rs)).
+        by_sum = {k: sorted(flat_arities[k], key=lambda entry: sum(entry[0])) for k in flat_arities}
+        split_keys = {k: [tuple(zip(split, rs)) for split, flats in by_sum[k] for rs in flats] for k in by_sum}
+        starts = {
+            k: list(itertools.accumulate(
+                (sum(len(flats) for split, flats in by_sum[k] if sum(split) == s) for s in range(bound + 1)),
+                initial=0,
+            ))
+            for k in by_sum
+        }
+        inner_rows = _ReadThrough(
+            lambda k, arg: [(sum(split), mu[k, split, arg, rs]) for split, flats in by_sum[k] for rs in flats]
+        )
+
+        def holds(n: int, ks: tuple[int, ...]) -> bool:
+            """
+            Whether every case of the signature holds, decided by two rows
+            per (head, args) over all (ls, rs).  These are listed in blocks,
+            the first n - 1 slots at one sum each and the last at every sum
+            that still fits; a block is the product of one slice per row.
+            The right-hand row reads None at an inner composite outside its
+            level, so it differs there.
+            """
+            blocks = [((), bound)]
+            for k in ks[:-1]:
+                blocks = [
+                    (cut + (slice(starts[k][s], starts[k][s + 1]),), left - s)
+                    for cut, left in blocks
+                    for s in range(left + 1)
+                    if starts[k][s] < starts[k][s + 1]
+                ]
+            cuts = [cut + (slice(0, starts[ks[-1]][left + 1]),) if ks else cut for cut, left in blocks]
+            flat_keys = list(itertools.chain.from_iterable(
+                map(sum, itertools.product(*[split_keys[k][c] for k, c in zip(ks, cut)]), itertools.repeat(()))
+                for cut in cuts
+            ))
+            total = sum(ks)
+            for args in product(ks):
+                rows = [inner_rows[key] for key in zip(ks, args)]
+                inner = list(itertools.chain.from_iterable(
+                    itertools.product(*[row[c] for row, c in zip(rows, cut)]) for cut in cuts
+                ))
+                for head in labels(n):
+                    lhs = map(composite_rows[total, mu[n, ks, head, args]].__getitem__, flat_keys)
+                    if list(lhs) != list(map(head_rows[n, head].get, inner)):
+                        return False
+            return True
+
         for n, ks in signatures:
             total = sum(ks)
-            starts = list(itertools.accumulate(ks, initial=0))
-            spans = list(zip(starts, starts[1:]))
             # Each (head, args) with its composite, which every ls reads.
             composites = [(head, args, mu[n, ks, head, args]) for head in labels(n) for args in product(ks)]
             if not composites:
                 continue
-            for ls in flat_arities[total]:
-                # Each flat tuple with its slices, one slice per argument slot.
-                flat_slices = [(flats, [flats[a:b] for a, b in spans]) for flats in product(ls)]
+            try:
+                passed = holds(n, ks)
+            except Exception:
+                # Whatever a read raised, the case that reaches that read raises again.
+                passed = False
+            if passed:
+                yield from itertools.repeat(None, len(composites) * flat_counts[total])
+                continue
+            # Case by case, for the first witness or error.
+            offsets = list(itertools.accumulate(ks, initial=0))
+            spans = list(zip(offsets, offsets[1:]))
+            for ls, flats in flat_arities[total]:
                 splits = [ls[a:b] for a, b in spans]
-                inner_ks = tuple([sum(split) for split in splits])
+                inner_ks = tuple(map(sum, splits))
                 for head, args, composite in composites:
-                    for flats, slices in flat_slices:
-                        lhs = mu[total, ls, composite, flats]
-                        inner = tuple(map(mu.__getitem__, zip(ks, splits, args, slices)))
+                    for rs in flats:
+                        lhs = mu[total, ls, composite, rs]
+                        inner = tuple(map(mu.__getitem__, zip(ks, splits, args, [rs[a:b] for a, b in spans])))
                         if lhs != mu[n, inner_ks, head, inner]:
                             yield (
                                 f"n={n}, ks={list(ks)}, ls={list(ls)}, p={head}, "
-                                f"qs={list(args)}, rs={list(flats)}"
+                                f"qs={list(args)}, rs={list(rs)}"
                             )
                         yield None
 

@@ -26,6 +26,7 @@ from operadics.reporting import Report
 pytestmark = pytest.mark.usefixtures("cli_env")
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
 PACKAGE_DATA = Path(__file__).parent.parent / "src" / "operadics" / "data"
 
 
@@ -283,6 +284,16 @@ def test_operad_free_over_a_free_action_matches_golden(tmp_path, cli_run):
     assert result.stdout == (GOLDEN / "free_ass_ab_3.txt").read_text()
 
 
+def test_operad_check_of_a_broken_document_matches_golden(cli_run):
+    # A copy of ass.json whose one substitution mu(132; 1, 12, e) answers
+    # 213 instead of 123: associativity fails after 1,160 cases that hold,
+    # and both equivariance laws fail too.
+    result = cli_run("operad", "check", str(FIXTURES / "ass_swapped_compose.json"))
+    assert (result.returncode, result.stderr) == (1, "")
+    assert result.stdout == (GOLDEN / "check_ass_swapped_compose.txt").read_text()
+    assert "FAIL operad associativity [1161 cases]" in result.stdout
+
+
 def test_operad_example_prints_the_packaged_document(cli_run):
     result = cli_run("operad", "example", "comm")
     assert result.returncode == 0
@@ -398,6 +409,27 @@ def test_braid_cable_refuses_words_past_its_letter_limit(monkeypatch, capsys):
     assert built == []
     assert cli.main(["braid", "cable", "-n", "3", "--sizes", f"1,{limit - 1},1", "1", "2"]) == 0
     assert built == [[1, limit - 1, 1]]
+
+
+def test_braid_eq_and_reduce_refuse_words_past_their_letter_limit(monkeypatch, capsys):
+    # Both deciders are stubbed: only the guard in front of them runs.
+    decided = []
+    monkeypatch.setattr(cli.braids, "equal", lambda left, right: decided.append((left, right)) or True)
+    monkeypatch.setattr(cli.braids, "handle_reduce", lambda word: decided.append(word) or braid_identity(3))
+    limit = cli.MAX_WORD_LETTERS
+    at_limit, past_limit = ["1", "-2"] * (limit // 2), ["1", "-2"] * (limit // 2) + ["1"]
+
+    assert cli.main(["braid", "eq", "-n", "3", *past_limit, "--", "1"]) == 2
+    assert capsys.readouterr().err == f"error: W1 has {limit + 1} letters, more than the limit {limit}\n"
+    assert cli.main(["braid", "eq", "-n", "3", "1", "--", *past_limit]) == 2
+    assert capsys.readouterr().err == f"error: W2 has {limit + 1} letters, more than the limit {limit}\n"
+    assert cli.main(["braid", "reduce", "-n", "3", *past_limit]) == 2
+    assert capsys.readouterr().err == f"error: the word has {limit + 1} letters, more than the limit {limit}\n"
+    assert decided == []
+
+    assert cli.main(["braid", "eq", "-n", "3", *at_limit, "--", *at_limit]) == 0
+    assert cli.main(["braid", "reduce", "-n", "3", *at_limit]) == 0
+    assert [len(word.word) for word in (*decided[0], decided[1])] == [limit, limit, limit]
 
 
 @pytest.mark.parametrize("group", ["symmetric", "braid"])

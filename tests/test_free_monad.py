@@ -71,6 +71,25 @@ def test_free_algebra_needs_finite_group():
         free_algebra(braided, ("a", "b"))
 
 
+def test_classes_are_label_items_tuples():
+    # Classes of two separately built algebras are equal values with equal
+    # hashes, the hash of the pair (label, items).
+    first, second = (free_algebra(operad_ass(2), ("a", "b")) for _ in range(2))
+    assert first.all_classes() == second.all_classes()
+    pair = first.canonical("21", ("a", "b"))
+    assert pair is not second.canonical("21", ("a", "b"))
+    assert pair == second.canonical("21", ("a", "b"))
+    assert hash(pair) == hash(second.canonical("21", ("a", "b"))) == hash(("12", ("b", "a")))
+    assert len({*first.all_classes(), *second.all_classes()}) == len(first.all_classes())
+    assert (pair.label, pair.items, pair.arity) == ("12", ("b", "a"), 2)
+    assert str(pair) == "[12; b,a]"
+    assert str(first.canonical("e", ())) == "[e;]"
+    assert repr(pair) == "FreeAlgebraClass(label='12', items=('b', 'a'))"
+    # A class is the tuple (label, items), and equals it as a plain tuple.
+    assert pair == ("12", ("b", "a"))
+    assert pair != ("21", ("a", "b"))
+
+
 def test_canonical_rejects_unknown_points():
     free = free_algebra(operad_comm(max_arity=2), ("a", "b"))
     with pytest.raises(ValueError, match="unknown free-algebra element"):

@@ -3,9 +3,9 @@ The law kernels of `check_operad`, `check_monad_laws`, `free_algebra`,
 `pullback_witness_test` and `mu_sigma` against their earlier per-case
 versions.
 
-The kernels list each label product, slice and cable once per report and
-read each compose, action and flattening value through a table that lives
-only for one call.  The references below are the earlier loops, kept
+The kernels list each label product and cable once per report, decide
+the two associativity laws row by row, and read each compose, action and
+flattening value through a table that lives only for one call.  The references below are the earlier loops, kept
 verbatim up to naming, which redo that work for every case; the reference
 pullback test builds its four free algebras separately and pushes each
 class once per pair it meets.  Hypothesis draws the packaged documents
@@ -16,11 +16,14 @@ verdict, case count and witness, or both sides the same error; the free
 algebras must have the same classes and canonical maps, and the pullback
 tests the same verdict and witness.  A fault that leaves no right action
 inside its level (decided by `is_right_action`) must instead make
-`free_algebra` and `check_monad_laws` raise a `ValueError`.  Counting
-wrappers pin the savings: `check_operad` reads each compose and action key
-of a packaged document once, and one `pullback_witness_test` checks the
-action of each level of P once.  The one-pass `mu_sigma` must equal the
-composite of its two block factors, arity 0 included.
+`free_algebra` and `check_monad_laws` raise a `ValueError`.  An inner
+composite outside its level, which hypothesis may not draw, must raise the
+same error after the same cases.  Counting wrappers pin the savings:
+`check_operad` reads each compose and action key of a packaged document
+once, one `pullback_witness_test` checks the action of each level of P
+once, and one `check_monad_laws` runs one orbit quotient.  The one-pass
+`mu_sigma` must equal the composite of its two block factors, arity 0
+included.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from operadics import g_operads
+from operadics import free_monad, g_operads
 from operadics.action_operads import instance_braid, instance_symmetric, instance_trivial
 from operadics.free_monad import (
     FreeAlgebra,
@@ -544,6 +547,66 @@ def test_one_pullback_test_checks_each_level_of_p_once(monkeypatch, name):
     monkeypatch.setattr(g_operads, "_generator_actions", counted)
     pullback_witness_test(p)
     assert checked == {n: 1 for n in range(p.max_arity + 1) if p.labels(n)}
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_monad_laws_run_one_orbit_quotient(monkeypatch, name):
+    # The algebra correspondence reads its classes from the free algebra
+    # the laws were checked on, truncated to its bound.
+    p = OPERADS[name]()
+    quotients = []
+    orbit_quotient = free_monad._orbit_quotient
+
+    def counted(*args):
+        quotients.append(args[0])
+        return orbit_quotient(*args)
+
+    monkeypatch.setattr(free_monad, "_orbit_quotient", counted)
+    check_monad_laws(p, ("a", "b"), max_arity=min(p.max_arity, 2))
+    assert quotients == [p]
+
+
+def test_an_inner_composite_outside_its_level_raises_at_the_same_case(monkeypatch):
+    # mu(21; 1, 21) answers a label outside level 3.  Associativity first
+    # reads it as an inner composite at n=1, ks=[2], ls=[1, 2], p=1, qs=[21],
+    # rs=[1, 21], the second case of that (ls, p, qs), where substituting it
+    # into the head raises; the 39 cases before it hold.
+    key = (2, (1, 2), "21", ("1", "21"))
+
+    def faulty() -> FiniteGOperad:
+        p = OPERADS["ass.json"]()
+        original = p.compose
+
+        def compose(n, ks, head, args):
+            return "foreign" if (n, tuple(ks), head, tuple(args)) == key else original(n, ks, head, args)
+
+        p.compose = compose
+        return p
+
+    def run(check) -> tuple:
+        # Each law's cases as counted up to its verdict or the error.
+        counts = []
+
+        def counted(self, law, cases):
+            def counting():
+                for case in cases:
+                    counts[-1][1] += 1
+                    yield case
+
+            counts.append([law, 0])
+            report_check(self, law, counting())
+
+        monkeypatch.setattr(Report, "check", counted)
+        try:
+            return outcome(lambda: results(check(faulty()))), counts
+        finally:
+            monkeypatch.setattr(Report, "check", report_check)
+
+    report_check = Report.check
+    fast, reference = run(check_operad), run(reference_check_operad)
+    assert fast == reference
+    assert fast[0][:2] == ("error", "ValueError") and "foreign" in fast[0][2]
+    assert fast[1][-1] == ["operad associativity", 39]
 
 
 # ------------------------------------------------------------ mu_sigma

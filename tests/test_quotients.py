@@ -29,11 +29,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operadics.action_operads import instance_symmetric, instance_trivial
-from operadics.free_monad import cartesian_condition, free_algebra, pullback_witness_test
+from operadics.free_monad import _truncate, cartesian_condition, free_algebra, pullback_witness_test
 from operadics.g_operads import (
     FiniteGCollection,
     FiniteGOperad,
     arity_signatures,
+    change_groups,
     compose_collections,
     composite_states,
     endomorphism_operad,
@@ -386,10 +387,41 @@ def test_the_pointwise_criterion_agrees_on_generated_sub_operads(group_name, car
     # Sub-operads of an endomorphism operad mix fixed operations (constant
     # and symmetric functions) with free ones (projections) as substitution
     # and the action generate them, not as orbits are drawn.
+    # Over the symmetric groups the drawn operad may also be pulled back
+    # along trivial -> symmetric, which fixes nothing and so is cartesian.
     e = ENDOMORPHISMS[carrier, group_name]
     operations = [(n, label) for n in range(e.max_arity + 1) for label in e.labels(n)]
     generators = data.draw(st.lists(st.sampled_from(operations), min_size=1, max_size=3), label="generators")
     p = generated_sub_operad(e, generators)
+    if group_name == "symmetric" and data.draw(st.booleans(), label="pulled back to the trivial groups"):
+        p = forget_the_action(p)
+    assert cartesian_condition(p)[0] == pullback_witness_test(p)[0]
+
+
+def forget_the_action(p: FiniteGOperad) -> FiniteGOperad:
+    """The pullback of p along the trivial groups -> the symmetric groups."""
+    symmetric = GROUPS["symmetric"]
+    return change_groups(symmetric.identity, GROUPS["trivial"], p)
+
+
+PACKAGED = {name: json.loads((DATA / f"{name}.json").read_text()) for name in ("ass", "comm", "comm_trivial")}
+
+
+@pytest.mark.parametrize(
+    "name, bound, pulled_back",
+    [
+        (name, bound, pulled_back)
+        for name, document in PACKAGED.items()
+        for bound in range(document["max_arity"] + 1)
+        for pulled_back in ([False, True] if document["group"] == "symmetric" else [False])
+    ],
+)
+def test_the_pointwise_criterion_agrees_on_truncated_documents(name, bound, pulled_back):
+    # Every truncation of each packaged document, and for those over the
+    # symmetric groups also its pullback to the trivial groups.
+    p = _truncate(load_operad(PACKAGED[name], name), bound)
+    if pulled_back:
+        p = forget_the_action(p)
     assert cartesian_condition(p)[0] == pullback_witness_test(p)[0]
 
 
