@@ -17,14 +17,13 @@ packaged examples (``comm.json``, ``ass.json``, ``comm_trivial.json``)
 when no file of that name exists in the working directory.
 
 The argument parser is built once per process, on the first call of
-`main`, and reused by every later call.  `operad compose` counts the
-composite tuples its product would enumerate and refuses more than
-`MAX_COMPOSITE_STATES` before listing any; `operad free` does the same
-for the free-algebra tuples with `MAX_FREE_STATES`, `braid cable` for the
-letters of its word with `MAX_CABLE_LETTERS`, `braid eq` and `braid
-reduce` refuse a word of more than `MAX_WORD_LETTERS` letters before
-reducing it, and `verify pscomm` refuses an index bound above
-`MAX_PSCOMM_BOUND` before building anything.
+`main`, and reused by every later call.  Oversize input is refused by
+`_at_most` before anything is built: the tuples `operad compose` and
+`operad free` would enumerate (`MAX_COMPOSITE_STATES`, `MAX_FREE_STATES`),
+the letters `braid cable` would write (`MAX_CABLE_LETTERS`), a word given
+to `braid eq` or `braid reduce` (`MAX_WORD_LETTERS`) and the grids of
+`perm tau` and `tmn`.  `verify pscomm` refuses an index bound above
+`MAX_PSCOMM_BOUND` with a message of its own.
 """
 
 from __future__ import annotations
@@ -161,16 +160,12 @@ def _parse_perm_tokens(tokens: Sequence[str]) -> Permutation:
         raise CliError(str(exc)) from None
 
 
-def _check_word_length(word: BraidWord, name: str) -> None:
-    """Refuse a word of more than MAX_WORD_LETTERS letters before it is reduced."""
-    if len(word.word) > MAX_WORD_LETTERS:
-        raise CliError(f"{name} has {len(word.word)} letters, more than the limit {MAX_WORD_LETTERS}")
-
-
-def _check_grid(m: int, n: int, limit: int, noun: str) -> None:
-    """Refuse an m-by-n grid of more than `limit` points before anything is built."""
-    if m * n > limit:
-        raise CliError(f"a {m}x{n} grid has {m * n} {noun}, more than the limit {limit}")
+def _at_most(count: int | None, limit: int, subject: str, noun: str) -> None:
+    """Refuse an input whose `count` exceeds `limit`, before it is built; None means it is known to."""
+    if count is None:
+        raise CliError(f"{subject} has more {noun} than the limit {limit}")
+    if count > limit:
+        raise CliError(f"{subject} has {count} {noun}, more than the limit {limit}")
 
 
 def _split_on_separator(tokens: list[str], usage: str) -> tuple[list[str], list[str]]:
@@ -254,8 +249,8 @@ def _braid_eq(tokens: list[str]) -> int:
     left_tokens, right_tokens = _split_on_separator(tokens[2:], usage)
     left = _parse_word_tokens(left_tokens, strands)
     right = _parse_word_tokens(right_tokens, strands)
-    _check_word_length(left, "W1")
-    _check_word_length(right, "W2")
+    _at_most(len(left), MAX_WORD_LETTERS, "W1", "letters")
+    _at_most(len(right), MAX_WORD_LETTERS, "W2", "letters")
     if braids.equal(left, right):
         print("equal")
         return 0
@@ -284,7 +279,7 @@ def _perm_compose(tokens: list[str]) -> int:
 
 def _cmd_braid_reduce(args) -> int:
     word = _parse_word_tokens(args.word, args.strands)
-    _check_word_length(word, "the word")
+    _at_most(len(word), MAX_WORD_LETTERS, "the word", "letters")
     print(format_word(braids.handle_reduce(word)))
     return 0
 
@@ -314,12 +309,7 @@ def _cmd_braid_cable(args) -> int:
     sizes = [_parse_int(part, "cable size") for part in args.sizes.split(",")]
     # Sizes `braids.cable` refuses are left to its own located message.
     if len(sizes) == word.strands and min(sizes) >= 0:
-        letters = _cable_letters(word, sizes)
-        if letters > MAX_CABLE_LETTERS:
-            raise CliError(
-                f"--sizes {args.sizes}: the cabled word has {letters} letters, "
-                f"more than the limit {MAX_CABLE_LETTERS}"
-            )
+        _at_most(_cable_letters(word, sizes), MAX_CABLE_LETTERS, f"--sizes {args.sizes}: the cabled word", "letters")
     try:
         result = braids.cable(word, sizes)
     except ValueError as exc:
@@ -355,7 +345,7 @@ def _cmd_braid_render(args) -> int:
 def _cmd_perm_tau(args) -> int:
     if args.m < 0 or args.n < 0:
         raise CliError("grid dimensions must be nonnegative")
-    _check_grid(args.m, args.n, MAX_TAU_POINTS, "points")
+    _at_most(args.m * args.n, MAX_TAU_POINTS, f"a {args.m}x{args.n} grid", "points")
     print(format_permutation(tau(args.m, args.n)))
     return 0
 
@@ -383,7 +373,7 @@ def _cmd_perm_mu(args) -> int:
 def _cmd_tmn(args) -> int:
     if args.m < 1 or args.n < 1:
         raise CliError("grid dimensions must be at least 1")
-    _check_grid(args.m, args.n, MAX_TMN_STRANDS, "strands")
+    _at_most(args.m * args.n, MAX_TMN_STRANDS, f"a {args.m}x{args.n} grid", "strands")
     family = t_family_braid_positive() if args.family == "positive" else t_family_braid_negative()
     print(format_word(family(args.m, args.n)))
     return 0
@@ -532,11 +522,8 @@ def _cmd_operad_free(args) -> int:
     if args.bound > p.max_arity:
         raise CliError(f"bound {args.bound} exceeds the operad's arity bound {p.max_arity}")
     states = sum(len(p.labels(n)) * len(carrier) ** n for n in range(args.bound + 1))
-    if states > MAX_FREE_STATES:
-        raise CliError(
-            f"--bound {args.bound}: {args.file} on {len(carrier)} carrier elements has "
-            f"{states} states, more than the limit {MAX_FREE_STATES}"
-        )
+    subject = f"--bound {args.bound}: {args.file} on {len(carrier)} carrier elements"
+    _at_most(states, MAX_FREE_STATES, subject, "states")
     free = free_algebra(p, carrier, max_arity=args.bound)
     total = 0
     for n in range(args.bound + 1):
@@ -575,17 +562,12 @@ def _cmd_operad_compose(args) -> int:
         )
     if args.bound < 0:
         raise CliError("bound must be nonnegative")
-    states = composite_states(x, y, args.bound, MAX_COMPOSITE_STATES + 1)
-    if states is None:
-        raise CliError(
-            f"--bound {args.bound}: {args.file_x} o {args.file_y} has more composite "
-            f"states than the limit {MAX_COMPOSITE_STATES}"
-        )
-    if states > MAX_COMPOSITE_STATES:
-        raise CliError(
-            f"--bound {args.bound}: {args.file_x} o {args.file_y} has {states} composite "
-            f"states, more than the limit {MAX_COMPOSITE_STATES}"
-        )
+    _at_most(
+        composite_states(x, y, args.bound, MAX_COMPOSITE_STATES + 1),
+        MAX_COMPOSITE_STATES,
+        f"--bound {args.bound}: {args.file_x} o {args.file_y}",
+        "composite states",
+    )
     product = compose_collections(x, y, bound=args.bound)
     for n in range(args.bound + 1):
         classes = product.classes(n)

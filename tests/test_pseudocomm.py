@@ -148,25 +148,31 @@ def test_braid_theorem_report_passes_and_carries_notes():
     assert all(r.passed and r.checked == 234 for r in minimal)
 
 
-def test_minimal_lift_law_reports_the_first_failing_equation(monkeypatch):
-    # Declare the left-hand sides of one grouped and one later split
-    # equation of the positive family non-minimal (no other equation of
-    # either family has the same left-hand word): the law stops at the
-    # grouped one.
-    tf = t_family_braid_positive()
-    bad = {
-        pseudocomm._grouped_sides(BR, tf, 2, (2, 1), 2)[0],
-        pseudocomm._split_sides(BR, tf, 2, 2, (1, 2))[0],
-    }
-    honest = pseudocomm.is_minimal_lift
-    monkeypatch.setattr(pseudocomm, "is_minimal_lift", lambda lhs: lhs not in bad and honest(lhs))
+def test_a_non_minimal_left_side_fails_its_equation_law(monkeypatch):
+    # Pad one grouped left-hand side of the positive family with the
+    # cancelling pair 1 -1: the same braid, but no longer a minimal lift.
+    # The certificate must refuse it, so its equation law fails there, and
+    # the minimal-lift law counts only the equations that passed.
+    honest = pseudocomm._grouped_sides
+
+    def padded(group, tf, l, ms, n):
+        lhs, rhs = honest(group, tf, l, ms, n)
+        if tf.name == "positive" and (l, ms, n) == (2, (2, 1), 2):
+            lhs = lhs * BraidWord(lhs.strands, (1, -1))
+        return lhs, rhs
+
+    monkeypatch.setattr(pseudocomm, "_grouped_sides", padded)
     report = braid_theorem_report(bound=3)
-    failure = report.result("positive family: every left-hand composite is a minimal lift")
+    failure = report.result("positive family: grouped interchange equations")
     assert not failure.passed
-    assert failure.witness == "l=2, ms=[2, 1], n=2"
+    assert failure.witness == "l=2, ms=[2, 1], n=2 (fallback)"
     grouped = [(l, tuple(ms), n) for l, ms, n in grouped_parameters(3)]
     assert failure.checked == grouped.index((2, (2, 1), 2)) + 1
-    assert report.result("negative family: every left-hand composite is a minimal lift").passed
+    split = report.result("positive family: split interchange equations")
+    lifts = report.result("positive family: every left-hand composite is a minimal lift")
+    assert lifts.passed and lifts.checked == failure.checked - 1 + split.checked
+    assert report.result("negative family: grouped interchange equations").passed
+    assert report.result("negative family: every left-hand composite is a minimal lift").checked == 234
 
 
 def test_braid_theorem_report_rejects_degenerate_bounds():
