@@ -158,7 +158,7 @@ def is_minimal_positive(w: BraidWord) -> bool:
     Positive, and no pair of strands crosses twice -- equivalently, positive
     with length equal to the crossing number of the underlying permutation.
     """
-    return is_positive(w) and is_minimal_lift(w)
+    return is_positive(w) and len(w.word) == inversions(underlying_permutation(w))
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
@@ -254,11 +254,6 @@ def certify_equal(w1: BraidWord, w2: BraidWord) -> tuple[bool | None, str]:
     if perm != underlying_permutation(w2):
         return False, tag
     return (True, tag) if len(w1.word) == inversions(perm) else (None, "fallback")
-
-
-def is_minimal_lift(w: BraidWord) -> bool:
-    """Minimal positive, or the mirror of a nonempty minimal positive word."""
-    return _sign_tag(w) is not None and len(w.word) == inversions(underlying_permutation(w))
 
 
 def equal(w1: BraidWord, w2: BraidWord) -> bool:

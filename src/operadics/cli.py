@@ -20,10 +20,12 @@ The argument parser is built once per process, on the first call of
 `main`, and reused by every later call.  Oversize input is refused by
 `_at_most` before anything is built: the tuples `operad compose` and
 `operad free` would enumerate (`MAX_COMPOSITE_STATES`, `MAX_FREE_STATES`),
-the letters `braid cable` would write (`MAX_CABLE_LETTERS`), a word given
-to `braid eq` or `braid reduce` (`MAX_WORD_LETTERS`) and the grids of
-`perm tau` and `tmn`.  `verify pscomm` refuses an index bound above
-`MAX_PSCOMM_BOUND` with a message of its own.
+the letters `braid cable` and `braid mu` would write (`MAX_CABLE_LETTERS`),
+the strands of every braid word and `tmn` grid (`MAX_STRANDS`), a word
+given to `braid eq`, `reduce`, `pi` or `render` (`MAX_WORD_LETTERS`) and
+the grid of `perm tau`.  `verify pscomm` refuses an index bound above
+`MAX_PSCOMM_BOUND`, and `verify all` a sample budget below 1, with messages
+of their own.
 """
 
 from __future__ import annotations
@@ -86,17 +88,25 @@ DEFAULT_BUDGET = 200
 
 # The most points `perm tau M N` prints: its image has m * n entries.
 MAX_TAU_POINTS = 1 << 20
-# The most strands `tmn M N` lifts to.  The word has C(m,2) * C(n,2)
-# letters, at most C(32,2)^2 = 246,016 within this limit.
-MAX_TMN_STRANDS = 1024
-# The most letters `braid cable` writes, counted from the word and the sizes
-# before any is built: a crossing of cables of k and l strands becomes k * l
-# letters.  262,144 of them took 0.19 s CPU and peaked at 48 MB on a 2-vCPU
-# machine, about what `tmn` does at its limit.
+# The most strands a braid word (given to any `braid` subcommand or on a line
+# of a `braid mu` argument file) or a `tmn M N` grid may have, checked before
+# any letter is parsed.  Each letter's permutation has one entry per strand
+# and the certificate counts inversions in quadratic time: at this limit and
+# 4,096 letters, `braid eq` on two positive words took 0.98 s CPU at a
+# 21.5 MB peak, `braid pi` 0.58 s and `braid render` 0.66 s (8.4 MB written,
+# 36 MB peak).  The `tmn` word has C(m,2) * C(n,2) letters, at most
+# C(32,2)^2 = 246,016 within this limit (0.32 s, 43 MB).  All on a 2-vCPU
+# machine with Python 3.11.
+MAX_STRANDS = 1024
+# The most letters `braid cable` or `braid mu` writes, counted from the word
+# and the cable sizes (and for `mu` the letters of its arguments) before any
+# is built: a crossing of cables of k and l strands becomes k * l letters.
+# 262,144 of them took 0.19 s CPU and peaked at 48 MB on a 2-vCPU machine,
+# about what `tmn` does at its limit.
 MAX_CABLE_LETTERS = 1 << 18
-# The most letters a word of `braid eq` or `braid reduce` may have, checked
-# after parsing and before any reduction.  Handle reduction of random words
-# on 4 and 8 strands grows faster than linearly in the length while its
+# The most letters a word of `braid eq`, `reduce`, `pi` or `render` may have,
+# checked after parsing and before any reduction.  Handle reduction of random
+# words on 4 and 8 strands grows faster than linearly in the length while its
 # memory stays flat: at 4,096 letters `braid reduce` took 0.65-0.91 s CPU,
 # and `braid eq` on two unequal words (which reduces their 8,192-letter
 # quotient) 3.0-3.3 s, both peaking at 19.5 MB on a 2-vCPU machine; at
@@ -138,6 +148,7 @@ def _parse_int(token: str, what: str) -> int:
 
 def _parse_word_tokens(tokens: Sequence[str], strands: int) -> BraidWord:
     """Parse word letters given as separate arguments, locating errors."""
+    _at_most(strands, MAX_STRANDS, f"-n {strands}: the word", "strands")
     for position, token in enumerate(tokens, 1):
         try:
             parse_word(token, strands)
@@ -220,7 +231,7 @@ def _read_lines(path_text: str, parse: Callable[[str], object]) -> list:
             continue
         try:
             parsed.append(parse(line))
-        except ValueError as exc:
+        except (ValueError, CliError) as exc:
             raise CliError(f"{path_text}:{lineno}: {exc}") from None
     return parsed
 
@@ -230,7 +241,9 @@ def _parse_word_line(line: str) -> BraidWord:
     head, colon, tail = line.partition(":")
     if not colon:
         raise ValueError("expected 'STRANDS: LETTERS'")
-    return parse_word(tail, int(head.strip()))
+    strands = int(head.strip())
+    _at_most(strands, MAX_STRANDS, "the word", "strands")
+    return parse_word(tail, strands)
 
 
 # -------------------------------------------------- `--`-separated commands
@@ -286,13 +299,15 @@ def _cmd_braid_reduce(args) -> int:
 
 def _cmd_braid_pi(args) -> int:
     word = _parse_word_tokens(args.word, args.strands)
+    _at_most(len(word), MAX_WORD_LETTERS, "the word", "letters")
     print(format_permutation(braids.underlying_permutation(word)))
     return 0
 
 
 def _cable_letters(word: BraidWord, sizes: Sequence[int]) -> int:
     """
-    The letters `braids.cable(word, sizes)` writes: k * l for each letter
+    The letters `braids.cable(word, sizes)` writes, and `braids.mu_br` with
+    arguments of these sizes writes besides theirs: k * l for each letter
     crossing cables of k and l strands, the cables swapping as they cross.
     """
     current = list(sizes)
@@ -326,12 +341,16 @@ def _cmd_braid_mu(args) -> int:
             f"operadic substitution on {args.strands} strands needs "
             f"{args.strands} argument words, got {len(arguments)}"
         )
+    letters = _cable_letters(word, [argument.strands for argument in arguments])
+    letters += sum(len(argument) for argument in arguments)
+    _at_most(letters, MAX_CABLE_LETTERS, f"--args {args.args}: the substituted word", "letters")
     print(format_word(braids.mu_br(word, arguments)))
     return 0
 
 
 def _cmd_braid_render(args) -> int:
     word = _parse_word_tokens(args.word, args.strands)
+    _at_most(len(word), MAX_WORD_LETTERS, "the word", "letters")
     if args.format == "dot":
         print(braids.render_dot(word))
     else:
@@ -373,7 +392,7 @@ def _cmd_perm_mu(args) -> int:
 def _cmd_tmn(args) -> int:
     if args.m < 1 or args.n < 1:
         raise CliError("grid dimensions must be at least 1")
-    _at_most(args.m * args.n, MAX_TMN_STRANDS, f"a {args.m}x{args.n} grid", "strands")
+    _at_most(args.m * args.n, MAX_STRANDS, f"a {args.m}x{args.n} grid", "strands")
     family = t_family_braid_positive() if args.family == "positive" else t_family_braid_negative()
     print(format_word(family(args.m, args.n)))
     return 0
@@ -480,6 +499,8 @@ def _cartesian_report(operads: dict[str, FiniteGOperad]) -> Report:
 
 
 def _cmd_verify_all(args) -> int:
+    if args.budget < 1:
+        raise CliError(f"--budget {args.budget}: the sample budget per law must be at least 1")
     operads = {name: _load_document(name + ".json") for name in PACKAGED}
     reports: list[Report] = []
     for instance in (instance_trivial(), instance_symmetric(), instance_braid()):

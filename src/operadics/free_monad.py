@@ -20,8 +20,8 @@ are built.
 Its laws read each flattening [label; classes] and each action value
 through `g_operads._ReadThrough` tables that live only for that call, so
 each is computed once per report.  Associativity decides the cases of each
-(q, ps) as two rows over the flat tuples, middle-first and outer-first,
-and replays them case by case only when the rows differ or a read raises.
+(q, ps) as two rows over the flat tuples, middle-first and outer-first
+(`g_operads._rows_or_replay`).
 The correspondence reads its classes from the free algebra the laws were
 checked on, truncated to its bound, so one call runs one orbit quotient.
 `free_algebra` keeps no quotient of its own: the free algebra is the
@@ -54,6 +54,7 @@ from .g_operads import (
     _Levels,
     _orbit_quotient,
     _ReadThrough,
+    _rows_or_replay,
     _within,
     arity_signatures,
     enumerate_algebra_structures,
@@ -219,10 +220,7 @@ def check_monad_laws(
     latter up to CORRESPONDENCE_BOUND, on this free algebra's classes).
 
     Flattenings and actions are read through tables of this call, each key
-    once.  Associativity builds, per (q, ps), the row of middle-first and
-    the row of outer-first flattenings over the flat tuples; a (q, ps)
-    whose rows differ, or where a read raises, is replayed case by case,
-    so the first witness or error is the one the per-case order meets.
+    once.
     """
     free = free_algebra(p, carrier, max_arity)
     bound = free.max_arity
@@ -258,7 +256,27 @@ def check_monad_laws(
     # Associativity: a three-level nesting [q; [p_i; classes_i]] flattens
     # either middle-first (each [p_i; classes_i] collapses to one class)
     # or outer-first (q and the p_i merge, then one flattening).
-    def associativity() -> Iterator[str | None]:
+    def rows_agree(q: str, ps: tuple[str, ...], outer: str, columns: list[list], flats: list[tuple]) -> bool:
+        """Whether the middle-first and outer-first rows over the flat tuples agree."""
+        middles = [
+            map(flatten.__getitem__, zip(itertools.repeat(head), column))
+            for head, column in zip(ps, columns)
+        ]
+        inner = zip(*middles) if middles else itertools.repeat((), len(flats))
+        middle_first = list(map(flatten.__getitem__, zip(itertools.repeat(q), inner)))
+        outer_first = list(map(flatten.__getitem__, zip(itertools.repeat(outer), flats)))
+        return middle_first == outer_first
+
+    def replay(q: str, ps: tuple[str, ...], outer: str, spans: list, flats: list[tuple]) -> Iterator[str | None]:
+        for flat in flats:
+            slices = [flat[a:b] for a, b in spans]
+            middle_first = flatten[q, tuple(map(flatten.__getitem__, zip(ps, slices)))]
+            outer_first = flatten[outer, flat]
+            if middle_first != outer_first:
+                yield f"q={q}, ps={list(ps)}, classes={[str(c) for c in flat]}"
+            yield None
+
+    def associativity() -> Iterator[tuple]:
         pool = free.all_classes()
         arities = [c.arity for c in pool]
         for n, rs in arity_signatures(bound):
@@ -270,37 +288,13 @@ def check_monad_laws(
             for q in p.labels(n):
                 for ps in itertools.product(*(p.labels(r) for r in rs)):
                     outer = p.compose(n, rs, q, ps)
-                    # Both rows over the flat tuples: each column flattened
-                    # under its p_i and the results flattened under q, and
-                    # each flat tuple flattened under the composite.
-                    try:
-                        middles = [
-                            map(flatten.__getitem__, zip(itertools.repeat(head), column))
-                            for head, column in zip(ps, columns)
-                        ]
-                        inner = zip(*middles) if middles else itertools.repeat((), len(flats))
-                        middle_first = list(map(flatten.__getitem__, zip(itertools.repeat(q), inner)))
-                        outer_first = list(map(flatten.__getitem__, zip(itertools.repeat(outer), flats)))
-                        same = middle_first == outer_first
-                    except Exception:
-                        # Whatever a read raised, the case that reaches that read raises again.
-                        same = False
-                    if same:
-                        yield from itertools.repeat(None, len(flats))
-                        continue
-                    # Case by case, for the first witness or error.
-                    for flat in flats:
-                        slices = [flat[a:b] for a, b in spans]
-                        middle_first = flatten[q, tuple(map(flatten.__getitem__, zip(ps, slices)))]
-                        outer_first = flatten[outer, flat]
-                        if middle_first != outer_first:
-                            yield f"q={q}, ps={list(ps)}, classes={[str(c) for c in flat]}"
-                        yield None
+                    agree = functools.partial(rows_agree, q, ps, outer, columns, flats)
+                    yield len(flats), agree, functools.partial(replay, q, ps, outer, spans, flats)
 
     report.check("multiplication is constant on classes", well_defined())
     report.check("left unit law", left_unit())
     report.check("right unit law", right_unit())
-    report.check("associativity", associativity())
+    report.check("associativity", _rows_or_replay(associativity()))
 
     truncated = _truncate(p, min(CORRESPONDENCE_BOUND, bound))
     algebras = enumerate_algebra_structures(truncated, free.carrier)

@@ -21,10 +21,8 @@ A law report reads its compose and action values through `_ReadThrough`
 tables that live for one call: the first read of a key goes through
 `p.compose` or `p.action`, so rebinding either still injects a fault, and
 every later read is a dict subscript.  Reads are taken to depend on the key
-alone: operad associativity reads whole rows before its cases, and replays
-a signature case by case only when the rows disagree or a read raises, so
-its verdict, case count, first witness and raised error are those of the
-per-case loop.
+alone, so a law may decide a group of cases by rows and replay the group
+case by case only when they disagree (`_rows_or_replay`).
 
 One representation serves every finite operad: `FiniteGOperad` holds a
 compose table keyed by (n, ks, head, args) and an action table keyed by
@@ -83,6 +81,7 @@ would hold more than MAX_ACTION_ENTRIES entries |G(n)| * |P(n)|.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -183,6 +182,29 @@ class _ReadThrough(dict):
     def __missing__(self, key: tuple) -> Any:
         value = self[key] = self.read(*key)
         return value
+
+
+def _rows_or_replay(
+    groups: Iterable[tuple[int, Callable[[], bool], Callable[[], Iterator[str | None]]]]
+) -> Iterator[int | str | None]:
+    """
+    The cases of a law for `Report.check`, from groups (size, agree, replay):
+    agree() decides the group's size cases at once by rows of values, and
+    replay() lists them case by case.  A group whose rows agree counts as
+    size passing cases.  Any other is replayed, as is one where a read raises
+    in agree(), so the case that reaches that read raises again.  As reads
+    depend on their key alone, the verdict, count, first witness and error
+    are those of the per-case loop.
+    """
+    for size, agree, replay in groups:
+        try:
+            passed = agree()
+        except Exception:
+            passed = False
+        if passed:
+            yield size
+        else:
+            yield from replay()
 
 
 @dataclass
@@ -334,16 +356,6 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     that depends only on arities is also done once per call: the label
     product of each arity tuple, and the identities and cable of each
     signature and element.  Nothing is kept after the call returns.
-
-    Associativity reads rows per signature: the composites of a label of
-    level m over every (ls, rs), of a head of arity n over every (js, qs),
-    and of an argument over every (split, rs) of its arity, each row built
-    once per call and each key in it read once.  A signature holds when,
-    for every (head, args), the composite's row read at the flat keys
-    equals the head's row read at the products of the argument rows.  A
-    signature whose rows differ, or where a read raises, is replayed case
-    by case, so the first witness or error is the one the per-case order
-    meets, at the same case count.
     """
     group = p.group
     bound = p.max_arity
@@ -396,7 +408,7 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
                 yield None if mu[1, (n,), p.unit, (head,)] == head else f"mu(unit; {head}) != {head}"
                 yield None if mu[n, (1,) * n, head, (p.unit,) * n] == head else f"mu({head}; unit...) != {head}"
 
-    def associativity() -> Iterator[str | None]:
+    def associativity() -> Iterator[tuple]:
         # The arity tuples ls of each length with their label tuples, listed
         # once; an ls with an empty level has no cases.
         flat_arities = {
@@ -436,12 +448,13 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
 
         def holds(n: int, ks: tuple[int, ...]) -> bool:
             """
-            Whether every case of the signature holds, decided by two rows
-            per (head, args) over all (ls, rs).  These are listed in blocks,
-            the first n - 1 slots at one sum each and the last at every sum
-            that still fits; a block is the product of one slice per row.
-            The right-hand row reads None at an inner composite outside its
-            level, so it differs there.
+            Whether every case of the signature holds: for every (head, args),
+            the composite's row read at the flat keys equals the head's row
+            read at the products of the argument rows, over all (ls, rs).
+            These are listed in blocks, the first n - 1 slots at one sum each
+            and the last at every sum that still fits; a block is the product
+            of one slice per row.  The right-hand row reads None at an inner
+            composite outside its level, so it differs there.
             """
             blocks = [((), bound)]
             for k in ks[:-1]:
@@ -468,23 +481,12 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
                         return False
             return True
 
-        for n, ks in signatures:
-            total = sum(ks)
+        def replay(n: int, ks: tuple[int, ...]) -> Iterator[str | None]:
             # Each (head, args) with its composite, which every ls reads.
             composites = [(head, args, mu[n, ks, head, args]) for head in labels(n) for args in product(ks)]
-            if not composites:
-                continue
-            try:
-                passed = holds(n, ks)
-            except Exception:
-                # Whatever a read raised, the case that reaches that read raises again.
-                passed = False
-            if passed:
-                yield from itertools.repeat(None, len(composites) * flat_counts[total])
-                continue
-            # Case by case, for the first witness or error.
             offsets = list(itertools.accumulate(ks, initial=0))
             spans = list(zip(offsets, offsets[1:]))
+            total = offsets[-1]
             for ls, flats in flat_arities[total]:
                 splits = [ls[a:b] for a, b in spans]
                 inner_ks = tuple(map(sum, splits))
@@ -498,6 +500,11 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
                                 f"qs={list(args)}, rs={list(rs)}"
                             )
                         yield None
+
+        for n, ks in signatures:
+            size = len(labels(n)) * len(product(ks)) * flat_counts[sum(ks)]
+            if size:
+                yield size, functools.partial(holds, n, ks), functools.partial(replay, n, ks)
 
     # Equivariance in the operad slot (the acting element cables up).
     def slot() -> Iterator[str | None]:
@@ -543,7 +550,7 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
 
     report.check("tables are well-typed", typed())
     report.check("operad unit", unit())
-    report.check("operad associativity", associativity())
+    report.check("operad associativity", _rows_or_replay(associativity()))
     report.check("equivariance in the operad slot", slot())
     report.check("equivariance in the argument slots", argument_slots())
 

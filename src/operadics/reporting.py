@@ -7,9 +7,9 @@ Failures are data, not exceptions — a checker only raises on malformed
 input, never on a law that happens to be false.
 
 A law with many cases runs through `Report.check(law, cases)`: `cases`
-yields None for each case that holds and a witness string for one that
-fails.  The run stops at the first witness, so the witness is the earliest
-counterexample, and the recorded count includes that failing case.
+yields None for a case that holds, an int n for a block of n that hold, and
+a witness string for one that fails.  The run stops at the first witness,
+so it is the earliest counterexample, and the count includes that case.
 """
 
 from __future__ import annotations
@@ -44,14 +44,17 @@ class Report:
     def record(self, law: str, passed: bool, witness: str = "", checked: int = 0) -> None:
         self.results.append(CheckResult(law, passed, witness, checked))
 
-    def check(self, law: str, cases: Iterable[str | None]) -> None:
-        """Record a law from its cases: None for a pass, a witness for the first failure."""
+    def check(self, law: str, cases: Iterable[int | str | None]) -> None:
+        """Record a law from its cases: None for a pass, n for n passes, a witness for the first failure."""
         checked = 0
-        for witness in cases:
-            checked += 1
-            if witness is not None:
-                self.record(law, False, witness, checked)
+        for case in cases:
+            if case is None:
+                checked += 1
+            elif isinstance(case, str):
+                self.record(law, False, case, checked + 1)
                 return
+            else:
+                checked += case
         self.record(law, True, "", checked)
 
     def note(self, text: str) -> None:

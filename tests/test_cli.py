@@ -332,6 +332,22 @@ def test_verify_all_is_deterministic_and_green(tmp_path, cli_run):
     assert reseeded.returncode == 0
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_verify_all_refuses_a_budget_below_one(monkeypatch, cli_run, budget):
+    # A budget of 0 would sample no element for any action-operad law.
+    loaded = []
+    monkeypatch.setattr(cli, "_load_document", lambda name: loaded.append(name))
+    result = cli_run("verify", "all", "--budget", budget)
+    assert (result.returncode, result.stdout, loaded) == (2, "", [])
+    assert result.stderr == f"error: --budget {budget}: the sample budget per law must be at least 1\n"
+
+
+def test_verify_all_runs_at_a_budget_of_one(cli_run):
+    result = cli_run("verify", "all", "--budget", "1")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.rstrip().endswith("VERIFY ALL: OK [13 suites]")
+
+
 def test_usage_errors_exit_two(cli_run):
     assert cli_run().returncode == 2
     assert cli_run("nonsense").returncode == 2
@@ -385,7 +401,7 @@ def test_tmn_refuses_grids_past_its_strand_limit(monkeypatch, capsys):
     built = []
     family = lambda m, n: built.append((m, n)) or braid_identity(1)
     monkeypatch.setattr(cli, "t_family_braid_negative", lambda: family)
-    limit = cli.MAX_TMN_STRANDS
+    limit = cli.MAX_STRANDS
     assert cli.main(["tmn", "--family", "negative", "1", str(limit + 1)]) == 2
     assert capsys.readouterr().err == (
         f"error: a 1x{limit + 1} grid has {limit + 1} strands, more than the limit {limit}\n"
@@ -430,6 +446,114 @@ def test_braid_eq_and_reduce_refuse_words_past_their_letter_limit(monkeypatch, c
     assert cli.main(["braid", "eq", "-n", "3", *at_limit, "--", *at_limit]) == 0
     assert cli.main(["braid", "reduce", "-n", "3", *at_limit]) == 0
     assert [len(word.word) for word in (*decided[0], decided[1])] == [limit, limit, limit]
+
+
+# Each braid subcommand's argv for a one-letter word on n strands, the
+# `braids` function it hands the word to, and what a stub of it returns.
+BRAID_COMMANDS = {
+    "eq": (lambda n: ["braid", "eq", "-n", n, "1", "--", "1"], "equal", True),
+    "reduce": (lambda n: ["braid", "reduce", "-n", n, "1"], "handle_reduce", braid_identity(1)),
+    "pi": (lambda n: ["braid", "pi", "-n", n, "1"], "underlying_permutation", identity(1)),
+    "cable": (
+        lambda n: ["braid", "cable", "-n", n, "--sizes", ",".join(["1"] * int(n)), "1"], "cable", braid_identity(1)
+    ),
+    "render": (lambda n: ["braid", "render", "-n", n, "1"], "render_ascii", ""),
+    "render-dot": (lambda n: ["braid", "render", "--format", "dot", "-n", n, "1"], "render_dot", ""),
+    "mu": (lambda n: ["braid", "mu", "-n", n, "--args", "ARGS", "1"], "mu_br", braid_identity(1)),
+}
+
+
+@pytest.mark.parametrize("excess, code", [(0, 0), (1, 2)], ids=["at-the-limit", "limit+1"])
+@pytest.mark.parametrize("command", sorted(BRAID_COMMANDS))
+def test_every_braid_subcommand_refuses_strands_past_the_limit(monkeypatch, tmp_path, cli_run, command, excess, code):
+    # The function each subcommand calls is stubbed: at the limit it receives
+    # the word, past it nothing is parsed beyond the strand count.
+    argv, name, stubbed = BRAID_COMMANDS[command]
+    received = []
+    monkeypatch.setattr(cli.braids, name, lambda *args: received.append(args[0]) or stubbed)
+    strands = cli.MAX_STRANDS + excess
+    (tmp_path / "ARGS").write_text("1:\n" * strands)
+    result = cli_run(*argv(str(strands)), cwd=tmp_path)
+    assert result.returncode == code
+    if excess:
+        assert (result.stdout, result.stderr) == ("", (
+            f"error: -n {strands}: the word has {strands} strands, more than the limit {cli.MAX_STRANDS}\n"
+        ))
+        assert received == []
+    else:
+        assert result.stderr == ""
+        assert received[0].strands == strands
+
+
+@pytest.mark.parametrize("excess, code", [(0, 0), (1, 2)], ids=["at-the-limit", "limit+1"])
+def test_braid_mu_refuses_argument_words_past_the_strand_limit(monkeypatch, tmp_path, cli_run, excess, code):
+    substituted = []
+    monkeypatch.setattr(cli.braids, "mu_br", lambda word, arguments: substituted.append(arguments) or word)
+    strands = cli.MAX_STRANDS + excess
+    arguments = tmp_path / "args.txt"
+    arguments.write_text(f"\n{strands}: 1\n")
+    result = cli_run("braid", "mu", "-n", "1", "--args", str(arguments))
+    assert result.returncode == code
+    if excess:
+        assert (result.stdout, result.stderr) == ("", (
+            f"error: {arguments}:2: the word has {strands} strands, more than the limit {cli.MAX_STRANDS}\n"
+        ))
+        assert substituted == []
+    else:
+        assert [[(word.strands, word.word) for word in words] for words in substituted] == [[(strands, (1,))]]
+
+
+@pytest.mark.parametrize("excess, code", [(0, 0), (1, 2)], ids=["at-the-limit", "limit+1"])
+@pytest.mark.parametrize("command, name", [("pi", "underlying_permutation"), ("render", "render_ascii")])
+def test_braid_pi_and_render_refuse_words_past_the_letter_limit(monkeypatch, cli_run, command, name, excess, code):
+    received = []
+    monkeypatch.setattr(cli.braids, name, lambda word: received.append(word) or identity(3))
+    letters = cli.MAX_WORD_LETTERS + excess
+    result = cli_run("braid", command, "-n", "3", *["1", "-2"] * (letters // 2), *["1"] * (letters % 2))
+    assert result.returncode == code
+    if excess:
+        assert (result.stdout, result.stderr) == ("", (
+            f"error: the word has {letters} letters, more than the limit {cli.MAX_WORD_LETTERS}\n"
+        ))
+        assert received == []
+    else:
+        assert [len(word) for word in received] == [letters]
+
+
+@pytest.mark.parametrize("excess, code", [(0, 0), (1, 2)], ids=["at-the-limit", "limit+1"])
+def test_braid_mu_refuses_a_substituted_word_past_the_cable_limit(monkeypatch, tmp_path, cli_run, excess, code):
+    # 1 on two cables of 512 strands writes 512 * 512 = 2^18 letters, the
+    # limit; one more letter in an argument passes it.
+    assert cli.MAX_CABLE_LETTERS == 512 * 512
+    substituted = []
+    monkeypatch.setattr(cli.braids, "mu_br", lambda word, arguments: substituted.append(arguments) or word)
+    arguments = tmp_path / "args.txt"
+    arguments.write_text("512:\n512:" + " 1" * excess + "\n")
+    result = cli_run("braid", "mu", "-n", "2", "--args", str(arguments), "1")
+    assert result.returncode == code
+    if excess:
+        assert (result.stdout, result.stderr) == ("", (
+            f"error: --args {arguments}: the substituted word has {512 * 512 + 1} letters, "
+            f"more than the limit {cli.MAX_CABLE_LETTERS}\n"
+        ))
+        assert substituted == []
+    else:
+        assert (result.stdout, result.stderr) == ("1\n", "")
+        assert [[word.strands for word in words] for words in substituted] == [[512, 512]]
+
+
+def test_braid_mu_refuses_the_word_braid_cable_refuses(tmp_path, cli_run):
+    # Two empty 1,000-strand arguments cable 1 into 1,000,000 letters, as
+    # `braid cable --sizes 1000,1000` would.
+    arguments = tmp_path / "args.txt"
+    arguments.write_text("1000:\n1000:\n")
+    mu = cli_run("braid", "mu", "-n", "2", "--args", str(arguments), "1")
+    cable = cli_run("braid", "cable", "-n", "2", "--sizes", "1000,1000", "1")
+    assert (mu.returncode, mu.stdout, cable.returncode, cable.stdout) == (2, "", 2, "")
+    assert mu.stderr == (
+        f"error: --args {arguments}: the substituted word has 1000000 letters, "
+        f"more than the limit {cli.MAX_CABLE_LETTERS}\n"
+    )
 
 
 @pytest.mark.parametrize("group", ["symmetric", "braid"])

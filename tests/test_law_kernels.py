@@ -18,7 +18,8 @@ tests the same verdict and witness.  A fault that leaves no right action
 inside its level (decided by `is_right_action`) must instead make
 `free_algebra` and `check_monad_laws` raise a `ValueError`.  An inner
 composite outside its level, which hypothesis may not draw, must raise the
-same error after the same cases.  Counting wrappers pin the savings:
+same error after the same cases, and so must a composite outside its level
+whose row raises while a signature is decided by rows.  Counting wrappers pin the savings:
 `check_operad` reads each compose and action key of a packaged document
 once, one `pullback_witness_test` checks the action of each level of P
 once, and one `check_monad_laws` runs one orbit quotient.  The one-pass
@@ -590,7 +591,7 @@ def test_an_inner_composite_outside_its_level_raises_at_the_same_case(monkeypatc
         def counted(self, law, cases):
             def counting():
                 for case in cases:
-                    counts[-1][1] += 1
+                    counts[-1][1] += case if isinstance(case, int) else 1
                     yield case
 
             counts.append([law, 0])
@@ -607,6 +608,46 @@ def test_an_inner_composite_outside_its_level_raises_at_the_same_case(monkeypatc
     assert fast == reference
     assert fast[0][:2] == ("error", "ValueError") and "foreign" in fast[0][2]
     assert fast[1][-1] == ["operad associativity", 39]
+
+
+def test_a_read_that_raises_inside_the_rows_raises_at_the_same_case(monkeypatch):
+    # On the endomorphisms of {a,b}, mu(a,a; b) answers a label outside
+    # level 0.  The typed law reports it; associativity then reads the row of
+    # that composite while deciding the signature n=1, ks=[0] by rows, and
+    # the read raises.  Replayed case by case, the composite before it,
+    # mu(a,a; a), holds first, and the error comes at the next case, as in
+    # the per-case loop.
+    key = (1, (0,), "a,a", ("b",))
+    cases: list[list] = []
+    report_check = Report.check
+
+    def counted(self, law, stream):
+        def counting():
+            for case in stream:
+                cases[-1][1] += case if isinstance(case, int) else 1
+                yield case
+
+        cases.append([law, 0])
+        report_check(self, law, counting())
+
+    def run(check) -> tuple:
+        p = OPERADS["endo {a,b} 1"]()
+        original = p.compose
+        p.compose = lambda n, ks, head, args: (
+            "foreign" if (n, tuple(ks), head, tuple(args)) == key else original(n, ks, head, args)
+        )
+        cases.clear()
+        monkeypatch.setattr(Report, "check", counted)
+        try:
+            return outcome(lambda: results(check(p))), [list(entry) for entry in cases]
+        finally:
+            monkeypatch.setattr(Report, "check", report_check)
+
+    fast, reference = run(check_operad), run(reference_check_operad)
+    assert fast == reference
+    assert fast[0][:2] == ("error", "ValueError") and "foreign" in fast[0][2]
+    # Two cases of the signature n=0 and the one that holds before the error.
+    assert fast[1][-1] == ["operad associativity", 3]
 
 
 # ------------------------------------------------------------ mu_sigma
