@@ -172,7 +172,6 @@ def _cases(
 
 def _element_tuples(
     inst: ActionOperad,
-    draw: Callable[[random.Random, int], Any],
     rng: random.Random,
     arities: range,
     width: int,
@@ -185,7 +184,7 @@ def _element_tuples(
 
     def sample_one() -> tuple:
         n = rng.choice(arities)
-        return tuple(draw(rng, n) for _ in range(width))
+        return tuple(inst.sample(rng, n) for _ in range(width))
 
     return _cases(enumerated, sample_one, budget)
 
@@ -198,7 +197,6 @@ def _arity_tuples(max_arity: int) -> Iterable[tuple[int, tuple[int, ...]]]:
 
 def check_axioms(
     inst: ActionOperad,
-    sampler: Callable[[random.Random, int], Any] | None = None,
     *,
     max_arity: int = 3,
     budget: int = 200,
@@ -206,13 +204,13 @@ def check_axioms(
 ) -> Report:
     """Run the full action-operad law battery on one instance."""
     rng = random.Random(seed)
-    draw = sampler if sampler is not None else inst.sample
+    draw = inst.sample
     report = Report(f"action operad laws: {inst.name}")
     arities = range(max_arity + 1)
     eq = inst.equal
 
     def tuples(width: int) -> list[tuple]:
-        return _element_tuples(inst, draw, rng, arities, width, budget)
+        return _element_tuples(inst, rng, arities, width, budget)
 
     # Each check returns None when its case holds and the witness otherwise.
     # --- group laws, one arity at a time -------------------------------
@@ -381,7 +379,7 @@ def map_of_action_operads(
     arities = range(max_arity + 1)
 
     def tuples(width: int) -> list[tuple]:
-        return _element_tuples(src, src.sample, rng, arities, width, budget)
+        return _element_tuples(src, rng, arities, width, budget)
 
     def check_identities(n):
         if not dst.equal(f(src.identity(n)), dst.identity(n)):

@@ -19,9 +19,10 @@ and monad algebras, drawing its tuples of classes by `g_operads._within`
 are built.
 Its laws read each flattening [label; classes] and each action value
 through `g_operads._ReadThrough` tables that live only for that call, so
-each is computed once per report.  Associativity decides the cases of each
-(q, ps) as two rows over the flat tuples, middle-first and outer-first
-(`g_operads._rows_or_replay`).
+each is computed once per report.  Associativity decides each (q, ps) by
+two rows over the class tuples of one length (`g_operads._rows_or_replay`):
+the row of q's composite with the p_i, and q flattening the rows of the p_i
+read at the position of each tuple's slices.
 The correspondence reads its classes from the free algebra the laws were
 checked on, truncated to its bound, so one call runs one orbit quotient.
 `free_algebra` keeps no quotient of its own: the free algebra is the
@@ -256,17 +257,6 @@ def check_monad_laws(
     # Associativity: a three-level nesting [q; [p_i; classes_i]] flattens
     # either middle-first (each [p_i; classes_i] collapses to one class)
     # or outer-first (q and the p_i merge, then one flattening).
-    def rows_agree(q: str, ps: tuple[str, ...], outer: str, columns: list[list], flats: list[tuple]) -> bool:
-        """Whether the middle-first and outer-first rows over the flat tuples agree."""
-        middles = [
-            map(flatten.__getitem__, zip(itertools.repeat(head), column))
-            for head, column in zip(ps, columns)
-        ]
-        inner = zip(*middles) if middles else itertools.repeat((), len(flats))
-        middle_first = list(map(flatten.__getitem__, zip(itertools.repeat(q), inner)))
-        outer_first = list(map(flatten.__getitem__, zip(itertools.repeat(outer), flats)))
-        return middle_first == outer_first
-
     def replay(q: str, ps: tuple[str, ...], outer: str, spans: list, flats: list[tuple]) -> Iterator[str | None]:
         for flat in flats:
             slices = [flat[a:b] for a, b in spans]
@@ -277,18 +267,28 @@ def check_monad_laws(
             yield None
 
     def associativity() -> Iterator[tuple]:
+        # The class tuples of each length, numbered in `_within` order, and
+        # each label's row of flattenings over the tuples of its arity.
         pool = free.all_classes()
-        arities = [c.arity for c in pool]
+        tuples = {m: _within(bound, m, pool, [c.arity for c in pool]) for m in range(bound + 1)}
+        positions = {m: {flat: i for i, flat in enumerate(tuples[m])} for m in tuples}
+        rows = _ReadThrough(lambda r, label: [flatten[label, flat] for flat in tuples[r]])
+
+        def rows_agree(q: str, ps: tuple[str, ...], outer: str, rs: tuple[int, ...], columns: list[list[int]]) -> bool:
+            """Whether q on the p_i's rows read at the columns gives the outer label's row."""
+            getters = [rows[key].__getitem__ for key in zip(rs, ps)]
+            middles = zip(*map(map, getters, columns)) if rs else [()]
+            return list(map(flatten.__getitem__, zip(itertools.repeat(q), middles))) == rows[sum(rs), outer]
+
         for n, rs in arity_signatures(bound):
             starts = list(itertools.accumulate(rs, initial=0))
             spans = list(zip(starts, starts[1:]))
-            flats = _within(bound, starts[-1], pool, arities)
-            # The slices of the flat tuples, one column per middle label.
-            columns = [[flat[a:b] for flat in flats] for a, b in spans]
+            flats = tuples[starts[-1]]
+            columns = [[positions[r][flat[a:b]] for flat in flats] for r, (a, b) in zip(rs, spans)]
             for q in p.labels(n):
                 for ps in itertools.product(*(p.labels(r) for r in rs)):
                     outer = p.compose(n, rs, q, ps)
-                    agree = functools.partial(rows_agree, q, ps, outer, columns, flats)
+                    agree = functools.partial(rows_agree, q, ps, outer, rs, columns)
                     yield len(flats), agree, functools.partial(replay, q, ps, outer, spans, flats)
 
     report.check("multiplication is constant on classes", well_defined())

@@ -22,7 +22,9 @@ tables that live for one call: the first read of a key goes through
 `p.compose` or `p.action`, so rebinding either still injects a fault, and
 every later read is a dict subscript.  Reads are taken to depend on the key
 alone, so a law may decide a group of cases by rows and replay the group
-case by case only when they disagree (`_rows_or_replay`).
+case by case only when they disagree (`_rows_or_replay`).  Both
+associativity laws, here and in `free_monad`, have one row shape: a list
+per label over the flat tuples of a length, read at position columns.
 
 One representation serves every finite operad: `FiniteGOperad` holds a
 compose table keyed by (n, ks, head, args) and an action table keyed by
@@ -354,8 +356,9 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     by all its laws: the first read of a key calls `p.compose` or
     `p.action`, and every later read of that key is a subscript.  The work
     that depends only on arities is also done once per call: the label
-    product of each arity tuple, and the identities and cable of each
-    signature and element.  Nothing is kept after the call returns.
+    product of each arity tuple, the flat cases (ls, rs) of each length,
+    and the identities and cable of each signature and element.  Nothing
+    is kept after the call returns.
     """
     group = p.group
     bound = p.max_arity
@@ -376,12 +379,7 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
         k: _group_elements(group, k, max(budget // 5, 2), seed + 1) for k in range(bound + 1)
     }
     # The label tuples of each arity tuple, listed once for this report.
-    label_products: dict[tuple[int, ...], list[tuple[str, ...]]] = {}
-
-    def product(ks: tuple[int, ...]) -> list[tuple[str, ...]]:
-        if ks not in label_products:
-            label_products[ks] = list(itertools.product(*(labels(k) for k in ks)))
-        return label_products[ks]
+    product = _ReadThrough(lambda *ks: list(itertools.product(*map(labels, ks)))).__getitem__
 
     # Well-typedness: the unit, every substitution result, every action result.
     def typed() -> Iterator[str | None]:
@@ -410,74 +408,49 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
 
     def associativity() -> Iterator[tuple]:
         # The arity tuples ls of each length with their label tuples, listed
-        # once; an ls with an empty level has no cases.
+        # once; an ls with an empty level has no cases.  The flat cases of a
+        # length are the tuples zip(ls, rs), so slicing one slices ls and rs.
         flat_arities = {
             total: [(ls, product(ls)) for ls in _within(bound, total, range(bound + 1)) if product(ls)]
             for total in range(bound + 1)
         }
-        flat_counts = {total: sum(len(flats) for _, flats in flat_arities[total]) for total in flat_arities}
-        # Rows of compose values, read once through mu and keyed by the pairs
-        # zip(arities, labels) of the arguments: a composite c of level total
-        # over every (ls, rs), and a head of arity n over every (js, qs).
+        cases = {
+            total: [tuple(zip(ls, rs)) for ls, flats in flat_arities[total] for rs in flats] for total in flat_arities
+        }
+        positions = {k: {case: i for i, case in enumerate(cases[k])} for k in cases}
+        # Rows of compose values, read once through mu: a composite c of
+        # level total over the flat cases of that length, an argument q of
+        # arity k as (sum(split), mu(k; split; q; rs)) over those of length
+        # k, and a head of arity n over every (js, qs), keyed by zip(js, qs).
         composite_rows = _ReadThrough(
-            lambda total, c: {
-                tuple(zip(ls, rs)): mu[total, ls, c, rs] for ls, flats in flat_arities[total] for rs in flats
-            }
+            lambda total, c: [mu[total, ls, c, rs] for ls, flats in flat_arities[total] for rs in flats]
+        )
+        argument_rows = _ReadThrough(
+            lambda k, arg: [(sum(split), mu[k, split, arg, rs]) for split, flats in flat_arities[k] for rs in flats]
         )
         head_rows = _ReadThrough(
             lambda n, head: {
                 tuple(zip(js, qs)): mu[n, js, head, qs] for m, js in signatures if m == n for qs in product(js)
             }
         )
-        # The (split, rs) of each length k by ascending sum(split), as their
-        # keys zip(split, rs), with starts[k][s] the first of sum s.  The row
-        # of an argument q of arity k lists, in that order, the inner
-        # composites (sum(split), mu(k; split; q; rs)).
-        by_sum = {k: sorted(flat_arities[k], key=lambda entry: sum(entry[0])) for k in flat_arities}
-        split_keys = {k: [tuple(zip(split, rs)) for split, flats in by_sum[k] for rs in flats] for k in by_sum}
-        starts = {
-            k: list(itertools.accumulate(
-                (sum(len(flats) for split, flats in by_sum[k] if sum(split) == s) for s in range(bound + 1)),
-                initial=0,
-            ))
-            for k in by_sum
-        }
-        inner_rows = _ReadThrough(
-            lambda k, arg: [(sum(split), mu[k, split, arg, rs]) for split, flats in by_sum[k] for rs in flats]
-        )
 
         def holds(n: int, ks: tuple[int, ...]) -> bool:
             """
             Whether every case of the signature holds: for every (head, args),
-            the composite's row read at the flat keys equals the head's row
-            read at the products of the argument rows, over all (ls, rs).
-            These are listed in blocks, the first n - 1 slots at one sum each
-            and the last at every sum that still fits; a block is the product
-            of one slice per row.  The right-hand row reads None at an inner
-            composite outside its level, so it differs there.
+            the composite's row equals the head's row read at the inner
+            composites, which column i gathers from the row of args[i] at the
+            position of each flat case's slice for slot i among the cases of
+            length k_i.  The head's row reads None at an inner composite
+            outside its level, so it differs there.
             """
-            blocks = [((), bound)]
-            for k in ks[:-1]:
-                blocks = [
-                    (cut + (slice(starts[k][s], starts[k][s + 1]),), left - s)
-                    for cut, left in blocks
-                    for s in range(left + 1)
-                    if starts[k][s] < starts[k][s + 1]
-                ]
-            cuts = [cut + (slice(0, starts[ks[-1]][left + 1]),) if ks else cut for cut, left in blocks]
-            flat_keys = list(itertools.chain.from_iterable(
-                map(sum, itertools.product(*[split_keys[k][c] for k, c in zip(ks, cut)]), itertools.repeat(()))
-                for cut in cuts
-            ))
             total = sum(ks)
+            offsets = list(itertools.accumulate(ks, initial=0))
+            columns = [[positions[k][case[a:b]] for case in cases[total]] for k, a, b in zip(ks, offsets, offsets[1:])]
             for args in product(ks):
-                rows = [inner_rows[key] for key in zip(ks, args)]
-                inner = list(itertools.chain.from_iterable(
-                    itertools.product(*[row[c] for row, c in zip(rows, cut)]) for cut in cuts
-                ))
+                getters = [argument_rows[key].__getitem__ for key in zip(ks, args)]
+                inner = list(zip(*map(map, getters, columns))) if ks else [()]
                 for head in labels(n):
-                    lhs = map(composite_rows[total, mu[n, ks, head, args]].__getitem__, flat_keys)
-                    if list(lhs) != list(map(head_rows[n, head].get, inner)):
+                    if composite_rows[total, mu[n, ks, head, args]] != list(map(head_rows[n, head].get, inner)):
                         return False
             return True
 
@@ -502,7 +475,7 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
                         yield None
 
         for n, ks in signatures:
-            size = len(labels(n)) * len(product(ks)) * flat_counts[sum(ks)]
+            size = len(labels(n)) * len(product(ks)) * len(cases[sum(ks)])
             if size:
                 yield size, functools.partial(holds, n, ks), functools.partial(replay, n, ks)
 
@@ -536,11 +509,12 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
                 (gs, group.operad_mu(e, list(gs)))
                 for gs in itertools.product(*(argument_elements[k] for k in ks))
             ]
+            # Each args acted on by each gs, formed once for every head.
+            acted = {args: [tuple(map(act.__getitem__, zip(ks, args, gs))) for gs, _ in blocks] for args in product(ks)}
             for head in labels(n):
                 for args in product(ks):
                     composite = mu[n, ks, head, args]
-                    for gs, block in blocks:
-                        acted_args = tuple(map(act.__getitem__, zip(ks, args, gs)))
+                    for (gs, block), acted_args in zip(blocks, acted[args]):
                         if mu[n, ks, head, acted_args] != act[total, composite, block]:
                             yield (
                                 f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
@@ -631,7 +605,6 @@ def endomorphism_operad(
     carrier: Sequence[str],
     group: ActionOperad,
     max_arity: int = 2,
-    max_level_size: int = 4096,
 ) -> FiniteGOperad:
     """
     All functions X^n -> X as the labels of arity n.  A label lists the
@@ -648,10 +621,10 @@ def endomorphism_operad(
     levels: dict[int, tuple[str, ...]] = {}
     for n in range(max_arity + 1):
         size = len(alphabet) ** (len(alphabet) ** n)
-        if size > max_level_size:
+        if size > MAX_ENDOMORPHISM_LEVEL:
             raise ValueError(
                 f"endomorphism level {n} would hold {size} functions, "
-                f"more than the limit {max_level_size}"
+                f"more than the limit {MAX_ENDOMORPHISM_LEVEL}"
             )
         levels[n] = tuple(
             ",".join(outputs) for outputs in itertools.product(alphabet, repeat=len(alphabet) ** n)
@@ -999,6 +972,8 @@ def write_operad_document(p: FiniteGOperad) -> dict:
 # The most action entries |G(n)| * |P(n)| one level of a symmetric
 # document may tabulate: 8!, one label at arity 8 or eight at arity 7.
 MAX_ACTION_ENTRIES = 40_320
+# The most functions X^n -> X one level of `endomorphism_operad` may hold.
+MAX_ENDOMORPHISM_LEVEL = 4096
 
 
 def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad:

@@ -294,6 +294,22 @@ def test_operad_check_of_a_broken_document_matches_golden(cli_run):
     assert "FAIL operad associativity [1161 cases]" in result.stdout
 
 
+def test_operad_check_of_a_broken_arity_4_document_matches_golden(tmp_path, cli_run):
+    # The arity-4 ass document with mu(12; 21, 12) answering 1234 instead of
+    # 2134: associativity fails at its 24,869th case, the first that reads
+    # that entry as an inner composite, and both equivariance laws fail too.
+    document = g_operads.write_operad_document(g_operads.operad_ass(4))
+    (record,) = [
+        r for r in document["compose"] if (r["n"], r["ks"], r["args"]) == (2, [2, 2], ["12", "21", "12"])
+    ]
+    record["result"] = "1234"
+    (tmp_path / "ass4_swapped.json").write_text(json.dumps(document))
+    result = cli_run("operad", "check", "ass4_swapped.json", cwd=tmp_path)
+    assert (result.returncode, result.stderr) == (1, "")
+    assert result.stdout == (GOLDEN / "check_ass4_swapped.txt").read_text()
+    assert "FAIL operad associativity [24869 cases]: n=2, ks=[1, 2], ls=[0, 2, 2]" in result.stdout
+
+
 def test_operad_example_prints_the_packaged_document(cli_run):
     result = cli_run("operad", "example", "comm")
     assert result.returncode == 0

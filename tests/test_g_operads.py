@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from operadics import free_monad, g_operads
 from operadics.action_operads import instance_braid, instance_symmetric, instance_trivial
 from operadics.cli import main
 from operadics.g_operads import (
@@ -114,6 +115,33 @@ def test_operad_associativity_reports_the_first_counterexample():
     assert failure.checked == 1089
 
 
+@pytest.mark.parametrize(
+    "build, carrier, bound",
+    [
+        (lambda: load_operad(json.loads((DATA / "ass.json").read_text()), "ass"), ("a", "b"), 2),
+        (lambda: load_operad(json.loads((DATA / "ass.json").read_text()), "ass"), ("a",), 3),
+        (lambda: operad_comm(instance_symmetric(), max_arity=4), ("a", "b"), 4),
+        (lambda: endomorphism_operad(("a", "b"), instance_symmetric(), max_arity=2), ("a",), 2),
+    ],
+    ids=["ass.json {a,b}", "ass.json {a}", "comm/symmetric 4", "endo {a,b} 2"],
+)
+def test_lawful_associativity_is_decided_by_rows_alone(monkeypatch, build, carrier, bound):
+    # Both associativity laws fall back to a case-by-case replay whenever
+    # the rows of a group disagree, so rows gathered at the wrong positions
+    # would still give the right verdict, only slower.  On a lawful operad
+    # every group's rows must agree.
+    def rows_only(groups):
+        for size, agree, replay in groups:
+            assert agree()
+            yield size
+
+    monkeypatch.setattr(g_operads, "_rows_or_replay", rows_only)
+    monkeypatch.setattr(free_monad, "_rows_or_replay", rows_only)
+    p = build()
+    assert check_operad(p).result("operad associativity").passed
+    assert free_monad.check_monad_laws(p, carrier, max_arity=bound).result("associativity").passed
+
+
 def test_equivariance_laws_report_the_first_counterexample():
     # The action is made to fix 213 under the transposition 2 1 3.
     # Witnesses and counts were taken from the checker that listed the
@@ -208,6 +236,14 @@ def test_endomorphism_action_permutes_inputs():
 def test_endomorphism_size_guard():
     with pytest.raises(ValueError, match="more than the limit"):
         endomorphism_operad(("a", "b", "c"), instance_symmetric(), max_arity=2)
+
+
+def test_endomorphism_level_limit_names_the_level_and_the_limit():
+    # Level 3 of {a,b} holds 2^8 = 256 functions; level 4 would hold 2^16.
+    assert len(endomorphism_operad(("a", "b"), instance_symmetric(), max_arity=3).labels(3)) == 256
+    message = "endomorphism level 4 would hold 65536 functions, more than the limit 4096"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        endomorphism_operad(("a", "b"), instance_symmetric(), max_arity=4)
 
 
 # ------------------------------------------------------ algebras and maps

@@ -385,6 +385,7 @@ OPERADS: dict[str, Callable[[], FiniteGOperad]] = {
     "comm_trivial.json": lambda: load_operad(DOCUMENTS["comm_trivial"], "comm_trivial"),
     "ass2": lambda: operad_ass(2),
     "comm/symmetric 3": lambda: operad_comm(instance_symmetric(), max_arity=3),
+    "comm/symmetric 4": lambda: operad_comm(instance_symmetric(), max_arity=4),
     "comm/trivial 3": lambda: operad_comm(instance_trivial(), max_arity=3),
     "comm/braid 2": lambda: operad_comm(instance_braid(), max_arity=2),
     "endo {a} 2": lambda: endomorphism_operad(("a",), instance_symmetric(), max_arity=2),
