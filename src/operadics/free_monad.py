@@ -359,7 +359,7 @@ def cartesian_condition(p: FiniteGOperad) -> tuple[bool, tuple[int, str, Any] | 
     return True, None
 
 
-def pullback_witness_test(p: FiniteGOperad, max_arity: int | None = None) -> tuple[bool, str]:
+def pullback_witness_test(p: FiniteGOperad) -> tuple[bool, str]:
     """
     The transformation-level criterion on one concrete square: apply the
     free construction to the pullback of two two-element sets over a
@@ -375,10 +375,10 @@ def pullback_witness_test(p: FiniteGOperad, max_arity: int | None = None) -> tup
     second = {f"{u}{v}": v for u in left for v in right}
 
     levels: _Levels = {}
-    free_pairs = _free_algebra(p, pairs, max_arity, levels)
-    free_left = _free_algebra(p, left, max_arity, levels)
-    free_right = _free_algebra(p, right, max_arity, levels)
-    free_point = _free_algebra(p, ("z",), max_arity, levels)
+    free_pairs = _free_algebra(p, pairs, None, levels)
+    free_left = _free_algebra(p, left, None, levels)
+    free_right = _free_algebra(p, right, None, levels)
+    free_point = _free_algebra(p, ("z",), None, levels)
 
     def push(free_target, mapping, cls):
         return free_target.canonical(cls.label, tuple(mapping[x] for x in cls.items))

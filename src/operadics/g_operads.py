@@ -688,18 +688,14 @@ def change_groups(
 
 
 # The equivariance samples of an infinite group that `check_algebra`
-# draws by default; the algebra search prunes on the same samples.
+# draws; the algebra search prunes on the same samples.
 ALGEBRA_SAMPLE_BUDGET = 25
 ALGEBRA_SAMPLE_SEED = 9
+# The most candidate tables `enumerate_operad_maps` will check.
+OPERAD_MAP_LIMIT = 1 << 20
 
 
-def check_algebra(
-    p: FiniteGOperad,
-    algebra: AlgebraStructure,
-    *,
-    budget: int = ALGEBRA_SAMPLE_BUDGET,
-    seed: int = ALGEBRA_SAMPLE_SEED,
-) -> Report:
+def check_algebra(p: FiniteGOperad, algebra: AlgebraStructure) -> Report:
     """Verify the unit, associativity, and equivariance laws of an algebra."""
     report = Report(f"algebra laws on {{{','.join(algebra.carrier)}}} for {p.name}")
     carrier = algebra.carrier
@@ -729,7 +725,7 @@ def check_algebra(
 
     def equivariance() -> Iterator[str | None]:
         for n in range(bound + 1):
-            for g in _group_elements(p.group, n, budget, seed):
+            for g in _group_elements(p.group, n, ALGEBRA_SAMPLE_BUDGET, ALGEBRA_SAMPLE_SEED):
                 pi = p.group.project(g)
                 for head in p.labels(n):
                     acted = p.action(n, head, g)
@@ -881,13 +877,12 @@ def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str], limit
 
     def accept(values: tuple[str, ...]) -> AlgebraStructure | None:
         algebra = table_algebra(carrier, dict(zip(slots, values)))
-        report = check_algebra(p, algebra, budget=ALGEBRA_SAMPLE_BUDGET, seed=ALGEBRA_SAMPLE_SEED)
-        return algebra if report.ok else None
+        return algebra if check_algebra(p, algebra).ok else None
 
     return list(_backtrack([carrier] * len(slots), tests, accept))
 
 
-def enumerate_operad_maps(p: FiniteGOperad, q: FiniteGOperad, limit: int = 1 << 20) -> list[dict[tuple[int, str], str]]:
+def enumerate_operad_maps(p: FiniteGOperad, q: FiniteGOperad) -> list[dict[tuple[int, str], str]]:
     """
     Brute-force every equivariant operad map from p to q (same group, same
     bound): unit-preserving, substitution-preserving, action-preserving
@@ -903,8 +898,8 @@ def enumerate_operad_maps(p: FiniteGOperad, q: FiniteGOperad, limit: int = 1 << 
     count = 1
     for space in spaces:
         count *= len(space)
-        if count > limit:
-            raise ValueError(f"candidate map count exceeds the enumeration limit {limit}")
+        if count > OPERAD_MAP_LIMIT:
+            raise ValueError(f"candidate map count exceeds the enumeration limit {OPERAD_MAP_LIMIT}")
 
     group_samples = {n: _group_elements(p.group, n, 10, 3) for n in range(bound + 1)}
     substitutions = [

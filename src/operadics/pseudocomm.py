@@ -14,12 +14,18 @@ composites of smaller ones:
                        mu(e_m;  t(n_1,l), ..., t(n_m,l)))
               = t(N, l)                        with N = n_1 + ... + n_m
 
+One private table, `_families`, gives each family's two sides, its
+parameters up to a bound and the witness text of a failing equation; the
+resolver and the reports' equation laws loop over it.
+
 The index placement in these equations is not obvious (plausible variants
 differ by swapping the two grid dimensions), so `resolve_orientation`
 settles it by brute force over the symmetric groups, where t = tau is an
-exact oracle.  The resolved orientation is then applied verbatim to the
-braid groups, where both sides are positive (or both all-negative) braid
-words and `braids.certify_equal` certifies equality by the minimal-positive
+exact oracle.  Both theorem reports resolve at bound 3, where each family
+has one survivor; their own equation laws then test it at the report's
+bound.  The resolved orientation is applied verbatim to the braid groups,
+where both sides are positive (or both all-negative) braid words and
+`braids.certify_equal` certifies equality by the minimal-positive
 criterion, tagging each equation "positive" or "mirrored".  An equation the
 certificate cannot decide is tagged "fallback" and goes to handle reduction
 through `braid_equal`, the checker's only route there.  The minimal-lift
@@ -36,13 +42,13 @@ the family is symmetric.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator
 
 from .action_operads import ActionOperad, instance_braid, instance_symmetric
 from .braids import (
     certify_equal,
-    equal as braid_equal,
+    equal as braid_equal,  # perfbench/tracer.py rebinds this alias to count fallbacks
     format_word,
     t_negative,
     t_positive,
@@ -152,16 +158,12 @@ def _sides_equal(group: ActionOperad, lhs: Any, rhs: Any) -> tuple[bool, str]:
 
 def verify_interchange(group: ActionOperad, tf: TFamily, l: int, ms: list[int], n: int) -> bool:
     """One grouped-family equation: l blocks of widths ms against depth n."""
-    lhs, rhs = _grouped_sides(group, tf, l, tuple(ms), n)
-    held, _ = _sides_equal(group, lhs, rhs)
-    return held
+    return _sides_equal(group, *_grouped_sides(group, tf, l, tuple(ms), n))[0]
 
 
 def verify_interchange_dual(group: ActionOperad, tf: TFamily, l: int, m: int, ns: list[int]) -> bool:
     """One split-family equation: m blocks of heights ns against width l."""
-    lhs, rhs = _split_sides(group, tf, l, m, tuple(ns))
-    held, _ = _sides_equal(group, lhs, rhs)
-    return held
+    return _sides_equal(group, *_split_sides(group, tf, l, m, tuple(ns)))[0]
 
 
 def _unit_family_cases(group: ActionOperad, tf: TFamily, bound: int) -> Iterator[str | None]:
@@ -204,12 +206,12 @@ def _split_parameters(bound: int) -> Iterator[tuple[int, int, tuple[int, ...]]]:
                 yield l, m, ns
 
 
-def _grouped_where(l: int, ms: tuple[int, ...], n: int) -> str:
-    return f"l={l}, ms={list(ms)}, n={n}"
-
-
-def _split_where(l: int, m: int, ns: tuple[int, ...]) -> str:
-    return f"l={l}, m={m}, ns={list(ns)}"
+def _families() -> dict[str, tuple[Callable, ...]]:
+    """Family name -> (sides, parameters, where), in report order; built per call, so it reads the current `_grouped_sides`."""
+    return {
+        "grouped": (_grouped_sides, _grouped_parameters, lambda l, ms, n: f"l={l}, ms={list(ms)}, n={n}"),
+        "split": (_split_sides, _split_parameters, lambda l, m, ns: f"l={l}, m={m}, ns={list(ns)}"),
+    }
 
 
 def resolve_orientation(bound: int = 3) -> Orientation:
@@ -222,23 +224,11 @@ def resolve_orientation(bound: int = 3) -> Orientation:
     sym = instance_symmetric()
 
     def survivors(candidates, family, b):
+        sides, parameters, _ = _families()[family]
         kept = []
         for fo in candidates:
-            if family == "grouped":
-                orientation = Orientation(grouped=fo, split=RESOLVED_ORIENTATION.split)
-                tf = t_family_symmetric(orientation)
-                ok = all(
-                    verify_interchange(sym, tf, l, list(ms), n)
-                    for l, ms, n in _grouped_parameters(b)
-                )
-            else:
-                orientation = Orientation(grouped=RESOLVED_ORIENTATION.grouped, split=fo)
-                tf = t_family_symmetric(orientation)
-                ok = all(
-                    verify_interchange_dual(sym, tf, l, m, list(ns))
-                    for l, m, ns in _split_parameters(b)
-                )
-            if ok:
+            tf = t_family_symmetric(replace(RESOLVED_ORIENTATION, **{family: fo}))
+            if all(_sides_equal(sym, *sides(sym, tf, *params))[0] for params in parameters(b)):
                 kept.append(fo)
         return kept
 
@@ -248,7 +238,7 @@ def resolve_orientation(bound: int = 3) -> Orientation:
         for flip_target in (False, True)
     ]
     resolved = {}
-    for family in ("grouped", "split"):
+    for family in _families():
         candidates, b = grid, bound
         while True:
             candidates = survivors(candidates, family, b)
@@ -263,7 +253,7 @@ def resolve_orientation(bound: int = 3) -> Orientation:
         if len(candidates) != 1:
             raise ValueError(f"orientation for the {family} family is ambiguous at bound {b}")
         resolved[family] = candidates[0]
-    return Orientation(grouped=resolved["grouped"], split=resolved["split"])
+    return Orientation(**resolved)
 
 
 # ----------------------------------------------------------------- reports
@@ -299,14 +289,8 @@ def _interchange_laws(group: ActionOperad, tf: TFamily, bound: int, report: Repo
             passed += 1
             yield None
 
-    report.check(
-        f"{prefix}: grouped interchange equations",
-        equations(_grouped_sides, _grouped_parameters(bound), _grouped_where),
-    )
-    report.check(
-        f"{prefix}: split interchange equations",
-        equations(_split_sides, _split_parameters(bound), _split_where),
-    )
+    for family, (sides, parameters, where) in _families().items():
+        report.check(f"{prefix}: {family} interchange equations", equations(sides, parameters(bound), where))
     if group.name == "braid":
         report.record(f"{prefix}: every left-hand composite is a minimal lift", True, "", passed)
 
@@ -314,7 +298,7 @@ def _interchange_laws(group: ActionOperad, tf: TFamily, bound: int, report: Repo
 def symmetric_theorem_report(bound: int = 3) -> Report:
     """Grid transpositions give the symmetric groups a symmetric t-family."""
     sym = instance_symmetric()
-    orientation = resolve_orientation(bound=max(bound, 3))
+    orientation = resolve_orientation(bound=3)
     tf = t_family_symmetric(orientation)
     report = Report(f"symmetric-group interchange family (bound {bound})")
     for line in orientation.lines():

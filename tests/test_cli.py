@@ -151,10 +151,11 @@ def test_tmn_prints_the_braid_lift(cli_run):
     assert degenerate.returncode == 2
 
 
-def test_verify_pscomm_symmetric_matches_golden(cli_run):
-    result = cli_run("verify", "pscomm", "--group", "symmetric", "--bound", "3")
+@pytest.mark.parametrize("bound", ["3", "4"])
+def test_verify_pscomm_symmetric_matches_golden(cli_run, bound):
+    result = cli_run("verify", "pscomm", "--group", "symmetric", "--bound", bound)
     assert result.returncode == 0
-    assert result.stdout == (GOLDEN / "pscomm_symmetric_3.txt").read_text()
+    assert result.stdout == (GOLDEN / f"pscomm_symmetric_{bound}.txt").read_text()
     assert result.stdout.rstrip().endswith("SYMMETRY: HOLDS")
 
 

@@ -1,7 +1,5 @@
 """Tests for the interchange families over permutations and braids."""
 
-import itertools
-
 import pytest
 
 from operadics import pseudocomm
@@ -29,31 +27,17 @@ SYM = instance_symmetric()
 BR = instance_braid()
 
 
-def grouped_parameters(bound):
-    for l in range(1, bound + 1):
-        for n in range(1, bound + 1):
-            for ms in itertools.product(range(1, bound + 1), repeat=l):
-                yield l, list(ms), n
-
-
-def split_parameters(bound):
-    for l in range(1, bound + 1):
-        for m in range(1, bound + 1):
-            for ns in itertools.product(range(1, bound + 1), repeat=m):
-                yield l, m, list(ns)
-
-
 def test_symmetric_interchange_holds_everywhere_at_bound_three():
     tf = t_family_symmetric()
-    assert all(verify_interchange(SYM, tf, l, ms, n) for l, ms, n in grouped_parameters(3))
-    assert all(verify_interchange_dual(SYM, tf, l, m, ns) for l, m, ns in split_parameters(3))
+    assert all(verify_interchange(SYM, tf, l, ms, n) for l, ms, n in pseudocomm._grouped_parameters(3))
+    assert all(verify_interchange_dual(SYM, tf, l, m, ns) for l, m, ns in pseudocomm._split_parameters(3))
 
 
 @pytest.mark.parametrize("family", [t_family_braid_positive, t_family_braid_negative])
 def test_braid_interchange_holds_everywhere_at_bound_three(family):
     tf = family()
-    assert all(verify_interchange(BR, tf, l, ms, n) for l, ms, n in grouped_parameters(3))
-    assert all(verify_interchange_dual(BR, tf, l, m, ns) for l, m, ns in split_parameters(3))
+    assert all(verify_interchange(BR, tf, l, ms, n) for l, ms, n in pseudocomm._grouped_parameters(3))
+    assert all(verify_interchange_dual(BR, tf, l, m, ns) for l, m, ns in pseudocomm._split_parameters(3))
 
 
 def test_corrupted_family_member_is_detected():
@@ -119,6 +103,16 @@ def test_resolved_orientation_is_the_unique_survivor():
     assert resolve_orientation(bound=2) == RESOLVED_ORIENTATION
 
 
+def test_both_reports_resolve_the_orientation_at_bound_three(monkeypatch):
+    # Resolution at bound 3 already leaves one survivor per family; a larger
+    # report bound only adds equations, which the report's own laws check.
+    bounds = []
+    monkeypatch.setattr(pseudocomm, "resolve_orientation", lambda bound: bounds.append(bound) or RESOLVED_ORIENTATION)
+    assert symmetric_theorem_report(bound=4).ok
+    assert braid_theorem_report(bound=3).ok
+    assert bounds == [3, 3]
+
+
 def test_rejected_orientations_fail_on_small_grids():
     wrong_grouped = Orientation(
         grouped=FamilyOrientation(flip_small=False, flip_target=False),
@@ -166,8 +160,7 @@ def test_a_non_minimal_left_side_fails_its_equation_law(monkeypatch):
     failure = report.result("positive family: grouped interchange equations")
     assert not failure.passed
     assert failure.witness == "l=2, ms=[2, 1], n=2 (fallback)"
-    grouped = [(l, tuple(ms), n) for l, ms, n in grouped_parameters(3)]
-    assert failure.checked == grouped.index((2, (2, 1), 2)) + 1
+    assert failure.checked == list(pseudocomm._grouped_parameters(3)).index((2, (2, 1), 2)) + 1
     split = report.result("positive family: split interchange equations")
     lifts = report.result("positive family: every left-hand composite is a minimal lift")
     assert lifts.passed and lifts.checked == failure.checked - 1 + split.checked
