@@ -1,9 +1,9 @@
 """
 Command-line interface: batch computation and verification.
 
-Every subcommand is deterministic given the same inputs and the same
-``--seed``/``--budget`` flags (randomized law checks default both, so runs
-are reproducible without any flags).  Exit codes are uniform:
+Every subcommand is deterministic given the same inputs; only ``verify
+all`` samples, and its ``--seed``/``--budget`` flags have defaults, so runs
+are reproducible without any flags.  Exit codes are uniform:
 
     0   success / the queried relation holds
     1   semantic negative — words unequal, a law fails, criterion says NO
@@ -510,7 +510,7 @@ def _cmd_verify_all(args) -> int:
     reports.append(symmetric_theorem_report(bound=3))
     reports.append(braid_theorem_report(bound=3))
     for name, p in operads.items():
-        reports.append(check_operad(p, budget=args.budget, seed=args.seed))
+        reports.append(check_operad(p))
     for name in ("comm", "comm_trivial"):
         reports.append(check_monad_laws(operads[name], ("a", "b"), max_arity=3))
     reports.append(check_monad_laws(operads["ass"], ("a", "b"), max_arity=2))
@@ -530,7 +530,7 @@ def _cmd_verify_all(args) -> int:
 
 def _cmd_operad_check(args) -> int:
     p = _load_document(args.file)
-    report = check_operad(p, budget=args.budget, seed=args.seed)
+    report = check_operad(p)
     print(report.render())
     return 0 if report.ok else 1
 
@@ -729,9 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     check_parser = operad_sub.add_parser("check", help="run the operad law battery on a file")
     check_parser.add_argument("file")
-    check_parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    check_parser.add_argument("--budget", type=int, default=25,
-                              help="group elements sampled per arity (default 25)")
     check_parser.set_defaults(handler=_cmd_operad_check)
 
     free_parser = operad_sub.add_parser(

@@ -37,9 +37,9 @@ backtracking search of `g_operads.enumerate_algebra_structures`, the
 monad algebras by checking every candidate map (at most 2^7 for the
 packaged operads over {a, b} at the correspondence bound).
 `cartesian_condition` and `pullback_witness_test` decide, in two
-independent ways, whether the construction preserves pullbacks; the
-first lists no group element of an empty level, and the second builds its
-four free algebras on one memo of P's checked level moves.
+independent ways, whether the construction preserves pullbacks, the
+second on one memo of P's checked level moves.  As in `g_operads`, every
+law here walks, and lists group elements for, only P's inhabited arities.
 """
 
 from __future__ import annotations
@@ -52,12 +52,14 @@ from typing import Any, Iterator, NamedTuple, Sequence
 from .g_operads import (
     FiniteGCollection,
     FiniteGOperad,
+    _group_samples,
+    _inhabited,
     _Levels,
     _orbit_quotient,
     _ReadThrough,
     _rows_or_replay,
+    _signatures,
     _within,
-    arity_signatures,
     enumerate_algebra_structures,
 )
 from .permutations import act_on_list
@@ -131,10 +133,9 @@ def _free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | Non
     # The arity-0 part of P o X, X the carrier in arity 0: its states are
     # (r; 0..0; label; xs; e), least key first in each class.
     points = FiniteGCollection("carrier", p.group, {0: carrier}, lambda n, label, g: label)
-    arities = [n for n in range(bound + 1) if p.labels(n)]
     classes_by_arity: dict[int, list[FreeAlgebraClass]] = {n: [] for n in range(bound + 1)}
     canonical: dict[tuple[str, tuple[str, ...]], FreeAlgebraClass] = {}
-    for _, _, states, roots in _orbit_quotient(p, points, 0, arities, levels):
+    for _, _, states, roots in _orbit_quotient(p, points, 0, _inhabited(p.labels, bound), levels):
         representatives: dict[int, FreeAlgebraClass] = {}
         for i, ((n, _, label, xs, _), root) in enumerate(zip(states, roots)):
             if root == i:
@@ -175,7 +176,7 @@ def _nestings(free: FreeAlgebra) -> Iterator[tuple[int, str, tuple[FreeAlgebraCl
     """All (n, label, inner classes) with the flattened arity in bounds."""
     pool = free.all_classes()
     arities = [c.arity for c in pool]
-    for n in range(free.max_arity + 1):
+    for n in _inhabited(free.operad.labels, free.max_arity):
         for inner in _within(free.max_arity, n, pool, arities):
             for label in free.operad.labels(n):
                 yield n, label, inner
@@ -232,9 +233,9 @@ def check_monad_laws(
     flatten = _ReadThrough(functools.partial(mult_mu, free))
     act = _ReadThrough(p.action)
 
-    # Each element of G(n) with the inverse of its projection, listed once per arity.
+    # Each element of G(n) with the inverse of its projection, listed once per inhabited arity.
     moves = {
-        n: [(g, group.project(g).inverse()) for g in group.elements(n)] for n in range(bound + 1)
+        n: [(g, group.project(g).inverse()) for g in gs] for n, gs in _group_samples(group, p.labels, bound).items()
     }
 
     def well_defined() -> Iterator[str | None]:
@@ -280,7 +281,7 @@ def check_monad_laws(
             middles = zip(*map(map, getters, columns)) if rs else [()]
             return list(map(flatten.__getitem__, zip(itertools.repeat(q), middles))) == rows[sum(rs), outer]
 
-        for n, rs in arity_signatures(bound):
+        for n, rs in _signatures(bound, _inhabited(p.labels, bound)):
             starts = list(itertools.accumulate(rs, initial=0))
             spans = list(zip(starts, starts[1:]))
             flats = tuples[starts[-1]]
@@ -348,8 +349,7 @@ def cartesian_condition(p: FiniteGOperad) -> tuple[bool, tuple[int, str, Any] | 
     """
     if p.group.elements is None:
         raise ValueError("the pointwise criterion needs a finite group of equivariance")
-    # An empty level fixes nothing, so its group elements are not listed.
-    for n in [n for n in range(p.max_arity + 1) if p.labels(n)]:
+    for n in _inhabited(p.labels, p.max_arity):
         for g in p.group.elements(n):
             if p.group.project(g).is_identity():
                 continue

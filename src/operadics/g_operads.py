@@ -15,6 +15,12 @@ with k_i the arity of y_i as listed on the left-hand side.  The checkers
 in this module verify all of these exhaustively up to the operad's arity
 bound (sampling group elements when the group is infinite) and report one
 PASS/FAIL line per law, each stopping at its first counterexample.
+Every law, the loader, the document writer and the searches list their
+cases the same way.  Only arities whose level has a label (`_inhabited`)
+are walked, since no case reads an empty level: `_substitutions` lists
+every (n; ks; head; args) through them, and `_group_samples` lists their
+group elements, all of them for a finite group and GROUP_SAMPLE_BUDGET
+drawn with GROUP_SAMPLE_SEED for an infinite one.
 Every bounded space of arity tuples they walk is listed by `_within`,
 which builds only the tuples within the bound, in `itertools.product` order.
 A law report reads its compose and action values through `_ReadThrough`
@@ -86,6 +92,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -230,12 +237,30 @@ def arity_signatures(bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
 
 def _signatures(bound: int, arities: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """
-    The signatures of `arity_signatures(bound)` whose n and every k_i are
+    The signatures of `arity_signatures` at bound whose n and every k_i are
     among the ascending `arities`, in the same order.
     """
     for n in arities:
         for ks in _within(bound, n, arities):
             yield n, ks
+
+
+def _inhabited(labels: Callable[[int], Sequence[str]], bound: int) -> list[int]:
+    """The arities n <= bound whose level has a label, ascending."""
+    return [n for n in range(bound + 1) if labels(n)]
+
+
+def _substitutions(labels: Callable[[int], Sequence[str]], bound: int) -> Iterator[tuple]:
+    """
+    Every substitution (n, ks, head, args) within bound: by signature in
+    `arity_signatures` order, through the inhabited arities only, then by
+    head, then by argument tuple in product order.  A signature with an
+    empty level has no substitution, so it is never listed.
+    """
+    for n, ks in _signatures(bound, _inhabited(labels, bound)):
+        for head in labels(n):
+            for args in itertools.product(*map(labels, ks)):
+                yield n, ks, head, args
 
 
 def _within(bound: int, slots: int, items: Sequence, weights: Sequence[int] | None = None) -> list[tuple]:
@@ -286,36 +311,41 @@ def _group_order(group: ActionOperad, n: int) -> int:
     return math.factorial(n) if group.name == "symmetric" else len(group.elements(n))
 
 
-def _group_elements(group: ActionOperad, n: int, budget: int, seed: int) -> list[Any]:
-    """Every element for finite groups, a seeded sample for infinite ones."""
-    if group.elements is not None:
-        return list(group.elements(n))
-    import random
+# The group elements every law reads at an arity: all of them for a finite
+# group, and for an infinite one a sample of GROUP_SAMPLE_BUDGET drawn with
+# GROUP_SAMPLE_SEED (in the argument slots of `check_operad`, a fifth as
+# many, at least 2, drawn with the next seed).
+GROUP_SAMPLE_BUDGET = 25
+GROUP_SAMPLE_SEED = 9
 
-    rng = random.Random(seed * 1000003 + n)
-    return [group.sample(rng, n) for _ in range(budget)]
+
+def _group_samples(group: ActionOperad, labels: Callable, bound: int, argument_slots: bool = False) -> dict[int, list]:
+    """The group elements the laws read at each inhabited arity n <= bound, by the policy above."""
+    budget, seed = GROUP_SAMPLE_BUDGET, GROUP_SAMPLE_SEED
+    if argument_slots:
+        budget, seed = max(budget // 5, 2), seed + 1
+    if group.elements is not None:
+        return {n: list(group.elements(n)) for n in _inhabited(labels, bound)}
+    rngs = {n: random.Random(seed * 1000003 + n) for n in _inhabited(labels, bound)}
+    return {n: [group.sample(rng, n) for _ in range(budget)] for n, rng in rngs.items()}
 
 
 # --------------------------------------------------------------- checkers
 
 
-def check_collection(
-    x: FiniteGCollection, *, bound: int | None = None, budget: int = 25, seed: int = 9
-) -> Report:
-    return _check_collection(x, _ReadThrough(x.action), bound, budget, seed)
+def check_collection(x: FiniteGCollection, *, bound: int | None = None) -> Report:
+    """The right-action laws of x up to bound, or on every level if bound is None."""
+    bound = max(x.levels, default=0) if bound is None else bound
+    return _check_collection(x, _ReadThrough(x.action), _group_samples(x.group, x.labels, bound))
 
 
-def _check_collection(
-    x: FiniteGCollection, act: _ReadThrough, bound: int | None, budget: int, seed: int
-) -> Report:
-    """The right-action laws of x, reading each action value through the table act."""
+def _check_collection(x: FiniteGCollection, act: _ReadThrough, samples: Mapping[int, list]) -> Report:
+    """The right-action laws of x at the arities and group elements of `samples`, read through act."""
     report = Report(f"collection laws: {x.name}")
     group = x.group
-    arities = range(bound + 1) if bound is not None else x.arities() or [0]
 
     def typed() -> Iterator[str | None]:
-        for n in arities:
-            gs = _group_elements(group, n, budget, seed)
+        for n, gs in samples.items():
             for label in x.labels(n):
                 for g in gs:
                     if act[n, label, g] not in x.labels(n):
@@ -323,16 +353,13 @@ def _check_collection(
                     yield None
 
     def unit() -> Iterator[str | None]:
-        for n in arities:
+        for n in samples:
             e = group.identity(n)
             for label in x.labels(n):
                 yield None if act[n, label, e] == label else f"n={n}, x={label}"
 
     def composition() -> Iterator[str | None]:
-        for n in arities:
-            if not x.labels(n):
-                continue
-            gs = _group_elements(group, n, budget, seed)
+        for n, gs in samples.items():
             # Each pair (g, h) with its product, formed once per arity.
             pairs = [(g, h, group.multiply(g, h)) for g, h in itertools.product(gs, repeat=2)]
             for label in x.labels(n):
@@ -347,7 +374,7 @@ def _check_collection(
     return report
 
 
-def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report:
+def check_operad(p: FiniteGOperad) -> Report:
     """
     Exhaustively verify the operad and equivariance laws within the bound.
 
@@ -358,26 +385,26 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     that depends only on arities is also done once per call: the label
     product of each arity tuple, the flat cases (ls, rs) of each length,
     and the identities and cable of each signature and element.  Nothing
-    is kept after the call returns.
+    is kept after the call returns.  Only the inhabited arities are walked,
+    and only their group elements listed, once for every law.
     """
     group = p.group
     bound = p.max_arity
     labels = p.labels
     mu = _ReadThrough(p.compose)
     act = _ReadThrough(p.action)
-    signatures = list(arity_signatures(bound))
+    inhabited = _inhabited(labels, bound)
+    signatures = list(_signatures(bound, inhabited))
     report = Report(f"operad laws: {p.name}")
-    # Each arity's group elements are listed once, those acting in the
-    # argument slots from a smaller sample, and each element in the operad
-    # slot comes with the order pi(g)^-1 in which it permutes the slots.
-    elements = {n: _group_elements(group, n, budget, seed) for n in range(bound + 1)}
+    # Each inhabited arity's group elements are listed once, those acting in
+    # the argument slots from a smaller sample, and each element in the
+    # operad slot comes with the order pi(g)^-1 in which it permutes the slots.
+    elements = _group_samples(group, labels, bound)
     slot_elements = {
         n: [(g, [j - 1 for j in group.project(g).inverse().image]) for g in gs]
         for n, gs in elements.items()
     }
-    argument_elements = {
-        k: _group_elements(group, k, max(budget // 5, 2), seed + 1) for k in range(bound + 1)
-    }
+    argument_elements = _group_samples(group, labels, bound, argument_slots=True)
     # The label tuples of each arity tuple, listed once for this report.
     product = _ReadThrough(lambda *ks: list(itertools.product(*map(labels, ks)))).__getitem__
 
@@ -385,13 +412,11 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     def typed() -> Iterator[str | None]:
         if p.unit not in labels(1):
             yield f"unit {p.unit!r} not in level 1"
-        for n, ks in signatures:
+        for n, ks, head, args in _substitutions(labels, bound):
             total = sum(ks)
-            for head in labels(n):
-                for args in product(ks):
-                    if mu[n, ks, head, args] not in labels(total):
-                        yield f"mu result escapes level {total}: n={n}, ks={list(ks)}, p={head}, qs={list(args)}"
-                    yield None
+            if mu[n, ks, head, args] not in labels(total):
+                yield f"mu result escapes level {total}: n={n}, ks={list(ks)}, p={head}, qs={list(args)}"
+            yield None
         for n, gs in elements.items():
             for head in labels(n):
                 for g in gs:
@@ -401,18 +426,17 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
 
     # Unit laws, two cases per label.
     def unit() -> Iterator[str | None]:
-        for n in range(bound + 1):
+        for n in inhabited:
             for head in labels(n):
                 yield None if mu[1, (n,), p.unit, (head,)] == head else f"mu(unit; {head}) != {head}"
                 yield None if mu[n, (1,) * n, head, (p.unit,) * n] == head else f"mu({head}; unit...) != {head}"
 
     def associativity() -> Iterator[tuple]:
-        # The arity tuples ls of each length with their label tuples, listed
-        # once; an ls with an empty level has no cases.  The flat cases of a
-        # length are the tuples zip(ls, rs), so slicing one slices ls and rs.
+        # The arity tuples ls of each length over the inhabited arities with
+        # their label tuples, listed once.  The flat cases of a length are
+        # the tuples zip(ls, rs), so slicing one slices ls and rs.
         flat_arities = {
-            total: [(ls, product(ls)) for ls in _within(bound, total, range(bound + 1)) if product(ls)]
-            for total in range(bound + 1)
+            total: [(ls, product(ls)) for ls in _within(bound, total, inhabited)] for total in range(bound + 1)
         }
         cases = {
             total: [tuple(zip(ls, rs)) for ls, flats in flat_arities[total] for rs in flats] for total in flat_arities
@@ -529,7 +553,7 @@ def check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report
     report.check("equivariance in the argument slots", argument_slots())
 
     # The per-level right-action laws, on the same action table.
-    collection_report = _check_collection(p, act, bound, budget, seed)
+    collection_report = _check_collection(p, act, elements)
     report.results.extend(collection_report.results)
     return report
 
@@ -687,10 +711,6 @@ def change_groups(
 # ------------------------------------------------------------- algebras
 
 
-# The equivariance samples of an infinite group that `check_algebra`
-# draws; the algebra search prunes on the same samples.
-ALGEBRA_SAMPLE_BUDGET = 25
-ALGEBRA_SAMPLE_SEED = 9
 # The most candidate tables `enumerate_operad_maps` will check.
 OPERAD_MAP_LIMIT = 1 << 20
 
@@ -707,25 +727,20 @@ def check_algebra(p: FiniteGOperad, algebra: AlgebraStructure) -> Report:
             yield None if evaluate(1, p.unit, (x,)) == x else f"x={x}"
 
     def associativity() -> Iterator[str | None]:
-        for n, ks in arity_signatures(bound):
+        for n, ks, head, args in _substitutions(p.labels, bound):
             total = sum(ks)
             starts = list(itertools.accumulate(ks, initial=0))
-            for head in p.labels(n):
-                for args in itertools.product(*(p.labels(k) for k in ks)):
-                    composite = p.compose(n, ks, head, args)
-                    for xs in itertools.product(carrier, repeat=total):
-                        lhs = evaluate(total, composite, xs)
-                        values = tuple(
-                            evaluate(k, arg, xs[a:b])
-                            for k, arg, a, b in zip(ks, args, starts, starts[1:])
-                        )
-                        if lhs != evaluate(n, head, values):
-                            yield f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, xs={list(xs)}"
-                        yield None
+            composite = p.compose(n, ks, head, args)
+            for xs in itertools.product(carrier, repeat=total):
+                lhs = evaluate(total, composite, xs)
+                values = tuple(evaluate(k, arg, xs[a:b]) for k, arg, a, b in zip(ks, args, starts, starts[1:]))
+                if lhs != evaluate(n, head, values):
+                    yield f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, xs={list(xs)}"
+                yield None
 
     def equivariance() -> Iterator[str | None]:
-        for n in range(bound + 1):
-            for g in _group_elements(p.group, n, ALGEBRA_SAMPLE_BUDGET, ALGEBRA_SAMPLE_SEED):
+        for n, gs in _group_samples(p.group, p.labels, bound).items():
+            for g in gs:
                 pi = p.group.project(g)
                 for head in p.labels(n):
                     acted = p.action(n, head, g)
@@ -850,8 +865,8 @@ def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str], limit
         for x in carrier:
             at = index[(1, p.unit, (x,))]
             tests[at].append(_equal_value(at, x))
-    for n in range(bound + 1):
-        for g in _group_elements(p.group, n, ALGEBRA_SAMPLE_BUDGET, ALGEBRA_SAMPLE_SEED):
+    for n, gs in _group_samples(p.group, p.labels, bound).items():
+        for g in gs:
             pi = p.group.project(g)
             for head in p.labels(n):
                 acted = p.action(n, head, g)
@@ -860,20 +875,19 @@ def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str], limit
                     b = index[(n, head, tuple(act_on_list(pi, xs)))]
                     if a is not None and a != b:
                         tests[max(a, b)].append(_equal_slots(a, b))
-    for n, ks in arity_signatures(bound):
+    # The slot of each head's value at each xs, formed once per head.
+    slot_of = _ReadThrough(
+        lambda n, head: {xs: index[(n, head, xs)] for xs in itertools.product(carrier, repeat=n)}
+    )
+    for n, ks, head, args in _substitutions(p.labels, bound):
         total = sum(ks)
         starts = list(itertools.accumulate(ks, initial=0))
-        for head in p.labels(n):
-            slot_of = {xs: index[(n, head, xs)] for xs in itertools.product(carrier, repeat=n)}
-            for args in itertools.product(*(p.labels(k) for k in ks)):
-                composite = p.compose(n, ks, head, args)
-                for xs in itertools.product(carrier, repeat=total):
-                    lhs = index.get((total, composite, xs))
-                    reads = tuple(
-                        index[(k, arg, xs[a:b])] for k, arg, a, b in zip(ks, args, starts, starts[1:])
-                    )
-                    if lhs is not None:
-                        tests[max((lhs, *reads))].append(_equal_at_read_slot(lhs, reads, slot_of))
+        composite = p.compose(n, ks, head, args)
+        for xs in itertools.product(carrier, repeat=total):
+            lhs = index.get((total, composite, xs))
+            reads = tuple(index[(k, arg, xs[a:b])] for k, arg, a, b in zip(ks, args, starts, starts[1:]))
+            if lhs is not None:
+                tests[max((lhs, *reads))].append(_equal_at_read_slot(lhs, reads, slot_of[n, head]))
 
     def accept(values: tuple[str, ...]) -> AlgebraStructure | None:
         algebra = table_algebra(carrier, dict(zip(slots, values)))
@@ -901,13 +915,8 @@ def enumerate_operad_maps(p: FiniteGOperad, q: FiniteGOperad) -> list[dict[tuple
         if count > OPERAD_MAP_LIMIT:
             raise ValueError(f"candidate map count exceeds the enumeration limit {OPERAD_MAP_LIMIT}")
 
-    group_samples = {n: _group_elements(p.group, n, 10, 3) for n in range(bound + 1)}
-    substitutions = [
-        (n, ks, head, args)
-        for n, ks in arity_signatures(bound)
-        for head in p.labels(n)
-        for args in itertools.product(*(p.labels(k) for k in ks))
-    ]
+    group_samples = _group_samples(p.group, p.labels, bound)
+    substitutions = list(_substitutions(p.labels, bound))
 
     def is_map(table: dict[tuple[int, str], str]) -> bool:
         return (
@@ -919,7 +928,7 @@ def enumerate_operad_maps(p: FiniteGOperad, q: FiniteGOperad) -> list[dict[tuple
             )
             and all(
                 table[(n, p.action(n, head, g))] == q.action(n, table[(n, head)], g)
-                for n in range(bound + 1) for head in p.labels(n) for g in group_samples[n]
+                for n, gs in group_samples.items() for head in p.labels(n) for g in gs
             )
         )
 
@@ -936,7 +945,7 @@ def write_operad_document(p: FiniteGOperad) -> dict:
         raise ValueError(f"only trivial and symmetric groups can be serialized, not {p.group.name}")
     if p.group.generators is None or p.group.elements is None:
         raise ValueError("document format needs an enumerable group")
-    document: dict = {
+    return {
         "group": p.group.name,
         "max_arity": p.max_arity,
         "levels": {str(n): list(p.labels(n)) for n in range(p.max_arity + 1)},
@@ -948,20 +957,11 @@ def write_operad_document(p: FiniteGOperad) -> dict:
             for n in range(p.max_arity + 1)
         },
         "unit": p.unit,
-        "compose": [],
+        "compose": [
+            {"n": n, "ks": list(ks), "args": [head, *args], "result": p.compose(n, ks, head, args)}
+            for n, ks, head, args in _substitutions(p.labels, p.max_arity)
+        ],
     }
-    for n, ks in arity_signatures(p.max_arity):
-        for head in p.labels(n):
-            for args in itertools.product(*(p.labels(k) for k in ks)):
-                document["compose"].append(
-                    {
-                        "n": n,
-                        "ks": list(ks),
-                        "args": [head, *args],
-                        "result": p.compose(n, ks, head, args),
-                    }
-                )
-    return document
 
 
 # The most action entries |G(n)| * |P(n)| one level of a symmetric
@@ -1051,7 +1051,7 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     # A signature with an empty head or argument level has no substitutions,
     # so only the non-empty arities are ever enumerated; the substitutions
     # are counted without enumerating anything.
-    inhabited = [n for n in range(max_arity + 1) if levels[n]]
+    inhabited = _inhabited(levels.__getitem__, max_arity)
     sizes = {n: len(labels) for n, labels in levels.items()}
 
     compose_table: dict[tuple, str] = {}
@@ -1099,13 +1099,9 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     # sum |P(n)| * prod |P(k_i)|; only a shortfall is worth the enumeration
     # that names the first gap.
     if len(compose_table) != substitutions:
-        for n, ks in _signatures(max_arity, inhabited):
-            for head in levels[n]:
-                for rest in itertools.product(*(levels[k] for k in ks)):
-                    if (n, ks, head, rest) not in compose_table:
-                        raise ValueError(
-                            f"compose: missing entry for n={n}, ks={list(ks)}, args={[head, *rest]}"
-                        )
+        for n, ks, head, rest in _substitutions(levels.__getitem__, max_arity):
+            if (n, ks, head, rest) not in compose_table:
+                raise ValueError(f"compose: missing entry for n={n}, ks={list(ks)}, args={[head, *rest]}")
 
     # Tabulate the action of every element on a non-empty level by folding
     # the generator rows along its positive word; a right action applies
@@ -1360,7 +1356,7 @@ def _orbit_quotient(
     share among quotients of one call, does not hold them yet.
     """
     group = x.group
-    y_arities = [k for k in range(bound + 1) if y.labels(k)]
+    y_arities = _inhabited(y.labels, bound)
     # The signatures (r; ks) within the bound by arity n = sum(ks), each by r, then ks.
     by_arity: dict[int, list[tuple[int, tuple[int, ...]]]] = {n: [] for n in range(bound + 1)}
     for r in heads:

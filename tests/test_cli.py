@@ -311,6 +311,24 @@ def test_operad_check_of_a_broken_arity_4_document_matches_golden(tmp_path, cli_
     assert "FAIL operad associativity [24869 cases]: n=2, ks=[1, 2], ls=[0, 2, 2]" in result.stdout
 
 
+def test_operad_check_of_a_unit_only_document_at_arity_12_matches_golden(cli_run):
+    # A symmetric document whose only label is the unit, with max_arity 12:
+    # no law walks an empty level or lists its group elements, so the
+    # report is the one the same document gives at max_arity 5.
+    result = cli_run("operad", "check", str(FIXTURES / "unit_sym.json"))
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == (GOLDEN / "check_unit_sym.txt").read_text()
+
+
+def test_operad_check_takes_no_sample_flags(cli_run):
+    # Only `verify all` samples group elements; `operad check` lists every
+    # element of the finite groups its documents use.
+    result = cli_run("operad", "check", "ass.json", "--budget", "5")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith("error: unrecognized arguments: --budget 5\n")
+
+
 def test_operad_example_prints_the_packaged_document(cli_run):
     result = cli_run("operad", "example", "comm")
     assert result.returncode == 0

@@ -174,21 +174,37 @@ def test_braid_comm_algebras_agree_with_the_brute_force():
     assert algebra_tables(p, ours) == algebra_tables(p, reference_enumerate_algebra_structures(p, ("a", "b")))
 
 
+def braid_comm_without_constants():
+    comm = operad_comm(instance_braid(), max_arity=2)
+    return FiniteGOperad("braid comm without constants", comm.group, {0: (), 1: comm.labels(1), 2: comm.labels(2)},
+                         comm.unit, comm.action, comm.compose, 2)
+
+
 def test_the_algebra_search_prunes_on_the_samples_it_confirms_with(monkeypatch):
     # Without constants, braid comm's binary operation on {a, b} commutes
     # only by equivariance: 8 of the 16 tables pass all 25 samples.  The
     # one sample drawn with seed 0 is the empty braid, which forces
     # nothing, so the search must then keep all 16 tables.
-    comm = operad_comm(instance_braid(), max_arity=2)
-    p = FiniteGOperad("braid comm without constants", comm.group, {0: (), 1: comm.labels(1), 2: comm.labels(2)},
-                      comm.unit, comm.action, comm.compose, 2)
+    p = braid_comm_without_constants()
     assert len(enumerate_algebra_structures(p, ("a", "b"))) == 8
-    monkeypatch.setattr(g_operads, "ALGEBRA_SAMPLE_BUDGET", 1)
-    monkeypatch.setattr(g_operads, "ALGEBRA_SAMPLE_SEED", 0)
+    monkeypatch.setattr(g_operads, "GROUP_SAMPLE_BUDGET", 1)
+    monkeypatch.setattr(g_operads, "GROUP_SAMPLE_SEED", 0)
     # `check_algebra` reads the same constants, so the reference confirms on that one sample too.
     ours = enumerate_algebra_structures(p, ("a", "b"))
     assert len(ours) == 16
     assert algebra_tables(p, ours) == algebra_tables(p, reference_enumerate_algebra_structures(p, ("a", "b")))
+
+
+def test_algebras_and_operad_maps_into_the_endomorphisms_read_the_same_samples(monkeypatch):
+    # An algebra on {a, b} is an operad map into its endomorphism operad, so
+    # both must number the same on any one sample of the braid groups: 8 on
+    # the default sample, and all 16 on the empty braid that seed 0 draws.
+    p = braid_comm_without_constants()
+    endo = endomorphism_operad(("a", "b"), instance_braid(), max_arity=2)
+    assert len(enumerate_algebra_structures(p, ("a", "b"))) == len(enumerate_operad_maps(p, endo)) == 8
+    monkeypatch.setattr(g_operads, "GROUP_SAMPLE_BUDGET", 1)
+    monkeypatch.setattr(g_operads, "GROUP_SAMPLE_SEED", 0)
+    assert len(enumerate_algebra_structures(p, ("a", "b"))) == len(enumerate_operad_maps(p, endo)) == 16
 
 
 # ----------------------------------------------------------- work guards
