@@ -72,7 +72,6 @@ from .g_operads import (
     load_operad,
     operad_ass,
     operad_comm,
-    operad_comm_trivial,
     unit_collection,
     write_operad_document,
 )
@@ -101,7 +100,6 @@ from .pseudocomm import (
     verify_interchange,
     verify_interchange_dual,
     verify_symmetry,
-    verify_unit_family,
 )
 from .reporting import CheckResult, Report
 
@@ -157,7 +155,6 @@ __all__ = [
     "mult_mu",
     "operad_ass",
     "operad_comm",
-    "operad_comm_trivial",
     "parse_permutation",
     "parse_word",
     "permutation_braid",
@@ -177,7 +174,6 @@ __all__ = [
     "verify_interchange",
     "verify_interchange_dual",
     "verify_symmetry",
-    "verify_unit_family",
     "write_operad_document",
     "__version__",
 ]

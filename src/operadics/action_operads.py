@@ -152,11 +152,6 @@ def instance_braid() -> ActionOperad:
     )
 
 
-def block_add(inst: ActionOperad, g: Any, h: Any) -> Any:
-    """The arity-summing monoid product: substitution into a two-slot identity."""
-    return inst.operad_mu(inst.identity(2), [g, h])
-
-
 def _cases(
     enumerated: Iterator[tuple] | None,
     sample_one: Callable[[], tuple],

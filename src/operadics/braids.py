@@ -116,10 +116,6 @@ def concatenate(w1: BraidWord, w2: BraidWord) -> BraidWord:
     return _trusted_word(w1.strands, w1.word + w2.word)
 
 
-def inverse_word(w: BraidWord) -> BraidWord:
-    return w.inverse()
-
-
 def parse_word(text: str, strands: int) -> BraidWord:
     """Parse a space-separated word such as ``"1 -2 1"``."""
     entries: list[int] = []

@@ -227,18 +227,11 @@ class AlgebraStructure:
 # ----------------------------------------------------------- signatures
 
 
-def arity_signatures(bound: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """
-    All substitution signatures (n; k_1..k_n) with n and sum(k) within
-    bound, by n and then lexicographically in ks.
-    """
-    return _signatures(bound, range(bound + 1))
-
-
 def _signatures(bound: int, arities: Sequence[int]) -> Iterator[tuple[int, tuple[int, ...]]]:
     """
-    The signatures of `arity_signatures` at bound whose n and every k_i are
-    among the ascending `arities`, in the same order.
+    The substitution signatures (n; k_1..k_n) with n and sum(k) within
+    bound whose n and every k_i are among the ascending `arities`: by n,
+    then lexicographically in ks.
     """
     for n in arities:
         for ks in _within(bound, n, arities):
@@ -252,8 +245,8 @@ def _inhabited(labels: Callable[[int], Sequence[str]], bound: int) -> list[int]:
 
 def _substitutions(labels: Callable[[int], Sequence[str]], bound: int) -> Iterator[tuple]:
     """
-    Every substitution (n, ks, head, args) within bound: by signature in
-    `arity_signatures` order, through the inhabited arities only, then by
+    Every substitution (n, ks, head, args) within bound: by signature (by n,
+    then lexicographically in ks), through the inhabited arities only, then by
     head, then by argument tuple in product order.  A signature with an
     empty level has no substitution, so it is never listed.
     """
@@ -573,10 +566,6 @@ def operad_comm(group: ActionOperad | None = None, max_arity: int = 4) -> Finite
         compose=lambda n, ks, head, args: "*",
         max_arity=max_arity,
     )
-
-
-def operad_comm_trivial(max_arity: int = 3) -> FiniteGOperad:
-    return operad_comm(group=instance_trivial(), max_arity=max_arity)
 
 
 def _perm_label(p: Permutation) -> str:

@@ -181,11 +181,6 @@ def _symmetry_cases(group: ActionOperad, tf: TFamily, bound: int) -> Iterator[tu
             yield None if group.equal(product, group.identity(m * n)) else (m, n)
 
 
-def verify_unit_family(group: ActionOperad, tf: TFamily, bound: int = 6) -> bool:
-    """t(1, n) and t(n, 1) are the arity-n identity for n up to the bound."""
-    return all(case is None for case in _unit_family_cases(group, tf, bound))
-
-
 def verify_symmetry(group: ActionOperad, tf: TFamily, bound: int = 4) -> tuple[bool, tuple[int, int] | None]:
     """Check t(m,n) * t(n,m) = e for m, n up to the bound; first failure wins."""
     witness = next((case for case in _symmetry_cases(group, tf, bound) if case is not None), None)

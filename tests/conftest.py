@@ -2,6 +2,7 @@
 
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,15 +11,31 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
-def cli_env(monkeypatch):
+def cli_process(monkeypatch):
     """
-    Put this checkout's `src` first on PYTHONPATH as an absolute path, so
-    that the `python -m operadics` subprocesses of the tests using this
-    fixture import the package under test from any working directory
-    (several run with `cwd=tmp_path`).
+    Run `python -m operadics` in a fresh interpreter: arguments in; the
+    `CompletedProcess` with its exit code and text output out.  This
+    checkout's `src` goes first on PYTHONPATH as an absolute path, so the
+    package under test is imported from any working directory `cwd`.  No
+    inherited PYTHONHASHSEED is passed on, so each run hashes strings with
+    a fresh seed and output that depended on set or dict order by hash
+    would not match its golden.  A run past 60 s is killed and fails the
+    test.
     """
     inherited = os.environ.get("PYTHONPATH")
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(SRC), inherited])))
+    monkeypatch.delenv("PYTHONHASHSEED", raising=False)
+
+    def run(*arguments, cwd=None):
+        return subprocess.run(
+            [sys.executable, "-m", "operadics", *arguments],
+            capture_output=True,
+            text=True,
+            cwd=cwd,
+            timeout=60,
+        )
+
+    return run
 
 
 @pytest.fixture

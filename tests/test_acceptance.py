@@ -12,23 +12,17 @@ repeats for the sub-millisecond computations and against a single wall
 measurement for the large sweeps.
 """
 
-import itertools
 import json
 import random
-import subprocess
-import sys
 import time
 from pathlib import Path
 
-import pytest
-
-from operadics.action_operads import instance_braid, instance_symmetric
+from operadics.action_operads import instance_braid, instance_symmetric, instance_trivial
 from operadics.braids import (
     BraidWord,
     braid_identity,
     concatenate,
     equal as braid_equal,
-    inverse_word,
     is_trivial,
     mu_br,
     t_positive,
@@ -42,19 +36,17 @@ from operadics.free_monad import (
 )
 from operadics.g_operads import (
     FiniteGCollection,
-    arity_signatures,
+    _signatures,
     compose_collections,
     endomorphism_operad,
     enumerate_algebra_structures,
     enumerate_operad_maps,
     operad_ass,
     operad_comm,
-    operad_comm_trivial,
     unit_collection,
 )
 from operadics.permutations import (
     Permutation,
-    all_permutations,
     compose,
     identity,
     mu_sigma,
@@ -245,7 +237,7 @@ def test_criterion_08_word_problem_soundness(capsys):
     for _ in range(cases):
         strands = rng.randint(2, 6)
         word = _random_word(rng, strands, 20)
-        if not is_trivial(concatenate(word, inverse_word(word))):
+        if not is_trivial(concatenate(word, word.inverse())):
             failures += 1
     yang_baxter = braid_equal(BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2)))
     far_commute = braid_equal(BraidWord(4, (1, 3)), BraidWord(4, (3, 1)))
@@ -263,7 +255,7 @@ def test_criterion_09_unit_lemma_suite(capsys):
     failures = 0
     checked = 0
     for instance in (instance_symmetric(), instance_braid()):
-        for n, ks in arity_signatures(3):
+        for n, ks in _signatures(3, range(4)):
             checked += 1
             composite = instance.operad_mu(
                 instance.identity(n), [instance.identity(k) for k in ks]
@@ -323,7 +315,7 @@ def test_criterion_10_free_monad_laws(capsys):
 def test_criterion_11_cartesian_criterion(capsys):
     unordered = operad_comm(max_arity=3)
     ordered = operad_ass(max_arity=3)
-    trivial = operad_comm_trivial(max_arity=3)
+    trivial = operad_comm(instance_trivial(), max_arity=3)
 
     unordered_free, witness = cartesian_condition(unordered)
     ordered_free, _ = cartesian_condition(ordered)
@@ -407,17 +399,7 @@ def test_criterion_13_algebra_structures_match_operad_maps(capsys):
     )
 
 
-def _run_cli(*arguments, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "operadics", *arguments],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
-
-
-@pytest.mark.usefixtures("cli_env")
-def test_criterion_14_cli_golden_invocations(capsys, tmp_path):
+def test_criterion_14_cli_golden_invocations(capsys, tmp_path, cli_process):
     failures = []
 
     def expect(label, result, code, stdout=None):
@@ -428,46 +410,46 @@ def test_criterion_14_cli_golden_invocations(capsys, tmp_path):
 
     expect(
         "braid eq",
-        _run_cli("braid", "eq", "-n", "3", "1", "2", "1", "--", "2", "1", "2"),
+        cli_process("braid", "eq", "-n", "3", "1", "2", "1", "--", "2", "1", "2"),
         0, "equal\n",
     )
-    expect("braid pi", _run_cli("braid", "pi", "-n", "4", "2"), 0, "1 3 2 4\n")
+    expect("braid pi", cli_process("braid", "pi", "-n", "4", "2"), 0, "1 3 2 4\n")
     expect(
         "braid render",
-        _run_cli("braid", "render", "-n", "2", "1"),
+        cli_process("braid", "render", "-n", "2", "1"),
         0, (GOLDEN / "braid_render_2_1.txt").read_text(),
     )
-    expect("perm tau 2 3", _run_cli("perm", "tau", "2", "3"), 0, "1 3 5 2 4 6\n")
-    expect("perm tau 4 2", _run_cli("perm", "tau", "4", "2"), 0, "1 5 2 6 3 7 4 8\n")
+    expect("perm tau 2 3", cli_process("perm", "tau", "2", "3"), 0, "1 3 5 2 4 6\n")
+    expect("perm tau 4 2", cli_process("perm", "tau", "4", "2"), 0, "1 5 2 6 3 7 4 8\n")
     expect(
         "perm compose",
-        _run_cli("perm", "compose", "2", "3", "1", "--", "3", "1", "2"),
+        cli_process("perm", "compose", "2", "3", "1", "--", "3", "1", "2"),
         0, "1 2 3\n",
     )
-    expect("tmn", _run_cli("tmn", "--family", "positive", "2", "2"), 0, "2\n")
+    expect("tmn", cli_process("tmn", "--family", "positive", "2", "2"), 0, "2\n")
     expect(
         "verify pscomm symmetric",
-        _run_cli("verify", "pscomm", "--group", "symmetric", "--bound", "3"),
+        cli_process("verify", "pscomm", "--group", "symmetric", "--bound", "3"),
         0, (GOLDEN / "pscomm_symmetric_3.txt").read_text(),
     )
     expect(
         "verify pscomm braid",
-        _run_cli("verify", "pscomm", "--group", "braid", "--bound", "3"),
+        cli_process("verify", "pscomm", "--group", "braid", "--bound", "3"),
         0, (GOLDEN / "pscomm_braid_3.txt").read_text(),
     )
     expect(
         "operad cartesian comm",
-        _run_cli("operad", "cartesian", "comm.json", cwd=tmp_path),
+        cli_process("operad", "cartesian", "comm.json", cwd=tmp_path),
         1, 'CARTESIAN: NO  witness: arity 2, label "*", fixed by 2 1\n',
     )
     expect(
         "operad cartesian ass",
-        _run_cli("operad", "cartesian", "ass.json", cwd=tmp_path),
+        cli_process("operad", "cartesian", "ass.json", cwd=tmp_path),
         0, "CARTESIAN: YES\n",
     )
     expect(
         "operad free comm",
-        _run_cli(
+        cli_process(
             "operad", "free", "comm.json", "--carrier", "a,b", "--bound", "2",
             cwd=tmp_path,
         ),

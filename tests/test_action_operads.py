@@ -13,8 +13,6 @@ import random
 import pytest
 
 from operadics.action_operads import (
-    ActionOperad,
-    block_add,
     check_axioms,
     instance_braid,
     instance_symmetric,
@@ -129,6 +127,11 @@ def test_map_checker_reports_violations_with_witness():
 
 
 # ----------------------------------------------- the block-sum monoid
+
+
+def block_add(inst, g, h):
+    """The arity-summing monoid product: substitution into a two-slot identity."""
+    return inst.operad_mu(inst.identity(2), [g, h])
 
 
 def test_block_add_is_associative_exhaustively_for_permutations():

@@ -27,7 +27,6 @@ from operadics.braids import (
     format_word,
     free_reduce,
     handle_reduce,
-    inverse_word,
     is_minimal_positive,
     is_positive,
     is_trivial,
@@ -204,7 +203,7 @@ def test_word_times_inverse_is_trivial():
     for _ in range(1000):
         strands = rng.randrange(7)
         w = random_word(rng, strands, 20)
-        assert is_trivial(concatenate(w, inverse_word(w)))
+        assert is_trivial(concatenate(w, w.inverse()))
 
 
 def test_conjugated_relators_are_trivial():
@@ -220,7 +219,7 @@ def test_conjugated_relators_are_trivial():
         shift = rng.randrange(strands - max(abs(e) for e in base))
         relator = tuple(e + shift if e > 0 else e - shift for e in base)
         w = random_word(rng, strands, 10)
-        z = concatenate(concatenate(w, BraidWord(strands, relator)), inverse_word(w))
+        z = concatenate(concatenate(w, BraidWord(strands, relator)), w.inverse())
         assert is_trivial(z)
 
 
@@ -340,8 +339,8 @@ def test_cable_of_inverse_is_inverse_of_cable():
         sizes = [rng.randrange(3) for _ in range(strands)]
         lifted = underlying_permutation(g)
         sizes_after = [sizes[lifted.inverse()(j) - 1] for j in range(1, strands + 1)]
-        lhs = cable(inverse_word(g), sizes_after)
-        rhs = inverse_word(cable(g, sizes))
+        lhs = cable(g.inverse(), sizes_after)
+        rhs = cable(g, sizes).inverse()
         assert lhs == rhs
 
 
@@ -475,7 +474,7 @@ def test_t_families_project_to_grid_transposition():
             assert is_minimal_positive(pos)
             assert all(entry < 0 for entry in neg.word)
             assert len(neg) == inversions(tau(m, n))
-            assert is_trivial(concatenate(pos, inverse_word(pos)))
+            assert is_trivial(concatenate(pos, pos.inverse()))
 
 
 def test_t_positive_is_not_an_involution():

@@ -1,42 +1,84 @@
 """
-Golden tests for the command-line interface.
+Tests for the command-line interface.
 
-Most invocations run `cli.main` in process through the `cli_run` runner
-(`tests/conftest.py`), which returns what a `python -m operadics`
-subprocess would: exit code, standard output and standard error.  Real
-subprocesses remain where the process itself is under test: the
-`python -m operadics` entry point, with byte-identical output across
-interpreter processes; packaged documents resolving by bare name from any
-working directory; and unreadable files.  The size-guard tests stub the
-builders, so that no large input is built.
+Every CLI golden is one entry of `tests/golden/MANIFEST.json`: its argv,
+expected exit code, golden file and, optionally, the name of a document
+built into the working directory first.  One test runs each entry as a
+`python -m operadics` subprocess (the `cli_process` runner of
+`tests/conftest.py`) from a temporary directory, and requires the exit
+code, exactly the golden on standard output and nothing on standard error.
+The other tests run `cli.main` in process through the `cli_run` runner,
+which returns what the subprocess would, except where the process itself
+is under test: packaged documents resolving by bare name from any working
+directory, and unreadable files.  The size-guard tests stub the builders,
+so that no large input is built.
 """
 
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from operadics import cli, free_monad, g_operads
+from operadics.action_operads import instance_trivial
 from operadics.braids import braid_identity
 from operadics.permutations import identity
 from operadics.reporting import Report
 
-pytestmark = pytest.mark.usefixtures("cli_env")
-
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURES = Path(__file__).parent / "fixtures"
 PACKAGE_DATA = Path(__file__).parent.parent / "src" / "operadics" / "data"
+MANIFEST = json.loads((GOLDEN / "MANIFEST.json").read_text())
 
 
-def run_subprocess(*arguments, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "operadics", *arguments],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
+def _with_result(document: dict, n: int, ks: list, args: list, result: str) -> dict:
+    """The document with its one compose record at (n, ks, args) answering result."""
+    (record,) = [r for r in document["compose"] if (r["n"], r["ks"], r["args"]) == (n, ks, args)]
+    record["result"] = result
+    return document
+
+
+def _ass4() -> dict:
+    return g_operads.write_operad_document(g_operads.operad_ass(4))
+
+
+# The documents that manifest entries name, each written into the working
+# directory as `<name>.json`, since a report's title is the file's stem.
+DOCUMENTS = {
+    "ass4": _ass4,
+    # mu(12; 21, 12) answers 1234 instead of 2134: associativity fails at its
+    # 24,869th case, the first that reads that entry as an inner composite,
+    # and both equivariance laws fail too.
+    "ass4_swapped": lambda: _with_result(_ass4(), 2, [2, 2], ["12", "21", "12"], "1234"),
+    # The packaged ass.json with mu(132; 1, 12, e) answering 213 instead of
+    # 123: associativity fails after 1,160 cases that hold, and both
+    # equivariance laws fail too.
+    "ass_swapped_compose": lambda: _with_result(
+        json.loads((PACKAGE_DATA / "ass.json").read_text()), 3, [1, 2, 0], ["132", "1", "12", "e"], "213"
+    ),
+    # A symmetric document whose only label is the unit, with max_arity 12:
+    # no law walks an empty level or lists its group elements, so the report
+    # is the one the same document gives at max_arity 5.
+    "unit_sym": lambda: json.loads((FIXTURES / "unit_sym.json").read_text()),
+}
+
+
+@pytest.mark.parametrize("entry", MANIFEST, ids=[Path(entry["golden"]).stem for entry in MANIFEST])
+def test_golden_invocation(tmp_path, cli_process, entry):
+    if "document" in entry:
+        name = entry["document"]
+        (tmp_path / f"{name}.json").write_text(json.dumps(DOCUMENTS[name]()))
+    result = cli_process(*entry["argv"], cwd=tmp_path)
+    golden = (GOLDEN / entry["golden"]).read_text()
+    assert (result.returncode, result.stdout, result.stderr) == (entry["exit"], golden, "")
+
+
+def test_the_manifest_names_every_golden_once_and_uses_every_document():
+    # handle_reduce_seeded.txt is read by tests/test_handle_reduce.py, not a CLI golden.
+    goldens = sorted(path.name for path in GOLDEN.glob("*.txt") if path.name != "handle_reduce_seeded.txt")
+    assert sorted(entry["golden"] for entry in MANIFEST) == goldens
+    assert {entry["document"] for entry in MANIFEST if "document" in entry} == set(DOCUMENTS)
+    assert all(set(entry) <= {"argv", "exit", "golden", "document"} for entry in MANIFEST)
 
 
 def test_braid_eq_uses_exit_codes_for_the_verdict(cli_run):
@@ -99,12 +141,6 @@ def test_braid_mu_reads_argument_words_from_a_file(tmp_path, cli_run):
     assert f"{args_file}:1:" in malformed.stderr
 
 
-def test_braid_render_matches_the_golden_file(cli_run):
-    result = cli_run("braid", "render", "-n", "2", "1")
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / "braid_render_2_1.txt").read_text()
-
-
 def test_braid_render_dot_escape_hatch(cli_run):
     result = cli_run("braid", "render", "-n", "2", "1", "--format", "dot")
     assert result.returncode == 0
@@ -151,36 +187,21 @@ def test_tmn_prints_the_braid_lift(cli_run):
     assert degenerate.returncode == 2
 
 
-@pytest.mark.parametrize("bound", ["3", "4"])
-def test_verify_pscomm_symmetric_matches_golden(cli_run, bound):
-    result = cli_run("verify", "pscomm", "--group", "symmetric", "--bound", bound)
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / f"pscomm_symmetric_{bound}.txt").read_text()
-    assert result.stdout.rstrip().endswith("SYMMETRY: HOLDS")
-
-
-def test_verify_pscomm_braid_matches_golden(cli_run):
-    result = cli_run("verify", "pscomm", "--group", "braid", "--bound", "3")
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / "pscomm_braid_3.txt").read_text()
-    assert result.stdout.rstrip().endswith("SYMMETRY: FAILS (expected)  witness m=2, n=2")
-
-
 def test_verify_pscomm_braid_rejects_degenerate_bounds(cli_run):
     result = cli_run("verify", "pscomm", "--group", "braid", "--bound", "2")
     assert result.returncode == 2
     assert "at least 3" in result.stderr
 
 
-def test_operad_cartesian_resolves_packaged_files_from_anywhere(tmp_path):
-    comm = run_subprocess("operad", "cartesian", "comm.json", cwd=tmp_path)
+def test_operad_cartesian_resolves_packaged_files_from_anywhere(tmp_path, cli_process):
+    comm = cli_process("operad", "cartesian", "comm.json", cwd=tmp_path)
     assert comm.returncode == 1
     assert comm.stdout == 'CARTESIAN: NO  witness: arity 2, label "*", fixed by 2 1\n'
 
-    ass = run_subprocess("operad", "cartesian", "ass.json", cwd=tmp_path)
+    ass = cli_process("operad", "cartesian", "ass.json", cwd=tmp_path)
     assert (ass.returncode, ass.stdout) == (0, "CARTESIAN: YES\n")
 
-    trivial = run_subprocess("operad", "cartesian", "comm_trivial.json", cwd=tmp_path)
+    trivial = cli_process("operad", "cartesian", "comm_trivial.json", cwd=tmp_path)
     assert (trivial.returncode, trivial.stdout) == (0, "CARTESIAN: YES\n")
 
 
@@ -191,15 +212,6 @@ def test_operad_cartesian_prefers_a_local_file(tmp_path, cli_run):
     (tmp_path / "comm.json").write_text(json.dumps(document))
     result = cli_run("operad", "cartesian", "comm.json", cwd=tmp_path)
     assert (result.returncode, result.stdout) == (0, "CARTESIAN: YES\n")
-
-
-def test_operad_free_matches_golden(tmp_path, cli_run):
-    result = cli_run(
-        "operad", "free", "comm.json", "--carrier", "a,b", "--bound", "2", cwd=tmp_path
-    )
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / "free_comm_ab_2.txt").read_text()
-    assert "n=2: [*; a,a]  [*; a,b]  [*; b,b]" in result.stdout
 
 
 def test_operad_check_passes_on_packaged_documents(tmp_path, cli_run):
@@ -226,34 +238,6 @@ def test_operad_check_reports_json_errors_with_position(tmp_path, cli_run):
     assert "max_arity" in diagnosed.stderr
 
 
-def test_operad_compose_matches_golden(tmp_path, cli_run):
-    result = cli_run(
-        "operad", "compose", "comm_trivial.json", "comm_trivial.json",
-        "--bound", "2", cwd=tmp_path,
-    )
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / "compose_trivial_2.txt").read_text()
-
-
-def test_operad_compose_over_the_symmetric_group_matches_golden(tmp_path, cli_run):
-    result = cli_run("operad", "compose", "ass.json", "comm.json", "--bound", "3", cwd=tmp_path)
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / "compose_ass_comm_3.txt").read_text()
-
-
-@pytest.mark.parametrize(
-    "left, right, golden",
-    [
-        ("ass.json", "comm.json", "compose_ass_comm_4.txt"),
-        ("comm.json", "ass.json", "compose_comm_ass_4.txt"),
-    ],
-)
-def test_operad_compose_at_arity_four_matches_golden(tmp_path, left, right, golden, cli_run):
-    result = cli_run("operad", "compose", left, right, "--bound", "4", cwd=tmp_path)
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / golden).read_text()
-
-
 def _a_directory(tmp_path):
     path = tmp_path / "directory"
     path.mkdir()
@@ -272,52 +256,11 @@ def _not_utf8(tmp_path):
     [["operad", "check"], ["braid", "mu", "-n", "2", "1", "--args"], ["perm", "mu", "2", "1", "--args"]],
     ids=["document", "word-file", "perm-file"],
 )
-def test_unreadable_files_are_located_errors(tmp_path, make, command):
+def test_unreadable_files_are_located_errors(tmp_path, cli_process, make, command):
     path, reason = make(tmp_path)
-    result = run_subprocess(*command, str(path), cwd=tmp_path)
+    result = cli_process(*command, str(path), cwd=tmp_path)
     assert result.returncode == 2
     assert result.stderr.startswith(f"error: {path}: {reason}")
-
-
-def test_operad_free_over_a_free_action_matches_golden(tmp_path, cli_run):
-    result = cli_run("operad", "free", "ass.json", "--carrier", "a,b", "--bound", "3", cwd=tmp_path)
-    assert result.returncode == 0
-    assert result.stdout == (GOLDEN / "free_ass_ab_3.txt").read_text()
-
-
-def test_operad_check_of_a_broken_document_matches_golden(cli_run):
-    # A copy of ass.json whose one substitution mu(132; 1, 12, e) answers
-    # 213 instead of 123: associativity fails after 1,160 cases that hold,
-    # and both equivariance laws fail too.
-    result = cli_run("operad", "check", str(FIXTURES / "ass_swapped_compose.json"))
-    assert (result.returncode, result.stderr) == (1, "")
-    assert result.stdout == (GOLDEN / "check_ass_swapped_compose.txt").read_text()
-    assert "FAIL operad associativity [1161 cases]" in result.stdout
-
-
-def test_operad_check_of_a_broken_arity_4_document_matches_golden(tmp_path, cli_run):
-    # The arity-4 ass document with mu(12; 21, 12) answering 1234 instead of
-    # 2134: associativity fails at its 24,869th case, the first that reads
-    # that entry as an inner composite, and both equivariance laws fail too.
-    document = g_operads.write_operad_document(g_operads.operad_ass(4))
-    (record,) = [
-        r for r in document["compose"] if (r["n"], r["ks"], r["args"]) == (2, [2, 2], ["12", "21", "12"])
-    ]
-    record["result"] = "1234"
-    (tmp_path / "ass4_swapped.json").write_text(json.dumps(document))
-    result = cli_run("operad", "check", "ass4_swapped.json", cwd=tmp_path)
-    assert (result.returncode, result.stderr) == (1, "")
-    assert result.stdout == (GOLDEN / "check_ass4_swapped.txt").read_text()
-    assert "FAIL operad associativity [24869 cases]: n=2, ks=[1, 2], ls=[0, 2, 2]" in result.stdout
-
-
-def test_operad_check_of_a_unit_only_document_at_arity_12_matches_golden(cli_run):
-    # A symmetric document whose only label is the unit, with max_arity 12:
-    # no law walks an empty level or lists its group elements, so the
-    # report is the one the same document gives at max_arity 5.
-    result = cli_run("operad", "check", str(FIXTURES / "unit_sym.json"))
-    assert (result.returncode, result.stderr) == (0, "")
-    assert result.stdout == (GOLDEN / "check_unit_sym.txt").read_text()
 
 
 def test_operad_check_takes_no_sample_flags(cli_run):
@@ -336,27 +279,20 @@ def test_operad_example_prints_the_packaged_document(cli_run):
 
 
 def test_packaged_documents_regenerate_byte_identically():
-    from operadics.g_operads import (
-        operad_ass,
-        operad_comm,
-        operad_comm_trivial,
-        write_operad_document,
-    )
-
     builders = {
-        "comm": operad_comm(max_arity=4),
-        "ass": operad_ass(max_arity=3),
-        "comm_trivial": operad_comm_trivial(max_arity=3),
+        "comm": g_operads.operad_comm(max_arity=4),
+        "ass": g_operads.operad_ass(max_arity=3),
+        "comm_trivial": g_operads.operad_comm(instance_trivial(), max_arity=3),
     }
     for name, operad in builders.items():
-        expected = json.dumps(write_operad_document(operad), indent=2, sort_keys=True) + "\n"
+        expected = json.dumps(g_operads.write_operad_document(operad), indent=2, sort_keys=True) + "\n"
         assert (PACKAGE_DATA / f"{name}.json").read_text() == expected
 
 
 def test_verify_all_is_deterministic_and_green(tmp_path, cli_run):
+    # The output itself is the manifest's `verify all` golden.
     first = cli_run("verify", "all", cwd=tmp_path)
     assert first.returncode == 0, first.stdout + first.stderr
-    assert first.stdout == (GOLDEN / "verify_all.txt").read_text()
     assert first.stdout.rstrip().endswith("VERIFY ALL: OK [13 suites]")
     assert "FAIL" not in first.stdout
 
@@ -610,14 +546,6 @@ def test_verify_pscomm_refuses_bounds_past_its_limit(monkeypatch, capsys, group)
     assert swept == []
     assert cli.main(["verify", "pscomm", "--group", group, "--bound", str(limit)]) == 0
     assert swept == [limit]
-
-
-def test_python_m_operadics_runs_the_same_program(tmp_path):
-    # A fresh interpreter hashes strings with another seed, so this also
-    # shows that no output depends on set or dict order by hash.
-    result = run_subprocess("verify", "all", cwd=tmp_path)
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout == (GOLDEN / "verify_all.txt").read_text()
 
 
 def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, cli_run):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from operadics.action_operads import instance_braid
+from operadics.action_operads import instance_braid, instance_trivial
 from operadics.free_monad import (
     ArityOverflowError,
     cartesian_condition,
@@ -23,7 +23,7 @@ from operadics.free_monad import (
     pullback_witness_test,
     unit_eta,
 )
-from operadics.g_operads import change_groups, load_operad, operad_ass, operad_comm, operad_comm_trivial
+from operadics.g_operads import change_groups, load_operad, operad_ass, operad_comm
 from operadics.permutations import Permutation
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "operadics" / "data"
@@ -149,7 +149,7 @@ def test_monad_laws_ass():
 
 
 def test_monad_laws_nonsymmetric():
-    report = check_monad_laws(operad_comm_trivial(3), ("a", "b"))
+    report = check_monad_laws(operad_comm(instance_trivial(), max_arity=3), ("a", "b"))
     assert report.ok, report.render()
 
 
@@ -225,7 +225,7 @@ def test_pointwise_criterion_fails_for_comm_with_witness():
 
 def test_pointwise_criterion_holds_for_free_actions():
     assert cartesian_condition(operad_ass(3)) == (True, None)
-    assert cartesian_condition(operad_comm_trivial(3)) == (True, None)
+    assert cartesian_condition(operad_comm(instance_trivial(), max_arity=3)) == (True, None)
 
 
 def test_pointwise_criterion_needs_finite_group():
@@ -237,7 +237,7 @@ def test_pointwise_criterion_needs_finite_group():
 
 
 def test_pullback_square_agrees_with_pointwise_criterion():
-    for operad in (operad_comm(max_arity=2), operad_ass(2), operad_comm_trivial(2)):
+    for operad in (operad_comm(max_arity=2), operad_ass(2), operad_comm(instance_trivial(), max_arity=2)):
         preserved, witness = pullback_witness_test(operad)
         held, _ = cartesian_condition(operad)
         assert preserved == held, f"{operad.name}: {witness}"

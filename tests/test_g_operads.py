@@ -25,9 +25,9 @@ from operadics.g_operads import (
     AlgebraStructure,
     FiniteGCollection,
     FiniteGOperad,
+    _signatures,
     _substitutions,
     _within,
-    arity_signatures,
     change_groups,
     check_algebra,
     check_collection,
@@ -39,7 +39,6 @@ from operadics.g_operads import (
     load_operad,
     operad_ass,
     operad_comm,
-    operad_comm_trivial,
     table_algebra,
     unit_collection,
     write_operad_document,
@@ -65,7 +64,7 @@ def test_ass_passes_all_laws():
 
 
 def test_comm_over_trivial_group_passes():
-    report = check_operad(operad_comm_trivial(3))
+    report = check_operad(operad_comm(instance_trivial(), max_arity=3))
     assert report.ok, report.render()
 
 
@@ -190,7 +189,7 @@ def test_collection_unit_law_reports_the_first_counterexample():
 def test_signatures_enumeration():
     # Signatures (n; k_1..k_n) with n, sum(k) <= 2, counted by hand:
     # n=0: (); n=1: (0),(1),(2); n=2: (0,0),(0,1),(1,0),(0,2),(2,0),(1,1).
-    assert sum(1 for _ in arity_signatures(2)) == 10
+    assert sum(1 for _ in _signatures(2, range(3))) == 10
 
 
 @given(
@@ -220,7 +219,7 @@ def test_substitutions_are_the_filtered_loop_over_every_signature(bound, sizes):
     labels = levels.__getitem__
     assert list(_substitutions(labels, bound)) == [
         (n, ks, head, args)
-        for n, ks in arity_signatures(bound)
+        for n, ks in _signatures(bound, range(bound + 1))
         for head in labels(n)
         for args in itertools.product(*(labels(k) for k in ks))
     ]
@@ -441,7 +440,7 @@ def test_malformed_document_shapes_exit_two(tmp_path, capsys, malform, message):
 )
 def test_booleans_are_not_arities(tmp_path, capsys, malform, message):
     # JSON true decodes to a bool, which Python also counts as the int 1.
-    document = write_operad_document(operad_comm_trivial(1))
+    document = write_operad_document(operad_comm(instance_trivial(), max_arity=1))
     assert document["compose"][2] == {"n": 1, "ks": [1], "args": ["*", "*"], "result": "*"}
     malform(document)
     path = tmp_path / "boolean.json"

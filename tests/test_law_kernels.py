@@ -51,8 +51,8 @@ from operadics.free_monad import (
 )
 from operadics.g_operads import (
     FiniteGOperad,
+    _signatures,
     _within,
-    arity_signatures,
     check_collection,
     check_operad,
     endomorphism_operad,
@@ -93,7 +93,7 @@ def reference_check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9)
     labels = p.labels
     mu = p.compose
     act = p.action
-    signatures = list(arity_signatures(bound))
+    signatures = list(_signatures(bound, range(bound + 1)))
     report = Report(f"operad laws: {p.name}")
     # Each arity's group elements are listed once, those acting in the
     # argument slots from a smaller sample, and each element in the operad
@@ -302,7 +302,7 @@ def reference_monad_associativity(p: FiniteGOperad, free: FreeAlgebra) -> Iterat
     def associativity() -> Iterator[str | None]:
         pool = free.all_classes()
         arities = [c.arity for c in pool]
-        for n, rs in arity_signatures(bound):
+        for n, rs in _signatures(bound, range(bound + 1)):
             starts = list(itertools.accumulate(rs, initial=0))
             flats = _within(bound, starts[-1], pool, arities)
             for q in p.labels(n):
@@ -414,7 +414,7 @@ def faulty_operads(draw, names: Sequence[str] = tuple(OPERADS), foreign: bool = 
     p = OPERADS[draw(st.sampled_from(sorted(names)))]()
     substitutions = [
         (n, ks, head, args)
-        for n, ks in arity_signatures(p.max_arity)
+        for n, ks in _signatures(p.max_arity, range(p.max_arity + 1))
         for head in p.labels(n)
         for args in itertools.product(*(p.labels(k) for k in ks))
     ]

@@ -33,7 +33,7 @@ from operadics.braids import permutation_braid
 from operadics.free_monad import cartesian_condition
 from operadics.g_operads import (
     FiniteGOperad,
-    arity_signatures,
+    _signatures,
     endomorphism_operad,
     load_operad,
     operad_ass,
@@ -213,7 +213,7 @@ def outcome(loader, document):
 
 @pytest.mark.parametrize("bound", range(7))
 def test_arity_signatures_match_product_and_filter(bound):
-    assert list(arity_signatures(bound)) == list(reference_arity_signatures(bound))
+    assert list(_signatures(bound, range(bound + 1))) == list(reference_arity_signatures(bound))
 
 
 _SIZES = st.lists(st.integers(0, 2), min_size=1, max_size=8)

@@ -25,7 +25,7 @@ from operadics.action_operads import instance_braid, instance_symmetric, instanc
 from operadics.free_monad import _truncate
 from operadics.g_operads import (
     FiniteGOperad,
-    arity_signatures,
+    _signatures,
     check_algebra,
     endomorphism_operad,
     enumerate_algebra_structures,
@@ -103,7 +103,7 @@ def operads(draw):
     p = BUILDERS[draw(st.sampled_from(sorted(BUILDERS)))](draw(st.integers(0, 2)))
     keys = [
         (n, ks, head, args)
-        for n, ks in arity_signatures(p.max_arity)
+        for n, ks in _signatures(p.max_arity, range(p.max_arity + 1))
         for head in p.labels(n)
         for args in itertools.product(*(p.labels(k) for k in ks))
         if len(p.labels(sum(ks))) > 1

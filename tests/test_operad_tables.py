@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from operadics.action_operads import instance_braid, instance_symmetric, instance_trivial
 from operadics.braids import BraidWord, permutation_braid
 from operadics.g_operads import (
-    arity_signatures,
+    _signatures,
     change_groups,
     endomorphism_operad,
     load_operad,
@@ -121,7 +121,7 @@ def reference_document(group, max_arity, levels, unit, action, compose_):
         "unit": unit,
         "compose": [],
     }
-    for n, ks in arity_signatures(max_arity):
+    for n, ks in _signatures(max_arity, range(max_arity + 1)):
         for head in levels[n]:
             for args in itertools.product(*(levels[k] for k in ks)):
                 document["compose"].append(
@@ -136,7 +136,7 @@ def reference_document(group, max_arity, levels, unit, action, compose_):
 @st.composite
 def substitutions(draw, p):
     """A signature within the bound, with labels drawn from the matching levels."""
-    signatures = [(n, ks) for n, ks in arity_signatures(p.max_arity)
+    signatures = [(n, ks) for n, ks in _signatures(p.max_arity, range(p.max_arity + 1))
                   if p.labels(n) and all(p.labels(k) for k in ks)]
     n, ks = draw(st.sampled_from(signatures))
     head = draw(st.sampled_from(p.labels(n)))

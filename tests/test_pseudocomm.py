@@ -20,7 +20,6 @@ from operadics.pseudocomm import (
     verify_interchange,
     verify_interchange_dual,
     verify_symmetry,
-    verify_unit_family,
 )
 
 SYM = instance_symmetric()
@@ -61,9 +60,10 @@ def test_braid_projections_match_grid_transpositions(family):
 
 
 def test_unit_families():
-    assert verify_unit_family(SYM, t_family_symmetric(), bound=6)
-    assert verify_unit_family(BR, t_family_braid_positive(), bound=6)
-    assert verify_unit_family(BR, t_family_braid_negative(), bound=6)
+    holds = [None] * 6
+    assert list(pseudocomm._unit_family_cases(SYM, t_family_symmetric(), 6)) == holds
+    assert list(pseudocomm._unit_family_cases(BR, t_family_braid_positive(), 6)) == holds
+    assert list(pseudocomm._unit_family_cases(BR, t_family_braid_negative(), 6)) == holds
 
 
 def test_symmetry_holds_for_permutations_and_fails_for_braids():
@@ -76,7 +76,8 @@ def test_a_broken_unit_family_is_reported_with_its_witness(monkeypatch):
     def broken(m, n):
         return Permutation((2, 1)) if (m, n) == (1, 2) else tau(m, n)
 
-    assert not verify_unit_family(SYM, TFamily("broken", broken), bound=6)
+    cases = pseudocomm._unit_family_cases(SYM, TFamily("broken", broken), 6)
+    assert list(cases) == [None, "n=2", None, None, None, None]
     assert verify_symmetry(SYM, TFamily("broken", broken), bound=4) == (False, (1, 2))
     # The orientation is resolved against the real tau family, as before.
     monkeypatch.setattr(pseudocomm, "resolve_orientation", lambda *args, **kwargs: RESOLVED_ORIENTATION)

@@ -33,7 +33,7 @@ from operadics.free_monad import _truncate, cartesian_condition, free_algebra, p
 from operadics.g_operads import (
     FiniteGCollection,
     FiniteGOperad,
-    arity_signatures,
+    _signatures,
     change_groups,
     compose_collections,
     composite_states,
@@ -361,7 +361,7 @@ def generated_sub_operad(e: FiniteGOperad, generators: Sequence[tuple[int, str]]
         size = sum(map(len, levels.values()))
         for n, labels in levels.items():
             labels.update([e.action(n, label, g) for label in labels for g in group.elements(n)])
-        for n, ks in arity_signatures(e.max_arity):
+        for n, ks in _signatures(e.max_arity, range(e.max_arity + 1)):
             found = [
                 e.compose(n, ks, head, args)
                 for head in levels[n]
