@@ -22,7 +22,9 @@ through `g_operads._ReadThrough` tables that live only for that call, so
 each is computed once per report.  Associativity decides each (q, ps) by
 two rows over the class tuples of one length (`g_operads._rows_or_replay`):
 the row of q's composite with the p_i, and q flattening the rows of the p_i
-read at the position of each tuple's slices.
+read at the position of each tuple's slices, each position column built
+once per call.  Constancy on classes is decided per arity n on the
+generators of G(n), as `g_operads` decides its group laws.
 The correspondence reads its classes from the free algebra the laws were
 checked on, truncated to its bound, so one call runs one orbit quotient.
 `free_algebra` keeps no quotient of its own: the free algebra is the
@@ -52,11 +54,13 @@ from typing import Any, Iterator, NamedTuple, Sequence
 from .g_operads import (
     FiniteGCollection,
     FiniteGOperad,
+    _generators,
     _group_samples,
     _inhabited,
     _Levels,
     _orbit_quotient,
     _ReadThrough,
+    _right_levels,
     _rows_or_replay,
     _signatures,
     _within,
@@ -222,7 +226,13 @@ def check_monad_laws(
     latter up to CORRESPONDENCE_BOUND, on this free algebra's classes).
 
     Flattenings and actions are read through tables of this call, each key
-    once.
+    once.  Over a finite group, "multiplication is constant on classes" is
+    decided on generators, arity by arity, as `g_operads` decides its group
+    laws: with P's action on level n a right one (`g_operads._right_levels`),
+    a flattening constant under each generator is constant under every
+    element, each a word in the generators.  A decided arity counts every
+    (label, inner) under every element, and one whose decision fails is
+    walked element by element, so the count and witness are the walk's.
     """
     free = free_algebra(p, carrier, max_arity)
     bound = free.max_arity
@@ -234,17 +244,29 @@ def check_monad_laws(
     act = _ReadThrough(p.action)
 
     # Each element of G(n) with the inverse of its projection, listed once per inhabited arity.
-    moves = {
-        n: [(g, group.project(g).inverse()) for g in gs] for n, gs in _group_samples(group, p.labels, bound).items()
-    }
+    elements = _group_samples(group, p.labels, bound)
+    moves = {n: [(g, group.project(g).inverse()) for g in gs] for n, gs in elements.items()}
+    generators, decided = _generators(group, elements)
+    right = _right_levels(group, p.labels, act, elements)
 
-    def well_defined() -> Iterator[str | None]:
-        for n, label, inner in _nestings(free):
+    # Constancy on classes, by arity n: each (label, inner) under the moves (g, pi(g)^-1).
+    def constancy_walk(n: int, cases: list[tuple], steps: list[tuple]) -> Iterator[str | None]:
+        for label, inner in cases:
             value = flatten[label, inner]
-            for g, pi_inv in moves[n]:
+            for g, pi_inv in steps:
                 if flatten[act[n, label, g], tuple(act_on_list(pi_inv, inner))] != value:
                     yield f"label={label}, inner={[str(c) for c in inner]}, g={group.describe(g)}"
                 yield None
+
+    def constant_on_generators(n: int, cases: list[tuple]) -> bool:
+        inverses = dict(moves[n])
+        return right[n,] and not any(constancy_walk(n, cases, [(s, inverses[s]) for s in generators[n]]))
+
+    def well_defined() -> Iterator[tuple]:
+        for n, nestings in itertools.groupby(_nestings(free), key=lambda nesting: nesting[0]):
+            cases = [(label, inner) for _, label, inner in nestings]
+            agree = functools.partial(constant_on_generators, n, cases) if n in decided else None
+            yield len(cases) * len(moves[n]), agree, functools.partial(constancy_walk, n, cases, moves[n])
 
     def left_unit() -> Iterator[str | None]:
         for cls in free.all_classes():
@@ -274,6 +296,9 @@ def check_monad_laws(
         tuples = {m: _within(bound, m, pool, [c.arity for c in pool]) for m in range(bound + 1)}
         positions = {m: {flat: i for i, flat in enumerate(tuples[m])} for m in tuples}
         rows = _ReadThrough(lambda r, label: [flatten[label, flat] for flat in tuples[r]])
+        # Column (total, a, b): the position of each tuple's slice [a:b] among
+        # the tuples of length b - a, over the tuples of length total.
+        column = _ReadThrough(lambda total, a, b: [positions[b - a][flat[a:b]] for flat in tuples[total]])
 
         def rows_agree(q: str, ps: tuple[str, ...], outer: str, rs: tuple[int, ...], columns: list[list[int]]) -> bool:
             """Whether q on the p_i's rows read at the columns gives the outer label's row."""
@@ -285,14 +310,14 @@ def check_monad_laws(
             starts = list(itertools.accumulate(rs, initial=0))
             spans = list(zip(starts, starts[1:]))
             flats = tuples[starts[-1]]
-            columns = [[positions[r][flat[a:b]] for flat in flats] for r, (a, b) in zip(rs, spans)]
+            columns = [column[starts[-1], a, b] for a, b in spans]
             for q in p.labels(n):
                 for ps in itertools.product(*(p.labels(r) for r in rs)):
                     outer = p.compose(n, rs, q, ps)
                     agree = functools.partial(rows_agree, q, ps, outer, rs, columns)
                     yield len(flats), agree, functools.partial(replay, q, ps, outer, spans, flats)
 
-    report.check("multiplication is constant on classes", well_defined())
+    report.check("multiplication is constant on classes", _rows_or_replay(well_defined()))
     report.check("left unit law", left_unit())
     report.check("right unit law", right_unit())
     report.check("associativity", _rows_or_replay(associativity()))

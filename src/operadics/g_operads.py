@@ -12,9 +12,21 @@ structure:
     mu(x.g; y_1, ..., y_n)       = mu(x; y_{pi(g)^-1(1)}, ...) . mu_G(g; e_{k_1}, ..., e_{k_n})
 
 with k_i the arity of y_i as listed on the left-hand side.  The checkers
-in this module verify all of these exhaustively up to the operad's arity
-bound (sampling group elements when the group is infinite) and report one
+in this module decide all of these up to the operad's arity bound
+(sampling group elements when the group is infinite) and report one
 PASS/FAIL line per law, each stopping at its first counterexample.
+Over a finite group, the laws that range over group elements (action
+composition, both equivariance laws, and constancy on classes in
+`free_monad`) are decided on the generators of G(n) where G(n) has more
+elements than its generators and the identity.  Their precondition, that
+the action is a right one on every level they read, is itself decided on
+generators by `_right_action_fault`: every x.g inside the level, x.e = x,
+x.(g s) = (x.g).s for every element g and generator s, and those products
+reaching all of G(n) from e.  Given it and the action-operad axioms, a
+law that holds at each generator holds at each element, by induction on
+a word in the generators.  A group of cases so decided counts its full
+case space, and one whose decision fails is walked case by case, so the
+counts, witnesses and errors are those of the exhaustive walk.
 Every law, the loader, the document writer and the searches list their
 cases the same way.  Only arities whose level has a label (`_inhabited`)
 are walked, since no case reads an empty level: `_substitutions` lists
@@ -27,8 +39,8 @@ A law report reads its compose and action values through `_ReadThrough`
 tables that live for one call: the first read of a key goes through
 `p.compose` or `p.action`, so rebinding either still injects a fault, and
 every later read is a dict subscript.  Reads are taken to depend on the key
-alone, so a law may decide a group of cases by rows and replay the group
-case by case only when they disagree (`_rows_or_replay`).  Both
+alone, so a law may decide a group of cases by rows, or on generators, and
+replay the group case by case only when that fails (`_rows_or_replay`).  Both
 associativity laws, here and in `free_monad`, have one row shape: a list
 per label over the flat tuples of a length, read at position columns.
 
@@ -64,10 +76,10 @@ elements by `_element_key`, so the root of a class, its least id, is its
 least key and its representative.  For right actions the identifications
 are orbits of group actions, so states are united only along generators:
 those of G(r) in the x slot and those of each G(k_i) in its argument slot.
-That precondition is checked once per collection and arity in the memo of
-checked levels the caller passes (identity and x.(g s) = (x.g).s for every
-element g and generator s), so quotients that share a memo check each
-level once, and a failure is a `ValueError`.  `composite_states` counts
+That precondition, the laws' own (`_right_action_fault`), is checked once
+per collection and arity in the memo of checked levels the caller passes,
+so quotients that share a memo check each level once, and a failure is a
+`ValueError`.  `composite_states` counts
 the tuples the composition product enumerates from the level sizes alone,
 so a caller can refuse a product too large to build before listing
 anything.
@@ -194,20 +206,21 @@ class _ReadThrough(dict):
 
 
 def _rows_or_replay(
-    groups: Iterable[tuple[int, Callable[[], bool], Callable[[], Iterator[str | None]]]]
+    groups: Iterable[tuple[int, Callable[[], bool] | None, Callable[[], Iterator[str | None]]]]
 ) -> Iterator[int | str | None]:
     """
     The cases of a law for `Report.check`, from groups (size, agree, replay):
-    agree() decides the group's size cases at once by rows of values, and
-    replay() lists them case by case.  A group whose rows agree counts as
-    size passing cases.  Any other is replayed, as is one where a read raises
-    in agree(), so the case that reaches that read raises again.  As reads
-    depend on their key alone, the verdict, count, first witness and error
-    are those of the per-case loop.
+    agree() decides the group's size cases at once, by rows of values or on
+    generators, and replay() lists them case by case.  A group whose agree()
+    holds counts as size passing cases.  Any other is replayed, as is one
+    where a read raises in agree(), so the case that reaches that read raises
+    again, and one whose agree is None, which no decision would make cheaper.
+    As reads depend on their key alone, the verdict, count, first witness and
+    error are those of the per-case loop.
     """
     for size, agree, replay in groups:
         try:
-            passed = agree()
+            passed = agree is not None and agree()
         except Exception:
             passed = False
         if passed:
@@ -323,19 +336,110 @@ def _group_samples(group: ActionOperad, labels: Callable, bound: int, argument_s
     return {n: [group.sample(rng, n) for _ in range(budget)] for n, rng in rngs.items()}
 
 
+def _generators(group: ActionOperad, elements: Mapping[int, list]) -> tuple[dict[int, list], set[int]]:
+    """
+    The generators of G(n) at each arity n of `elements`, and the arities
+    whose laws are decided on them: those where G(n) has more elements than
+    its generators and the identity together, so that the generators save
+    work.  Both are empty for a group that lists no elements or no
+    generators, whose laws walk every sampled element.
+    """
+    if group.elements is None or group.generators is None:
+        return {}, set()
+    generators = {n: group.generators(n) for n in elements}
+    return generators, {n for n, ss in generators.items() if len(elements[n]) > 1 + len(ss)}
+
+
+def _right_action_fault(
+    group: ActionOperad, n: int, tables: Mapping[Any, Mapping[str, str]], generators: Sequence[Any]
+) -> str | None:
+    """
+    What keeps `tables`, the action {label: label.g} of every element g of
+    G(n) on one level, from being a right action decided on `generators`,
+    those of G(n), as the end of "the action at arity n ...", or None.  Every
+    value must be a label of the level, the identity must fix every label,
+    x.(g s) = (x.g).s must hold for every element g and generator s, and
+    those products g s must reach every element from the identity.  By
+    induction on a word in the generators, x.(g h) = (x.g).h then holds for
+    all g and h, at a cost of |G(n)| * generators * |labels| lookups.
+    """
+    for table in tables.values():
+        for label, result in table.items():
+            if result not in table:
+                return f"sends {label!r} to {result!r}, outside its level"
+    describe = group.describe
+    identity = group.identity(n)
+    for label, result in tables[identity].items():
+        if result != label:
+            return f"is not a right action: the identity {describe(identity)} sends {label!r} to {result!r}"
+    # The tables of the products g s by the id of g's table: each element has
+    # its own table, so its id names the element without hashing it again.
+    successors = {}
+    for g, table in tables.items():
+        successors[id(table)] = products = []
+        for s in generators:
+            product = group.multiply(g, s)
+            combined, step = tables[product], tables[s]
+            products.append(combined)
+            for label, acted in table.items():
+                if combined[label] != step[acted]:
+                    return (
+                        f"is not a right action: {label!r} goes to {step[acted]!r} under {describe(g)} "
+                        f"then {describe(s)}, but to {combined[label]!r} under their product {describe(product)}"
+                    )
+    reached = [tables[identity]]
+    seen = {id(reached[0])}
+    for table in reached:
+        for combined in successors[id(table)]:
+            if id(combined) not in seen:
+                seen.add(id(combined))
+                reached.append(combined)
+    if len(reached) < len(tables):
+        return f"is not decided on generators: they reach {len(reached)} of the {len(tables)} elements"
+    return None
+
+
+def _right_levels(
+    group: ActionOperad, labels: Callable, act: _ReadThrough, elements: Mapping[int, list]
+) -> _ReadThrough:
+    """
+    Whether act is a right action on level m decided on generators
+    (`_right_action_fault`), keyed (m,) and decided at its first read from
+    the action of every element of elements[m]: the precondition of every law
+    decided on generators, checked once per level and call.
+    """
+
+    def right(m: int) -> bool:
+        tables = {g: {x: act[m, x, g] for x in labels(m)} for g in elements[m]}
+        return _right_action_fault(group, m, tables, group.generators(m)) is None
+
+    return _ReadThrough(right)
+
+
 # --------------------------------------------------------------- checkers
 
 
 def check_collection(x: FiniteGCollection, *, bound: int | None = None) -> Report:
     """The right-action laws of x up to bound, or on every level if bound is None."""
     bound = max(x.levels, default=0) if bound is None else bound
-    return _check_collection(x, _ReadThrough(x.action), _group_samples(x.group, x.labels, bound))
+    act = _ReadThrough(x.action)
+    samples = _group_samples(x.group, x.labels, bound)
+    return _check_collection(x, act, samples, _right_levels(x.group, x.labels, act, samples))
 
 
-def _check_collection(x: FiniteGCollection, act: _ReadThrough, samples: Mapping[int, list]) -> Report:
-    """The right-action laws of x at the arities and group elements of `samples`, read through act."""
+def _check_collection(
+    x: FiniteGCollection, act: _ReadThrough, samples: Mapping[int, list], right: _ReadThrough
+) -> Report:
+    """
+    The right-action laws of x at the arities and group elements of
+    `samples`, read through act.  The composition law of a level is decided
+    by `right`, that level's entry of `_right_levels` on act, at the arities
+    `_generators` names, and walked pair by pair at the others or when that
+    does not hold.
+    """
     report = Report(f"collection laws: {x.name}")
     group = x.group
+    _, decided = _generators(group, samples)
 
     def typed() -> Iterator[str | None]:
         for n, gs in samples.items():
@@ -351,35 +455,59 @@ def _check_collection(x: FiniteGCollection, act: _ReadThrough, samples: Mapping[
             for label in x.labels(n):
                 yield None if act[n, label, e] == label else f"n={n}, x={label}"
 
-    def composition() -> Iterator[str | None]:
+    def walk(n: int, gs: list) -> Iterator[str | None]:
+        # Each pair (g, h) with its product, formed once per arity.
+        pairs = [(g, h, group.multiply(g, h)) for g, h in itertools.product(gs, repeat=2)]
+        for label in x.labels(n):
+            for g, h, gh in pairs:
+                if act[n, act[n, label, g], h] != act[n, label, gh]:
+                    yield f"n={n}, x={label}, g={group.describe(g)}, h={group.describe(h)}"
+                yield None
+
+    def composition() -> Iterator[tuple]:
         for n, gs in samples.items():
-            # Each pair (g, h) with its product, formed once per arity.
-            pairs = [(g, h, group.multiply(g, h)) for g, h in itertools.product(gs, repeat=2)]
-            for label in x.labels(n):
-                for g, h, gh in pairs:
-                    if act[n, act[n, label, g], h] != act[n, label, gh]:
-                        yield f"n={n}, x={label}, g={group.describe(g)}, h={group.describe(h)}"
-                    yield None
+            agree = functools.partial(right.__getitem__, (n,)) if n in decided else None
+            yield len(x.labels(n)) * len(gs) ** 2, agree, functools.partial(walk, n, gs)
 
     report.check("action stays inside each level", typed())
     report.check("action unit law", unit())
-    report.check("action composition law", composition())
+    report.check("action composition law", _rows_or_replay(composition()))
     return report
 
 
 def check_operad(p: FiniteGOperad) -> Report:
     """
-    Exhaustively verify the operad and equivariance laws within the bound.
+    Decide the operad and equivariance laws on every case within the bound.
 
-    Every law walks its cases in a fixed order.  The compose and action
+    Every law lists its cases in a fixed order.  The compose and action
     values are read through two `_ReadThrough` tables of this call, shared
     by all its laws: the first read of a key calls `p.compose` or
     `p.action`, and every later read of that key is a subscript.  The work
     that depends only on arities is also done once per call: the label
     product of each arity tuple, the flat cases (ls, rs) of each length,
-    and the identities and cable of each signature and element.  Nothing
-    is kept after the call returns.  Only the inhabited arities are walked,
-    and only their group elements listed, once for every law.
+    each associativity position column and the identities of each
+    signature.  Nothing is kept after the call returns.  Only the inhabited
+    arities are walked, and only their group elements listed, once for
+    every law.
+
+    Over a finite group, the three laws that range over group elements
+    (both equivariance laws and action composition) are decided on
+    generators at the arities `_generators` names.  Their precondition is
+    that the action is a right one on every level the decision reads, as
+    `_right_action_fault` decides from the generators (`_right_levels`);
+    that alone decides action composition.  Equivariance in the operad slot
+    is walked at each generator of G(n), for all signatures of head arity n
+    together, since the law at g s reads the law at g on the signature that
+    s permutes ks into.  Equivariance in the argument slots is walked, per
+    signature, with one slot at a generator and the others at the identity.
+    Both also require every composite of their signatures to lie in its
+    level.  Given these and the
+    axioms of the action operad, each law holds at every element, by
+    induction on a word in the generators.  A decided group counts its full
+    case space, and any other group, or one whose decision fails or raises,
+    is walked case by case (`_rows_or_replay`), so verdicts, counts,
+    witnesses and errors are those of the walk.  Braid groups keep their
+    samples and are walked.
     """
     group = p.group
     bound = p.max_arity
@@ -398,8 +526,11 @@ def check_operad(p: FiniteGOperad) -> Report:
         for n, gs in elements.items()
     }
     argument_elements = _group_samples(group, labels, bound, argument_slots=True)
+    generators, decided = _generators(group, elements)
+    right = _right_levels(group, labels, act, elements)
     # The label tuples of each arity tuple, listed once for this report.
     product = _ReadThrough(lambda *ks: list(itertools.product(*map(labels, ks)))).__getitem__
+    members = {m: set(labels(m)) for m in range(bound + 1)}
 
     # Well-typedness: the unit, every substitution result, every action result.
     def typed() -> Iterator[str | None]:
@@ -435,6 +566,9 @@ def check_operad(p: FiniteGOperad) -> Report:
             total: [tuple(zip(ls, rs)) for ls, flats in flat_arities[total] for rs in flats] for total in flat_arities
         }
         positions = {k: {case: i for i, case in enumerate(cases[k])} for k in cases}
+        # Column (total, a, b): the position of each flat case's slice [a:b]
+        # among the cases of length b - a, over the flat cases of length total.
+        column = _ReadThrough(lambda total, a, b: [positions[b - a][case[a:b]] for case in cases[total]])
         # Rows of compose values, read once through mu: a composite c of
         # level total over the flat cases of that length, an argument q of
         # arity k as (sum(split), mu(k; split; q; rs)) over those of length
@@ -460,9 +594,9 @@ def check_operad(p: FiniteGOperad) -> Report:
             length k_i.  The head's row reads None at an inner composite
             outside its level, so it differs there.
             """
-            total = sum(ks)
             offsets = list(itertools.accumulate(ks, initial=0))
-            columns = [[positions[k][case[a:b]] for case in cases[total]] for k, a, b in zip(ks, offsets, offsets[1:])]
+            total = offsets[-1]
+            columns = [column[total, a, b] for a, b in zip(offsets, offsets[1:])]
             for args in product(ks):
                 getters = [argument_rows[key].__getitem__ for key in zip(ks, args)]
                 inner = list(zip(*map(map, getters, columns))) if ks else [()]
@@ -496,13 +630,19 @@ def check_operad(p: FiniteGOperad) -> Report:
             if size:
                 yield size, functools.partial(holds, n, ks), functools.partial(replay, n, ks)
 
-    # Equivariance in the operad slot (the acting element cables up).
-    def slot() -> Iterator[str | None]:
-        for n, ks in signatures:
+    def typed_composites(n: int, ks: tuple[int, ...]) -> bool:
+        """Whether every composite of the signature lies in its level."""
+        level = members[sum(ks)]
+        return all(mu[n, ks, head, args] in level for head in labels(n) for args in product(ks))
+
+    # Equivariance in the operad slot (the acting element cables up), by
+    # head arity n: the signatures with n slots under the pairs (g, order).
+    def slot_walk(n: int, sigs: list[tuple[int, ...]], pairs: list[tuple]) -> Iterator[str | None]:
+        for ks in sigs:
             total = sum(ks)
             identities = [group.identity(k) for k in ks]
             arguments = product(ks)
-            for g, order in slot_elements[n]:
+            for g, order in pairs:
                 permuted_ks = tuple(ks[j] for j in order)
                 cable = group.operad_mu(g, identities)
                 permuted = [tuple(args[j] for j in order) for args in arguments]
@@ -517,36 +657,65 @@ def check_operad(p: FiniteGOperad) -> Report:
                             )
                         yield None
 
-    # Equivariance in the argument slots (the acting elements block-sum up).
-    def argument_slots() -> Iterator[str | None]:
+    def slot_on_generators(n: int, sigs: list[tuple[int, ...]]) -> bool:
+        orders = dict(slot_elements[n])
+        return (
+            right[n,]
+            and all(right[sum(ks),] and typed_composites(n, ks) for ks in sigs)
+            and not any(slot_walk(n, sigs, [(s, orders[s]) for s in generators[n]]))
+        )
+
+    def slot() -> Iterator[tuple]:
+        for n, same_head in itertools.groupby(signatures, key=lambda signature: signature[0]):
+            sigs = [ks for _, ks in same_head]
+            size = len(slot_elements[n]) * len(labels(n)) * sum(len(product(ks)) for ks in sigs)
+            agree = functools.partial(slot_on_generators, n, sigs) if n in decided else None
+            yield size, agree, functools.partial(slot_walk, n, sigs, slot_elements[n])
+
+    # Equivariance in the argument slots (the acting elements block-sum up),
+    # by signature, under the tuples gs.
+    def argument_walk(n: int, ks: tuple[int, ...], tuples: Iterable[tuple]) -> Iterator[str | None]:
+        total = sum(ks)
+        e = group.identity(n)
+        blocks = [(gs, group.operad_mu(e, list(gs))) for gs in tuples]
+        # Each args acted on by each gs, formed once for every head.
+        acted = {args: [tuple(map(act.__getitem__, zip(ks, args, gs))) for gs, _ in blocks] for args in product(ks)}
+        for head in labels(n):
+            for args in product(ks):
+                composite = mu[n, ks, head, args]
+                for (gs, block), acted_args in zip(blocks, acted[args]):
+                    if mu[n, ks, head, acted_args] != act[total, composite, block]:
+                        yield (
+                            f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
+                            f"gs=[{', '.join(group.describe(g) for g in gs)}]"
+                        )
+                    yield None
+
+    def arguments_on_generators(n: int, ks: tuple[int, ...]) -> bool:
+        # One slot at a generator of its group, the others at the identity.
+        identities = [group.identity(k) for k in ks]
+        tuples = [(*identities[:i], s, *identities[i + 1:]) for i, k in enumerate(ks) for s in generators[k]]
+        return (
+            all(right[m,] for m in (*ks, sum(ks)))
+            and typed_composites(n, ks)
+            and not any(argument_walk(n, ks, tuples))
+        )
+
+    def argument_slots() -> Iterator[tuple]:
         for n, ks in signatures:
-            total = sum(ks)
-            e = group.identity(n)
-            blocks = [
-                (gs, group.operad_mu(e, list(gs)))
-                for gs in itertools.product(*(argument_elements[k] for k in ks))
-            ]
-            # Each args acted on by each gs, formed once for every head.
-            acted = {args: [tuple(map(act.__getitem__, zip(ks, args, gs))) for gs, _ in blocks] for args in product(ks)}
-            for head in labels(n):
-                for args in product(ks):
-                    composite = mu[n, ks, head, args]
-                    for (gs, block), acted_args in zip(blocks, acted[args]):
-                        if mu[n, ks, head, acted_args] != act[total, composite, block]:
-                            yield (
-                                f"n={n}, ks={list(ks)}, p={head}, qs={list(args)}, "
-                                f"gs=[{', '.join(group.describe(g) for g in gs)}]"
-                            )
-                        yield None
+            tuples = itertools.product(*(argument_elements[k] for k in ks))
+            size = len(labels(n)) * len(product(ks)) * math.prod(len(argument_elements[k]) for k in ks)
+            agree = functools.partial(arguments_on_generators, n, ks) if not decided.isdisjoint(ks) else None
+            yield size, agree, functools.partial(argument_walk, n, ks, tuples)
 
     report.check("tables are well-typed", typed())
     report.check("operad unit", unit())
     report.check("operad associativity", _rows_or_replay(associativity()))
-    report.check("equivariance in the operad slot", slot())
-    report.check("equivariance in the argument slots", argument_slots())
+    report.check("equivariance in the operad slot", _rows_or_replay(slot()))
+    report.check("equivariance in the argument slots", _rows_or_replay(argument_slots()))
 
     # The per-level right-action laws, on the same action table.
-    collection_report = _check_collection(p, act, elements)
+    collection_report = _check_collection(p, act, elements, right)
     report.results.extend(collection_report.results)
     return report
 
@@ -1257,47 +1426,17 @@ class ComposedCollection:
         return FiniteGCollection(self.name, self.group, labels, action)
 
 
-def _level_action(c: FiniteGCollection, n: int, g: Any) -> dict[str, str]:
-    """The action of g on level n of c as a table, checked to stay inside the level."""
-    table = {label: c.action(n, label, g) for label in c.labels(n)}
-    for label, result in table.items():
-        if result not in table:
-            raise ValueError(
-                f"{c.name}: the action at arity {n} sends {label!r} to {result!r}, outside its level"
-            )
-    return table
-
-
 def _generator_actions(c: FiniteGCollection, n: int, group: ActionOperad) -> list[tuple[Any, dict[str, str]]]:
     """
-    The generators of G(n) with their action tables on level n of c, once the
-    action is known to be a right one.  Every element's table is checked to
-    stay inside the level, then the identity to fix every label and each
-    product with a generator s to act as its factors do, x.(g s) = (x.g).s.
-    Since the generators build every element, these imply x.(g h) = (x.g).h
-    for all g and h, at a cost of |G(n)| * generators * |labels| lookups.
+    The generators of G(n) with their action tables on level n of c, once
+    `_right_action_fault` finds the action a right one; a fault is a
+    `ValueError` naming c and n.
     """
-    tables = {g: _level_action(c, n, g) for g in group.elements(n)}
-    describe = group.describe
-    identity = group.identity(n)
-    for label, result in tables[identity].items():
-        if result != label:
-            raise ValueError(
-                f"{c.name}: the action at arity {n} is not a right action: "
-                f"the identity {describe(identity)} sends {label!r} to {result!r}"
-            )
+    tables = {g: {label: c.action(n, label, g) for label in c.labels(n)} for g in group.elements(n)}
     generators = group.generators(n)
-    for g, table in tables.items():
-        for s in generators:
-            product = group.multiply(g, s)
-            combined, step = tables[product], tables[s]
-            for label, acted in table.items():
-                if combined[label] != step[acted]:
-                    raise ValueError(
-                        f"{c.name}: the action at arity {n} is not a right action: "
-                        f"{label!r} goes to {step[acted]!r} under {describe(g)} then {describe(s)}, "
-                        f"but to {combined[label]!r} under their product {describe(product)}"
-                    )
+    fault = _right_action_fault(group, n, tables, generators)
+    if fault is not None:
+        raise ValueError(f"{c.name}: the action at arity {n} {fault}")
     return [(s, tables[s]) for s in generators]
 
 

@@ -15,7 +15,6 @@ measurement for the large sweeps.
 import json
 import random
 import time
-from pathlib import Path
 
 from operadics.action_operads import instance_braid, instance_symmetric, instance_trivial
 from operadics.braids import (
@@ -59,7 +58,6 @@ from operadics.pseudocomm import (
     verify_symmetry,
 )
 
-GOLDEN = Path(__file__).parent / "golden"
 SEED = 20260819
 
 
@@ -400,6 +398,8 @@ def test_criterion_13_algebra_structures_match_operad_maps(capsys):
 
 
 def test_criterion_14_cli_golden_invocations(capsys, tmp_path, cli_process):
+    # The invocations with a golden file are the manifest's, which
+    # tests/test_cli.py runs; these are the ones without.
     failures = []
 
     def expect(label, result, code, stdout=None):
@@ -414,11 +414,6 @@ def test_criterion_14_cli_golden_invocations(capsys, tmp_path, cli_process):
         0, "equal\n",
     )
     expect("braid pi", cli_process("braid", "pi", "-n", "4", "2"), 0, "1 3 2 4\n")
-    expect(
-        "braid render",
-        cli_process("braid", "render", "-n", "2", "1"),
-        0, (GOLDEN / "braid_render_2_1.txt").read_text(),
-    )
     expect("perm tau 2 3", cli_process("perm", "tau", "2", "3"), 0, "1 3 5 2 4 6\n")
     expect("perm tau 4 2", cli_process("perm", "tau", "4", "2"), 0, "1 5 2 6 3 7 4 8\n")
     expect(
@@ -427,16 +422,6 @@ def test_criterion_14_cli_golden_invocations(capsys, tmp_path, cli_process):
         0, "1 2 3\n",
     )
     expect("tmn", cli_process("tmn", "--family", "positive", "2", "2"), 0, "2\n")
-    expect(
-        "verify pscomm symmetric",
-        cli_process("verify", "pscomm", "--group", "symmetric", "--bound", "3"),
-        0, (GOLDEN / "pscomm_symmetric_3.txt").read_text(),
-    )
-    expect(
-        "verify pscomm braid",
-        cli_process("verify", "pscomm", "--group", "braid", "--bound", "3"),
-        0, (GOLDEN / "pscomm_braid_3.txt").read_text(),
-    )
     expect(
         "operad cartesian comm",
         cli_process("operad", "cartesian", "comm.json", cwd=tmp_path),
@@ -447,18 +432,10 @@ def test_criterion_14_cli_golden_invocations(capsys, tmp_path, cli_process):
         cli_process("operad", "cartesian", "ass.json", cwd=tmp_path),
         0, "CARTESIAN: YES\n",
     )
-    expect(
-        "operad free comm",
-        cli_process(
-            "operad", "free", "comm.json", "--carrier", "a,b", "--bound", "2",
-            cwd=tmp_path,
-        ),
-        0, (GOLDEN / "free_comm_ab_2.txt").read_text(),
-    )
     ok = not failures
     _verdict(
         capsys, 14, ok,
-        "12 documented invocations byte-identical with the exit-code contract"
+        "8 documented invocations byte-identical with the exit-code contract"
         if ok
         else "; ".join(failures),
     )

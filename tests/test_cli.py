@@ -60,6 +60,9 @@ DOCUMENTS = {
     # no law walks an empty level or lists its group elements, so the report
     # is the one the same document gives at max_arity 5.
     "unit_sym": lambda: json.loads((FIXTURES / "unit_sym.json").read_text()),
+    # The terminal operad over the symmetric groups up to arity 5, where the
+    # group laws are decided on the generators of Sigma_3..Sigma_5.
+    "comm5": lambda: g_operads.write_operad_document(g_operads.operad_comm(max_arity=5)),
 }
 
 

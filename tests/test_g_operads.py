@@ -117,30 +117,50 @@ def test_operad_associativity_reports_the_first_counterexample():
 
 
 @pytest.mark.parametrize(
-    "build, carrier, bound",
+    "build, carrier, bound, decided",
     [
-        (lambda: load_operad(json.loads((DATA / "ass.json").read_text()), "ass"), ("a", "b"), 2),
-        (lambda: load_operad(json.loads((DATA / "ass.json").read_text()), "ass"), ("a",), 3),
-        (lambda: operad_comm(instance_symmetric(), max_arity=4), ("a", "b"), 4),
-        (lambda: endomorphism_operad(("a", "b"), instance_symmetric(), max_arity=2), ("a",), 2),
+        (lambda: load_operad(json.loads((DATA / "ass.json").read_text()), "ass"), ("a", "b"), 2, 3),
+        (lambda: load_operad(json.loads((DATA / "ass.json").read_text()), "ass"), ("a",), 3, 4),
+        (lambda: operad_comm(instance_symmetric(), max_arity=5), ("a", "b"), 3, 4),
+        (lambda: operad_ass(4), ("a",), 4, 4),
+        (lambda: endomorphism_operad(("a", "b"), instance_symmetric(), max_arity=2), ("a",), 2, 0),
     ],
-    ids=["ass.json {a,b}", "ass.json {a}", "comm/symmetric 4", "endo {a,b} 2"],
+    ids=["ass.json {a,b}", "ass.json {a}", "comm/symmetric 5", "ass4", "endo {a,b} 2"],
 )
-def test_lawful_associativity_is_decided_by_rows_alone(monkeypatch, build, carrier, bound):
-    # Both associativity laws fall back to a case-by-case replay whenever
-    # the rows of a group disagree, so rows gathered at the wrong positions
-    # would still give the right verdict, only slower.  On a lawful operad
-    # every group's rows must agree.
+def test_lawful_operads_decide_every_group(monkeypatch, build, carrier, bound, decided):
+    # Every law decided by rows or on generators falls back to a case-by-case
+    # replay whenever its decision fails, so a decision that never held (rows
+    # gathered at the wrong positions, a generator check that raises) would
+    # still give the right verdict, only slower.  On a lawful operad every
+    # group that has a decision must be decided.  A group without one (an
+    # arity whose group has no more elements than its generators and the
+    # identity, as Sigma_2 and below) is walked.  Of the six laws that run
+    # through `_rows_or_replay`, both associativity laws decide at every
+    # arity, and `decided` of the four group laws (operad slot, argument
+    # slots, action composition, constancy on classes) decide some group: all
+    # but constancy at bound 2, and none over Sigma_0..Sigma_2.
+    laws: list[list[int]] = []
+
     def rows_only(groups):
+        laws.append([])
         for size, agree, replay in groups:
-            assert agree()
-            yield size
+            if agree is None:
+                yield from replay()
+            else:
+                assert agree()
+                laws[-1].append(size)
+                yield size
 
     monkeypatch.setattr(g_operads, "_rows_or_replay", rows_only)
     monkeypatch.setattr(free_monad, "_rows_or_replay", rows_only)
     p = build()
-    assert check_operad(p).result("operad associativity").passed
-    assert free_monad.check_monad_laws(p, carrier, max_arity=bound).result("associativity").passed
+    assert check_operad(p).ok
+    assert free_monad.check_monad_laws(p, carrier, max_arity=bound).ok
+    # check_operad: associativity, the two slot laws, action composition;
+    # check_monad_laws: constancy on classes, associativity.
+    associativity, slot, arguments, composition, constancy, monad_associativity = laws
+    assert associativity and monad_associativity
+    assert sum(map(bool, (slot, arguments, composition, constancy))) == decided
 
 
 def test_equivariance_laws_report_the_first_counterexample():
@@ -175,6 +195,21 @@ def test_check_operad_projects_each_group_element_once(group, projected, counts)
     p.group = dataclasses.replace(group, project=lambda g: calls.append(g) or group.project(g))
     assert [r.checked for r in check_operad(p).results] == counts
     assert len(calls) == projected
+
+
+def test_check_operad_decides_the_group_laws_on_generators():
+    # A decision on generators that silently fell back to walking every
+    # element would still give every verdict, only slower.  The operad-slot
+    # law cables each element onto its signature and the argument-slot law
+    # block-sums each tuple of elements, both by operad_mu: comm up to arity
+    # 5 makes 2,663 calls deciding Sigma_3..Sigma_5 on generators, and
+    # 38,420 walking every element.
+    group = instance_symmetric()
+    calls = []
+    p = operad_comm(group, max_arity=5)
+    p.group = dataclasses.replace(group, operad_mu=lambda g, fs: calls.append(g) or group.operad_mu(g, fs))
+    assert check_operad(p).ok
+    assert len(calls) <= 2663
 
 
 def test_collection_unit_law_reports_the_first_counterexample():

@@ -3,10 +3,13 @@ The law kernels of `check_operad`, `check_monad_laws`, `free_algebra`,
 `pullback_witness_test` and `mu_sigma` against their earlier per-case
 versions.
 
-The kernels list each label product and cable once per report, decide
-the two associativity laws row by row, and read each compose, action and
-flattening value through a table that lives only for one call.  The references below are the earlier loops, kept
-verbatim up to naming, which redo that work for every case; the reference
+The kernels list each label product once per report, decide the two
+associativity laws row by row and, over a finite group, the laws that range
+over group elements on generators, and read each compose, action and
+flattening value through a table that lives only for one call.  The
+references below are the earlier loops, kept verbatim up to naming, which
+redo that work for every case and walk every group element, the
+collection laws and constancy on classes included; the reference
 pullback test builds its four free algebras separately and pushes each
 class once per pair it meets.  Hypothesis draws the packaged documents
 and operads made by `operad_ass`, `operad_comm` and `endomorphism_operad`,
@@ -19,7 +22,11 @@ inside its level (decided by `is_right_action`) must instead make
 `free_algebra` and `check_monad_laws` raise a `ValueError`.  An inner
 composite outside its level, which hypothesis may not draw, must raise the
 same error after the same cases, and so must a composite outside its level
-whose row raises while a signature is decided by rows.  Counting wrappers pin the savings:
+whose row raises while a signature is decided by rows.  Faults that only
+an element outside the generators shows must be walked to the loops'
+result: an action entry of a cycle, a compose entry that the operad-slot
+law first reads at a rearranged signature, and a composite outside its
+level that the generators fix.  Counting wrappers pin the savings:
 `check_operad` reads each compose and action key of a packaged document
 once, one `pullback_witness_test` checks the action of each level of P
 once, and one `check_monad_laws` runs one orbit quotient.  The one-pass
@@ -62,6 +69,7 @@ from operadics.g_operads import (
 )
 from operadics.permutations import (
     Permutation,
+    act_on_list,
     all_permutations,
     block_lift,
     block_sum,
@@ -86,8 +94,47 @@ def _group_elements(group, n: int, budget: int, seed: int) -> list[Any]:
     return [group.sample(rng, n) for _ in range(budget)]
 
 
-def reference_check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9) -> Report:
-    """Exhaustively verify the operad and equivariance laws within the bound."""
+def reference_check_collection(x, bound: int, *, budget: int = 25, seed: int = 9) -> Report:
+    """The right-action laws of x up to bound, every pair of elements walked."""
+    report = Report(f"collection laws: {x.name}")
+    group = x.group
+    samples = {n: _group_elements(group, n, budget, seed) for n in range(bound + 1)}
+
+    def typed() -> Iterator[str | None]:
+        for n, gs in samples.items():
+            for label in x.labels(n):
+                for g in gs:
+                    if x.action(n, label, g) not in x.labels(n):
+                        yield f"n={n}, x={label}, g={group.describe(g)}"
+                    yield None
+
+    def unit() -> Iterator[str | None]:
+        for n in samples:
+            e = group.identity(n)
+            for label in x.labels(n):
+                yield None if x.action(n, label, e) == label else f"n={n}, x={label}"
+
+    def composition() -> Iterator[str | None]:
+        for n, gs in samples.items():
+            for label in x.labels(n):
+                for g, h in itertools.product(gs, repeat=2):
+                    if x.action(n, x.action(n, label, g), h) != x.action(n, label, group.multiply(g, h)):
+                        yield f"n={n}, x={label}, g={group.describe(g)}, h={group.describe(h)}"
+                    yield None
+
+    report.check("action stays inside each level", typed())
+    report.check("action unit law", unit())
+    report.check("action composition law", composition())
+    return report
+
+
+def reference_check_operad(
+    p: FiniteGOperad, *, budget: int = 25, seed: int = 9, laws: Sequence[str] | None = None
+) -> Report:
+    """
+    Exhaustively verify the operad and equivariance laws within the bound:
+    every law, or only those named in `laws`.
+    """
     group = p.group
     bound = p.max_arity
     labels = p.labels
@@ -195,15 +242,19 @@ def reference_check_operad(p: FiniteGOperad, *, budget: int = 25, seed: int = 9)
                             )
                         yield None
 
-    report.check("tables are well-typed", typed())
-    report.check("operad unit", unit())
-    report.check("operad associativity", associativity())
-    report.check("equivariance in the operad slot", slot())
-    report.check("equivariance in the argument slots", argument_slots())
+    for law, cases in [
+        ("tables are well-typed", typed),
+        ("operad unit", unit),
+        ("operad associativity", associativity),
+        ("equivariance in the operad slot", slot),
+        ("equivariance in the argument slots", argument_slots),
+    ]:
+        if laws is None or law in laws:
+            report.check(law, cases())
 
     # The per-level right-action laws.
-    collection_report = check_collection(p, bound=bound)
-    report.results.extend(collection_report.results)
+    collection_report = reference_check_collection(p, bound, budget=budget, seed=seed)
+    report.results.extend(r for r in collection_report.results if laws is None or r.law in laws)
     return report
 
 
@@ -290,6 +341,18 @@ def is_right_action(p: FiniteGOperad, bound: int) -> bool:
                 if any(p.action(n, acted, h) != p.action(n, label, group.multiply(g, h)) for h in elements):
                     return False
     return True
+
+
+def reference_monad_constancy(p: FiniteGOperad, free: FreeAlgebra) -> Iterator[str | None]:
+    """The cases of "multiplication is constant on classes" on a free algebra of p, element by element."""
+    group = p.group
+    for n, label, inner in free_monad._nestings(free):
+        value = mult_mu(free, label, inner)
+        for g in group.elements(n):
+            moved = tuple(act_on_list(group.project(g).inverse(), inner))
+            if mult_mu(free, p.action(n, label, g), moved) != value:
+                yield f"label={label}, inner={[str(c) for c in inner]}, g={group.describe(g)}"
+            yield None
 
 
 def reference_monad_associativity(p: FiniteGOperad, free: FreeAlgebra) -> Iterator[str | None]:
@@ -434,6 +497,11 @@ def faulty_operads(draw, names: Sequence[str] = tuple(OPERADS), foreign: bool = 
         key = draw(st.sampled_from(actions))
         level = p.labels(key[0])
     value = draw(st.sampled_from([*level, "foreign"] if foreign else level))
+    return rebind(p, key, value)
+
+
+def rebind(p: FiniteGOperad, key: tuple, value: str) -> FiniteGOperad:
+    """p with its compose entry (n, ks, head, args), or its action entry (n, label, g), answering value."""
     if len(key) == 4:
         original = p.compose
 
@@ -474,18 +542,30 @@ def test_check_operad_matches_the_per_case_loops(p):
     )
 
 
+def reference_monad_laws(p: FiniteGOperad, carrier: Sequence[str], bound: int) -> list[tuple]:
+    """Constancy on classes and associativity, as `check_monad_laws` reports them, by the per-case loops."""
+    free = free_algebra(p, carrier, bound)
+    reference = Report("reference")
+    reference.check("multiplication is constant on classes", reference_monad_constancy(p, free))
+    reference.check("associativity", reference_monad_associativity(p, free))
+    return results(reference)
+
+
+def monad_laws(p: FiniteGOperad, carrier: Sequence[str], bound: int) -> list[tuple]:
+    """Constancy on classes and associativity as `check_monad_laws` reports them."""
+    laws = ("multiplication is constant on classes", "associativity")
+    return [result for result in results(check_monad_laws(p, carrier, max_arity=bound)) if result[0] in laws]
+
+
 @settings(max_examples=25, deadline=None)
 @given(p=faulty_operads(FINITE, foreign=False), carrier=st.sampled_from([("a",), ("a", "b"), ("b", "a")]))
-def test_monad_associativity_matches_the_per_case_loops(p, carrier):
+def test_monad_laws_match_the_per_case_loops(p, carrier):
     bound = min(p.max_arity, 2 if len(carrier) > 1 else 3)
     if not is_right_action(p, bound):
         with pytest.raises(ValueError, match="not a right action"):
             check_monad_laws(p, carrier, max_arity=bound)
         return
-    law = check_monad_laws(p, carrier, max_arity=bound).result("associativity")
-    reference = Report("reference")
-    reference.check("associativity", reference_monad_associativity(p, free_algebra(p, carrier, bound)))
-    assert law == reference.results[0]
+    assert monad_laws(p, carrier, bound) == reference_monad_laws(p, carrier, bound)
 
 
 @settings(max_examples=40, deadline=None)
@@ -510,16 +590,78 @@ def test_the_unchanged_operads_match_the_per_case_loops(name):
     assert results(check_operad(p)) == results(reference_check_operad(p))
     if name in FINITE:
         bound = min(p.max_arity, 2)
-        law = check_monad_laws(p, ("a", "b"), max_arity=bound).result("associativity")
-        reference = Report("reference")
-        reference.check("associativity", reference_monad_associativity(p, free_algebra(p, ("a", "b"), bound)))
-        assert law == reference.results[0]
+        assert monad_laws(p, ("a", "b"), bound) == reference_monad_laws(p, ("a", "b"), bound)
 
 
 @settings(max_examples=40, deadline=None)
 @given(p=faulty_operads(FINITE))
 def test_pullback_witness_test_matches_four_separate_free_algebras(p):
     assert outcome(lambda: pullback_witness_test(p)) == outcome(lambda: reference_pullback_witness_test(p))
+
+
+# ------------------------------------------------------------ generators
+
+# The laws `check_operad` decides on generators over a finite group.
+GROUP_LAWS = ("equivariance in the operad slot", "equivariance in the argument slots", "action composition law")
+
+
+@pytest.mark.parametrize(
+    "build, key, value",
+    [
+        (OPERADS["ass.json"], (3, "123", Permutation((2, 3, 1))), "312"),
+        (lambda: operad_ass(4), (4, "1234", Permutation((2, 3, 4, 1))), "4321"),
+    ],
+    ids=["3-cycle on ass.json", "4-cycle on ass4"],
+)
+def test_an_action_fault_at_a_cycle_is_reported_as_the_walk_reports_it(build, key, value):
+    # One action entry of a cycle, which is no generator, answers another
+    # label of its level.  The laws decided on generators must see that the
+    # action is no longer a right one and walk, to the per-case loops'
+    # verdict, count and witness.  The reference checks only the group laws,
+    # since on ass4 its associativity alone takes seconds.
+    fast = [result for result in results(check_operad(rebind(build(), key, value))) if result[0] in GROUP_LAWS]
+    assert fast == results(reference_check_operad(rebind(build(), key, value), laws=GROUP_LAWS))
+    # Argument slots pass: where they read the entry, both sides read it.
+    assert [passed for _, passed, _, _ in fast] == [False, True, False]
+    p = rebind(build(), key, value)
+    assert results(check_collection(p)) == results(reference_check_collection(p, p.max_arity))
+    assert not is_right_action(p, p.max_arity)
+    with pytest.raises(ValueError, match="not a right action"):
+        check_monad_laws(p, ("a",), max_arity=p.max_arity)
+
+
+def test_a_compose_fault_is_reported_at_the_earliest_rearranged_signature():
+    # mu(123; 12, e, 1) at ks=(2,0,1) answers 213 instead of 123.  The
+    # operad-slot law first reads that entry at the earlier signature
+    # ks=(0,1,2), under the 3-cycle that permutes it into (2,0,1), so a
+    # decision for one signature must cover every rearrangement of it.
+    key = (3, (2, 0, 1), "123", ("12", "e", "1"))
+    law = "equivariance in the operad slot"
+    fast = check_operad(rebind(OPERADS["ass.json"](), key, "213")).result(law)
+    reference = reference_check_operad(rebind(OPERADS["ass.json"](), key, "213"), laws=(law,)).result(law)
+    assert fast == reference
+    assert fast.witness == "n=3, ks=[0, 1, 2], p=123, qs=['e', '1', '12'], g=2 3 1"
+
+
+def test_a_composite_outside_its_level_is_walked():
+    # On comm up to arity 3, mu(*; *, *, *) answers a label outside level 3
+    # that the identity and the generators of Sigma_3 fix and the 3-cycles
+    # move, and substituting into or with it answers *, so no earlier law
+    # raises.  Every case at a generator holds, so only the requirement that
+    # composites lie in their level keeps the operad-slot law from being
+    # decided; walked, it fails at the first 3-cycle, as the loops do.
+    def build() -> FiniteGOperad:
+        p = operad_comm(instance_symmetric(), max_arity=3)
+        key = (3, (1, 1, 1), "*", ("*", "*", "*"))
+        p.compose = lambda n, ks, head, args: "foreign" if (n, tuple(ks), head, tuple(args)) == key else "*"
+        for cycle in (Permutation((2, 3, 1)), Permutation((3, 1, 2))):
+            p = rebind(p, (3, "foreign", cycle), "other")
+        return p
+
+    law = "equivariance in the operad slot"
+    fast = check_operad(build()).result(law)
+    assert fast == reference_check_operad(build(), laws=(law,)).result(law)
+    assert fast.witness == "n=3, ks=[1, 1, 1], p=*, qs=['*', '*', '*'], g=2 3 1"
 
 
 # ------------------------------------------------------------ reads

@@ -35,6 +35,7 @@ from operadics.g_operads import (
     FiniteGOperad,
     _signatures,
     change_groups,
+    check_operad,
     compose_collections,
     composite_states,
     endomorphism_operad,
@@ -482,6 +483,29 @@ def test_an_identity_that_moves_a_label_is_an_error():
         match=r"^x: the action at arity 2 is not a right action: the identity 1 2 sends 'a' to 'b'$",
     ):
         compose_collections(moved, unit_collection(sym), 2)
+
+
+def test_generators_that_reach_part_of_the_group_decide_nothing():
+    # With the first transposition alone, the generators of Sigma_3 reach 2
+    # of its 6 elements.  Uniting along them would leave the quotient too
+    # fine, and a law decided on them would be proved on that subgroup only,
+    # so the quotient refuses the level and check_operad walks every element.
+    sym = GROUPS["symmetric"]
+    first = dataclasses.replace(sym, generators=lambda n: sym.generators(n)[:1])
+    message = "^x: the action at arity 3 is not decided on generators: they reach 2 of the 6 elements$"
+    x = FiniteGCollection("x", first, {3: ("*",)}, lambda n, label, g: label)
+    with pytest.raises(ValueError, match=message):
+        compose_collections(x, unit_collection(first), 3)
+
+    def cables(group) -> int:
+        """The operad_mu calls of check_operad on comm up to arity 4 over group."""
+        calls = []
+        counting = dataclasses.replace(group, operad_mu=lambda g, fs: calls.append(g) or group.operad_mu(g, fs))
+        assert check_operad(operad_comm(counting, max_arity=4)).ok
+        return len(calls)
+
+    # As many as for a group that lists no generators, whose laws are walked.
+    assert cables(first) == cables(dataclasses.replace(sym, generators=None)) > cables(sym)
 
 
 @pytest.mark.parametrize("name", ["ass", "comm_trivial"])
