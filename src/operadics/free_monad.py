@@ -227,12 +227,8 @@ def check_monad_laws(
 
     Flattenings and actions are read through tables of this call, each key
     once.  Over a finite group, "multiplication is constant on classes" is
-    decided on generators, arity by arity, as `g_operads` decides its group
-    laws: with P's action on level n a right one (`g_operads._right_levels`),
-    a flattening constant under each generator is constant under every
-    element, each a word in the generators.  A decided arity counts every
-    (label, inner) under every element, and one whose decision fails is
-    walked element by element, so the count and witness are the walk's.
+    decided on generators, arity by arity, under the precondition and with
+    the counts the `g_operads` module docstring states.
     """
     free = free_algebra(p, carrier, max_arity)
     bound = free.max_arity

@@ -15,17 +15,26 @@ with k_i the arity of y_i as listed on the left-hand side.  The checkers
 in this module decide all of these up to the operad's arity bound
 (sampling group elements when the group is infinite) and report one
 PASS/FAIL line per law, each stopping at its first counterexample.
-Over a finite group, the laws that range over group elements (action
-composition, both equivariance laws, and constancy on classes in
-`free_monad`) are decided on the generators of G(n) where G(n) has more
-elements than its generators and the identity.  Their precondition, that
-the action is a right one on every level they read, is itself decided on
-generators by `_right_action_fault`: every x.g inside the level, x.e = x,
+Over a finite group, the laws that range over group elements are decided
+on the generators of G(n) (`_generators`) where G(n) has more elements
+than its generators and the identity; elsewhere, and for braid groups,
+they walk their elements.  The precondition, checked once per level and
+call (`_right_levels`), is that the action is a right one decided on
+generators (`_right_action_fault`): every x.g inside the level, x.e = x,
 x.(g s) = (x.g).s for every element g and generator s, and those products
-reaching all of G(n) from e.  Given it and the action-operad axioms, a
-law that holds at each generator holds at each element, by induction on
-a word in the generators.  A group of cases so decided counts its full
-case space, and one whose decision fails is walked case by case, so the
+reaching all of G(n) from e.  Given it and the action-operad axioms, each
+law below holds at every element once it holds at the generators, by
+induction on a word in the generators:
+  - action composition follows from the precondition alone;
+  - equivariance in the operad slot is walked at each generator of G(n),
+    for all signatures of head arity n together, since the law at g s
+    reads the law at g on the signature that s permutes ks into;
+  - equivariance in the argument slots is walked per signature with one
+    slot at a generator and the others at the identity;
+  - constancy on classes in `free_monad` is walked at each generator.
+Both equivariance decisions also require every composite they read to lie
+in its level.  A group of cases so decided counts its full case space, and
+one whose decision fails or raises is walked case by case, so verdicts,
 counts, witnesses and errors are those of the exhaustive walk.
 Every law, the loader, the document writer and the searches list their
 cases the same way.  Only arities whose level has a label (`_inhabited`)
@@ -356,12 +365,9 @@ def _right_action_fault(
     """
     What keeps `tables`, the action {label: label.g} of every element g of
     G(n) on one level, from being a right action decided on `generators`,
-    those of G(n), as the end of "the action at arity n ...", or None.  Every
-    value must be a label of the level, the identity must fix every label,
-    x.(g s) = (x.g).s must hold for every element g and generator s, and
-    those products g s must reach every element from the identity.  By
-    induction on a word in the generators, x.(g h) = (x.g).h then holds for
-    all g and h, at a cost of |G(n)| * generators * |labels| lookups.
+    those of G(n), as the end of "the action at arity n ...", or None: the
+    precondition of the module docstring, at a cost of |G(n)| * generators
+    * |labels| lookups.
     """
     for table in tables.values():
         for label, result in table.items():
@@ -424,22 +430,20 @@ def check_collection(x: FiniteGCollection, *, bound: int | None = None) -> Repor
     bound = max(x.levels, default=0) if bound is None else bound
     act = _ReadThrough(x.action)
     samples = _group_samples(x.group, x.labels, bound)
-    return _check_collection(x, act, samples, _right_levels(x.group, x.labels, act, samples))
+    _, decided = _generators(x.group, samples)
+    return _check_collection(x, act, samples, _right_levels(x.group, x.labels, act, samples), decided)
 
 
 def _check_collection(
-    x: FiniteGCollection, act: _ReadThrough, samples: Mapping[int, list], right: _ReadThrough
+    x: FiniteGCollection, act: _ReadThrough, samples: Mapping[int, list], right: _ReadThrough, decided: set[int]
 ) -> Report:
     """
     The right-action laws of x at the arities and group elements of
-    `samples`, read through act.  The composition law of a level is decided
-    by `right`, that level's entry of `_right_levels` on act, at the arities
-    `_generators` names, and walked pair by pair at the others or when that
-    does not hold.
+    `samples`, read through act.  At the `decided` arities the composition
+    law is the precondition `right` itself (see the module docstring).
     """
     report = Report(f"collection laws: {x.name}")
     group = x.group
-    _, decided = _generators(group, samples)
 
     def typed() -> Iterator[str | None]:
         for n, gs in samples.items():
@@ -490,24 +494,9 @@ def check_operad(p: FiniteGOperad) -> Report:
     arities are walked, and only their group elements listed, once for
     every law.
 
-    Over a finite group, the three laws that range over group elements
-    (both equivariance laws and action composition) are decided on
-    generators at the arities `_generators` names.  Their precondition is
-    that the action is a right one on every level the decision reads, as
-    `_right_action_fault` decides from the generators (`_right_levels`);
-    that alone decides action composition.  Equivariance in the operad slot
-    is walked at each generator of G(n), for all signatures of head arity n
-    together, since the law at g s reads the law at g on the signature that
-    s permutes ks into.  Equivariance in the argument slots is walked, per
-    signature, with one slot at a generator and the others at the identity.
-    Both also require every composite of their signatures to lie in its
-    level.  Given these and the
-    axioms of the action operad, each law holds at every element, by
-    induction on a word in the generators.  A decided group counts its full
-    case space, and any other group, or one whose decision fails or raises,
-    is walked case by case (`_rows_or_replay`), so verdicts, counts,
-    witnesses and errors are those of the walk.  Braid groups keep their
-    samples and are walked.
+    Over a finite group, both equivariance laws and action composition are
+    decided on generators, under the precondition and with the counts the
+    module docstring states; braid groups keep their samples.
     """
     group = p.group
     bound = p.max_arity
@@ -530,7 +519,6 @@ def check_operad(p: FiniteGOperad) -> Report:
     right = _right_levels(group, labels, act, elements)
     # The label tuples of each arity tuple, listed once for this report.
     product = _ReadThrough(lambda *ks: list(itertools.product(*map(labels, ks)))).__getitem__
-    members = {m: set(labels(m)) for m in range(bound + 1)}
 
     # Well-typedness: the unit, every substitution result, every action result.
     def typed() -> Iterator[str | None]:
@@ -630,10 +618,12 @@ def check_operad(p: FiniteGOperad) -> Report:
             if size:
                 yield size, functools.partial(holds, n, ks), functools.partial(replay, n, ks)
 
-    def typed_composites(n: int, ks: tuple[int, ...]) -> bool:
-        """Whether every composite of the signature lies in its level."""
-        level = members[sum(ks)]
+    # Whether every composite of a signature (n, ks) lies in its level, decided once per call.
+    def composites_in_level(n: int, ks: tuple[int, ...]) -> bool:
+        level = set(labels(sum(ks)))
         return all(mu[n, ks, head, args] in level for head in labels(n) for args in product(ks))
+
+    typed_composites = _ReadThrough(composites_in_level)
 
     # Equivariance in the operad slot (the acting element cables up), by
     # head arity n: the signatures with n slots under the pairs (g, order).
@@ -661,7 +651,7 @@ def check_operad(p: FiniteGOperad) -> Report:
         orders = dict(slot_elements[n])
         return (
             right[n,]
-            and all(right[sum(ks),] and typed_composites(n, ks) for ks in sigs)
+            and all(right[sum(ks),] and typed_composites[n, ks] for ks in sigs)
             and not any(slot_walk(n, sigs, [(s, orders[s]) for s in generators[n]]))
         )
 
@@ -697,7 +687,7 @@ def check_operad(p: FiniteGOperad) -> Report:
         tuples = [(*identities[:i], s, *identities[i + 1:]) for i, k in enumerate(ks) for s in generators[k]]
         return (
             all(right[m,] for m in (*ks, sum(ks)))
-            and typed_composites(n, ks)
+            and typed_composites[n, ks]
             and not any(argument_walk(n, ks, tuples))
         )
 
@@ -715,7 +705,7 @@ def check_operad(p: FiniteGOperad) -> Report:
     report.check("equivariance in the argument slots", _rows_or_replay(argument_slots()))
 
     # The per-level right-action laws, on the same action table.
-    collection_report = _check_collection(p, act, elements, right)
+    collection_report = _check_collection(p, act, elements, right, decided)
     report.results.extend(collection_report.results)
     return report
 
