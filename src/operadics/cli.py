@@ -17,9 +17,14 @@ packaged examples (``comm.json``, ``ass.json``, ``comm_trivial.json``)
 when no file of that name exists in the working directory.
 
 The argument parser is built once per process, on the first call of
-`main`, and reused by every later call.  Oversize input is refused by
-`_at_most` before anything is built: the tuples `operad compose` and
-`operad free` would enumerate (`MAX_COMPOSITE_STATES`, `MAX_FREE_STATES`),
+`main`, and reused by every later call.  `_load_document` holds the cycle
+collector off while it decodes and loads a document, and restores its
+state after: the decoded tree and the loaded tables hold no reference
+cycle, so the collector's passes over them would free nothing.
+
+Oversize input is refused by `_at_most` before anything is built: the
+tuples `operad compose` and `operad free` would enumerate
+(`MAX_COMPOSITE_STATES`, `MAX_FREE_STATES`),
 the letters `braid cable` and `braid mu` would write (`MAX_CABLE_LETTERS`),
 the strands of every braid word and `tmn` grid (`MAX_STRANDS`), a word
 given to `braid eq`, `reduce`, `pi` or `render` (`MAX_WORD_LETTERS`) and
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from pathlib import Path
@@ -210,14 +216,20 @@ def _read_text(path: Path, shown: str) -> str:
 def _load_document(argument: str) -> FiniteGOperad:
     path = _resolve_document_path(argument)
     text = _read_text(path, str(path))
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    try:
-        return load_operad(document, name=path.stem)
-    except ValueError as exc:
-        raise CliError(f"{path}: {exc}") from None
+        try:
+            document = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+        try:
+            return load_operad(document, name=path.stem)
+        except ValueError as exc:
+            raise CliError(f"{path}: {exc}") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _read_lines(path_text: str, parse: Callable[[str], object]) -> list:

@@ -64,12 +64,17 @@ Operads round-trip through a JSON document format for the command-line
 tools.
 
 Loading validates every compose record.  Once per document it tabulates,
-for each signature ks within the bound, the head labels, every valid
-argument tuple and the result level, so a well-formed record is accepted
-by a few set lookups and an exact-int test on ks.  A record that fails
-this test is checked field by field in a fixed order, and the first fault
-is reported with its position.  The table is complete exactly when it
-holds sum |P(n)| * prod |P(k_i)| keys.  `_signature_counts` counts these
+for each signature ks within the bound, one tuple: n, ks, the types
+(int,) * n, and maps sending each head label, valid argument tuple and
+result label to the level's own object.  A well-formed record is accepted
+by an exact-int test on n and ks and three lookups in these maps, and is
+entered from their values only, so the table shares the level's labels,
+one ks tuple per signature and one tuple per argument tuple, and keeps no
+string of the document.  A record that fails this test (a tuple where a
+list belongs, a label missing from its map, one argument too many) is
+checked field by field in a fixed order, and the first fault is reported
+with its position.  The table is complete exactly when it holds
+sum |P(n)| * prod |P(k_i)| keys.  `_signature_counts` counts these
 by a dynamic program over arity sums, listing no signature and stopping
 once the count passes the number of records, so a short document is
 refused without enumerating its signatures or counting them all.  The
@@ -113,6 +118,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -1214,30 +1220,24 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     # The fast test holds one argument tuple per substitution at most, so it
     # is built only for a document with at least that many records; a
     # shorter one is incomplete and every record takes the checked path.
-    fast = (
-        _record_signatures(levels, label_sets, max_arity, inhabited)
-        if len(entries) >= substitutions
-        else {}
-    )
+    fast = _record_signatures(levels, max_arity, inhabited) if len(entries) >= substitutions else {}
+    fields = operator.itemgetter("n", "ks", "args", "result")
     for position, record in enumerate(entries):
         try:
-            n, ks, args, result = record["n"], record["ks"], record["args"], record["result"]
+            n, ks, args, result = fields(record)
+            # A tuple where a list belongs, or a string where the labels
+            # belong, is refused by the checked path, so it goes there.
             if type(ks) is list and type(args) is list:
-                ks_t = tuple(ks)
-                heads, argument_tuples, results = fast[ks_t]
-                key = (n, ks_t, args[0], tuple(args[1:]))
-                # The type test stays: True == 1 and 1.0 == 1, so a tuple of
+                arity, signature, ints, heads, arguments, results = fast[tuple(ks)]
+                # The type tests stay: True == 1 and 1.0 == 1, so a tuple of
                 # bools or floats finds the signature of the ints it equals.
-                if (
-                    type(n) is int
-                    and n == len(ks_t)
-                    and tuple(map(type, ks)) == (int,) * n
-                    and key[2] in heads
-                    and key[3] in argument_tuples
-                    and result in results
-                    and compose_table.setdefault(key, result) == result
-                ):
-                    continue
+                if type(n) is int and n == arity and tuple(map(type, ks)) == ints:
+                    value = results[result]
+                    key = (arity, signature, heads[args[0]], arguments[tuple(args[1:])])
+                    # A consistent duplicate finds the same level object; any
+                    # other value is a conflict for the checked path to name.
+                    if compose_table.setdefault(key, value) is value:
+                        continue
         except (KeyError, TypeError, IndexError):
             pass
         _check_compose_record(position, record, max_arity, label_sets, compose_table)
@@ -1290,23 +1290,26 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
 
 
 def _record_signatures(
-    levels: Mapping[int, tuple[str, ...]],
-    label_sets: Mapping[int, frozenset[str]],
-    max_arity: int,
-    inhabited: Sequence[int],
+    levels: Mapping[int, tuple[str, ...]], max_arity: int, inhabited: Sequence[int]
 ) -> dict[tuple[int, ...], tuple]:
     """
-    Per signature ks within max_arity that admits a record: the head
-    labels, every valid argument tuple and the result level.  A record of
-    integer arities found here is valid without further checks.  Only
-    signatures over the `inhabited` (non-empty) arities can admit one.
+    Per signature ks within max_arity that admits a record: n, ks itself,
+    the types (int,) * n of its arities, and maps sending each head label,
+    valid argument tuple and result label to the level's own object.  A
+    record of integer arities whose fields these maps all find is valid
+    without further checks, and its table entry is made of the maps'
+    values, so the table shares them and keeps no string of the document.
+    Only signatures over the `inhabited` (non-empty) arities can admit one.
     """
+    own = {n: dict(zip(levels[n], levels[n])) for n in inhabited}
     table = {}
     for n, ks in _signatures(max_arity, inhabited):
-        results = label_sets[sum(ks)]
+        results = own.get(sum(ks))
         if results:
-            argument_tuples = frozenset(itertools.product(*(levels[k] for k in ks)))
-            table[ks] = (label_sets[n], argument_tuples, results)
+            # Measured faster than dict(zip(...)) over a list of the tuples:
+            # most signatures of a document have one or a few tuples.
+            arguments = {t: t for t in itertools.product(*map(levels.__getitem__, ks))}
+            table[ks] = (n, ks, (int,) * n, own[n], arguments, results)
     return table
 
 
