@@ -24,7 +24,8 @@ cycle, so the collector's passes over them would free nothing.
 
 Oversize input is refused by `_at_most` before anything is built: the
 tuples `operad compose` and `operad free` would enumerate
-(`MAX_COMPOSITE_STATES`, `MAX_FREE_STATES`),
+(`MAX_COMPOSITE_STATES`, `MAX_FREE_STATES`), the associativity cases of
+a document given to `operad check` (`MAX_CHECK_CASES`),
 the letters `braid cable` and `braid mu` would write (`MAX_CABLE_LETTERS`),
 the strands of every braid word and `tmn` grid (`MAX_STRANDS`), a word
 given to `braid eq`, `reduce`, `pi` or `render` (`MAX_WORD_LETTERS`) and
@@ -61,6 +62,7 @@ from .free_monad import (
 from .g_operads import (
     FiniteGCollection,
     FiniteGOperad,
+    associativity_cases,
     check_operad,
     compose_collections,
     composite_states,
@@ -132,6 +134,12 @@ MAX_COMPOSITE_STATES = 200_000
 # 168,421 (comm on 20 at bound 4) 0.63 s and 60 MB, on a 2-vCPU machine;
 # memory, not time, sets the limit.
 MAX_FREE_STATES = 200_000
+# The most cases operad associativity may list in `operad check`, counted
+# from the level sizes of the loaded document before any case is listed.
+# On a 2-vCPU machine, ass up to arity 4 (2,051,104 cases, the largest
+# golden) took 0.65 s CPU and comm up to arity 6 (1,010,478) 0.78 s, while
+# comm up to arity 7 (14,163,676) took 9.1 s.
+MAX_CHECK_CASES = 4_000_000
 
 
 class CliError(Exception):
@@ -542,6 +550,7 @@ def _cmd_verify_all(args) -> int:
 
 def _cmd_operad_check(args) -> int:
     p = _load_document(args.file)
+    _at_most(associativity_cases(p), MAX_CHECK_CASES, f"{args.file}: operad associativity", "cases")
     report = check_operad(p)
     print(report.render())
     return 0 if report.ok else 1

@@ -54,7 +54,7 @@ from typing import Any, Iterator, NamedTuple, Sequence
 from .g_operads import (
     FiniteGCollection,
     FiniteGOperad,
-    _generators,
+    _decisions,
     _group_samples,
     _inhabited,
     _Levels,
@@ -242,7 +242,7 @@ def check_monad_laws(
     # Each element of G(n) with the inverse of its projection, listed once per inhabited arity.
     elements = _group_samples(group, p.labels, bound)
     moves = {n: [(g, group.project(g).inverse()) for g in gs] for n, gs in elements.items()}
-    generators, decided = _generators(group, elements)
+    decisions = _decisions(group, elements)
     right = _right_levels(group, p.labels, act, elements)
 
     # Constancy on classes, by arity n: each (label, inner) under the moves (g, pi(g)^-1).
@@ -254,14 +254,15 @@ def check_monad_laws(
                     yield f"label={label}, inner={[str(c) for c in inner]}, g={group.describe(g)}"
                 yield None
 
-    def constant_on_generators(n: int, cases: list[tuple]) -> bool:
+    def constant_on_decisions(n: int, cases: list[tuple]) -> bool:
         inverses = dict(moves[n])
-        return right[n,] and not any(constancy_walk(n, cases, [(s, inverses[s]) for s in generators[n]]))
+        premise = not decisions.on_generators or right[n,]
+        return premise and not any(constancy_walk(n, cases, [(g, inverses[g]) for g in decisions.walks[n]]))
 
     def well_defined() -> Iterator[tuple]:
         for n, nestings in itertools.groupby(_nestings(free), key=lambda nesting: nesting[0]):
             cases = [(label, inner) for _, label, inner in nestings]
-            agree = functools.partial(constant_on_generators, n, cases) if n in decided else None
+            agree = functools.partial(constant_on_decisions, n, cases) if n in decisions.decided else None
             yield len(cases) * len(moves[n]), agree, functools.partial(constancy_walk, n, cases, moves[n])
 
     def left_unit() -> Iterator[str | None]:

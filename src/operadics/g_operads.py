@@ -15,16 +15,22 @@ with k_i the arity of y_i as listed on the left-hand side.  The checkers
 in this module decide all of these up to the operad's arity bound
 (sampling group elements when the group is infinite) and report one
 PASS/FAIL line per law, each stopping at its first counterexample.
-Over a finite group, the laws that range over group elements are decided
-on the generators of G(n) (`_generators`) where G(n) has more elements
-than its generators and the identity; elsewhere, and for braid groups,
-they walk their elements.  The precondition, checked once per level and
-call (`_right_levels`), is that the action is a right one decided on
-generators (`_right_action_fault`): every x.g inside the level, x.e = x,
-x.(g s) = (x.g).s for every element g and generator s, and those products
-reaching all of G(n) from e.  Given it and the action-operad axioms, each
-law below holds at every element once it holds at the generators, by
-induction on a word in the generators:
+The laws that range over group elements decide an arity's cases at once
+by a shorter walk, which one place per call picks (`_decisions`).  Over a
+finite group it walks the generators of G(n), where G(n) has more elements
+than its generators and the identity.  Over a group that lists no
+elements, as the braid groups, whose laws read a sample, it walks the
+distinct samples in first-occurrence order, where the sample repeats an
+element; samples are the same when they are equal objects, for braids the
+same word, never by the word problem.  Elsewhere the laws walk their
+elements as listed.  The distinct samples meet every case the listed
+walk meets, so that decision needs no premise.  On generators the
+precondition, checked once per level and call (`_right_levels`), is that
+the action is a right one decided on generators (`_right_action_fault`):
+every x.g inside the level, x.e = x, x.(g s) = (x.g).s for every element g
+and generator s, and those products reaching all of G(n) from e.  Given it
+and the action-operad axioms, each law below holds at every element once it
+holds at the generators, by induction on a word in the generators:
   - action composition follows from the precondition alone;
   - equivariance in the operad slot is walked at each generator of G(n),
     for all signatures of head arity n together, since the law at g s
@@ -32,10 +38,11 @@ induction on a word in the generators:
   - equivariance in the argument slots is walked per signature with one
     slot at a generator and the others at the identity;
   - constancy on classes in `free_monad` is walked at each generator.
-Both equivariance decisions also require every composite they read to lie
-in its level.  A group of cases so decided counts its full case space, and
-one whose decision fails or raises is walked case by case, so verdicts,
-counts, witnesses and errors are those of the exhaustive walk.
+Both equivariance decisions on generators also require every composite
+they read to lie in its level.  A group of cases so decided counts its
+listed size, and one whose decision fails or raises is walked case by case
+as listed, so verdicts, counts, witnesses and errors are those of the
+listed walk.
 Every law, the loader, the document writer and the searches list their
 cases the same way.  Only arities whose level has a label (`_inhabited`)
 are walked, since no case reads an empty level: `_substitutions` lists
@@ -96,7 +103,8 @@ so quotients that share a memo check each level once, and a failure is a
 `ValueError`.  `composite_states` counts
 the tuples the composition product enumerates from the level sizes alone,
 so a caller can refuse a product too large to build before listing
-anything.
+anything, and `associativity_cases` counts the cases of operad
+associativity the same way, so a caller can refuse a check.
 
 Algebra structures are found by finite-model search (`_backtrack`, in
 the style of SEM and Mace4) rather than by checking every candidate
@@ -121,7 +129,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .action_operads import ActionOperad, instance_symmetric, instance_trivial
 from .braids import permutation_braid
@@ -351,18 +359,37 @@ def _group_samples(group: ActionOperad, labels: Callable, bound: int, argument_s
     return {n: [group.sample(rng, n) for _ in range(budget)] for n, rng in rngs.items()}
 
 
-def _generators(group: ActionOperad, elements: Mapping[int, list]) -> tuple[dict[int, list], set[int]]:
+class _Decisions(NamedTuple):
     """
-    The generators of G(n) at each arity n of `elements`, and the arities
-    whose laws are decided on them: those where G(n) has more elements than
-    its generators and the identity together, so that the generators save
-    work.  Both are empty for a group that lists no elements or no
-    generators, whose laws walk every sampled element.
+    What a law over group elements walks to decide an arity's group of cases
+    at once: walks[n] holds the generators of G(n) if on_generators (a
+    finite group, under the right-action precondition) and otherwise the
+    distinct elements listed at n, in first-occurrence order.  The arities
+    in `decided` are those where that walk saves work; the others have no
+    decision and are walked as listed.
     """
-    if group.elements is None or group.generators is None:
-        return {}, set()
-    generators = {n: group.generators(n) for n in elements}
-    return generators, {n for n, ss in generators.items() if len(elements[n]) > 1 + len(ss)}
+
+    on_generators: bool
+    walks: dict[int, list]
+    decided: set[int]
+
+
+def _decisions(group: ActionOperad, elements: Mapping[int, list]) -> _Decisions:
+    """
+    The decisions of the laws that read `elements`, by the module docstring:
+    a finite group is decided on its generators where G(n) has more elements
+    than its generators and the identity together, a sampled group on its
+    distinct samples where the sample repeats one (samples are the same when
+    they are equal objects, for braids the same word), and a finite group
+    without generators nowhere.
+    """
+    if group.elements is None:
+        walks = {n: list(dict.fromkeys(gs)) for n, gs in elements.items()}
+        return _Decisions(False, walks, {n for n, gs in walks.items() if len(gs) < len(elements[n])})
+    if group.generators is None:
+        return _Decisions(True, {}, set())
+    walks = {n: group.generators(n) for n in elements}
+    return _Decisions(True, walks, {n for n, ss in walks.items() if len(elements[n]) > 1 + len(ss)})
 
 
 def _right_action_fault(
@@ -436,17 +463,18 @@ def check_collection(x: FiniteGCollection, *, bound: int | None = None) -> Repor
     bound = max(x.levels, default=0) if bound is None else bound
     act = _ReadThrough(x.action)
     samples = _group_samples(x.group, x.labels, bound)
-    _, decided = _generators(x.group, samples)
-    return _check_collection(x, act, samples, _right_levels(x.group, x.labels, act, samples), decided)
+    right = _right_levels(x.group, x.labels, act, samples)
+    return _check_collection(x, act, samples, right, _decisions(x.group, samples))
 
 
 def _check_collection(
-    x: FiniteGCollection, act: _ReadThrough, samples: Mapping[int, list], right: _ReadThrough, decided: set[int]
+    x: FiniteGCollection, act: _ReadThrough, samples: Mapping[int, list], right: _ReadThrough, decisions: _Decisions
 ) -> Report:
     """
     The right-action laws of x at the arities and group elements of
-    `samples`, read through act.  At the `decided` arities the composition
-    law is the precondition `right` itself (see the module docstring).
+    `samples`, read through act.  At a decided arity the composition law is
+    the precondition `right` itself on generators, and otherwise walks the
+    pairs of distinct samples (see the module docstring).
     """
     report = Report(f"collection laws: {x.name}")
     group = x.group
@@ -474,9 +502,12 @@ def _check_collection(
                     yield f"n={n}, x={label}, g={group.describe(g)}, h={group.describe(h)}"
                 yield None
 
+    def decide(n: int) -> bool:
+        return right[n,] if decisions.on_generators else not any(walk(n, decisions.walks[n]))
+
     def composition() -> Iterator[tuple]:
         for n, gs in samples.items():
-            agree = functools.partial(right.__getitem__, (n,)) if n in decided else None
+            agree = functools.partial(decide, n) if n in decisions.decided else None
             yield len(x.labels(n)) * len(gs) ** 2, agree, functools.partial(walk, n, gs)
 
     report.check("action stays inside each level", typed())
@@ -500,9 +531,10 @@ def check_operad(p: FiniteGOperad) -> Report:
     arities are walked, and only their group elements listed, once for
     every law.
 
-    Over a finite group, both equivariance laws and action composition are
-    decided on generators, under the precondition and with the counts the
-    module docstring states; braid groups keep their samples.
+    Both equivariance laws and action composition are decided as the module
+    docstring states: on generators over a finite group, under the
+    precondition, and on the distinct samples of a braid group, whose
+    samples repeat, with the counts of the listed walk.
     """
     group = p.group
     bound = p.max_arity
@@ -521,7 +553,8 @@ def check_operad(p: FiniteGOperad) -> Report:
         for n, gs in elements.items()
     }
     argument_elements = _group_samples(group, labels, bound, argument_slots=True)
-    generators, decided = _generators(group, elements)
+    decisions = _decisions(group, elements)
+    argument_decisions = _decisions(group, argument_elements)
     right = _right_levels(group, labels, act, elements)
     # The label tuples of each arity tuple, listed once for this report.
     product = _ReadThrough(lambda *ks: list(itertools.product(*map(labels, ks)))).__getitem__
@@ -653,19 +686,18 @@ def check_operad(p: FiniteGOperad) -> Report:
                             )
                         yield None
 
-    def slot_on_generators(n: int, sigs: list[tuple[int, ...]]) -> bool:
+    def slot_decided(n: int, sigs: list[tuple[int, ...]]) -> bool:
         orders = dict(slot_elements[n])
-        return (
-            right[n,]
-            and all(right[sum(ks),] and typed_composites[n, ks] for ks in sigs)
-            and not any(slot_walk(n, sigs, [(s, orders[s]) for s in generators[n]]))
+        premise = not decisions.on_generators or (
+            right[n,] and all(right[sum(ks),] and typed_composites[n, ks] for ks in sigs)
         )
+        return premise and not any(slot_walk(n, sigs, [(g, orders[g]) for g in decisions.walks[n]]))
 
     def slot() -> Iterator[tuple]:
         for n, same_head in itertools.groupby(signatures, key=lambda signature: signature[0]):
             sigs = [ks for _, ks in same_head]
             size = len(slot_elements[n]) * len(labels(n)) * sum(len(product(ks)) for ks in sigs)
-            agree = functools.partial(slot_on_generators, n, sigs) if n in decided else None
+            agree = functools.partial(slot_decided, n, sigs) if n in decisions.decided else None
             yield size, agree, functools.partial(slot_walk, n, sigs, slot_elements[n])
 
     # Equivariance in the argument slots (the acting elements block-sum up),
@@ -687,10 +719,13 @@ def check_operad(p: FiniteGOperad) -> Report:
                         )
                     yield None
 
-    def arguments_on_generators(n: int, ks: tuple[int, ...]) -> bool:
+    def arguments_decided(n: int, ks: tuple[int, ...]) -> bool:
+        walks = argument_decisions.walks
+        if not argument_decisions.on_generators:
+            return not any(argument_walk(n, ks, itertools.product(*(walks[k] for k in ks))))
         # One slot at a generator of its group, the others at the identity.
         identities = [group.identity(k) for k in ks]
-        tuples = [(*identities[:i], s, *identities[i + 1:]) for i, k in enumerate(ks) for s in generators[k]]
+        tuples = [(*identities[:i], s, *identities[i + 1:]) for i, k in enumerate(ks) for s in walks[k]]
         return (
             all(right[m,] for m in (*ks, sum(ks)))
             and typed_composites[n, ks]
@@ -701,7 +736,8 @@ def check_operad(p: FiniteGOperad) -> Report:
         for n, ks in signatures:
             tuples = itertools.product(*(argument_elements[k] for k in ks))
             size = len(labels(n)) * len(product(ks)) * math.prod(len(argument_elements[k]) for k in ks)
-            agree = functools.partial(arguments_on_generators, n, ks) if not decided.isdisjoint(ks) else None
+            decided = not argument_decisions.decided.isdisjoint(ks)
+            agree = functools.partial(arguments_decided, n, ks) if decided else None
             yield size, agree, functools.partial(argument_walk, n, ks, tuples)
 
     report.check("tables are well-typed", typed())
@@ -711,7 +747,7 @@ def check_operad(p: FiniteGOperad) -> Report:
     report.check("equivariance in the argument slots", _rows_or_replay(argument_slots()))
 
     # The per-level right-action laws, on the same action table.
-    collection_report = _check_collection(p, act, elements, right, decided)
+    collection_report = _check_collection(p, act, elements, right, decisions)
     report.results.extend(collection_report.results)
     return report
 
@@ -1449,6 +1485,20 @@ def composite_states(
     if counts is None:
         return None
     return sum(_group_order(x.group, n) * count for n, count in enumerate(counts) if count)
+
+
+def associativity_cases(p: FiniteGOperad) -> int:
+    """
+    The number of cases `check_operad` lists for operad associativity,
+    counted from the level sizes without listing a case or a signature: each
+    substitution (n; ks; head; args) with sum(ks) = t meets every flat case
+    (ls; rs) of length t, so the count is the substitutions, taken as heads
+    of arity t, times their argument tuples rs over the arities ls with
+    sum(ls) <= bound.
+    """
+    bound = p.max_arity
+    sizes = {n: len(p.labels(n)) for n in range(bound + 1)}
+    return sum(_signature_counts(dict(enumerate(_signature_counts(sizes, sizes, bound))), sizes, bound))
 
 
 def _mixed_radix(columns: Sequence[Sequence[int]]) -> list[int]:

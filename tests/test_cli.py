@@ -11,7 +11,8 @@ The other tests run `cli.main` in process through the `cli_run` runner,
 which returns what the subprocess would, except where the process itself
 is under test: packaged documents resolving by bare name from any working
 directory, and unreadable files.  The size-guard tests stub the builders,
-so that no large input is built.
+so that no large input is built; the `operad check` guard reads a comm
+document up to arity 7 (630 KB) and stubs the check.
 """
 
 import json
@@ -654,6 +655,38 @@ def test_operad_free_guard_at_its_limit(monkeypatch, cli_run, excess, code):
         assert result.stderr == ""
         assert result.stdout.endswith("total: 0 classes\n")
         assert calls == [3]
+
+
+def test_operad_check_refuses_a_document_past_its_case_limit(monkeypatch, tmp_path, cli_run):
+    # comm up to arity 7 loads, but its associativity would list 14,163,676
+    # cases; the count comes from the level sizes alone and no law is run.
+    document = g_operads.write_operad_document(g_operads.operad_comm(max_arity=7))
+    (tmp_path / "comm7.json").write_text(json.dumps(document))
+    checked = []
+    monkeypatch.setattr(cli, "check_operad", checked.append)
+    result = cli_run("operad", "check", "comm7.json", cwd=tmp_path)
+    assert (result.returncode, result.stdout, checked) == (2, "", [])
+    assert result.stderr == (
+        f"error: comm7.json: operad associativity has 14163676 cases, more than the limit {cli.MAX_CHECK_CASES}\n"
+    )
+
+
+@pytest.mark.parametrize("excess, code", [(0, 0), (1, 2)], ids=["at-the-limit", "limit+1"])
+def test_operad_check_guard_at_its_limit(monkeypatch, cli_run, excess, code):
+    # Associativity on ass.json lists 11,680 cases: a limit of that many lets
+    # the check run, a limit one lower refuses it.
+    monkeypatch.setattr(cli, "MAX_CHECK_CASES", 11680 - excess)
+    result = cli_run("operad", "check", "ass.json")
+    assert result.returncode == code
+    if excess:
+        assert (result.stdout, result.stderr) == (
+            "",
+            "error: ass.json: operad associativity has 11680 cases, more than the limit 11679\n",
+        )
+    else:
+        assert result.stderr == ""
+        assert "PASS operad associativity [11680 cases]" in result.stdout
+        assert result.stdout.endswith("OK (8 laws)\n")
 
 
 def _rotated_document() -> dict:

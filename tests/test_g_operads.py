@@ -12,6 +12,7 @@ import copy
 import dataclasses
 import itertools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,37 @@ def test_substitutions_are_the_filtered_loop_over_every_signature(bound, sizes):
         for head in labels(n)
         for args in itertools.product(*(labels(k) for k in ks))
     ]
+
+
+@given(bound=st.integers(0, 4), sizes=st.lists(st.integers(0, 3), min_size=5, max_size=5))
+def test_associativity_cases_count_the_cases_the_law_lists(bound, sizes):
+    # The reference lists, for every substitution, its flat arity tuples ls
+    # with sum(ls) <= bound and counts their label tuples rs, as the
+    # associativity law walks them.
+    levels = {n: tuple(f"{n}.{i}" for i in range(size)) for n, size in enumerate(sizes)}
+    p = operad_comm(max_arity=bound)
+    p.levels = levels
+    flats = [
+        sum(math.prod(map(sizes.__getitem__, ls)) for ls in _within(bound, total, range(bound + 1)))
+        for total in range(bound + 1)
+    ]
+    assert g_operads.associativity_cases(p) == sum(
+        flats[sum(ks)] for _, ks, _, _ in _substitutions(p.labels, bound)
+    )
+
+
+@pytest.mark.parametrize(
+    "build, cases",
+    [
+        (lambda: operad_ass(3), 11680),
+        (lambda: operad_comm(instance_braid(), max_arity=3), 428),
+        (lambda: endomorphism_operad(("a", "b"), instance_symmetric(), max_arity=1), 106),
+    ],
+    ids=["ass3", "comm/braid 3", "endo {a,b} 1"],
+)
+def test_associativity_cases_equal_the_count_a_lawful_check_reports(build, cases):
+    p = build()
+    assert g_operads.associativity_cases(p) == check_operad(p).result("operad associativity").checked == cases
 
 
 def test_no_law_lists_the_group_elements_of_an_empty_level():

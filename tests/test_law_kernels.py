@@ -26,10 +26,17 @@ whose row raises while a signature is decided by rows.  Faults that only
 an element outside the generators shows must be walked to the loops'
 result: an action entry of a cycle, a compose entry that the operad-slot
 law first reads at a rearranged signature, and a composite outside its
-level that the generators fix.  Counting wrappers pin the savings:
-`check_operad` reads each compose and action key of a packaged document
-once, one `pullback_witness_test` checks the action of each level of P
-once, and one `check_monad_laws` runs one orbit quotient.  The one-pass
+level that the generators fix.  Over the braid groups the laws are
+decided on the distinct samples: one compose or action entry of comm that
+`check_operad` reads answers a label outside its level, at keys drawn by
+hypothesis and at a repeated sample, the first new one after a repeat and
+the block sum of such an argument tuple, and every law must give the
+listed walk's result.  Counting wrappers pin
+the savings: `check_operad` reads each compose and action key of a
+packaged document once and makes at most 664 `operad_mu` and 612
+`multiply` calls on comm over the braid groups, one `pullback_witness_test`
+checks the action of each level of P once, and one `check_monad_laws` runs
+one orbit quotient.  The one-pass
 `mu_sigma` must equal the composite of its two block factors, arity 0
 included.
 """
@@ -37,13 +44,14 @@ included.
 from __future__ import annotations
 
 import collections
+import dataclasses
 import itertools
 import json
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from operadics import free_monad, g_operads
@@ -662,6 +670,118 @@ def test_a_composite_outside_its_level_is_walked():
     fast = check_operad(build()).result(law)
     assert fast == reference_check_operad(build(), laws=(law,)).result(law)
     assert fast.witness == "n=3, ks=[1, 1, 1], p=*, qs=['*', '*', '*'], g=2 3 1"
+
+
+# ------------------------------------------------------------ samples
+
+
+def braid_comm() -> FiniteGOperad:
+    """
+    comm over the braid groups up to arity 3, composing by its rule without
+    the signature check, so that a label outside its level composes to *
+    and a fault gives every law a verdict rather than an error.
+    """
+    p = operad_comm(instance_braid(), max_arity=3)
+    p.compose = p.compose_rule
+    return p
+
+
+def read_keys(p: FiniteGOperad) -> list[tuple]:
+    """The compose and action keys `check_operad` reads on p, in first-read order."""
+    keys: dict[tuple, None] = {}
+    compose, action = p.compose, p.action
+
+    def recorded_compose(n, ks, head, args):
+        keys[n, tuple(ks), head, tuple(args)] = None
+        return compose(n, ks, head, args)
+
+    def recorded_action(n, label, g):
+        keys[n, label, g] = None
+        return action(n, label, g)
+
+    p.compose, p.action = recorded_compose, recorded_action
+    check_operad(p)
+    return list(keys)
+
+
+def first_new_after_a_repeat(gs: Sequence) -> Any:
+    """The first element of gs met for the first time after some element was met again."""
+    seen, repeated = set(), False
+    for g in gs:
+        if g in seen:
+            repeated = True
+        elif repeated:
+            return g
+        seen.add(g)
+    raise AssertionError("the sample repeats no element")
+
+
+BRAID = instance_braid()
+BRAID_SAMPLES = g_operads._group_samples(BRAID, braid_comm().labels, 3)
+ARGUMENT_SAMPLES = g_operads._group_samples(BRAID, braid_comm().labels, 3, argument_slots=True)
+# The action keys where a count weighted by repeats would go wrong: the
+# identity of B_1, which all 25 samples there are, a nontrivial word that
+# B_2's sample repeats, the first word of that sample met after a repeat,
+# and the block sum of the argument-slot law's first such tuple.  In the
+# signature (2; 2, 1) each argument sample of B_2 meets the identity of B_1
+# five times; the identity of B_2 is left out, since earlier signatures
+# read its block sum, the identity of B_3.
+REPEATED_KEYS = [
+    (1, "*", BRAID_SAMPLES[1][0]),
+    (2, "*", next(g for g in BRAID_SAMPLES[2] if g.word and BRAID_SAMPLES[2].count(g) > 1)),
+    (2, "*", first_new_after_a_repeat(BRAID_SAMPLES[2])),
+    (
+        3,
+        "*",
+        BRAID.operad_mu(
+            BRAID.identity(2),
+            [first_new_after_a_repeat([g for g in ARGUMENT_SAMPLES[2] for _ in ARGUMENT_SAMPLES[1] if g.word]),
+             BRAID.identity(1)],
+        ),
+    ),
+]
+BRAID_KEYS = read_keys(braid_comm())
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.sampled_from(BRAID_KEYS))
+@example(key=REPEATED_KEYS[0])
+@example(key=REPEATED_KEYS[1])
+@example(key=REPEATED_KEYS[2])
+@example(key=REPEATED_KEYS[3])
+def test_a_fault_at_a_sampled_key_is_reported_as_the_listed_walk_reports_it(key):
+    # One compose or action entry that check_operad reads answers a label
+    # outside its level; the laws decided on distinct samples must give the
+    # listed walk's verdict, count and witness.
+    assert key in BRAID_KEYS
+    fast = results(check_operad(rebind(braid_comm(), key, "foreign")))
+    assert fast == results(reference_check_operad(rebind(braid_comm(), key, "foreign")))
+    if key in REPEATED_KEYS:
+        # An equivariance law reads the entry as a cable or a block sum, so
+        # the group that reads it fails its decision and is walked as
+        # listed, each repeat included.
+        failed = {law for law, passed, _, _ in fast if not passed}
+        assert failed & {"equivariance in the operad slot", "equivariance in the argument slots"}
+
+
+def test_the_sampled_braid_laws_are_decided_once_per_distinct_sample():
+    # A decision on distinct samples that silently fell back to the listed
+    # walk would still give every verdict, only slower.  The operad-slot law
+    # cables each sample onto its signature and the argument-slot law
+    # block-sums each tuple of samples, both by operad_mu, and action
+    # composition multiplies each pair: comm up to arity 3 makes 664 and 612
+    # such calls on the distinct samples, and 3,646 and 2,500 walking the
+    # 25 samples listed at each arity.
+    group = instance_braid()
+    cables, products = [], []
+    p = operad_comm(group, max_arity=3)
+    p.group = dataclasses.replace(
+        group,
+        operad_mu=lambda g, fs: cables.append(g) or group.operad_mu(g, fs),
+        multiply=lambda g, h: products.append(g) or group.multiply(g, h),
+    )
+    assert check_operad(p).ok
+    assert len(cables) <= 664 and len(products) <= 612
 
 
 # ------------------------------------------------------------ reads
