@@ -39,9 +39,11 @@ backtracking search of `g_operads.enumerate_algebra_structures`, the
 monad algebras by checking every candidate map (at most 2^7 for the
 packaged operads over {a, b} at the correspondence bound).
 `cartesian_condition` and `pullback_witness_test` decide, in two
-independent ways, whether the construction preserves pullbacks, the
-second on one memo of P's checked level moves.  As in `g_operads`, every
-law here walks, and lists group elements for, only P's inhabited arities.
+independent ways, whether the construction preserves pullbacks.  The
+laws and quotients of one call share one memo of checked levels
+(`g_operads._checked_levels`), so one call decides each level of P once.
+As in `g_operads`, every law here walks, and lists group elements for,
+only P's inhabited arities.
 """
 
 from __future__ import annotations
@@ -54,13 +56,12 @@ from typing import Any, Iterator, NamedTuple, Sequence
 from .g_operads import (
     FiniteGCollection,
     FiniteGOperad,
+    _checked_levels,
     _decisions,
     _group_samples,
     _inhabited,
-    _Levels,
     _orbit_quotient,
     _ReadThrough,
-    _right_levels,
     _rows_or_replay,
     _signatures,
     _within,
@@ -120,11 +121,11 @@ def free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None
     Enumerate the classes [p; x1..xn] for n up to the arity bound.  An action
     that is not a right action, or that leaves its level, is a `ValueError`.
     """
-    return _free_algebra(p, carrier, max_arity, {})
+    return _free_algebra(p, carrier, max_arity, _checked_levels(p.group))
 
 
-def _free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None, levels: _Levels) -> FreeAlgebra:
-    """`free_algebra`, reading the checked level moves of P from `levels` and adding those it checks."""
+def _free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None, checked: _ReadThrough) -> FreeAlgebra:
+    """`free_algebra`, deciding each level through `checked`, the caller's memo of checked levels."""
     if p.group.elements is None:
         raise ValueError("free-algebra classes need a finite group of equivariance")
     carrier = tuple(carrier)
@@ -139,7 +140,7 @@ def _free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | Non
     points = FiniteGCollection("carrier", p.group, {0: carrier}, lambda n, label, g: label)
     classes_by_arity: dict[int, list[FreeAlgebraClass]] = {n: [] for n in range(bound + 1)}
     canonical: dict[tuple[str, tuple[str, ...]], FreeAlgebraClass] = {}
-    for _, _, states, roots in _orbit_quotient(p, points, 0, _inhabited(p.labels, bound), levels):
+    for _, _, states, roots in _orbit_quotient(p, points, 0, _inhabited(p.labels, bound), checked):
         representatives: dict[int, FreeAlgebraClass] = {}
         for i, ((n, _, label, xs, _), root) in enumerate(zip(states, roots)):
             if root == i:
@@ -228,11 +229,14 @@ def check_monad_laws(
     Flattenings and actions are read through tables of this call, each key
     once.  Over a finite group, "multiplication is constant on classes" is
     decided on generators, arity by arity, under the precondition and with
-    the counts the `g_operads` module docstring states.
+    the counts the `g_operads` module docstring states, reading the
+    precondition from the memo its free algebra's quotient filled.
     """
-    free = free_algebra(p, carrier, max_arity)
-    bound = free.max_arity
     group = p.group
+    # One memo of checked levels for the free algebra's quotient and the laws.
+    checked = _checked_levels(group)
+    free = _free_algebra(p, carrier, max_arity, checked)
+    bound = free.max_arity
     report = Report(f"monad laws: {p.name} on {{{','.join(free.carrier)}}}")
     # The flattenings [label; classes] and actions every law reads, each
     # computed at its first read in this call and never kept after it.
@@ -243,7 +247,6 @@ def check_monad_laws(
     elements = _group_samples(group, p.labels, bound)
     moves = {n: [(g, group.project(g).inverse()) for g in gs] for n, gs in elements.items()}
     decisions = _decisions(group, elements)
-    right = _right_levels(group, p.labels, act, elements)
 
     # Constancy on classes, by arity n: each (label, inner) under the moves (g, pi(g)^-1).
     def constancy_walk(n: int, cases: list[tuple], steps: list[tuple]) -> Iterator[str | None]:
@@ -256,7 +259,7 @@ def check_monad_laws(
 
     def constant_on_decisions(n: int, cases: list[tuple]) -> bool:
         inverses = dict(moves[n])
-        premise = not decisions.on_generators or right[n,]
+        premise = not decisions.on_generators or checked[p, n][0] is None
         return premise and not any(constancy_walk(n, cases, [(g, inverses[g]) for g in decisions.walks[n]]))
 
     def well_defined() -> Iterator[tuple]:
@@ -387,7 +390,7 @@ def pullback_witness_test(p: FiniteGOperad) -> tuple[bool, str]:
     free construction to the pullback of two two-element sets over a
     point and check, arity by arity, that classes of pairs biject with
     pairs of classes.  Returns (True, "") or (False, witness).  The four
-    free algebras share the checked level moves of P, and each class is
+    free algebras share one memo of checked levels, and each class is
     pushed forward once.
     """
     left = ("x1", "x2")
@@ -396,11 +399,11 @@ def pullback_witness_test(p: FiniteGOperad) -> tuple[bool, str]:
     first = {f"{u}{v}": u for u in left for v in right}
     second = {f"{u}{v}": v for u in left for v in right}
 
-    levels: _Levels = {}
-    free_pairs = _free_algebra(p, pairs, None, levels)
-    free_left = _free_algebra(p, left, None, levels)
-    free_right = _free_algebra(p, right, None, levels)
-    free_point = _free_algebra(p, ("z",), None, levels)
+    checked = _checked_levels(p.group)
+    free_pairs = _free_algebra(p, pairs, None, checked)
+    free_left = _free_algebra(p, left, None, checked)
+    free_right = _free_algebra(p, right, None, checked)
+    free_point = _free_algebra(p, ("z",), None, checked)
 
     def push(free_target, mapping, cls):
         return free_target.canonical(cls.label, tuple(mapping[x] for x in cls.items))

@@ -25,11 +25,13 @@ element; samples are the same when they are equal objects, for braids the
 same word, never by the word problem.  Elsewhere the laws walk their
 elements as listed.  The distinct samples meet every case the listed
 walk meets, so that decision needs no premise.  On generators the
-precondition, checked once per level and call (`_right_levels`), is that
-the action is a right one decided on generators (`_right_action_fault`):
+precondition is that the action is a right one decided on generators:
 every x.g inside the level, x.e = x, x.(g s) = (x.g).s for every element g
-and generator s, and those products reaching all of G(n) from e.  Given it
-and the action-operad axioms, each law below holds at every element once it
+and generator s, and those products reaching all of G(n) from e.
+`_right_action_fault` tabulates a level's action and decides it, at most
+once per collection and arity in a call, whose laws and orbit quotients
+share one memo of checked levels (`_checked_levels`).  Given it and the
+action-operad axioms, each law below holds at every element once it
 holds at the generators, by induction on a word in the generators:
   - action composition follows from the precondition alone;
   - equivariance in the operad slot is walked at each generator of G(n),
@@ -97,14 +99,12 @@ elements by `_element_key`, so the root of a class, its least id, is its
 least key and its representative.  For right actions the identifications
 are orbits of group actions, so states are united only along generators:
 those of G(r) in the x slot and those of each G(k_i) in its argument slot.
-That precondition, the laws' own (`_right_action_fault`), is checked once
-per collection and arity in the memo of checked levels the caller passes,
-so quotients that share a memo check each level once, and a failure is a
-`ValueError`.  `composite_states` counts
-the tuples the composition product enumerates from the level sizes alone,
-so a caller can refuse a product too large to build before listing
-anything, and `associativity_cases` counts the cases of operad
-associativity the same way, so a caller can refuse a check.
+It reads the precondition above from its caller's memo, and a level that
+fails it is a `ValueError` naming the collection and the arity.
+`composite_states` counts the tuples the composition product enumerates
+from the level sizes alone, so a caller can refuse a product too large to
+build before listing anything, and `associativity_cases` counts the cases
+of operad associativity the same way, so a caller can refuse a check.
 
 Algebra structures are found by finite-model search (`_backtrack`, in
 the style of SEM and Mace4) rather than by checking every candidate
@@ -114,9 +114,10 @@ as soon as the last slot it reads is set, so a failing prefix drops every
 table that extends it.  An instance whose slot depends on computed values
 is tested only if that slot is already set.  Each complete table is
 confirmed by `check_algebra`, drawing the same equivariance samples as
-the search, so the search returns exactly the tables, in
-`itertools.product` order, that checking every candidate would.  Operad
-maps are still found by checking every candidate table.
+the search, which tests each distinct sample once, so the search returns
+exactly the tables, in `itertools.product` order, that checking every
+candidate would.  Operad maps are still found by checking every candidate
+table, on each distinct sample once.
 A document is refused before its action is tabulated when one level
 would hold more than MAX_ACTION_ENTRIES entries |G(n)| * |P(n)|.
 """
@@ -393,66 +394,67 @@ def _decisions(group: ActionOperad, elements: Mapping[int, list]) -> _Decisions:
 
 
 def _right_action_fault(
-    group: ActionOperad, n: int, tables: Mapping[Any, Mapping[str, str]], generators: Sequence[Any]
-) -> str | None:
+    group: ActionOperad, m: int, labels: Sequence[str], read: Callable[[int, str, Any], str]
+) -> tuple[str | None, list[tuple[Any, dict[str, str]]]]:
     """
-    What keeps `tables`, the action {label: label.g} of every element g of
-    G(n) on one level, from being a right action decided on `generators`,
-    those of G(n), as the end of "the action at arity n ...", or None: the
-    precondition of the module docstring, at a cost of |G(n)| * generators
-    * |labels| lookups.
+    The precondition of the module docstring on level m, `labels`: what keeps
+    the action read(m, label, g) from being a right action decided on the
+    generators of G(m), as the end of "the action at arity m ...", or None,
+    with each generator s and its table {label: label.s}.  The action of
+    every element of G(m) is read once, by element in listed order, and the
+    decision costs |G(m)| * generators * |labels| lookups.
     """
-    for table in tables.values():
-        for label, result in table.items():
-            if result not in table:
-                return f"sends {label!r} to {result!r}, outside its level"
-    describe = group.describe
-    identity = group.identity(n)
-    for label, result in tables[identity].items():
-        if result != label:
-            return f"is not a right action: the identity {describe(identity)} sends {label!r} to {result!r}"
-    # The tables of the products g s by the id of g's table: each element has
-    # its own table, so its id names the element without hashing it again.
-    successors = {}
-    for g, table in tables.items():
-        successors[id(table)] = products = []
-        for s in generators:
-            product = group.multiply(g, s)
-            combined, step = tables[product], tables[s]
-            products.append(combined)
-            for label, acted in table.items():
-                if combined[label] != step[acted]:
-                    return (
-                        f"is not a right action: {label!r} goes to {step[acted]!r} under {describe(g)} "
-                        f"then {describe(s)}, but to {combined[label]!r} under their product {describe(product)}"
-                    )
-    reached = [tables[identity]]
-    seen = {id(reached[0])}
-    for table in reached:
-        for combined in successors[id(table)]:
-            if id(combined) not in seen:
-                seen.add(id(combined))
-                reached.append(combined)
-    if len(reached) < len(tables):
-        return f"is not decided on generators: they reach {len(reached)} of the {len(tables)} elements"
-    return None
+    tables = {g: {label: read(m, label, g) for label in labels} for g in group.elements(m)}
+    generators = group.generators(m)
+
+    def fault() -> str | None:
+        for table in tables.values():
+            for label, result in table.items():
+                if result not in table:
+                    return f"sends {label!r} to {result!r}, outside its level"
+        describe = group.describe
+        identity = group.identity(m)
+        for label, result in tables[identity].items():
+            if result != label:
+                return f"is not a right action: the identity {describe(identity)} sends {label!r} to {result!r}"
+        # The tables of the products g s by the id of g's table: each element has
+        # its own table, so its id names the element without hashing it again.
+        successors = {}
+        for g, table in tables.items():
+            successors[id(table)] = products = []
+            for s in generators:
+                product = group.multiply(g, s)
+                combined, step = tables[product], tables[s]
+                products.append(combined)
+                for label, acted in table.items():
+                    if combined[label] != step[acted]:
+                        return (
+                            f"is not a right action: {label!r} goes to {step[acted]!r} under {describe(g)} "
+                            f"then {describe(s)}, but to {combined[label]!r} under their product {describe(product)}"
+                        )
+        reached = [tables[identity]]
+        seen = {id(reached[0])}
+        for table in reached:
+            for combined in successors[id(table)]:
+                if id(combined) not in seen:
+                    seen.add(id(combined))
+                    reached.append(combined)
+        if len(reached) < len(tables):
+            return f"is not decided on generators: they reach {len(reached)} of the {len(tables)} elements"
+        return None
+
+    return fault(), [(s, tables[s]) for s in generators]
 
 
-def _right_levels(
-    group: ActionOperad, labels: Callable, act: _ReadThrough, elements: Mapping[int, list]
-) -> _ReadThrough:
+def _checked_levels(group: ActionOperad, act: _ReadThrough | None = None) -> _ReadThrough:
     """
-    Whether act is a right action on level m decided on generators
-    (`_right_action_fault`), keyed (m,) and decided at its first read from
-    the action of every element of elements[m]: the precondition of every law
-    decided on generators, checked once per level and call.
+    One call's memo of checked levels: (c, m) -> `_right_action_fault` on
+    level m of collection c, reading through the call's action table act, or
+    c.action if act is None, at the first read of the key, so the laws and
+    quotients that share it decide each level once per call.
     """
-
-    def right(m: int) -> bool:
-        tables = {g: {x: act[m, x, g] for x in labels(m)} for g in elements[m]}
-        return _right_action_fault(group, m, tables, group.generators(m)) is None
-
-    return _ReadThrough(right)
+    read = None if act is None else lambda *key: act[key]
+    return _ReadThrough(lambda c, m: _right_action_fault(group, m, c.labels(m), read or c.action))
 
 
 # --------------------------------------------------------------- checkers
@@ -463,18 +465,17 @@ def check_collection(x: FiniteGCollection, *, bound: int | None = None) -> Repor
     bound = max(x.levels, default=0) if bound is None else bound
     act = _ReadThrough(x.action)
     samples = _group_samples(x.group, x.labels, bound)
-    right = _right_levels(x.group, x.labels, act, samples)
-    return _check_collection(x, act, samples, right, _decisions(x.group, samples))
+    return _check_collection(x, act, samples, _checked_levels(x.group, act), _decisions(x.group, samples))
 
 
 def _check_collection(
-    x: FiniteGCollection, act: _ReadThrough, samples: Mapping[int, list], right: _ReadThrough, decisions: _Decisions
+    x: FiniteGCollection, act: _ReadThrough, samples: Mapping[int, list], checked: _ReadThrough, decisions: _Decisions
 ) -> Report:
     """
     The right-action laws of x at the arities and group elements of
     `samples`, read through act.  At a decided arity the composition law is
-    the precondition `right` itself on generators, and otherwise walks the
-    pairs of distinct samples (see the module docstring).
+    the precondition itself on generators, read from `checked`, and
+    otherwise walks the pairs of distinct samples (see the module docstring).
     """
     report = Report(f"collection laws: {x.name}")
     group = x.group
@@ -503,7 +504,7 @@ def _check_collection(
                 yield None
 
     def decide(n: int) -> bool:
-        return right[n,] if decisions.on_generators else not any(walk(n, decisions.walks[n]))
+        return checked[x, n][0] is None if decisions.on_generators else not any(walk(n, decisions.walks[n]))
 
     def composition() -> Iterator[tuple]:
         for n, gs in samples.items():
@@ -555,7 +556,11 @@ def check_operad(p: FiniteGOperad) -> Report:
     argument_elements = _group_samples(group, labels, bound, argument_slots=True)
     decisions = _decisions(group, elements)
     argument_decisions = _decisions(group, argument_elements)
-    right = _right_levels(group, labels, act, elements)
+    checked = _checked_levels(group, act)
+
+    def right(m: int) -> bool:
+        return checked[p, m][0] is None
+
     # The label tuples of each arity tuple, listed once for this report.
     product = _ReadThrough(lambda *ks: list(itertools.product(*map(labels, ks)))).__getitem__
 
@@ -689,7 +694,7 @@ def check_operad(p: FiniteGOperad) -> Report:
     def slot_decided(n: int, sigs: list[tuple[int, ...]]) -> bool:
         orders = dict(slot_elements[n])
         premise = not decisions.on_generators or (
-            right[n,] and all(right[sum(ks),] and typed_composites[n, ks] for ks in sigs)
+            right(n) and all(right(sum(ks)) and typed_composites[n, ks] for ks in sigs)
         )
         return premise and not any(slot_walk(n, sigs, [(g, orders[g]) for g in decisions.walks[n]]))
 
@@ -727,7 +732,7 @@ def check_operad(p: FiniteGOperad) -> Report:
         identities = [group.identity(k) for k in ks]
         tuples = [(*identities[:i], s, *identities[i + 1:]) for i, k in enumerate(ks) for s in walks[k]]
         return (
-            all(right[m,] for m in (*ks, sum(ks)))
+            all(map(right, (*ks, sum(ks))))
             and typed_composites[n, ks]
             and not any(argument_walk(n, ks, tuples))
         )
@@ -747,7 +752,7 @@ def check_operad(p: FiniteGOperad) -> Report:
     report.check("equivariance in the argument slots", _rows_or_replay(argument_slots()))
 
     # The per-level right-action laws, on the same action table.
-    collection_report = _check_collection(p, act, elements, right, decisions)
+    collection_report = _check_collection(p, act, elements, checked, decisions)
     report.results.extend(collection_report.results)
     return report
 
@@ -901,6 +906,8 @@ def change_groups(
 # ------------------------------------------------------------- algebras
 
 
+# The most candidate tables `enumerate_algebra_structures` will search.
+ALGEBRA_TABLE_LIMIT = 1 << 20
 # The most candidate tables `enumerate_operad_maps` will check.
 OPERAD_MAP_LIMIT = 1 << 20
 
@@ -1025,7 +1032,7 @@ def _equal_at_read_slot(lhs: int, reads: tuple[int, ...], slot_of: Mapping[tuple
     return test
 
 
-def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str], limit: int = 1 << 20) -> list[AlgebraStructure]:
+def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str]) -> list[AlgebraStructure]:
     """
     Every algebra structure on the carrier, within the bound, in the
     `itertools.product` order of its value tables over the slots
@@ -1044,8 +1051,8 @@ def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str], limit
         for xs in itertools.product(carrier, repeat=n)
     ]
     count = len(carrier) ** len(slots)
-    if count > limit:
-        raise ValueError(f"{count} candidate tables exceed the enumeration limit {limit}")
+    if count > ALGEBRA_TABLE_LIMIT:
+        raise ValueError(f"{count} candidate tables exceed the enumeration limit {ALGEBRA_TABLE_LIMIT}")
     index = {slot: i for i, slot in enumerate(slots)}
     tests: list[list[_Test]] = [[] for _ in slots]
     bound = p.max_arity
@@ -1055,8 +1062,9 @@ def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str], limit
         for x in carrier:
             at = index[(1, p.unit, (x,))]
             tests[at].append(_equal_value(at, x))
+    # A repeated sample repeats its tests, so each distinct one is walked once.
     for n, gs in _group_samples(p.group, p.labels, bound).items():
-        for g in gs:
+        for g in dict.fromkeys(gs):
             pi = p.group.project(g)
             for head in p.labels(n):
                 acted = p.action(n, head, g)
@@ -1105,7 +1113,8 @@ def enumerate_operad_maps(p: FiniteGOperad, q: FiniteGOperad) -> list[dict[tuple
         if count > OPERAD_MAP_LIMIT:
             raise ValueError(f"candidate map count exceeds the enumeration limit {OPERAD_MAP_LIMIT}")
 
-    group_samples = _group_samples(p.group, p.labels, bound)
+    # Each distinct sample once, since a repeated one preserves the action iff its first does.
+    group_samples = {n: list(dict.fromkeys(gs)) for n, gs in _group_samples(p.group, p.labels, bound).items()}
     substitutions = list(_substitutions(p.labels, bound))
 
     def is_map(table: dict[tuple[int, str], str]) -> bool:
@@ -1455,20 +1464,6 @@ class ComposedCollection:
         return FiniteGCollection(self.name, self.group, labels, action)
 
 
-def _generator_actions(c: FiniteGCollection, n: int, group: ActionOperad) -> list[tuple[Any, dict[str, str]]]:
-    """
-    The generators of G(n) with their action tables on level n of c, once
-    `_right_action_fault` finds the action a right one; a fault is a
-    `ValueError` naming c and n.
-    """
-    tables = {g: {label: c.action(n, label, g) for label in c.labels(n)} for g in group.elements(n)}
-    generators = group.generators(n)
-    fault = _right_action_fault(group, n, tables, generators)
-    if fault is not None:
-        raise ValueError(f"{c.name}: the action at arity {n} {fault}")
-    return [(s, tables[s]) for s in generators]
-
-
 def composite_states(
     x: FiniteGCollection, y: FiniteGCollection, bound: int, cap: float = math.inf
 ) -> int | None:
@@ -1509,22 +1504,18 @@ def _mixed_radix(columns: Sequence[Sequence[int]]) -> list[int]:
     return sums
 
 
-# Level m of a collection c, keyed (c, m): its labels sorted, with each
-# generator s of G(m) and the rank of label.s by label rank.
-_Levels = dict[tuple[FiniteGCollection, int], tuple[list[str], list[tuple[Any, list[int]]]]]
-
-
 def _orbit_quotient(
-    x: FiniteGCollection, y: FiniteGCollection, bound: int, heads: Sequence[int], levels: _Levels
+    x: FiniteGCollection, y: FiniteGCollection, bound: int, heads: Sequence[int], checked: _ReadThrough
 ) -> Iterator[tuple[int, list[Any], Iterator[tuple], list[int]]]:
     """
     The orbit quotient of the composite states (r; ks; x; ys; g) with r in
     `heads` (ascending) and n = sum(ks) <= bound, numbered by mixed radix and
     united along generators as the module docstring describes.  Yields, arity
     by arity, n, the elements of G(n) in key order, the states in id order as
-    (r, ks, x, ys, element rank) and the root of each id.  A level's moves are
-    checked by `_generator_actions` only if `levels`, which the caller may
-    share among quotients of one call, does not hold them yet.
+    (r, ks, x, ys, element rank) and the root of each id.  Each level's
+    moves are read from `checked`, the caller's memo of checked levels
+    (`_checked_levels`), and a level that fails the precondition is a
+    `ValueError` naming the collection and the arity.
     """
     group = x.group
     y_arities = _inhabited(y.labels, bound)
@@ -1536,17 +1527,19 @@ def _orbit_quotient(
 
     def level(c: FiniteGCollection, m: int) -> tuple[list[str], list[tuple[Any, list[int]]]]:
         """Level m of c sorted, with each generator s of G(m) and the rank of label.s by label rank."""
-        if (c, m) not in levels:
-            labels = sorted(c.labels(m))
-            rank = {label: i for i, label in enumerate(labels)}
-            moves = [(s, [rank[table[label]] for label in labels]) for s, table in _generator_actions(c, m, group)]
-            levels[c, m] = labels, moves
-        return levels[c, m]
+        fault, generators = checked[c, m]
+        if fault is not None:
+            raise ValueError(f"{c.name}: the action at arity {m} {fault}")
+        labels = sorted(c.labels(m))
+        rank = {label: i for i, label in enumerate(labels)}
+        return labels, [(s, [rank[table[label]] for label in labels]) for s, table in generators]
+
+    levels = _ReadThrough(level)
 
     def states(signatures: list[tuple[int, tuple[int, ...]]], order: int) -> Iterator[tuple]:
         for r, ks in signatures:
-            arguments = list(itertools.product(*(level(y, k)[0] for k in ks)))
-            for head, ys, e in itertools.product(level(x, r)[0], arguments, range(order)):
+            arguments = list(itertools.product(*(levels[y, k][0] for k in ks)))
+            for head, ys, e in itertools.product(levels[x, r][0], arguments, range(order)):
                 yield r, ks, head, ys, e
 
     for n in range(bound + 1):
@@ -1590,7 +1583,7 @@ def _orbit_quotient(
             # Moving a generator h out of the x slot permutes the arguments
             # and cables h onto the final coordinate: argument slot j lands
             # at position pi(j) of the permuted signature, with its stride.
-            for h, acted in level(x, r)[1]:
+            for h, acted in levels[x, r][1]:
                 pi = group.project(h)
                 landed = act_on_list(pi, radices)
                 weights = [order * math.prod(landed[p:]) for p in pi.image]
@@ -1605,7 +1598,7 @@ def _orbit_quotient(
             # identities elsewhere, onto the final coordinate.
             columns = [range(0, m * stride, stride) for m, stride in zip(radices, strides)]
             for i, k in enumerate(ks):
-                for s, acted in level(y, k)[1]:
+                for s, acted in levels[y, k][1]:
                     blocked = moved(group.operad_mu(group.identity(r), [*identities[:i], s, *identities[i + 1:]]))
                     restored = sorted(range(order), key=blocked.__getitem__)   # the inverse of blocked
                     mates = _mixed_radix([*columns[:i], [d * strides[i] for d in acted], *columns[i + 1:], restored])
@@ -1638,7 +1631,7 @@ def compose_collections(
         )
     classes_by_arity: dict[int, list[tuple]] = {}
     canonical: dict[tuple, tuple] = {}
-    for n, elements, states, roots in _orbit_quotient(x, y, bound, x.arities(), {}):
+    for n, elements, states, roots in _orbit_quotient(x, y, bound, x.arities(), _checked_levels(group)):
         keys = [_element_key(group, g) for g in elements]
         # A class is represented by its least key, which is its root and comes first.
         representatives: dict[int, tuple] = {}

@@ -34,7 +34,6 @@ from operadics.free_monad import (
     pullback_witness_test,
 )
 from operadics.g_operads import (
-    FiniteGCollection,
     _signatures,
     compose_collections,
     endomorphism_operad,
@@ -57,12 +56,9 @@ from operadics.pseudocomm import (
     t_family_symmetric,
     verify_symmetry,
 )
+from shared import _constant_collection, _swap_collection, perm
 
 SEED = 20260819
-
-
-def perm(*image: int) -> Permutation:
-    return Permutation(tuple(image))
 
 
 def _verdict(capsys, number: int, ok: bool, detail: str) -> None:
@@ -334,24 +330,6 @@ def test_criterion_11_cartesian_criterion(capsys):
         "stabilizers decide the criterion (NO with witness / YES / YES) and "
         "the pullback test agrees on all three operads",
     )
-
-
-def _constant_collection(name, sizes, group):
-    levels = {
-        n: tuple(f"{name}{n}_{i}" for i in range(count)) for n, count in sizes.items()
-    }
-    return FiniteGCollection(name, group, levels, lambda n, label, g: label)
-
-
-def _swap_collection(group):
-    levels = {1: ("s1",), 2: ("u", "v")}
-
-    def action(n, label, g):
-        if n == 2 and group.project(g).image == (2, 1):
-            return {"u": "v", "v": "u"}[label]
-        return label
-
-    return FiniteGCollection("s", group, levels, action)
 
 
 def test_criterion_12_composition_product(capsys):

@@ -45,6 +45,7 @@ from operadics.g_operads import (
     write_operad_document,
 )
 from operadics.permutations import Permutation
+from shared import _constant_collection, _swap_collection
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "operadics" / "data"
 
@@ -534,25 +535,6 @@ def test_braid_operads_are_not_serializable():
 
 
 # ---------------------------------------------------- composition product
-
-
-def _constant_collection(name, sizes, group):
-    levels = {
-        n: tuple(f"{name}{n}_{i}" for i in range(count)) for n, count in sizes.items()
-    }
-    return FiniteGCollection(name, group, levels, lambda n, label, g: label)
-
-
-def _swap_collection(group):
-    """One unary label, two binary labels exchanged by odd permutations."""
-    levels = {1: ("s1",), 2: ("u", "v")}
-
-    def action(n, label, g):
-        if n == 2 and group.project(g).image == (2, 1):
-            return {"u": "v", "v": "u"}[label]
-        return label
-
-    return FiniteGCollection("s", group, levels, action)
 
 
 def test_composition_product_class_counts():

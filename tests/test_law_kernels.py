@@ -70,10 +70,12 @@ from operadics.g_operads import (
     _within,
     check_collection,
     check_operad,
+    compose_collections,
     endomorphism_operad,
     load_operad,
     operad_ass,
     operad_comm,
+    unit_collection,
 )
 from operadics.permutations import (
     Permutation,
@@ -85,6 +87,7 @@ from operadics.permutations import (
     mu_sigma,
 )
 from operadics.reporting import Report
+from shared import _UnionFind
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "operadics" / "data"
 
@@ -264,29 +267,6 @@ def reference_check_operad(
     collection_report = reference_check_collection(p, bound, budget=budget, seed=seed)
     report.results.extend(r for r in collection_report.results if laws is None or r.law in laws)
     return report
-
-
-class _UnionFind:
-    """Disjoint sets whose root is always the least member of its class."""
-
-    def __init__(self):
-        self._parent: dict = {}
-
-    def add(self, item) -> None:
-        self._parent.setdefault(item, item)
-
-    def find(self, item):
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def unite(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[max(ra, rb)] = min(ra, rb)
 
 
 def reference_free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None = None) -> FreeAlgebra:
@@ -810,16 +790,63 @@ def test_check_operad_reads_each_table_entry_once(name):
 def test_one_pullback_test_checks_each_level_of_p_once(monkeypatch, name):
     p = OPERADS[name]()
     checked: collections.Counter = collections.Counter()
-    generator_actions = g_operads._generator_actions
+    right_action_fault = g_operads._right_action_fault
 
-    def counted(c, n, group):
-        if c is p:
+    def counted(group, n, labels, read):
+        if labels is p.labels(n):
             checked[n] += 1
-        return generator_actions(c, n, group)
+        return right_action_fault(group, n, labels, read)
 
-    monkeypatch.setattr(g_operads, "_generator_actions", counted)
+    monkeypatch.setattr(g_operads, "_right_action_fault", counted)
     pullback_witness_test(p)
     assert checked == {n: 1 for n in range(p.max_arity + 1) if p.labels(n)}
+
+
+def count_preconditions(monkeypatch) -> collections.Counter:
+    """
+    Count the right-action precondition per level from here on, a level
+    keyed by its arity and the id of the label tuple its collection keeps.
+    """
+    counts: collections.Counter = collections.Counter()
+    right_action_fault = g_operads._right_action_fault
+
+    def counted(group, n, labels, read):
+        counts[n, id(labels)] += 1
+        return right_action_fault(group, n, labels, read)
+
+    monkeypatch.setattr(g_operads, "_right_action_fault", counted)
+    return counts
+
+
+PRECONDITION_CALLS: dict[str, Callable[[FiniteGOperad], Any]] = {
+    "check_operad": check_operad,
+    "check_collection": check_collection,
+    "check_monad_laws": lambda p: check_monad_laws(p, ("a", "b"), max_arity=min(p.max_arity, 3)),
+    "compose_collections": lambda p: compose_collections(p, p, p.max_arity),
+    "compose_collections with the unit": lambda p: compose_collections(p, unit_collection(p.group), p.max_arity),
+    "pullback_witness_test": pullback_witness_test,
+}
+
+
+@pytest.mark.parametrize("call", PRECONDITION_CALLS)
+@pytest.mark.parametrize("name", FINITE)
+def test_each_call_decides_each_level_once(monkeypatch, name, call):
+    p = OPERADS[name]()
+    counts = count_preconditions(monkeypatch)
+    PRECONDITION_CALLS[call](p)
+    assert max(counts.values(), default=1) == 1
+
+
+@pytest.mark.parametrize("make", [OPERADS["comm.json"], lambda: operad_ass(3)], ids=["comm.json", "ass3"])
+def test_the_monad_laws_share_the_checked_levels_of_their_free_algebra(monkeypatch, make):
+    # Constancy on classes is decided on generators at arity 3 only, under
+    # the precondition the free algebra's quotient already decided there.
+    # Arity 0 holds two levels, P(0) and the carrier's.
+    p = make()
+    counts = count_preconditions(monkeypatch)
+    assert check_monad_laws(p, ("a", "b"), max_arity=3).ok
+    assert counts.keys() and max(counts.values()) == 1
+    assert collections.Counter(n for n, _ in counts) == {0: 2, 1: 1, 2: 1, 3: 1}
 
 
 @pytest.mark.parametrize("name", FINITE)

@@ -150,7 +150,9 @@ def algebra_tables(p, found):
 def test_algebra_search_returns_the_brute_force_tables_in_order(p, carrier):
     # The limit keeps the brute force small; a larger space is the same
     # limit error on both sides.
-    ours = outcome(enumerate_algebra_structures, p, carrier, 2048)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(g_operads, "ALGEBRA_TABLE_LIMIT", 2048)
+        ours = outcome(enumerate_algebra_structures, p, carrier)
     theirs = outcome(reference_enumerate_algebra_structures, p, carrier, 2048)
     if ours[0] == "found":
         ours, theirs = ("found", algebra_tables(p, ours[1])), ("found", algebra_tables(p, theirs[1]))
@@ -220,6 +222,29 @@ def test_the_algebra_search_confirms_only_surviving_tables(monkeypatch):
     # decided before the last slot: an associativity instance whose head
     # slot was still unset waits for `check_algebra`.
     assert len(checked) <= 8
+
+
+def test_the_searches_walk_each_distinct_braid_sample_once(monkeypatch):
+    # On comm over the braid groups up to arity 2, B_2's 25 samples hold 13
+    # distinct words, 4 of them odd; each odd one equates two slots of the
+    # binary label on {a, b}, at xs = (a, b) and (b, a).  With the repeats,
+    # 8 odd samples built 16 tests.  `check_algebra` still lists 175 cases.
+    p = operad_comm(instance_braid(), max_arity=2)
+    built = []
+    equal_slots = g_operads._equal_slots
+    monkeypatch.setattr(g_operads, "_equal_slots", lambda a, b: built.append((a, b)) or equal_slots(a, b))
+    found = enumerate_algebra_structures(p, ("a", "b"))
+    assert len(found) == 4 and len(built) == 8
+    assert check_algebra(p, found[0]).result("algebra equivariance").checked == 175
+    # The map search reads the action at most once per candidate table,
+    # label and distinct sample: 16 tables, one label at each of arity 1 and
+    # 2, under 1 and 13 distinct words (with the repeats, 25 and 25).
+    q = braid_comm_without_constants()
+    reads = []
+    action = q.action
+    q.action = lambda n, label, g: reads.append(n) or action(n, label, g)
+    assert len(enumerate_operad_maps(q, endomorphism_operad(("a", "b"), instance_braid(), max_arity=2))) == 8
+    assert len(reads) <= 16 * (1 + 13)
 
 
 def test_operad_maps_need_one_group():

@@ -29,10 +29,7 @@ from operadics.permutations import (
     parse_permutation,
     tau,
 )
-
-
-def perm(*image: int) -> Permutation:
-    return Permutation(tuple(image))
+from shared import perm
 
 
 # --- independent oracles -------------------------------------------------

@@ -46,6 +46,7 @@ from operadics.g_operads import (
     write_operad_document,
 )
 from operadics.permutations import Permutation, act_on_list, inversions
+from shared import _UnionFind
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "operadics" / "data"
 BOUND = 3
@@ -53,29 +54,6 @@ GROUPS = {"trivial": instance_trivial(), "symmetric": instance_symmetric()}
 
 
 # ------------------------------------------------------------ references
-
-
-class _UnionFind:
-    """Disjoint sets whose root is always the least member of its class."""
-
-    def __init__(self):
-        self._parent: dict = {}
-
-    def add(self, item) -> None:
-        self._parent.setdefault(item, item)
-
-    def find(self, item):
-        root = item
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[item] != root:
-            self._parent[item], item = root, self._parent[item]
-        return root
-
-    def unite(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[max(ra, rb)] = min(ra, rb)
 
 
 def _compositions(total: int, parts: Sequence[int], slots: int) -> Iterator[tuple[int, ...]]:
