@@ -23,6 +23,7 @@ seeded sampling.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -169,8 +170,8 @@ def _element_tuples(
     inst: ActionOperad,
     rng: random.Random,
     arities: range,
-    width: int,
     budget: int,
+    width: int,
 ) -> list[tuple]:
     """Tuples of `width` elements of one arity: all of them if they fit the budget, else drawn."""
     enumerated = None if inst.elements is None else (
@@ -182,6 +183,16 @@ def _element_tuples(
         return tuple(inst.sample(rng, n) for _ in range(width))
 
     return _cases(enumerated, sample_one, budget)
+
+
+def _mu_cases(inst: ActionOperad, rng: random.Random, max_arity: int, budget: int) -> list[tuple]:
+    """`budget` drawn substitution cases (g; fs), each arity up to max_arity."""
+    cases = []
+    for _ in range(budget):
+        n = rng.randrange(max_arity + 1)
+        g = inst.sample(rng, n)
+        cases.append((g, [inst.sample(rng, rng.randrange(max_arity + 1)) for _ in range(n)]))
+    return cases
 
 
 def _arity_tuples(max_arity: int) -> Iterable[tuple[int, tuple[int, ...]]]:
@@ -203,9 +214,7 @@ def check_axioms(
     report = Report(f"action operad laws: {inst.name}")
     arities = range(max_arity + 1)
     eq = inst.equal
-
-    def tuples(width: int) -> list[tuple]:
-        return _element_tuples(inst, rng, arities, width, budget)
+    tuples = functools.partial(_element_tuples, inst, rng, arities, budget)
 
     # Each check returns None when its case holds and the witness otherwise.
     # --- group laws, one arity at a time -------------------------------
@@ -278,18 +287,12 @@ def check_axioms(
 
     report.check("projection is a group homomorphism", itertools.starmap(check_hom, tuples(2)))
 
-    def draw_mu_case() -> tuple:
-        n = rng.randrange(max_arity + 1)
-        g = draw(rng, n)
-        fs = [draw(rng, rng.randrange(max_arity + 1)) for _ in range(n)]
-        return g, fs
-
     def check_operad_map(g, fs):
         got = inst.project(inst.operad_mu(g, fs))
         if got != mu_sigma(inst.project(g), [inst.project(f) for f in fs]):
             return f"g={inst.describe(g)}, fs=[{', '.join(inst.describe(f) for f in fs)}]"
 
-    mu_cases = [draw_mu_case() for _ in range(budget)]
+    mu_cases = _mu_cases(inst, rng, max_arity, budget)
     report.check("projection is an operad map", itertools.starmap(check_operad_map, mu_cases))
 
     # --- compatibility of the two structures ---------------------------
@@ -372,9 +375,7 @@ def map_of_action_operads(
     rng = random.Random(seed)
     report = Report(f"map of action operads: {src.name} -> {dst.name}")
     arities = range(max_arity + 1)
-
-    def tuples(width: int) -> list[tuple]:
-        return _element_tuples(src, rng, arities, width, budget)
+    tuples = functools.partial(_element_tuples, src, rng, arities, budget)
 
     def check_identities(n):
         if not dst.equal(f(src.identity(n)), dst.identity(n)):
@@ -388,18 +389,12 @@ def map_of_action_operads(
 
     report.check("group homomorphism per arity", itertools.starmap(check_hom, tuples(2)))
 
-    def draw_mu_case() -> tuple:
-        n = rng.randrange(max_arity + 1)
-        g = src.sample(rng, n)
-        fs = [src.sample(rng, rng.randrange(max_arity + 1)) for _ in range(n)]
-        return g, fs
-
     def check_operad_map(g, fs):
         got = f(src.operad_mu(g, fs))
         if not dst.equal(got, dst.operad_mu(f(g), [f(x) for x in fs])):
             return f"g={src.describe(g)}, fs=[{', '.join(src.describe(x) for x in fs)}]"
 
-    mu_cases = [draw_mu_case() for _ in range(budget)]
+    mu_cases = _mu_cases(src, rng, max_arity, budget)
     report.check("operad map", itertools.starmap(check_operad_map, mu_cases))
 
     def check_projections(g):

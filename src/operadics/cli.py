@@ -162,6 +162,8 @@ def _parse_int(token: str, what: str) -> int:
 
 def _parse_word_tokens(tokens: Sequence[str], strands: int) -> BraidWord:
     """Parse word letters given as separate arguments, locating errors."""
+    if strands < 0:
+        raise CliError(f"strand count must be nonnegative, got {strands}")
     _at_most(strands, MAX_STRANDS, f"-n {strands}: the word", "strands")
     for position, token in enumerate(tokens, 1):
         try:
@@ -341,9 +343,10 @@ def _cable_letters(word: BraidWord, sizes: Sequence[int]) -> int:
 
 def _cmd_braid_cable(args) -> int:
     word = _parse_word_tokens(args.word, args.strands)
-    sizes = [_parse_int(part, "cable size") for part in args.sizes.split(",")]
+    # An empty --sizes is the empty size list, which a 0-strand word needs.
+    sizes = [_parse_int(part, "cable size") for part in args.sizes.split(",")] if args.sizes else []
     # Sizes `braids.cable` refuses are left to its own located message.
-    if len(sizes) == word.strands and min(sizes) >= 0:
+    if len(sizes) == word.strands and min(sizes, default=0) >= 0:
         _at_most(_cable_letters(word, sizes), MAX_CABLE_LETTERS, f"--sizes {args.sizes}: the cabled word", "letters")
     try:
         result = braids.cable(word, sizes)
@@ -462,37 +465,29 @@ def _composition_product_report() -> Report:
     comm = operad_comm(max_arity=3)
     unit = unit_collection(sym)
 
-    left = compose_collections(unit, comm, bound=3)
-    left_counts = [len(left.classes(n)) for n in range(4)]
+    def class_counts(product) -> list[int]:
+        return [len(product.classes(n)) for n in range(4)]
+
+    def counts_agree(law: str, first: list[int], second: list[int]) -> None:
+        report.record(law, first == second, f"{first} vs {second}", checked=4)
+
     comm_counts = [len(comm.labels(n)) for n in range(4)]
-    report.record(
+    counts_agree(
         "composing the unit on the left preserves class counts",
-        left_counts == comm_counts,
-        f"{left_counts} vs {comm_counts}",
-        checked=4,
+        class_counts(compose_collections(unit, comm, bound=3)),
+        comm_counts,
     )
-
-    right = compose_collections(comm, unit, bound=3)
-    right_counts = [len(right.classes(n)) for n in range(4)]
-    report.record(
+    counts_agree(
         "composing the unit on the right preserves class counts",
-        right_counts == comm_counts,
-        f"{right_counts} vs {comm_counts}",
-        checked=4,
+        class_counts(compose_collections(comm, unit, bound=3)),
+        comm_counts,
     )
 
-    x = _constant_collection("x", {1: 1, 2: 1}, sym)
-    y = _constant_collection("y", {1: 1, 2: 1}, sym)
-    z = _constant_collection("z", {1: 1, 2: 1}, sym)
-    nested_left = compose_collections(compose_collections(x, y, 3).collection(), z, 3)
-    nested_right = compose_collections(x, compose_collections(y, z, 3).collection(), 3)
-    counts_left = [len(nested_left.classes(n)) for n in range(4)]
-    counts_right = [len(nested_right.classes(n)) for n in range(4)]
-    report.record(
+    x, y, z = (_constant_collection(name, {1: 1, 2: 1}, sym) for name in "xyz")
+    counts_agree(
         "the two triple-composite bracketings have equal class counts",
-        counts_left == counts_right,
-        f"{counts_left} vs {counts_right}",
-        checked=4,
+        class_counts(compose_collections(compose_collections(x, y, 3).collection(), z, 3)),
+        class_counts(compose_collections(x, compose_collections(y, z, 3).collection(), 3)),
     )
     return report
 

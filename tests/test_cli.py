@@ -145,6 +145,35 @@ def test_braid_mu_reads_argument_words_from_a_file(tmp_path, cli_run):
     assert f"{args_file}:1:" in malformed.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("braid", "reduce", "-n", "-5", "1"),
+        ("braid", "pi", "-n", "-5", "1"),
+        ("braid", "cable", "-n", "-5", "1", "--sizes", "1"),
+        ("braid", "mu", "-n", "-5", "1", "--args", "args.txt"),
+        ("braid", "render", "-n", "-5", "1"),
+        ("braid", "eq", "-n", "-5", "1", "--", "1"),
+    ],
+    ids=["reduce", "pi", "cable", "mu", "render", "eq"],
+)
+def test_a_negative_strand_count_is_refused_before_any_letter(tmp_path, cli_run, argv):
+    # The count is the fault, not the letter it makes out of range.
+    (tmp_path / "args.txt").write_text("1:\n")
+    result = cli_run(*argv, cwd=tmp_path)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == "error: strand count must be nonnegative, got -5\n"
+
+
+def test_braid_cable_reads_an_empty_size_list(cli_run):
+    # A 0-strand word needs exactly the empty size list.
+    result = cli_run("braid", "cable", "-n", "0", "--sizes", "")
+    assert (result.returncode, result.stdout, result.stderr) == (0, "\n", "")
+    missing = cli_run("braid", "cable", "-n", "1", "--sizes", "")
+    assert missing.returncode == 2
+    assert "cable needs 1 strand sizes, got 0" in missing.stderr
+
+
 def test_braid_render_dot_escape_hatch(cli_run):
     result = cli_run("braid", "render", "-n", "2", "1", "--format", "dot")
     assert result.returncode == 0

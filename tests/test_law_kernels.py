@@ -31,7 +31,10 @@ decided on the distinct samples: one compose or action entry of comm that
 `check_operad` reads answers a label outside its level, at keys drawn by
 hypothesis and at a repeated sample, the first new one after a repeat and
 the block sum of such an argument tuple, and every law must give the
-listed walk's result.  Counting wrappers pin
+listed walk's result.  Burnside's lemma counts the free algebras' classes
+in exact fractions, and its per-orbit form decides the pullback square, as
+an oracle for `free_algebra` and `pullback_witness_test` that builds no
+quotient.  Counting wrappers pin
 the savings: `check_operad` reads each compose and action key of a
 packaged document once and makes at most 664 `operad_mu` and 612
 `multiply` calls on comm over the braid groups, one `pullback_witness_test`
@@ -47,6 +50,7 @@ import collections
 import dataclasses
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
@@ -585,6 +589,72 @@ def test_the_unchanged_operads_match_the_per_case_loops(name):
 @given(p=faulty_operads(FINITE))
 def test_pullback_witness_test_matches_four_separate_free_algebras(p):
     assert outcome(lambda: pullback_witness_test(p)) == outcome(lambda: reference_pullback_witness_test(p))
+
+
+def cycles(perm: Permutation) -> int:
+    """The number of cycles of perm, fixed points included."""
+    seen: set[int] = set()
+    count = 0
+    for start in range(1, perm.n + 1):
+        count += start not in seen
+        i = start
+        while i not in seen:
+            seen.add(i)
+            i = perm(i)
+    return count
+
+
+@pytest.mark.parametrize("name", FINITE)
+def test_class_counts_and_the_pullback_verdict_follow_burnside(name):
+    """
+    Burnside's lemma counts the classes of the free algebra without building
+    them: at arity n,
+
+        |F(X)(n)| = (1/|G(n)|) * sum over g in G(n) of |Fix_P(n)(g)| * |X|^c(pi(g)),
+
+    with c the number of cycles, fixed points included.  Split by the orbits O
+    of P(n), each with stabilizer S, the orbit's share of that count is
+
+        c_O(k) = (1/|S|) * sum over g in S of k^c(pi(g)),   k = |X|.
+
+    The classes of F(1)(n) are the orbits, so over the square of two
+    two-element sets over a point there are sum_O c_O(4) classes of pairs and
+    sum_O c_O(2)^2 fiber pairs.  The comparison map between them is always
+    onto: a pair ([q; xs], [q.g; ys]) is the image of [q; (x_i, y'_i)], with
+    y' the ys permuted by pi(g).  So the square is a bijection exactly when
+    the two counts agree at every arity, which must be the verdict of
+    `pullback_witness_test` (comm at arity 2 reads 10 against 9, a NO).
+    """
+    p = OPERADS[name]()
+    group = p.group
+    for carrier in [("a",), ("a", "b"), ("a", "b", "c")]:
+        free = free_algebra(p, carrier)
+        for n in range(p.max_arity + 1):
+            burnside = Fraction(
+                sum(
+                    sum(p.action(n, label, g) == label for label in p.labels(n)) * len(carrier) ** cycles(group.project(g))
+                    for g in group.elements(n)
+                ),
+                len(group.elements(n)),
+            )
+            assert len(free.classes(n)) == burnside, (carrier, n)
+
+    bijective = True
+    for n in range(p.max_arity + 1):
+        pairs = fibers = Fraction(0)
+        unseen = set(p.labels(n))
+        while unseen:
+            label = min(unseen)
+            unseen -= {p.action(n, label, g) for g in group.elements(n)}
+            stabilizer = [g for g in group.elements(n) if p.action(n, label, g) == label]
+
+            def share(k: int) -> Fraction:
+                return Fraction(sum(k ** cycles(group.project(g)) for g in stabilizer), len(stabilizer))
+
+            pairs += share(4)
+            fibers += share(2) ** 2
+        bijective = bijective and pairs == fibers
+    assert bijective == pullback_witness_test(p)[0]
 
 
 # ------------------------------------------------------------ generators
