@@ -31,12 +31,15 @@ the strands of every braid word and `tmn` grid (`MAX_STRANDS`), a word
 given to `braid eq`, `reduce`, `pi` or `render` (`MAX_WORD_LETTERS`) and
 the grid of `perm tau`.  `verify pscomm` refuses an index bound above
 `MAX_PSCOMM_BOUND`, and `verify all` a sample budget below 1, with messages
-of their own.
+of their own.  A refused argument value is named first, in `_at_most`'s
+shape ``SUBJECT: ...``: a grid dimension as ``M``/``N``, a bound as
+``--bound B``, a carrier that lists an element twice as ``--carrier ...``.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import gc
 import json
@@ -193,6 +196,13 @@ def _at_most(count: int | None, limit: int, subject: str, noun: str) -> None:
         raise CliError(f"{subject} has more {noun} than the limit {limit}")
     if count > limit:
         raise CliError(f"{subject} has {count} {noun}, more than the limit {limit}")
+
+
+def _grid_at_least(m: int, n: int, floor: int, rule: str) -> None:
+    """Refuse the first grid dimension below floor, naming it as M or N."""
+    for name, value in (("M", m), ("N", n)):
+        if value < floor:
+            raise CliError(f"{name} {value}: {rule}")
 
 
 def _split_on_separator(tokens: list[str], usage: str) -> tuple[list[str], list[str]]:
@@ -385,8 +395,7 @@ def _cmd_braid_render(args) -> int:
 
 
 def _cmd_perm_tau(args) -> int:
-    if args.m < 0 or args.n < 0:
-        raise CliError("grid dimensions must be nonnegative")
+    _grid_at_least(args.m, args.n, 0, "grid dimensions must be nonnegative")
     _at_most(args.m * args.n, MAX_TAU_POINTS, f"a {args.m}x{args.n} grid", "points")
     print(format_permutation(tau(args.m, args.n)))
     return 0
@@ -413,8 +422,7 @@ def _cmd_perm_mu(args) -> int:
 
 
 def _cmd_tmn(args) -> int:
-    if args.m < 1 or args.n < 1:
-        raise CliError("grid dimensions must be at least 1")
+    _grid_at_least(args.m, args.n, 1, "grid dimensions must be at least 1")
     _at_most(args.m * args.n, MAX_STRANDS, f"a {args.m}x{args.n} grid", "strands")
     family = t_family_braid_positive() if args.family == "positive" else t_family_braid_negative()
     print(format_word(family(args.m, args.n)))
@@ -426,7 +434,7 @@ def _cmd_tmn(args) -> int:
 
 def _cmd_verify_pscomm(args) -> int:
     if args.bound < 1:
-        raise CliError("bound must be at least 1")
+        raise CliError(f"--bound {args.bound}: the index bound must be at least 1")
     if args.bound > MAX_PSCOMM_BOUND:
         raise CliError(
             f"--bound {args.bound}: the interchange sweep to index bound {args.bound} is "
@@ -441,7 +449,7 @@ def _cmd_verify_pscomm(args) -> int:
     try:
         report = braid_theorem_report(bound=args.bound)
     except ValueError as exc:
-        raise CliError(str(exc)) from None
+        raise CliError(f"--bound {args.bound}: {exc}") from None
     print(report.render())
     holds, witness = verify_symmetry(instance_braid(), t_family_braid_positive(), bound=3)
     if holds:
@@ -555,12 +563,15 @@ def _cmd_operad_free(args) -> int:
     p = _load_document(args.file)
     carrier = [part for part in args.carrier.split(",") if part]
     if args.bound < 0:
-        raise CliError("bound must be nonnegative")
+        raise CliError(f"--bound {args.bound}: the arity bound must be nonnegative")
     if args.bound > p.max_arity:
         raise CliError(f"bound {args.bound} exceeds the operad's arity bound {p.max_arity}")
     states = sum(len(p.labels(n)) * len(carrier) ** n for n in range(args.bound + 1))
     subject = f"--bound {args.bound}: {args.file} on {len(carrier)} carrier elements"
     _at_most(states, MAX_FREE_STATES, subject, "states")
+    repeated = [x for x, count in collections.Counter(carrier).items() if count > 1]
+    if repeated:
+        raise CliError(f"--carrier {args.carrier}: element {repeated[0]!r} is listed twice")
     free = free_algebra(p, carrier, max_arity=args.bound)
     total = 0
     for n in range(args.bound + 1):
@@ -598,7 +609,7 @@ def _cmd_operad_compose(args) -> int:
             f"{args.file_y} over {y.group.name}"
         )
     if args.bound < 0:
-        raise CliError("bound must be nonnegative")
+        raise CliError(f"--bound {args.bound}: the arity bound must be nonnegative")
     _at_most(
         composite_states(x, y, args.bound, MAX_COMPOSITE_STATES + 1),
         MAX_COMPOSITE_STATES,

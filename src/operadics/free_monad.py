@@ -259,15 +259,14 @@ def check_monad_laws(
                     yield f"label={label}, inner={[str(c) for c in inner]}, g={group.describe(g)}"
                 yield None
 
-    def constant_on_decisions(n: int, cases: list[tuple]) -> bool:
+    def constant_on_generators(n: int, cases: list[tuple]) -> bool:
         inverses = dict(moves[n])
-        premise = not decisions.on_generators or checked[p, n][0] is None
-        return premise and not any(constancy_walk(n, cases, [(g, inverses[g]) for g in decisions.walks[n]]))
+        return checked[p, n][0] is None and not any(constancy_walk(n, cases, [(s, inverses[s]) for s in decisions[n]]))
 
     def well_defined() -> Iterator[tuple]:
         for n, nestings in itertools.groupby(_nestings(free), key=lambda nesting: nesting[0]):
             cases = [(label, inner) for _, label, inner in nestings]
-            agree = functools.partial(constant_on_decisions, n, cases) if n in decisions.decided else None
+            agree = functools.partial(constant_on_generators, n, cases) if n in decisions else None
             yield len(cases) * len(moves[n]), agree, functools.partial(constancy_walk, n, cases, moves[n])
 
     def left_unit() -> Iterator[str | None]:
@@ -351,16 +350,15 @@ def _monad_algebra_maps(free: FreeAlgebra) -> list[tuple[str, ...]]:
     satisfying the monad-algebra laws, as value tuples over all_classes().
     """
     classes = free.all_classes()
-    nestings = list(_nestings(free))
+    # The units and flattenings every candidate reads, each computed once.
+    units = [(unit_eta(free, x), x) for x in free.carrier]
+    nestings = [(label, inner, mult_mu(free, label, inner)) for _, label, inner in _nestings(free)]
     found = []
     for values in itertools.product(free.carrier, repeat=len(classes)):
         h = dict(zip(classes, values))
-        if any(h[unit_eta(free, x)] != x for x in free.carrier):
+        if any(h[eta] != x for eta, x in units):
             continue
-        if all(
-            h[mult_mu(free, label, inner)] == h[free.canonical(label, tuple(h[c] for c in inner))]
-            for _, label, inner in nestings
-        ):
+        if all(h[flat] == h[free.canonical(label, tuple(h[c] for c in inner))] for label, inner, flat in nestings):
             found.append(values)
     return found
 

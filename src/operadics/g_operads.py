@@ -15,17 +15,13 @@ with k_i the arity of y_i as listed on the left-hand side.  The checkers
 in this module decide all of these up to the operad's arity bound
 (sampling group elements when the group is infinite) and report one
 PASS/FAIL line per law, each stopping at its first counterexample.
-The laws that range over group elements decide an arity's cases at once
-by a shorter walk, which one place per call picks (`_decisions`).  Over a
-finite group it walks the generators of G(n), where G(n) has more elements
-than its generators and the identity.  Over a group that lists no
-elements, as the braid groups, whose laws read a sample, it walks the
-distinct samples in first-occurrence order, where the sample repeats an
-element; samples are the same when they are equal objects, for braids the
-same word, never by the word problem.  Elsewhere the laws walk their
-elements as listed.  The distinct samples meet every case the listed
-walk meets, so that decision needs no premise.  On generators the
-precondition is that the action is a right one decided on generators:
+The laws that range over the elements of a finite group decide an
+arity's cases at once on the generators of G(n), where G(n) has more
+elements than its generators and the identity; one place per call picks
+those arities (`_decisions`).  Elsewhere, and over a group that lists no
+elements, as the braid groups, whose laws read a sample, the laws walk
+their elements as listed.  The precondition is that the action is a right
+one decided on generators:
 every x.g inside the level, x.e = x, x.(g s) = (x.g).s for every element g
 and generator s, and those products reaching all of G(n) from e.
 `_right_action_fault` tabulates a level's action and decides it, at most
@@ -49,8 +45,7 @@ Every law, the loader, the document writer and the searches list their
 cases the same way.  Only arities whose level has a label (`_inhabited`)
 are walked, since no case reads an empty level: `_substitutions` lists
 every (n; ks; head; args) through them, and `_group_samples` lists their
-group elements, all of them for a finite group and GROUP_SAMPLE_BUDGET
-drawn with GROUP_SAMPLE_SEED for an infinite one.
+group elements, each once, by the policy stated at GROUP_SAMPLE_BUDGET.
 Every bounded space of arity tuples they walk is listed by `_within`,
 which builds only the tuples within the bound, in `itertools.product` order.
 A law report reads its compose and action values through `_ReadThrough`
@@ -114,10 +109,9 @@ as soon as the last slot it reads is set, so a failing prefix drops every
 table that extends it.  An instance whose slot depends on computed values
 is tested only if that slot is already set.  Each complete table is
 confirmed by `check_algebra`, drawing the same equivariance samples as
-the search, which tests each distinct sample once, so the search returns
-exactly the tables, in `itertools.product` order, that checking every
-candidate would.  Operad maps are still found by checking every candidate
-table, on each distinct sample once.
+the search, so the search returns exactly the tables, in
+`itertools.product` order, that checking every candidate would.  Operad
+maps are still found by checking every candidate table.
 A document is refused before its action is tabulated when one level
 would hold more than MAX_ACTION_ENTRIES entries |G(n)| * |P(n)|.
 """
@@ -130,7 +124,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .action_operads import ActionOperad, instance_symmetric, instance_trivial
 from .braids import permutation_braid
@@ -341,10 +335,12 @@ def _group_order(group: ActionOperad, n: int) -> int:
     return math.factorial(n) if group.name == "symmetric" else len(group.elements(n))
 
 
-# The group elements every law reads at an arity: all of them for a finite
-# group, and for an infinite one a sample of GROUP_SAMPLE_BUDGET drawn with
-# GROUP_SAMPLE_SEED (in the argument slots of `check_operad`, a fifth as
-# many, at least 2, drawn with the next seed).
+# The group elements every law reads at an arity, each once: all of them for
+# a finite group, and for an infinite one the distinct elements among
+# GROUP_SAMPLE_BUDGET draws with GROUP_SAMPLE_SEED, in first-draw order (in
+# the argument slots of `check_operad`, among a fifth as many draws, at
+# least 2, with the next seed).  Draws are the same when they are equal
+# objects, for braids the same word, never by the word problem.
 GROUP_SAMPLE_BUDGET = 25
 GROUP_SAMPLE_SEED = 9
 
@@ -357,40 +353,21 @@ def _group_samples(group: ActionOperad, labels: Callable, bound: int, argument_s
     if group.elements is not None:
         return {n: list(group.elements(n)) for n in _inhabited(labels, bound)}
     rngs = {n: random.Random(seed * 1000003 + n) for n in _inhabited(labels, bound)}
-    return {n: [group.sample(rng, n) for _ in range(budget)] for n, rng in rngs.items()}
+    return {n: list(dict.fromkeys(group.sample(rng, n) for _ in range(budget))) for n, rng in rngs.items()}
 
 
-class _Decisions(NamedTuple):
+def _decisions(group: ActionOperad, elements: Mapping[int, list]) -> dict[int, list]:
     """
-    What a law over group elements walks to decide an arity's group of cases
-    at once: walks[n] holds the generators of G(n) if on_generators (a
-    finite group, under the right-action precondition) and otherwise the
-    distinct elements listed at n, in first-occurrence order.  The arities
-    in `decided` are those where that walk saves work; the others have no
-    decision and are walked as listed.
+    The arities at which the laws that read `elements` decide their cases on
+    generators, by the module docstring, each with the generators of G(n):
+    those where G(n) is finite and has more elements than its generators
+    and the identity together.  A sampled group, or a finite one without
+    generators, has none.
     """
-
-    on_generators: bool
-    walks: dict[int, list]
-    decided: set[int]
-
-
-def _decisions(group: ActionOperad, elements: Mapping[int, list]) -> _Decisions:
-    """
-    The decisions of the laws that read `elements`, by the module docstring:
-    a finite group is decided on its generators where G(n) has more elements
-    than its generators and the identity together, a sampled group on its
-    distinct samples where the sample repeats one (samples are the same when
-    they are equal objects, for braids the same word), and a finite group
-    without generators nowhere.
-    """
-    if group.elements is None:
-        walks = {n: list(dict.fromkeys(gs)) for n, gs in elements.items()}
-        return _Decisions(False, walks, {n for n, gs in walks.items() if len(gs) < len(elements[n])})
-    if group.generators is None:
-        return _Decisions(True, {}, set())
+    if group.elements is None or group.generators is None:
+        return {}
     walks = {n: group.generators(n) for n in elements}
-    return _Decisions(True, walks, {n for n, ss in walks.items() if len(elements[n]) > 1 + len(ss)})
+    return {n: ss for n, ss in walks.items() if len(elements[n]) > 1 + len(ss)}
 
 
 def _right_action_fault(
@@ -469,13 +446,13 @@ def check_collection(x: FiniteGCollection, *, bound: int | None = None) -> Repor
 
 
 def _check_collection(
-    x: FiniteGCollection, act: _ReadThrough, samples: Mapping[int, list], checked: _ReadThrough, decisions: _Decisions
+    x: FiniteGCollection, act: _ReadThrough, samples: dict[int, list], checked: _ReadThrough, decisions: dict[int, list]
 ) -> Report:
     """
     The right-action laws of x at the arities and group elements of
     `samples`, read through act.  At a decided arity the composition law is
-    the precondition itself on generators, read from `checked`, and
-    otherwise walks the pairs of distinct samples (see the module docstring).
+    the precondition itself on generators, read from `checked` (see the
+    module docstring).
     """
     report = Report(f"collection laws: {x.name}")
     group = x.group
@@ -504,11 +481,11 @@ def _check_collection(
                 yield None
 
     def decide(n: int) -> bool:
-        return checked[x, n][0] is None if decisions.on_generators else not any(walk(n, decisions.walks[n]))
+        return checked[x, n][0] is None
 
     def composition() -> Iterator[tuple]:
         for n, gs in samples.items():
-            agree = functools.partial(decide, n) if n in decisions.decided else None
+            agree = functools.partial(decide, n) if n in decisions else None
             yield len(x.labels(n)) * len(gs) ** 2, agree, functools.partial(walk, n, gs)
 
     report.check("action stays inside each level", typed())
@@ -534,8 +511,7 @@ def check_operad(p: FiniteGOperad) -> Report:
 
     Both equivariance laws and action composition are decided as the module
     docstring states: on generators over a finite group, under the
-    precondition, and on the distinct samples of a braid group, whose
-    samples repeat, with the counts of the listed walk.
+    precondition, with the counts of the listed walk.
     """
     group = p.group
     bound = p.max_arity
@@ -554,8 +530,8 @@ def check_operad(p: FiniteGOperad) -> Report:
         for n, gs in elements.items()
     }
     argument_elements = _group_samples(group, labels, bound, argument_slots=True)
+    # Only a finite group is decided, and it lists every element in both slots.
     decisions = _decisions(group, elements)
-    argument_decisions = _decisions(group, argument_elements)
     checked = _checked_levels(group, act)
 
     def right(m: int) -> bool:
@@ -693,16 +669,17 @@ def check_operad(p: FiniteGOperad) -> Report:
 
     def slot_decided(n: int, sigs: list[tuple[int, ...]]) -> bool:
         orders = dict(slot_elements[n])
-        premise = not decisions.on_generators or (
-            right(n) and all(right(sum(ks)) and typed_composites[n, ks] for ks in sigs)
+        return (
+            right(n)
+            and all(right(sum(ks)) and typed_composites[n, ks] for ks in sigs)
+            and not any(slot_walk(n, sigs, [(s, orders[s]) for s in decisions[n]]))
         )
-        return premise and not any(slot_walk(n, sigs, [(g, orders[g]) for g in decisions.walks[n]]))
 
     def slot() -> Iterator[tuple]:
         for n, same_head in itertools.groupby(signatures, key=lambda signature: signature[0]):
             sigs = [ks for _, ks in same_head]
             size = len(slot_elements[n]) * len(labels(n)) * sum(len(product(ks)) for ks in sigs)
-            agree = functools.partial(slot_decided, n, sigs) if n in decisions.decided else None
+            agree = functools.partial(slot_decided, n, sigs) if n in decisions else None
             yield size, agree, functools.partial(slot_walk, n, sigs, slot_elements[n])
 
     # Equivariance in the argument slots (the acting elements block-sum up),
@@ -725,12 +702,9 @@ def check_operad(p: FiniteGOperad) -> Report:
                     yield None
 
     def arguments_decided(n: int, ks: tuple[int, ...]) -> bool:
-        walks = argument_decisions.walks
-        if not argument_decisions.on_generators:
-            return not any(argument_walk(n, ks, itertools.product(*(walks[k] for k in ks))))
         # One slot at a generator of its group, the others at the identity.
         identities = [group.identity(k) for k in ks]
-        tuples = [(*identities[:i], s, *identities[i + 1:]) for i, k in enumerate(ks) for s in walks[k]]
+        tuples = [(*identities[:i], s, *identities[i + 1:]) for i, k in enumerate(ks) for s in group.generators(k)]
         return (
             all(map(right, (*ks, sum(ks))))
             and typed_composites[n, ks]
@@ -741,7 +715,7 @@ def check_operad(p: FiniteGOperad) -> Report:
         for n, ks in signatures:
             tuples = itertools.product(*(argument_elements[k] for k in ks))
             size = len(labels(n)) * len(product(ks)) * math.prod(len(argument_elements[k]) for k in ks)
-            decided = not argument_decisions.decided.isdisjoint(ks)
+            decided = not decisions.keys().isdisjoint(ks)
             agree = functools.partial(arguments_decided, n, ks) if decided else None
             yield size, agree, functools.partial(argument_walk, n, ks, tuples)
 
@@ -1062,9 +1036,8 @@ def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str]) -> li
         for x in carrier:
             at = index[(1, p.unit, (x,))]
             tests[at].append(_equal_value(at, x))
-    # A repeated sample repeats its tests, so each distinct one is walked once.
     for n, gs in _group_samples(p.group, p.labels, bound).items():
-        for g in dict.fromkeys(gs):
+        for g in gs:
             pi = p.group.project(g)
             for head in p.labels(n):
                 acted = p.action(n, head, g)
@@ -1113,8 +1086,7 @@ def enumerate_operad_maps(p: FiniteGOperad, q: FiniteGOperad) -> list[dict[tuple
         if count > OPERAD_MAP_LIMIT:
             raise ValueError(f"candidate map count exceeds the enumeration limit {OPERAD_MAP_LIMIT}")
 
-    # Each distinct sample once, since a repeated one preserves the action iff its first does.
-    group_samples = {n: list(dict.fromkeys(gs)) for n, gs in _group_samples(p.group, p.labels, bound).items()}
+    group_samples = _group_samples(p.group, p.labels, bound)
     substitutions = list(_substitutions(p.labels, bound))
 
     def is_map(table: dict[tuple[int, str], str]) -> bool:

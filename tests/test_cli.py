@@ -165,6 +165,30 @@ def test_a_negative_strand_count_is_refused_before_any_letter(tmp_path, cli_run,
     assert result.stderr == "error: strand count must be nonnegative, got -5\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("perm", "tau", "3", "-1"), "N -1: grid dimensions must be nonnegative"),
+        (("tmn", "--family", "positive", "0", "3"), "M 0: grid dimensions must be at least 1"),
+        (("verify", "pscomm", "--group", "symmetric", "--bound", "0"), "--bound 0: the index bound must be at least 1"),
+        (
+            ("verify", "pscomm", "--group", "braid", "--bound", "2"),
+            "--bound 2: a bound of at least 3 is needed to see nondegenerate grids",
+        ),
+        (("operad", "free", "comm.json", "--carrier", "a,b", "--bound", "-1"),
+         "--bound -1: the arity bound must be nonnegative"),
+        (("operad", "compose", "comm.json", "comm.json", "--bound", "-1"),
+         "--bound -1: the arity bound must be nonnegative"),
+        (("operad", "free", "comm.json", "--carrier", "a,a"), "--carrier a,a: element 'a' is listed twice"),
+    ],
+    ids=["perm tau", "tmn", "pscomm bound", "pscomm braid bound", "free bound", "compose bound", "free carrier"],
+)
+def test_a_refused_argument_is_named_first(cli_run, argv, message):
+    # Each refusal names the argument at fault, as the size guards do.
+    result = cli_run(*argv)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_braid_cable_reads_an_empty_size_list(cli_run):
     # A 0-strand word needs exactly the empty size list.
     result = cli_run("braid", "cable", "-n", "0", "--sizes", "")

@@ -26,18 +26,22 @@ whose row raises while a signature is decided by rows.  Faults that only
 an element outside the generators shows must be walked to the loops'
 result: an action entry of a cycle, a compose entry that the operad-slot
 law first reads at a rearranged signature, and a composite outside its
-level that the generators fix.  Over the braid groups the laws are
-decided on the distinct samples: one compose or action entry of comm that
-`check_operad` reads answers a label outside its level, at keys drawn by
-hypothesis and at a repeated sample, the first new one after a repeat and
-the block sum of such an argument tuple, and every law must give the
-listed walk's result.  Burnside's lemma counts the free algebras' classes
-in exact fractions, and its per-orbit form decides the pullback square, as
-an oracle for `free_algebra` and `pullback_witness_test` that builds no
-quotient.  Counting wrappers pin
-the savings: `check_operad` reads each compose and action key of a
-packaged document once and makes at most 664 `operad_mu` and 612
-`multiply` calls on comm over the braid groups, one `pullback_witness_test`
+level that the generators fix.  Over the braid groups the laws read each
+distinct sample once, and the reference walks the same distinct samples:
+one compose or action entry of comm that `check_operad` reads answers a
+label outside its level, at every key up to arity 2, at keys up to arity 3
+drawn by hypothesis, and at elements the seeded draw repeats, the first new
+one after a repeat and the block sum of such an argument tuple, and every
+law must give the per-case walk's result; at the repeated elements the
+verdicts and witnesses must also be those of a walk of every draw, repeats
+included.  `_group_samples` must be the raw draw with its repeats dropped,
+in first-draw order, or every element of a finite group.  Burnside's
+lemma counts the free algebras' classes in exact fractions, and its
+per-orbit form decides the pullback square, as an oracle for
+`free_algebra` and `pullback_witness_test` that builds no quotient.
+Counting wrappers pin the savings: `check_operad` reads each compose and
+action key of a packaged document once and makes at most 664 `operad_mu`
+and 612 `multiply` calls on comm over the braid groups, one `pullback_witness_test`
 checks the action of each level of P once, and one `check_monad_laws` runs
 one orbit quotient.  The one-pass
 `mu_sigma` must equal the composite of its two block factors, arity 0
@@ -53,6 +57,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -99,21 +104,26 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "operadics" / "data"
 # ------------------------------------------------------------ references
 
 
-def _group_elements(group, n: int, budget: int, seed: int) -> list[Any]:
-    """Every element for finite groups, a seeded sample for infinite ones."""
+def _group_elements(group, n: int, budget: int, seed: int, distinct: bool = True) -> list[Any]:
+    """
+    Every element for finite groups, and for infinite ones the distinct
+    elements among budget seeded draws in first-draw order, or every draw,
+    repeats included, if not distinct.
+    """
     if group.elements is not None:
         return list(group.elements(n))
     import random
 
     rng = random.Random(seed * 1000003 + n)
-    return [group.sample(rng, n) for _ in range(budget)]
+    draws = [group.sample(rng, n) for _ in range(budget)]
+    return list(dict.fromkeys(draws)) if distinct else draws
 
 
-def reference_check_collection(x, bound: int, *, budget: int = 25, seed: int = 9) -> Report:
+def reference_check_collection(x, bound: int, *, budget: int = 25, seed: int = 9, distinct: bool = True) -> Report:
     """The right-action laws of x up to bound, every pair of elements walked."""
     report = Report(f"collection laws: {x.name}")
     group = x.group
-    samples = {n: _group_elements(group, n, budget, seed) for n in range(bound + 1)}
+    samples = {n: _group_elements(group, n, budget, seed, distinct) for n in range(bound + 1)}
 
     def typed() -> Iterator[str | None]:
         for n, gs in samples.items():
@@ -144,11 +154,12 @@ def reference_check_collection(x, bound: int, *, budget: int = 25, seed: int = 9
 
 
 def reference_check_operad(
-    p: FiniteGOperad, *, budget: int = 25, seed: int = 9, laws: Sequence[str] | None = None
+    p: FiniteGOperad, *, budget: int = 25, seed: int = 9, laws: Sequence[str] | None = None, distinct: bool = True
 ) -> Report:
     """
     Exhaustively verify the operad and equivariance laws within the bound:
-    every law, or only those named in `laws`.
+    every law, or only those named in `laws`, over each distinct sample of
+    an infinite group, or over every draw if not distinct.
     """
     group = p.group
     bound = p.max_arity
@@ -160,13 +171,13 @@ def reference_check_operad(
     # Each arity's group elements are listed once, those acting in the
     # argument slots from a smaller sample, and each element in the operad
     # slot comes with the order pi(g)^-1 in which it permutes the slots.
-    elements = {n: _group_elements(group, n, budget, seed) for n in range(bound + 1)}
+    elements = {n: _group_elements(group, n, budget, seed, distinct) for n in range(bound + 1)}
     slot_elements = {
         n: [(g, [j - 1 for j in group.project(g).inverse().image]) for g in gs]
         for n, gs in elements.items()
     }
     argument_elements = {
-        k: _group_elements(group, k, max(budget // 5, 2), seed + 1) for k in range(bound + 1)
+        k: _group_elements(group, k, max(budget // 5, 2), seed + 1, distinct) for k in range(bound + 1)
     }
 
     # Well-typedness: the unit, every substitution result, every action result.
@@ -268,7 +279,7 @@ def reference_check_operad(
             report.check(law, cases())
 
     # The per-level right-action laws.
-    collection_report = reference_check_collection(p, bound, budget=budget, seed=seed)
+    collection_report = reference_check_collection(p, bound, budget=budget, seed=seed, distinct=distinct)
     report.results.extend(r for r in collection_report.results if laws is None or r.law in laws)
     return report
 
@@ -725,13 +736,13 @@ def test_a_composite_outside_its_level_is_walked():
 # ------------------------------------------------------------ samples
 
 
-def braid_comm() -> FiniteGOperad:
+def braid_comm(max_arity: int = 3) -> FiniteGOperad:
     """
-    comm over the braid groups up to arity 3, composing by its rule without
-    the signature check, so that a label outside its level composes to *
-    and a fault gives every law a verdict rather than an error.
+    comm over the braid groups up to max_arity, composing by its rule
+    without the signature check, so that a label outside its level composes
+    to * and a fault gives every law a verdict rather than an error.
     """
-    p = operad_comm(instance_braid(), max_arity=3)
+    p = operad_comm(instance_braid(), max_arity=max_arity)
     p.compose = p.compose_rule
     return p
 
@@ -767,25 +778,27 @@ def first_new_after_a_repeat(gs: Sequence) -> Any:
 
 
 BRAID = instance_braid()
-BRAID_SAMPLES = g_operads._group_samples(BRAID, braid_comm().labels, 3)
-ARGUMENT_SAMPLES = g_operads._group_samples(BRAID, braid_comm().labels, 3, argument_slots=True)
-# The action keys where a count weighted by repeats would go wrong: the
-# identity of B_1, which all 25 samples there are, a nontrivial word that
-# B_2's sample repeats, the first word of that sample met after a repeat,
-# and the block sum of the argument-slot law's first such tuple.  In the
-# signature (2; 2, 1) each argument sample of B_2 meets the identity of B_1
-# five times; the identity of B_2 is left out, since earlier signatures
-# read its block sum, the identity of B_3.
+# The seeded draws of the laws over B_0..B_3, repeats included, in the
+# operad slot and in the argument slots.
+RAW_SAMPLES = {n: _group_elements(BRAID, n, 25, 9, distinct=False) for n in range(4)}
+RAW_ARGUMENT_SAMPLES = {n: _group_elements(BRAID, n, 5, 10, distinct=False) for n in range(4)}
+# The action keys at elements the seeded draw repeats: the identity of B_1,
+# which all 25 draws there are, a nontrivial word that B_2's draw repeats,
+# the first word of that draw met after a repeat, and the block sum of the
+# argument-slot law's first such tuple.  In the signature (2; 2, 1) each
+# argument draw of B_2 meets the identity of B_1 five times; the identity
+# of B_2 is left out, since earlier signatures read its block sum, the
+# identity of B_3.
 REPEATED_KEYS = [
-    (1, "*", BRAID_SAMPLES[1][0]),
-    (2, "*", next(g for g in BRAID_SAMPLES[2] if g.word and BRAID_SAMPLES[2].count(g) > 1)),
-    (2, "*", first_new_after_a_repeat(BRAID_SAMPLES[2])),
+    (1, "*", RAW_SAMPLES[1][0]),
+    (2, "*", next(g for g in RAW_SAMPLES[2] if g.word and RAW_SAMPLES[2].count(g) > 1)),
+    (2, "*", first_new_after_a_repeat(RAW_SAMPLES[2])),
     (
         3,
         "*",
         BRAID.operad_mu(
             BRAID.identity(2),
-            [first_new_after_a_repeat([g for g in ARGUMENT_SAMPLES[2] for _ in ARGUMENT_SAMPLES[1] if g.word]),
+            [first_new_after_a_repeat([g for g in RAW_ARGUMENT_SAMPLES[2] for _ in RAW_ARGUMENT_SAMPLES[1] if g.word]),
              BRAID.identity(1)],
         ),
     ),
@@ -801,27 +814,65 @@ BRAID_KEYS = read_keys(braid_comm())
 @example(key=REPEATED_KEYS[3])
 def test_a_fault_at_a_sampled_key_is_reported_as_the_listed_walk_reports_it(key):
     # One compose or action entry that check_operad reads answers a label
-    # outside its level; the laws decided on distinct samples must give the
-    # listed walk's verdict, count and witness.
+    # outside its level; every law must give the per-case walk's verdict,
+    # count and witness over the distinct samples.
     assert key in BRAID_KEYS
     fast = results(check_operad(rebind(braid_comm(), key, "foreign")))
     assert fast == results(reference_check_operad(rebind(braid_comm(), key, "foreign")))
     if key in REPEATED_KEYS:
-        # An equivariance law reads the entry as a cable or a block sum, so
-        # the group that reads it fails its decision and is walked as
-        # listed, each repeat included.
+        # A repeated draw's cases equal its first draw's, which every walk
+        # meets first, so walking every draw, repeats included, gives the
+        # same verdicts and witnesses; only its counts weigh the repeats.
+        # An equivariance law reads the entry as a cable or a block sum.
+        raw = results(reference_check_operad(rebind(braid_comm(), key, "foreign"), distinct=False))
+        assert [result[:3] for result in fast] == [result[:3] for result in raw]
         failed = {law for law, passed, _, _ in fast if not passed}
         assert failed & {"equivariance in the operad slot", "equivariance in the argument slots"}
 
 
+def test_every_fault_at_a_read_key_of_comm_over_the_braid_groups_is_reported_as_the_walk_reports_it():
+    # Each compose and action key that check_operad reads on comm over the
+    # braid groups up to arity 2 answers a label outside its level in turn:
+    # 128 action keys at the samples, their cables and block sums, and the
+    # 10 compose keys.  Every law must give the per-case walk's outcome.
+    keys = read_keys(braid_comm(2))
+    assert (len(keys), sum(len(key) == 3 for key in keys)) == (138, 128)
+    for key in keys:
+        fast = outcome(lambda: results(check_operad(rebind(braid_comm(2), key, "foreign"))))
+        assert fast == outcome(lambda: results(reference_check_operad(rebind(braid_comm(2), key, "foreign")))), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    budget=st.integers(1, 40),
+    seed=st.integers(0, 100),
+    inhabited=st.sets(st.integers(0, 5)),
+    argument_slots=st.booleans(),
+)
+def test_group_samples_are_the_distinct_draws_or_every_element(budget, seed, inhabited, argument_slots):
+    # The sample at each inhabited arity is the raw seeded draw with each
+    # repeat dropped, in first-draw order; a finite group lists every element.
+    def labels(n: int) -> tuple[str, ...]:
+        return ("*",) if n in inhabited else ()
+
+    with mock.patch.multiple(g_operads, GROUP_SAMPLE_BUDGET=budget, GROUP_SAMPLE_SEED=seed):
+        braids = g_operads._group_samples(BRAID, labels, 5, argument_slots)
+        permutations = g_operads._group_samples(instance_symmetric(), labels, 5, argument_slots)
+    if argument_slots:
+        budget, seed = max(budget // 5, 2), seed + 1
+    arities = sorted(inhabited)
+    raw = {n: _group_elements(BRAID, n, budget, seed, distinct=False) for n in arities}
+    assert braids == {n: list(dict.fromkeys(raw[n])) for n in arities}
+    assert permutations == {n: list(all_permutations(n)) for n in arities}
+
+
 def test_the_sampled_braid_laws_are_decided_once_per_distinct_sample():
-    # A decision on distinct samples that silently fell back to the listed
-    # walk would still give every verdict, only slower.  The operad-slot law
-    # cables each sample onto its signature and the argument-slot law
-    # block-sums each tuple of samples, both by operad_mu, and action
-    # composition multiplies each pair: comm up to arity 3 makes 664 and 612
-    # such calls on the distinct samples, and 3,646 and 2,500 walking the
-    # 25 samples listed at each arity.
+    # A law that walked every draw, repeats included, would still give every
+    # verdict, only slower.  The operad-slot law cables each sample onto its
+    # signature and the argument-slot law block-sums each tuple of samples,
+    # both by operad_mu, and action composition multiplies each pair: comm
+    # up to arity 3 makes 664 and 612 such calls on the distinct samples,
+    # and 3,646 and 2,500 walking the 25 draws at each arity.
     group = instance_braid()
     cables, products = [], []
     p = operad_comm(group, max_arity=3)

@@ -225,17 +225,19 @@ def test_the_algebra_search_confirms_only_surviving_tables(monkeypatch):
 
 
 def test_the_searches_walk_each_distinct_braid_sample_once(monkeypatch):
-    # On comm over the braid groups up to arity 2, B_2's 25 samples hold 13
+    # On comm over the braid groups up to arity 2, B_2's 25 draws hold 13
     # distinct words, 4 of them odd; each odd one equates two slots of the
     # binary label on {a, b}, at xs = (a, b) and (b, a).  With the repeats,
-    # 8 odd samples built 16 tests.  `check_algebra` still lists 175 cases.
+    # 8 odd draws built 16 tests.  `check_algebra` walks each distinct
+    # sample once: 1 + 2 + 13 * 4 = 55 cases over arities 0..2, against 175
+    # with the repeats.
     p = operad_comm(instance_braid(), max_arity=2)
     built = []
     equal_slots = g_operads._equal_slots
     monkeypatch.setattr(g_operads, "_equal_slots", lambda a, b: built.append((a, b)) or equal_slots(a, b))
     found = enumerate_algebra_structures(p, ("a", "b"))
     assert len(found) == 4 and len(built) == 8
-    assert check_algebra(p, found[0]).result("algebra equivariance").checked == 175
+    assert check_algebra(p, found[0]).result("algebra equivariance").checked == 55
     # The map search reads the action at most once per candidate table,
     # label and distinct sample: 16 tables, one label at each of arity 1 and
     # 2, under 1 and 13 distinct words (with the repeats, 25 and 25).
