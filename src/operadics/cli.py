@@ -33,7 +33,8 @@ the grid of `perm tau`.  `verify pscomm` refuses an index bound above
 `MAX_PSCOMM_BOUND`, and `verify all` a sample budget below 1, with messages
 of their own.  A refused argument value is named first, in `_at_most`'s
 shape ``SUBJECT: ...``: a grid dimension as ``M``/``N``, a bound as
-``--bound B``, a carrier that lists an element twice as ``--carrier ...``.
+``--bound B``, a carrier with an empty or a repeated element as
+``--carrier ...``.  An empty ``--carrier`` is the empty carrier.
 """
 
 from __future__ import annotations
@@ -561,11 +562,14 @@ def _cmd_operad_check(args) -> int:
 
 def _cmd_operad_free(args) -> int:
     p = _load_document(args.file)
-    carrier = [part for part in args.carrier.split(",") if part]
+    # An empty --carrier is the empty carrier, as an empty --sizes is the empty size list.
+    carrier = args.carrier.split(",") if args.carrier else []
+    if "" in carrier:
+        raise CliError(f"--carrier {args.carrier}: element {carrier.index('') + 1} is empty")
     if args.bound < 0:
         raise CliError(f"--bound {args.bound}: the arity bound must be nonnegative")
     if args.bound > p.max_arity:
-        raise CliError(f"bound {args.bound} exceeds the operad's arity bound {p.max_arity}")
+        raise CliError(f"--bound {args.bound}: the arity bound must be at most {args.file}'s, {p.max_arity}")
     states = sum(len(p.labels(n)) * len(carrier) ** n for n in range(args.bound + 1))
     subject = f"--bound {args.bound}: {args.file} on {len(carrier)} carrier elements"
     _at_most(states, MAX_FREE_STATES, subject, "states")

@@ -24,7 +24,7 @@ two rows over the class tuples of one length (`g_operads._rows_or_replay`):
 the row of q's composite with the p_i, and q flattening the rows of the p_i
 read at the position of each tuple's slices, each position column built
 once per call.  Constancy on classes is decided per arity n on the
-generators of G(n), as `g_operads` decides its group laws.
+generators of G(n), by the one group-element policy of `g_operads`.
 The correspondence reads its classes from the free algebra the laws were
 checked on, truncated to its bound, so one call runs one orbit quotient.
 `free_algebra` keeps no quotient of its own: the free algebra is the
@@ -59,9 +59,9 @@ from .g_operads import (
     FiniteGCollection,
     FiniteGOperad,
     _checked_levels,
-    _decisions,
     _group_samples,
     _inhabited,
+    _on_generators,
     _orbit_quotient,
     _ReadThrough,
     _rows_or_replay,
@@ -229,10 +229,11 @@ def check_monad_laws(
     latter up to CORRESPONDENCE_BOUND, on this free algebra's classes).
 
     Flattenings and actions are read through tables of this call, each key
-    once.  Over a finite group, "multiplication is constant on classes" is
-    decided on generators, arity by arity, under the precondition and with
-    the counts the `g_operads` module docstring states, reading the
-    precondition from the memo its free algebra's quotient filled.
+    once.  "Multiplication is constant on classes" follows the policy at
+    `g_operads.GROUP_SAMPLE_BUDGET`: decided on generators at every arity,
+    under the precondition and with the counts the `g_operads` module
+    docstring states, reading the precondition from the memo its free
+    algebra's quotient filled.
     """
     group = p.group
     # One memo of checked levels for the free algebra's quotient and the laws.
@@ -245,13 +246,13 @@ def check_monad_laws(
     flatten = _ReadThrough(functools.partial(mult_mu, free))
     act = _ReadThrough(p.action)
 
-    # Each element of G(n) with the inverse of its projection, listed once per inhabited arity.
+    # The elements of G(n), listed once per inhabited arity.
     elements = _group_samples(group, p.labels, bound)
-    moves = {n: [(g, group.project(g).inverse()) for g in gs] for n, gs in elements.items()}
-    decisions = _decisions(group, elements)
+    decided = _on_generators(group)
 
-    # Constancy on classes, by arity n: each (label, inner) under the moves (g, pi(g)^-1).
-    def constancy_walk(n: int, cases: list[tuple], steps: list[tuple]) -> Iterator[str | None]:
+    # Constancy on classes, by arity n: each (label, inner) under each g in gs, moving inner by pi(g)^-1.
+    def constancy_walk(n: int, cases: list[tuple], gs: list) -> Iterator[str | None]:
+        steps = [(g, group.project(g).inverse()) for g in gs]
         for label, inner in cases:
             value = flatten[label, inner]
             for g, pi_inv in steps:
@@ -260,14 +261,13 @@ def check_monad_laws(
                 yield None
 
     def constant_on_generators(n: int, cases: list[tuple]) -> bool:
-        inverses = dict(moves[n])
-        return checked[p, n][0] is None and not any(constancy_walk(n, cases, [(s, inverses[s]) for s in decisions[n]]))
+        return checked[p, n][0] is None and not any(constancy_walk(n, cases, group.generators(n)))
 
     def well_defined() -> Iterator[tuple]:
         for n, nestings in itertools.groupby(_nestings(free), key=lambda nesting: nesting[0]):
             cases = [(label, inner) for _, label, inner in nestings]
-            agree = functools.partial(constant_on_generators, n, cases) if n in decisions else None
-            yield len(cases) * len(moves[n]), agree, functools.partial(constancy_walk, n, cases, moves[n])
+            agree = functools.partial(constant_on_generators, n, cases) if decided else None
+            yield len(cases) * len(elements[n]), agree, functools.partial(constancy_walk, n, cases, elements[n])
 
     def left_unit() -> Iterator[str | None]:
         for cls in free.all_classes():

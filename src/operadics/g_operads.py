@@ -15,13 +15,11 @@ with k_i the arity of y_i as listed on the left-hand side.  The checkers
 in this module decide all of these up to the operad's arity bound
 (sampling group elements when the group is infinite) and report one
 PASS/FAIL line per law, each stopping at its first counterexample.
-The laws that range over the elements of a finite group decide an
-arity's cases at once on the generators of G(n), where G(n) has more
-elements than its generators and the identity; one place per call picks
-those arities (`_decisions`).  Elsewhere, and over a group that lists no
-elements, as the braid groups, whose laws read a sample, the laws walk
-their elements as listed.  The precondition is that the action is a right
-one decided on generators:
+The laws that range over group elements follow the one policy stated at
+GROUP_SAMPLE_BUDGET: over a group that lists its elements and generators
+they decide each inhabited arity's cases at once on the generators of
+G(n), and over any other group they walk its elements as listed.  The
+precondition is that the action is a right one decided on generators:
 every x.g inside the level, x.e = x, x.(g s) = (x.g).s for every element g
 and generator s, and those products reaching all of G(n) from e.
 `_right_action_fault` tabulates a level's action and decides it, at most
@@ -335,39 +333,30 @@ def _group_order(group: ActionOperad, n: int) -> int:
     return math.factorial(n) if group.name == "symmetric" else len(group.elements(n))
 
 
-# The group elements every law reads at an arity, each once: all of them for
-# a finite group, and for an infinite one the distinct elements among
-# GROUP_SAMPLE_BUDGET draws with GROUP_SAMPLE_SEED, in first-draw order (in
-# the argument slots of `check_operad`, among a fifth as many draws, at
-# least 2, with the next seed).  Draws are the same when they are equal
-# objects, for braids the same word, never by the word problem.
+# The one group-element policy of every law, at each inhabited arity n.  A
+# group that lists its elements and generators is decided on the generators
+# of G(n), as the module docstring states, and counts and replays all of
+# G(n).  Any other group is walked over one list per arity, read by every
+# law and slot: all of G(n) if the group lists it, and otherwise the distinct
+# elements among GROUP_SAMPLE_BUDGET draws with GROUP_SAMPLE_SEED, in
+# first-draw order.  Draws are the same when they are equal objects, for
+# braids the same word, never by the word problem.
 GROUP_SAMPLE_BUDGET = 25
 GROUP_SAMPLE_SEED = 9
 
 
-def _group_samples(group: ActionOperad, labels: Callable, bound: int, argument_slots: bool = False) -> dict[int, list]:
+def _group_samples(group: ActionOperad, labels: Callable, bound: int) -> dict[int, list]:
     """The group elements the laws read at each inhabited arity n <= bound, by the policy above."""
-    budget, seed = GROUP_SAMPLE_BUDGET, GROUP_SAMPLE_SEED
-    if argument_slots:
-        budget, seed = max(budget // 5, 2), seed + 1
     if group.elements is not None:
         return {n: list(group.elements(n)) for n in _inhabited(labels, bound)}
-    rngs = {n: random.Random(seed * 1000003 + n) for n in _inhabited(labels, bound)}
-    return {n: list(dict.fromkeys(group.sample(rng, n) for _ in range(budget))) for n, rng in rngs.items()}
+    rngs = {n: random.Random(GROUP_SAMPLE_SEED * 1000003 + n) for n in _inhabited(labels, bound)}
+    draws = range(GROUP_SAMPLE_BUDGET)
+    return {n: list(dict.fromkeys(group.sample(rng, n) for _ in draws)) for n, rng in rngs.items()}
 
 
-def _decisions(group: ActionOperad, elements: Mapping[int, list]) -> dict[int, list]:
-    """
-    The arities at which the laws that read `elements` decide their cases on
-    generators, by the module docstring, each with the generators of G(n):
-    those where G(n) is finite and has more elements than its generators
-    and the identity together.  A sampled group, or a finite one without
-    generators, has none.
-    """
-    if group.elements is None or group.generators is None:
-        return {}
-    walks = {n: group.generators(n) for n in elements}
-    return {n: ss for n, ss in walks.items() if len(elements[n]) > 1 + len(ss)}
+def _on_generators(group: ActionOperad) -> bool:
+    """Whether the laws decide each G(n) on its generators, by the policy above."""
+    return group.elements is not None and group.generators is not None
 
 
 def _right_action_fault(
@@ -441,18 +430,17 @@ def check_collection(x: FiniteGCollection, *, bound: int | None = None) -> Repor
     """The right-action laws of x up to bound, or on every level if bound is None."""
     bound = max(x.levels, default=0) if bound is None else bound
     act = _ReadThrough(x.action)
-    samples = _group_samples(x.group, x.labels, bound)
-    return _check_collection(x, act, samples, _checked_levels(x.group, act), _decisions(x.group, samples))
+    return _check_collection(x, act, _group_samples(x.group, x.labels, bound), _checked_levels(x.group, act))
 
 
 def _check_collection(
-    x: FiniteGCollection, act: _ReadThrough, samples: dict[int, list], checked: _ReadThrough, decisions: dict[int, list]
+    x: FiniteGCollection, act: _ReadThrough, samples: dict[int, list], checked: _ReadThrough
 ) -> Report:
     """
     The right-action laws of x at the arities and group elements of
-    `samples`, read through act.  At a decided arity the composition law is
-    the precondition itself on generators, read from `checked` (see the
-    module docstring).
+    `samples`, read through act.  Over a group decided on generators, by the
+    policy at GROUP_SAMPLE_BUDGET, the composition law at each arity is the
+    precondition itself, read from `checked` (see the module docstring).
     """
     report = Report(f"collection laws: {x.name}")
     group = x.group
@@ -484,8 +472,9 @@ def _check_collection(
         return checked[x, n][0] is None
 
     def composition() -> Iterator[tuple]:
+        decided = _on_generators(group)
         for n, gs in samples.items():
-            agree = functools.partial(decide, n) if n in decisions else None
+            agree = functools.partial(decide, n) if decided else None
             yield len(x.labels(n)) * len(gs) ** 2, agree, functools.partial(walk, n, gs)
 
     report.check("action stays inside each level", typed())
@@ -507,11 +496,12 @@ def check_operad(p: FiniteGOperad) -> Report:
     each associativity position column and the identities of each
     signature.  Nothing is kept after the call returns.  Only the inhabited
     arities are walked, and only their group elements listed, once for
-    every law.
+    every law and slot.
 
-    Both equivariance laws and action composition are decided as the module
-    docstring states: on generators over a finite group, under the
-    precondition, with the counts of the listed walk.
+    Both equivariance laws and action composition follow the policy at
+    GROUP_SAMPLE_BUDGET: decided on generators, under the precondition and
+    with the counts of the listed walk, over a group that lists its
+    elements and generators, and walked over the listed elements otherwise.
     """
     group = p.group
     bound = p.max_arity
@@ -521,17 +511,9 @@ def check_operad(p: FiniteGOperad) -> Report:
     inhabited = _inhabited(labels, bound)
     signatures = list(_signatures(bound, inhabited))
     report = Report(f"operad laws: {p.name}")
-    # Each inhabited arity's group elements are listed once, those acting in
-    # the argument slots from a smaller sample, and each element in the
-    # operad slot comes with the order pi(g)^-1 in which it permutes the slots.
+    # Each inhabited arity's group elements, listed once for every law.
     elements = _group_samples(group, labels, bound)
-    slot_elements = {
-        n: [(g, [j - 1 for j in group.project(g).inverse().image]) for g in gs]
-        for n, gs in elements.items()
-    }
-    argument_elements = _group_samples(group, labels, bound, argument_slots=True)
-    # Only a finite group is decided, and it lists every element in both slots.
-    decisions = _decisions(group, elements)
+    decided = _on_generators(group)
     checked = _checked_levels(group, act)
 
     def right(m: int) -> bool:
@@ -646,8 +628,10 @@ def check_operad(p: FiniteGOperad) -> Report:
     typed_composites = _ReadThrough(composites_in_level)
 
     # Equivariance in the operad slot (the acting element cables up), by
-    # head arity n: the signatures with n slots under the pairs (g, order).
-    def slot_walk(n: int, sigs: list[tuple[int, ...]], pairs: list[tuple]) -> Iterator[str | None]:
+    # head arity n: the signatures with n slots under the elements gs, each
+    # with the order pi(g)^-1 in which it permutes the slots.
+    def slot_walk(n: int, sigs: list[tuple[int, ...]], gs: list) -> Iterator[str | None]:
+        pairs = [(g, [j - 1 for j in group.project(g).inverse().image]) for g in gs]
         for ks in sigs:
             total = sum(ks)
             identities = [group.identity(k) for k in ks]
@@ -668,19 +652,18 @@ def check_operad(p: FiniteGOperad) -> Report:
                         yield None
 
     def slot_decided(n: int, sigs: list[tuple[int, ...]]) -> bool:
-        orders = dict(slot_elements[n])
         return (
             right(n)
             and all(right(sum(ks)) and typed_composites[n, ks] for ks in sigs)
-            and not any(slot_walk(n, sigs, [(s, orders[s]) for s in decisions[n]]))
+            and not any(slot_walk(n, sigs, group.generators(n)))
         )
 
     def slot() -> Iterator[tuple]:
         for n, same_head in itertools.groupby(signatures, key=lambda signature: signature[0]):
             sigs = [ks for _, ks in same_head]
-            size = len(slot_elements[n]) * len(labels(n)) * sum(len(product(ks)) for ks in sigs)
-            agree = functools.partial(slot_decided, n, sigs) if n in decisions else None
-            yield size, agree, functools.partial(slot_walk, n, sigs, slot_elements[n])
+            size = len(elements[n]) * len(labels(n)) * sum(len(product(ks)) for ks in sigs)
+            agree = functools.partial(slot_decided, n, sigs) if decided else None
+            yield size, agree, functools.partial(slot_walk, n, sigs, elements[n])
 
     # Equivariance in the argument slots (the acting elements block-sum up),
     # by signature, under the tuples gs.
@@ -713,9 +696,8 @@ def check_operad(p: FiniteGOperad) -> Report:
 
     def argument_slots() -> Iterator[tuple]:
         for n, ks in signatures:
-            tuples = itertools.product(*(argument_elements[k] for k in ks))
-            size = len(labels(n)) * len(product(ks)) * math.prod(len(argument_elements[k]) for k in ks)
-            decided = not decisions.keys().isdisjoint(ks)
+            tuples = itertools.product(*(elements[k] for k in ks))
+            size = len(labels(n)) * len(product(ks)) * math.prod(len(elements[k]) for k in ks)
             agree = functools.partial(arguments_decided, n, ks) if decided else None
             yield size, agree, functools.partial(argument_walk, n, ks, tuples)
 
@@ -726,7 +708,7 @@ def check_operad(p: FiniteGOperad) -> Report:
     report.check("equivariance in the argument slots", _rows_or_replay(argument_slots()))
 
     # The per-level right-action laws, on the same action table.
-    collection_report = _check_collection(p, act, elements, checked, decisions)
+    collection_report = _check_collection(p, act, elements, checked)
     report.results.extend(collection_report.results)
     return report
 
@@ -1142,6 +1124,14 @@ MAX_ACTION_ENTRIES = 40_320
 MAX_ENDOMORPHISM_LEVEL = 4096
 
 
+def _refuse_stray_arities(raw: Mapping, max_arity: int, where: str) -> None:
+    """Refuse the first key of raw other than "0".."max_arity", all of which raw holds."""
+    if len(raw) > max_arity + 1:
+        arities = {str(n) for n in range(max_arity + 1)}
+        stray = next(key for key in raw if key not in arities)
+        raise ValueError(f"{where}: unexpected key {stray!r}, not an arity from 0 to {max_arity}")
+
+
 def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad:
     """
     Build a table-backed operad from a document, validating structure as it
@@ -1177,6 +1167,7 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
         if len(set(entries)) != len(entries):
             raise ValueError(f"levels[{n}]: duplicate labels")
         levels[n] = tuple(entries)
+    _refuse_stray_arities(raw_levels, max_arity, "levels")
 
     raw_action = document.get("action")
     if not isinstance(raw_action, Mapping):
@@ -1213,6 +1204,7 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
                 raise ValueError(f"action[{n}][{index}]: not a permutation of the labels")
             table.append(dict(zip(levels[n], row)))
         action_rows[n] = table
+    _refuse_stray_arities(raw_action, max_arity, "action")
 
     unit = document.get("unit")
     if unit not in levels.get(1, ()):

@@ -62,7 +62,7 @@ DOCUMENTS = {
     # is the one the same document gives at max_arity 5.
     "unit_sym": lambda: json.loads((FIXTURES / "unit_sym.json").read_text()),
     # The terminal operad over the symmetric groups up to arity 5, where the
-    # group laws are decided on the generators of Sigma_3..Sigma_5.
+    # group laws are decided on the generators of Sigma_0..Sigma_5.
     "comm5": lambda: g_operads.write_operad_document(g_operads.operad_comm(max_arity=5)),
 }
 
@@ -180,13 +180,28 @@ def test_a_negative_strand_count_is_refused_before_any_letter(tmp_path, cli_run,
         (("operad", "compose", "comm.json", "comm.json", "--bound", "-1"),
          "--bound -1: the arity bound must be nonnegative"),
         (("operad", "free", "comm.json", "--carrier", "a,a"), "--carrier a,a: element 'a' is listed twice"),
+        (("operad", "free", "comm.json", "--carrier", "a,,b"), "--carrier a,,b: element 2 is empty"),
+        (("operad", "free", "comm.json", "--carrier", ","), "--carrier ,: element 1 is empty"),
+        (("operad", "free", "comm.json", "--carrier", "a,b,"), "--carrier a,b,: element 3 is empty"),
+        (("operad", "free", "comm.json", "--carrier", "a", "--bound", "9"),
+         "--bound 9: the arity bound must be at most comm.json's, 4"),
     ],
-    ids=["perm tau", "tmn", "pscomm bound", "pscomm braid bound", "free bound", "compose bound", "free carrier"],
+    ids=[
+        "perm tau", "tmn", "pscomm bound", "pscomm braid bound", "free bound", "compose bound", "free carrier",
+        "free carrier empty element", "free carrier comma", "free carrier trailing comma", "free bound above",
+    ],
 )
 def test_a_refused_argument_is_named_first(cli_run, argv, message):
     # Each refusal names the argument at fault, as the size guards do.
     result = cli_run(*argv)
     assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_operad_free_reads_an_empty_carrier(cli_run):
+    # An empty --carrier is the empty carrier: only arity 0 has classes.
+    result = cli_run("operad", "free", "comm.json", "--carrier", "", "--bound", "2")
+    listing = "n=0: [*;]\nn=1: (none)\nn=2: (none)\ntotal: 1 classes\n"
+    assert (result.returncode, result.stdout, result.stderr) == (0, listing, "")
 
 
 def test_braid_cable_reads_an_empty_size_list(cli_run):

@@ -5,7 +5,7 @@ versions.
 
 The kernels list each label product once per report, decide the two
 associativity laws row by row and, over a finite group, the laws that range
-over group elements on generators, and read each compose, action and
+over group elements on generators at every arity, and read each compose, action and
 flattening value through a table that lives only for one call.  The
 references below are the earlier loops, kept verbatim up to naming, which
 redo that work for every case and walk every group element, the
@@ -26,8 +26,12 @@ whose row raises while a signature is decided by rows.  Faults that only
 an element outside the generators shows must be walked to the loops'
 result: an action entry of a cycle, a compose entry that the operad-slot
 law first reads at a rearranged signature, and a composite outside its
-level that the generators fix.  Over the braid groups the laws read each
-distinct sample once, and the reference walks the same distinct samples:
+level that the generators fix.  Every single-entry fault of nine of the
+operads, each entry answering each other label of its level or a label
+outside every level, is listed with no draw and must give the loops'
+outcome; those of ass.json are listed in `exhaustive_faults.py`, run by
+path.  Over the braid groups every law, in both slots, reads one distinct
+sample per arity, and the reference walks the same distinct samples:
 one compose or action entry of comm that `check_operad` reads answers a
 label outside its level, at every key up to arity 2, at keys up to arity 3
 drawn by hypothesis, and at elements the seeded draw repeats, the first new
@@ -40,7 +44,7 @@ lemma counts the free algebras' classes in exact fractions, and its
 per-orbit form decides the pullback square, as an oracle for
 `free_algebra` and `pullback_witness_test` that builds no quotient.
 Counting wrappers pin the savings: `check_operad` reads each compose and
-action key of a packaged document once and makes at most 664 `operad_mu`
+action key of a packaged document once and makes at most 878 `operad_mu`
 and 612 `multiply` calls on comm over the braid groups, one `pullback_witness_test`
 checks the action of each level of P once, and one `check_monad_laws` runs
 one orbit quotient.  The one-pass
@@ -168,16 +172,13 @@ def reference_check_operad(
     act = p.action
     signatures = list(_signatures(bound, range(bound + 1)))
     report = Report(f"operad laws: {p.name}")
-    # Each arity's group elements are listed once, those acting in the
-    # argument slots from a smaller sample, and each element in the operad
-    # slot comes with the order pi(g)^-1 in which it permutes the slots.
+    # Each arity's group elements are listed once, for both slots, and each
+    # element in the operad slot comes with the order pi(g)^-1 in which it
+    # permutes the slots.
     elements = {n: _group_elements(group, n, budget, seed, distinct) for n in range(bound + 1)}
     slot_elements = {
         n: [(g, [j - 1 for j in group.project(g).inverse().image]) for g in gs]
         for n, gs in elements.items()
-    }
-    argument_elements = {
-        k: _group_elements(group, k, max(budget // 5, 2), seed + 1, distinct) for k in range(bound + 1)
     }
 
     # Well-typedness: the unit, every substitution result, every action result.
@@ -254,7 +255,7 @@ def reference_check_operad(
             e = group.identity(n)
             blocks = [
                 (gs, group.operad_mu(e, list(gs)))
-                for gs in itertools.product(*(argument_elements[k] for k in ks))
+                for gs in itertools.product(*(elements[k] for k in ks))
             ]
             for head in labels(n):
                 for args in itertools.product(*(labels(k) for k in ks)):
@@ -470,6 +471,29 @@ OPERADS: dict[str, Callable[[], FiniteGOperad]] = {
 FINITE = [name for name in OPERADS if "braid" not in name]
 
 
+def entries(p: FiniteGOperad) -> tuple[list[tuple], list[tuple]]:
+    """
+    The compose entries of p, and the action entries if its group lists its
+    elements, each as (key, level of its value), in signature and element
+    order.
+    """
+    substitutions = [
+        ((n, ks, head, args), p.labels(sum(ks)))
+        for n, ks in _signatures(p.max_arity, range(p.max_arity + 1))
+        for head in p.labels(n)
+        for args in itertools.product(*(p.labels(k) for k in ks))
+    ]
+    actions = []
+    if p.group.elements is not None:
+        actions = [
+            ((n, label, g), p.labels(n))
+            for n in range(p.max_arity + 1)
+            for label in p.labels(n)
+            for g in p.group.elements(n)
+        ]
+    return substitutions, actions
+
+
 @st.composite
 def faulty_operads(draw, names: Sequence[str] = tuple(OPERADS), foreign: bool = True) -> FiniteGOperad:
     """
@@ -478,29 +502,27 @@ def faulty_operads(draw, names: Sequence[str] = tuple(OPERADS), foreign: bool = 
     from outside every level.
     """
     p = OPERADS[draw(st.sampled_from(sorted(names)))]()
-    substitutions = [
-        (n, ks, head, args)
-        for n, ks in _signatures(p.max_arity, range(p.max_arity + 1))
-        for head in p.labels(n)
-        for args in itertools.product(*(p.labels(k) for k in ks))
-    ]
-    actions = []
-    if p.group.elements is not None:
-        actions = [
-            (n, label, g)
-            for n in range(p.max_arity + 1)
-            for label in p.labels(n)
-            for g in p.group.elements(n)
-        ]
+    substitutions, actions = entries(p)
     kinds = ["compose"] + (["action"] if actions else [])
-    if draw(st.sampled_from(kinds)) == "compose":
-        key = draw(st.sampled_from(substitutions))
-        level = p.labels(sum(key[1]))
-    else:
-        key = draw(st.sampled_from(actions))
-        level = p.labels(key[0])
+    key, level = draw(st.sampled_from(substitutions if draw(st.sampled_from(kinds)) == "compose" else actions))
     value = draw(st.sampled_from([*level, "foreign"] if foreign else level))
     return rebind(p, key, value)
+
+
+def single_entry_faults(name: str) -> list[tuple[tuple, str]]:
+    """
+    Every single-entry fault of OPERADS[name], listed with no draw: each
+    entry of `entries`, answering in turn each other label of its level and
+    then "foreign".
+    """
+    p = OPERADS[name]()
+    substitutions, actions = entries(p)
+    faults = []
+    for read, listed in ((p.compose, substitutions), (p.action, actions)):
+        for key, level in listed:
+            right = read(*key)
+            faults += [(key, value) for value in (*level, "foreign") if value != right]
+    return faults
 
 
 def rebind(p: FiniteGOperad, key: tuple, value: str) -> FiniteGOperad:
@@ -543,6 +565,41 @@ def test_check_operad_matches_the_per_case_loops(p):
     assert outcome(lambda: results(check_operad(p))) == outcome(
         lambda: results(reference_check_operad(p))
     )
+
+
+def check_every_single_entry_fault(name: str) -> int:
+    """
+    Require, at every single-entry fault of OPERADS[name], the per-case
+    loops' outcome from `check_operad`: each law's verdict, count and
+    witness, or the same error.  Returns the number of faults.
+    """
+    faults = single_entry_faults(name)
+    for key, value in faults:
+        fast = outcome(lambda: results(check_operad(rebind(OPERADS[name](), key, value))))
+        assert fast == outcome(lambda: results(reference_check_operad(rebind(OPERADS[name](), key, value)))), key
+    return len(faults)
+
+
+# The single-entry faults of each operad but ass.json, whose 1,735 take
+# too long for Tier-1 and are run by `exhaustive_faults.py`.
+SINGLE_ENTRY_FAULTS = {
+    "comm.json": 160,
+    "comm_trivial.json": 39,
+    "ass2": 43,
+    "comm/symmetric 3": 45,
+    "comm/symmetric 4": 160,
+    "comm/trivial 3": 39,
+    "comm/braid 2": 10,
+    "endo {a} 2": 14,
+    "endo {a,b} 1": 104,
+}
+
+
+@pytest.mark.parametrize("name", SINGLE_ENTRY_FAULTS)
+def test_every_single_entry_fault_is_reported_as_the_per_case_loops_report_it(name):
+    # A decision on generators is exactly where one fault at one element
+    # outside the generators could hide, so every fault is listed, not drawn.
+    assert check_every_single_entry_fault(name) == SINGLE_ENTRY_FAULTS[name]
 
 
 def reference_monad_laws(p: FiniteGOperad, carrier: Sequence[str], bound: int) -> list[tuple]:
@@ -778,17 +835,15 @@ def first_new_after_a_repeat(gs: Sequence) -> Any:
 
 
 BRAID = instance_braid()
-# The seeded draws of the laws over B_0..B_3, repeats included, in the
-# operad slot and in the argument slots.
+# The seeded draws of the laws over B_0..B_3, repeats included, which every
+# law reads in every slot.
 RAW_SAMPLES = {n: _group_elements(BRAID, n, 25, 9, distinct=False) for n in range(4)}
-RAW_ARGUMENT_SAMPLES = {n: _group_elements(BRAID, n, 5, 10, distinct=False) for n in range(4)}
 # The action keys at elements the seeded draw repeats: the identity of B_1,
 # which all 25 draws there are, a nontrivial word that B_2's draw repeats,
 # the first word of that draw met after a repeat, and the block sum of the
 # argument-slot law's first such tuple.  In the signature (2; 2, 1) each
-# argument draw of B_2 meets the identity of B_1 five times; the identity
-# of B_2 is left out, since earlier signatures read its block sum, the
-# identity of B_3.
+# draw of B_2 meets the identity of B_1 25 times; the identity of B_2 is
+# left out, since earlier signatures read its block sum, the identity of B_3.
 REPEATED_KEYS = [
     (1, "*", RAW_SAMPLES[1][0]),
     (2, "*", next(g for g in RAW_SAMPLES[2] if g.word and RAW_SAMPLES[2].count(g) > 1)),
@@ -798,7 +853,7 @@ REPEATED_KEYS = [
         "*",
         BRAID.operad_mu(
             BRAID.identity(2),
-            [first_new_after_a_repeat([g for g in RAW_ARGUMENT_SAMPLES[2] for _ in RAW_ARGUMENT_SAMPLES[1] if g.word]),
+            [first_new_after_a_repeat([g for g in RAW_SAMPLES[2] for _ in RAW_SAMPLES[1] if g.word]),
              BRAID.identity(1)],
         ),
     ),
@@ -833,33 +888,26 @@ def test_a_fault_at_a_sampled_key_is_reported_as_the_listed_walk_reports_it(key)
 def test_every_fault_at_a_read_key_of_comm_over_the_braid_groups_is_reported_as_the_walk_reports_it():
     # Each compose and action key that check_operad reads on comm over the
     # braid groups up to arity 2 answers a label outside its level in turn:
-    # 128 action keys at the samples, their cables and block sums, and the
+    # 125 action keys at the samples, their cables and block sums, and the
     # 10 compose keys.  Every law must give the per-case walk's outcome.
     keys = read_keys(braid_comm(2))
-    assert (len(keys), sum(len(key) == 3 for key in keys)) == (138, 128)
+    assert (len(keys), sum(len(key) == 3 for key in keys)) == (135, 125)
     for key in keys:
         fast = outcome(lambda: results(check_operad(rebind(braid_comm(2), key, "foreign"))))
         assert fast == outcome(lambda: results(reference_check_operad(rebind(braid_comm(2), key, "foreign")))), key
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    budget=st.integers(1, 40),
-    seed=st.integers(0, 100),
-    inhabited=st.sets(st.integers(0, 5)),
-    argument_slots=st.booleans(),
-)
-def test_group_samples_are_the_distinct_draws_or_every_element(budget, seed, inhabited, argument_slots):
+@given(budget=st.integers(1, 40), seed=st.integers(0, 100), inhabited=st.sets(st.integers(0, 5)))
+def test_group_samples_are_the_distinct_draws_or_every_element(budget, seed, inhabited):
     # The sample at each inhabited arity is the raw seeded draw with each
     # repeat dropped, in first-draw order; a finite group lists every element.
     def labels(n: int) -> tuple[str, ...]:
         return ("*",) if n in inhabited else ()
 
     with mock.patch.multiple(g_operads, GROUP_SAMPLE_BUDGET=budget, GROUP_SAMPLE_SEED=seed):
-        braids = g_operads._group_samples(BRAID, labels, 5, argument_slots)
-        permutations = g_operads._group_samples(instance_symmetric(), labels, 5, argument_slots)
-    if argument_slots:
-        budget, seed = max(budget // 5, 2), seed + 1
+        braids = g_operads._group_samples(BRAID, labels, 5)
+        permutations = g_operads._group_samples(instance_symmetric(), labels, 5)
     arities = sorted(inhabited)
     raw = {n: _group_elements(BRAID, n, budget, seed, distinct=False) for n in arities}
     assert braids == {n: list(dict.fromkeys(raw[n])) for n in arities}
@@ -871,8 +919,8 @@ def test_the_sampled_braid_laws_are_decided_once_per_distinct_sample():
     # verdict, only slower.  The operad-slot law cables each sample onto its
     # signature and the argument-slot law block-sums each tuple of samples,
     # both by operad_mu, and action composition multiplies each pair: comm
-    # up to arity 3 makes 664 and 612 such calls on the distinct samples,
-    # and 3,646 and 2,500 walking the 25 draws at each arity.
+    # up to arity 3 makes 878 and 612 such calls on the distinct samples,
+    # and 319,726 and 2,500 walking the 25 draws at each arity.
     group = instance_braid()
     cables, products = [], []
     p = operad_comm(group, max_arity=3)
@@ -882,7 +930,7 @@ def test_the_sampled_braid_laws_are_decided_once_per_distinct_sample():
         multiply=lambda g, h: products.append(g) or group.multiply(g, h),
     )
     assert check_operad(p).ok
-    assert len(cables) <= 664 and len(products) <= 612
+    assert len(cables) <= 878 and len(products) <= 612
 
 
 # ------------------------------------------------------------ reads
@@ -960,7 +1008,7 @@ def test_each_call_decides_each_level_once(monkeypatch, name, call):
 
 @pytest.mark.parametrize("make", [OPERADS["comm.json"], lambda: operad_ass(3)], ids=["comm.json", "ass3"])
 def test_the_monad_laws_share_the_checked_levels_of_their_free_algebra(monkeypatch, make):
-    # Constancy on classes is decided on generators at arity 3 only, under
+    # Constancy on classes is decided on generators at every arity, under
     # the precondition the free algebra's quotient already decided there.
     # Arity 0 holds two levels, P(0) and the carrier's.
     p = make()

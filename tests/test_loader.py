@@ -85,6 +85,10 @@ def reference_load_operad(document: Mapping, name: str = "loaded operad") -> Fin
         if len(set(entries)) != len(entries):
             raise ValueError(f"levels[{n}]: duplicate labels")
         levels[n] = tuple(entries)
+    arities = [str(n) for n in range(max_arity + 1)]
+    for key in raw_levels:
+        if key not in arities:
+            raise ValueError(f"levels: unexpected key {key!r}, not an arity from 0 to {max_arity}")
 
     raw_action = document.get("action")
     if not isinstance(raw_action, Mapping):
@@ -111,6 +115,9 @@ def reference_load_operad(document: Mapping, name: str = "loaded operad") -> Fin
                 raise ValueError(f"action[{n}][{index}]: not a permutation of the labels")
             table.append(dict(zip(levels[n], row)))
         action_rows[n] = table
+    for key in raw_action:
+        if key not in arities:
+            raise ValueError(f"action: unexpected key {key!r}, not an arity from 0 to {max_arity}")
 
     unit = document.get("unit")
     if unit not in levels.get(1, ()):
@@ -290,7 +297,7 @@ def mutants(draw):
         "n-bool", "n-float", "n-other", "ks-bool", "ks-float", "ks-length", "ks-tuple",
         "args-short", "args-long", "args-string", "args-tuple", "args-foreign", "result",
         "duplicate-conflicting", "duplicate-consistent", "drop", "not-a-dict",
-        "field-value", "slot-value", "document-value",
+        "field-value", "slot-value", "document-value", "stray-arity",
     ]))
 
     def odd(value):
@@ -346,6 +353,14 @@ def mutants(draw):
     elif kind == "document-value":
         key = draw(st.sampled_from(["group", "max_arity", "levels", "action", "unit", "compose"]))
         document[key] = odd(document[key])
+    elif kind == "stray-arity":
+        # A lower max_arity leaves its old top arity stray in both mappings.
+        key = draw(st.sampled_from(["max_arity", "levels", "action"]))
+        if key == "max_arity":
+            document["max_arity"] = max(document["max_arity"] - 1, 0)
+        else:
+            stray = draw(st.sampled_from([str(document["max_arity"] + 1), "x", "01"]))
+            document[key][stray] = draw(st.sampled_from([[], ["zz"], "garbage"]))
     return document
 
 
@@ -380,6 +395,31 @@ def test_the_compose_table_is_made_of_the_levels_own_objects(document):
         assert head is own[n][head]
         assert all(arg is own[k][arg] for k, arg in zip(ks, rest))
         assert result is own[sum(ks)][result]
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"levels": {"9": ["zz"]}}, "levels: unexpected key '9', not an arity from 0 to 4"),
+        ({"action": {"9": "garbage"}}, "action: unexpected key '9', not an arity from 0 to 4"),
+        ({"levels": {"9": ["zz"]}, "action": {"9": "garbage"}}, "levels: unexpected key '9', not an arity from 0 to 4"),
+        ({"max_arity": 3}, "levels: unexpected key '4', not an arity from 0 to 3"),
+    ],
+    ids=["levels", "action", "both", "lower max_arity"],
+)
+def test_a_stray_arity_key_is_refused(tmp_path, capsys, change, error):
+    # comm.json with a key beyond its arities, which would otherwise be
+    # ignored, is refused at its first such key; through the CLI, with exit 2.
+    document = copy.deepcopy(PACKAGED["comm"])
+    for key, value in change.items():
+        document[key] = {**document[key], **value} if isinstance(value, dict) else value
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        load_operad(copy.deepcopy(document))
+    assert outcome(reference_load_operad, document) == ("error", error)
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(document))
+    assert cli.main(["operad", "check", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {error}\n"
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])

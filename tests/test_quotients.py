@@ -467,13 +467,22 @@ def test_generators_that_reach_part_of_the_group_decide_nothing():
     # With the first transposition alone, the generators of Sigma_3 reach 2
     # of its 6 elements.  Uniting along them would leave the quotient too
     # fine, and a law decided on them would be proved on that subgroup only,
-    # so the quotient refuses the level and check_operad walks every element.
+    # so the quotient refuses the level and check_operad walks every element
+    # at arity 3 and up.  Sigma_2 and below are still decided, since the one
+    # transposition generates Sigma_2.
     sym = GROUPS["symmetric"]
     first = dataclasses.replace(sym, generators=lambda n: sym.generators(n)[:1])
     message = "^x: the action at arity 3 is not decided on generators: they reach 2 of the 6 elements$"
     x = FiniteGCollection("x", first, {3: ("*",)}, lambda n, label, g: label)
     with pytest.raises(ValueError, match=message):
         compose_collections(x, unit_collection(first), 3)
+
+    def products(group) -> list[set]:
+        """Per arity up to 4, the pairs (g, h) that check_operad multiplies on comm over group."""
+        pairs: list[set] = [set() for _ in range(5)]
+        counting = dataclasses.replace(group, multiply=lambda g, h: pairs[g.n].add((g, h)) or group.multiply(g, h))
+        assert check_operad(operad_comm(counting, max_arity=4)).ok
+        return pairs
 
     def cables(group) -> int:
         """The operad_mu calls of check_operad on comm up to arity 4 over group."""
@@ -482,8 +491,14 @@ def test_generators_that_reach_part_of_the_group_decide_nothing():
         assert check_operad(operad_comm(counting, max_arity=4)).ok
         return len(calls)
 
-    # As many as for a group that lists no generators, whose laws are walked.
-    assert cables(first) == cables(dataclasses.replace(sym, generators=None)) > cables(sym)
+    # Action composition multiplies every pair at arities 3 and 4, as for a
+    # group that lists no generators, whose laws are walked, and at arity 2
+    # and below only the pairs of the precondition, as over Sigma itself.
+    walked, partial, decided = products(dataclasses.replace(sym, generators=None)), products(first), products(sym)
+    assert partial[3:] == walked[3:] != decided[3:]
+    assert partial[:3] == decided[:3] != walked[:3]
+    # The equivariance laws walk every signature that reads arity 3 or 4.
+    assert cables(sym) < cables(first) < cables(dataclasses.replace(sym, generators=None))
 
 
 @pytest.mark.parametrize("name", ["ass", "comm_trivial"])
