@@ -133,7 +133,7 @@ MAX_PSCOMM_BOUND = 5
 # with itself) took 0.64 s and peaked at 47 MB on a 2-vCPU machine.
 MAX_COMPOSITE_STATES = 200_000
 # The most tuples (p; x_1..x_n) `operad free` enumerates, sum over n <= bound
-# of |P(n)| * |X|^n, counted before any is listed.  198,536 of them (comm on
+# of |P(n)| * |X|^n, counted before any is listed.  198,535 of them (comm on
 # 58 carrier elements at bound 3) took 0.73 s and peaked at 76 MB, and
 # 168,421 (comm on 20 at bound 4) 0.63 s and 60 MB, on a 2-vCPU machine;
 # memory, not time, sets the limit.

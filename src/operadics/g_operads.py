@@ -65,17 +65,18 @@ first).  Errors are never stored, so a bad call raises every time.
 Operads round-trip through a JSON document format for the command-line
 tools.
 
-Loading validates every compose record.  Once per document it tabulates,
-for each signature ks within the bound, one tuple: n, ks, the types
-(int,) * n, and maps sending each head label, valid argument tuple and
-result label to the level's own object.  A well-formed record is accepted
-by an exact-int test on n and ks and three lookups in these maps, and is
-entered from their values only, so the table shares the level's labels,
-one ks tuple per signature and one tuple per argument tuple, and keeps no
-string of the document.  A record that fails this test (a tuple where a
-list belongs, a label missing from its map, one argument too many) is
-checked field by field in a fixed order, and the first fault is reported
-with its position.  The table is complete exactly when it holds
+Loading validates every compose record.  Once per document it decides
+that every n is an int and every ks a list of ints, all of exact type,
+and tabulates, for each signature ks within the bound, one tuple: n, ks,
+and maps sending each head label, valid argument tuple and result label
+to the level's own object.  A well-formed record is then accepted by
+three lookups in these maps, and is entered from their values only, so
+the table shares the level's labels, one ks tuple per signature and one
+tuple per argument tuple, and keeps no string of the document.  A record
+that fails a lookup (a tuple where the argument list belongs, a label
+missing from its map, one argument too many), and every record of a
+document whose arities are not all exact ints, is checked field by field
+in a fixed order, and the first fault is reported with its position.  The table is complete exactly when it holds
 sum |P(n)| * prod |P(k_i)| keys.  `_signature_counts` counts these
 by a dynamic program over arity sums, listing no signature and stopping
 once the count passes the number of records, so a short document is
@@ -1137,6 +1138,9 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     Build a table-backed operad from a document, validating structure as it
     goes; every failure names the offending location.  Law checking is a
     separate step (`check_operad`) — this only rejects malformed tables.
+    The exact types of the compose records' arities are decided once per
+    document (`_exact_arities`); when they hold, a record is accepted by
+    lookups alone, and otherwise every record is checked in order.
     """
     if not isinstance(document, Mapping):
         raise ValueError("document: expected a JSON object")
@@ -1227,20 +1231,24 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     counts = _signature_counts(sizes, sizes, max_arity, len(entries) + 1)
     substitutions = len(entries) + 1 if counts is None else sum(counts)
     # The fast test holds one argument tuple per substitution at most, so it
-    # is built only for a document with at least that many records; a
-    # shorter one is incomplete and every record takes the checked path.
-    fast = _record_signatures(levels, max_arity, inhabited) if len(entries) >= substitutions else {}
+    # is built only for a document with at least that many records, a
+    # shorter one being incomplete, and whose arities are all exact ints.
+    # Every record of any other document takes the checked path, which names
+    # the first fault in document order.
+    fast = (
+        _record_signatures(levels, max_arity, inhabited)
+        if len(entries) >= substitutions and _exact_arities(entries)
+        else {}
+    )
     fields = operator.itemgetter("n", "ks", "args", "result")
     for position, record in enumerate(entries):
         try:
             n, ks, args, result = fields(record)
-            # A tuple where a list belongs, or a string where the labels
-            # belong, is refused by the checked path, so it goes there.
-            if type(ks) is list and type(args) is list:
-                arity, signature, ints, heads, arguments, results = fast[tuple(ks)]
-                # The type tests stay: True == 1 and 1.0 == 1, so a tuple of
-                # bools or floats finds the signature of the ints it equals.
-                if type(n) is int and n == arity and tuple(map(type, ks)) == ints:
+            # A tuple or a string where the argument list belongs is refused
+            # by the checked path, so it goes there.
+            if type(args) is list:
+                arity, signature, heads, arguments, results = fast[tuple(ks)]
+                if n == arity:
                     value = results[result]
                     key = (arity, signature, heads[args[0]], arguments[tuple(args[1:])])
                     # A consistent duplicate finds the same level object; any
@@ -1298,17 +1306,38 @@ def load_operad(document: Mapping, name: str = "loaded operad") -> FiniteGOperad
     return operad
 
 
+def _exact_arities(entries: list) -> bool:
+    """
+    Whether every compose record is an object whose n is an int and whose
+    ks is a list of ints, all of exact type: True == 1 and 1.0 == 1, so a
+    bool or a float would find the signature of the int it equals.  The
+    n and ks columns are read by C-level iterators, one set of types per
+    column and none per record; a record that is no object, or lacks those
+    keys, raises, and means no.
+    """
+    n, ks = operator.itemgetter("n"), operator.itemgetter("ks")
+    try:
+        # The list test comes first, so the last pass iterates lists only.
+        return (
+            set(map(type, map(ks, entries))) <= {list}
+            and set(map(type, map(n, entries))) <= {int}
+            and set(map(type, itertools.chain.from_iterable(map(ks, entries)))) <= {int}
+        )
+    except (KeyError, TypeError):
+        return False
+
+
 def _record_signatures(
     levels: Mapping[int, tuple[str, ...]], max_arity: int, inhabited: Sequence[int]
 ) -> dict[tuple[int, ...], tuple]:
     """
     Per signature ks within max_arity that admits a record: n, ks itself,
-    the types (int,) * n of its arities, and maps sending each head label,
-    valid argument tuple and result label to the level's own object.  A
-    record of integer arities whose fields these maps all find is valid
-    without further checks, and its table entry is made of the maps'
-    values, so the table shares them and keeps no string of the document.
-    Only signatures over the `inhabited` (non-empty) arities can admit one.
+    and maps sending each head label, valid argument tuple and result label
+    to the level's own object.  A record of exact int arities
+    (`_exact_arities`) whose fields these maps all find is valid without
+    further checks, and its table entry is made of the maps' values, so the
+    table shares them and keeps no string of the document.  Only signatures
+    over the `inhabited` (non-empty) arities can admit one.
     """
     own = {n: dict(zip(levels[n], levels[n])) for n in inhabited}
     table = {}
@@ -1318,7 +1347,7 @@ def _record_signatures(
             # Measured faster than dict(zip(...)) over a list of the tuples:
             # most signatures of a document have one or a few tuples.
             arguments = {t: t for t in itertools.product(*map(levels.__getitem__, ks))}
-            table[ks] = (n, ks, (int,) * n, own[n], arguments, results)
+            table[ks] = (n, ks, own[n], arguments, results)
     return table
 
 

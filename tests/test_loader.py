@@ -8,8 +8,9 @@ earlier loader, kept verbatim up to naming, which checks every record
 field by field; its label checks test the type first, as the loader's do,
 so that a list or an object where a label belongs is reported instead of
 failing a set lookup.  Hypothesis mutates one record of a built document,
-or one value of it, and both loaders must raise the same `ValueError` text
-or build equal tables, down to the types of the keys.  The reference's
+or one value of it, or two records, one of them by a type fault, and both
+loaders must raise the same `ValueError` text or build equal tables, down
+to the types of the keys.  The reference's
 fold of the generator rows along each element's word
 (`reference_action_table`) is the oracle for the loader's tabulation
 along word prefixes, and enumerating signatures is the oracle for
@@ -284,21 +285,34 @@ def _all_labels(document):
     return sorted({label for labels in document["levels"].values() for label in labels})
 
 
+# The kinds of change `mutate` makes to one compose record.  The exact-type
+# kinds put a bool, a float, a tuple or a record that is no object where the
+# loader tests exact types, which it decides once per document.
+EXACT_TYPE_KINDS = ["n-bool", "n-float", "ks-bool", "ks-float", "ks-tuple", "not-a-dict"]
+RECORD_KINDS = [
+    "n-bool", "n-float", "n-other", "ks-bool", "ks-float", "ks-length", "ks-tuple",
+    "args-short", "args-long", "args-string", "args-tuple", "args-foreign", "result",
+    "duplicate-conflicting", "duplicate-consistent", "drop", "not-a-dict",
+    "field-value", "slot-value",
+]
+
+
 @st.composite
 def mutants(draw):
     """A base document with one compose record changed, added, dropped or replaced."""
     document = copy.deepcopy(BASES[draw(st.sampled_from(sorted(BASES)))])
+    position = draw(st.integers(0, len(document["compose"]) - 1))
+    foreign = draw(st.sampled_from([*_all_labels(document), "nope", ""]))
+    kind = draw(st.sampled_from([*RECORD_KINDS, "document-value", "stray-arity"]))
+    mutate(draw, document, position, foreign, kind)
+    return document
+
+
+def mutate(draw, document: dict, position: int, foreign: str, kind: str) -> None:
+    """Change document in place by one kind of mutation at compose[position]."""
     records = document["compose"]
-    position = draw(st.integers(0, len(records) - 1))
     record = records[position]
     n = record["n"]
-    foreign = draw(st.sampled_from([*_all_labels(document), "nope", ""]))
-    kind = draw(st.sampled_from([
-        "n-bool", "n-float", "n-other", "ks-bool", "ks-float", "ks-length", "ks-tuple",
-        "args-short", "args-long", "args-string", "args-tuple", "args-foreign", "result",
-        "duplicate-conflicting", "duplicate-consistent", "drop", "not-a-dict",
-        "field-value", "slot-value", "document-value", "stray-arity",
-    ]))
 
     def odd(value):
         """A JSON value of another shape than a label or an arity."""
@@ -361,13 +375,83 @@ def mutants(draw):
         else:
             stray = draw(st.sampled_from([str(document["max_arity"] + 1), "x", "01"]))
             document[key][stray] = draw(st.sampled_from([[], ["zz"], "garbage"]))
-    return document
 
 
 @settings(max_examples=300, deadline=None)
 @given(document=mutants())
 def test_loader_agrees_with_the_per_record_reference(document):
     assert outcome(load_operad, document) == outcome(reference_load_operad, document)
+
+
+@st.composite
+def two_fault_mutants(draw):
+    """
+    A base document with two distinct compose records changed: one record
+    with arities by an exact-type kind, which is a fault, then another by
+    any record kind, before or after it in the document.
+    """
+    name = draw(st.sampled_from([name for name in sorted(BASES) if len(BASES[name]["compose"]) > 1]))
+    document = copy.deepcopy(BASES[name])
+    records = document["compose"]
+    typed = draw(st.sampled_from([i for i, record in enumerate(records) if record["n"]]))
+    other = draw(st.sampled_from([i for i in range(len(records)) if i != typed]))
+    # No exact-type kind adds or drops a record, so `other` still points at
+    # the record it was drawn for.
+    for position, kinds in ((typed, EXACT_TYPE_KINDS), (other, RECORD_KINDS)):
+        foreign = draw(st.sampled_from([*_all_labels(document), "nope", ""]))
+        mutate(draw, document, position, foreign, draw(st.sampled_from(kinds)))
+    return document
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=two_fault_mutants())
+def test_of_two_faults_the_earlier_is_named_even_when_the_type_fault_comes_later(document):
+    # Exact types are decided once per document, before any record is
+    # read; a type fault anywhere sends every record to the checked path,
+    # which names the first fault in document order.
+    loaded = outcome(load_operad, document)
+    assert loaded[0] == "error"
+    assert loaded == outcome(reference_load_operad, document)
+
+
+ASS4 = write_operad_document(operad_ass(4))
+# The first record, the first one from the middle on with an arity 1 in its
+# ks, and the last.
+ASS4_POSITIONS = [
+    0,
+    next(i for i in range(len(ASS4["compose"]) // 2, len(ASS4["compose"])) if 1 in ASS4["compose"][i]["ks"]),
+    len(ASS4["compose"]) - 1,
+]
+
+
+def _with_type_fault(document: dict, position: int, fault: str) -> dict:
+    """document with compose[position] given true as n, or true or 1.0 in ks."""
+    record = dict(document["compose"][position])
+    if fault == "n-true":
+        record["n"] = True
+    else:
+        # At an arity 1, where the value equals the int it replaces, else
+        # at the first slot; an empty ks gets it as its one entry.
+        ks = list(record["ks"])
+        slot = ks.index(1) if 1 in ks else 0
+        ks[slot:slot + 1] = [True if fault == "ks-true" else 1.0]
+        record["ks"] = ks
+    records = list(document["compose"])
+    records[position] = record
+    return {**document, "compose": records}
+
+
+@pytest.mark.parametrize("fault", ["ks-true", "ks-1.0", "n-true"])
+@pytest.mark.parametrize("position", ASS4_POSITIONS, ids=["first", "middle", "last"])
+def test_a_type_fault_in_the_8143_record_ass4_document_is_named_as_the_reference_names_it(position, fault):
+    assert len(ASS4["compose"]) == 8143
+    document = _with_type_fault(ASS4, position, fault)
+    with pytest.raises(ValueError) as raised:
+        load_operad(document)
+    with pytest.raises(ValueError) as expected:
+        reference_load_operad(document)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith(f"compose[{position}]: ")
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
