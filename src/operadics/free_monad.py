@@ -23,8 +23,10 @@ each is computed once per report.  Associativity decides each (q, ps) by
 two rows over the class tuples of one length (`g_operads._rows_or_replay`):
 the row of q's composite with the p_i, and q flattening the rows of the p_i
 read at the position of each tuple's slices, each position column built
-once per call.  Constancy on classes is decided per arity n on the
-generators of G(n), by the one group-element policy of `g_operads`.
+once per call.  Constancy on classes at arity n is decided on the
+generators of G(n) exactly when `g_operads._right_action_fault` holds at n,
+and walked over the listed elements otherwise, by the one group-element
+policy of `g_operads`.
 The correspondence reads its classes from the free algebra the laws were
 checked on, truncated to its bound, so one call runs one orbit quotient.
 `free_algebra` keeps no quotient of its own: the free algebra is the
@@ -61,7 +63,6 @@ from .g_operads import (
     _checked_levels,
     _group_samples,
     _inhabited,
-    _on_generators,
     _orbit_quotient,
     _ReadThrough,
     _rows_or_replay,
@@ -230,10 +231,10 @@ def check_monad_laws(
 
     Flattenings and actions are read through tables of this call, each key
     once.  "Multiplication is constant on classes" follows the policy at
-    `g_operads.GROUP_SAMPLE_BUDGET`: decided on generators at every arity,
-    under the precondition and with the counts the `g_operads` module
-    docstring states, reading the precondition from the memo its free
-    algebra's quotient filled.
+    `g_operads.GROUP_SAMPLE_BUDGET`: decided on generators exactly when
+    `g_operads._right_action_fault` holds at an arity, with the counts the
+    `g_operads` module docstring states, reading the precondition from the
+    memo its free algebra's quotient filled.
     """
     group = p.group
     # One memo of checked levels for the free algebra's quotient and the laws.
@@ -248,7 +249,6 @@ def check_monad_laws(
 
     # The elements of G(n), listed once per inhabited arity.
     elements = _group_samples(group, p.labels, bound)
-    decided = _on_generators(group)
 
     # Constancy on classes, by arity n: each (label, inner) under each g in gs, moving inner by pi(g)^-1.
     def constancy_walk(n: int, cases: list[tuple], gs: list) -> Iterator[str | None]:
@@ -266,7 +266,7 @@ def check_monad_laws(
     def well_defined() -> Iterator[tuple]:
         for n, nestings in itertools.groupby(_nestings(free), key=lambda nesting: nesting[0]):
             cases = [(label, inner) for _, label, inner in nestings]
-            agree = functools.partial(constant_on_generators, n, cases) if decided else None
+            agree = functools.partial(constant_on_generators, n, cases)
             yield len(cases) * len(elements[n]), agree, functools.partial(constancy_walk, n, cases, elements[n])
 
     def left_unit() -> Iterator[str | None]:

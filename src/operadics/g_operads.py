@@ -16,17 +16,19 @@ in this module decide all of these up to the operad's arity bound
 (sampling group elements when the group is infinite) and report one
 PASS/FAIL line per law, each stopping at its first counterexample.
 The laws that range over group elements follow the one policy stated at
-GROUP_SAMPLE_BUDGET: over a group that lists its elements and generators
-they decide each inhabited arity's cases at once on the generators of
-G(n), and over any other group they walk its elements as listed.  The
-precondition is that the action is a right one decided on generators:
-every x.g inside the level, x.e = x, x.(g s) = (x.g).s for every element g
-and generator s, and those products reaching all of G(n) from e.
-`_right_action_fault` tabulates a level's action and decides it, at most
-once per collection and arity in a call, whose laws and orbit quotients
-share one memo of checked levels (`_checked_levels`).  Given it and the
-action-operad axioms, each law below holds at every element once it
-holds at the generators, by induction on a word in the generators:
+GROUP_SAMPLE_BUDGET: a group of cases is decided on generators exactly when
+`_right_action_fault` holds at the levels it reads, and walked over the
+listed elements otherwise.  That precondition is that the action is a
+right one decided on generators: the group lists its elements and
+generators, every x.g lies inside the level, x.e = x, x.(g s) = (x.g).s for
+every element g and generator s, and those products reach all of G(n) from
+e.  A group that lists no elements or no generators, as the braid groups,
+fails it before any action is read.  `_right_action_fault` tabulates a
+level's action and decides it, at most once per collection and arity in a
+call, whose laws and orbit quotients share one memo of checked levels
+(`_checked_levels`).  Given it and the action-operad axioms, each law
+below holds at every element once it holds at the generators, by
+induction on a word in the generators:
   - action composition follows from the precondition alone;
   - equivariance in the operad slot is walked at each generator of G(n),
     for all signatures of head arity n together, since the law at g s
@@ -223,7 +225,7 @@ class _ReadThrough(dict):
 
 
 def _rows_or_replay(
-    groups: Iterable[tuple[int, Callable[[], bool] | None, Callable[[], Iterator[str | None]]]]
+    groups: Iterable[tuple[int, Callable[[], bool], Callable[[], Iterator[str | None]]]]
 ) -> Iterator[int | str | None]:
     """
     The cases of a law for `Report.check`, from groups (size, agree, replay):
@@ -231,13 +233,12 @@ def _rows_or_replay(
     generators, and replay() lists them case by case.  A group whose agree()
     holds counts as size passing cases.  Any other is replayed, as is one
     where a read raises in agree(), so the case that reaches that read raises
-    again, and one whose agree is None, which no decision would make cheaper.
-    As reads depend on their key alone, the verdict, count, first witness and
-    error are those of the per-case loop.
+    again.  As reads depend on their key alone, the verdict, count, first
+    witness and error are those of the per-case loop.
     """
     for size, agree, replay in groups:
         try:
-            passed = agree is not None and agree()
+            passed = agree()
         except Exception:
             passed = False
         if passed:
@@ -335,13 +336,13 @@ def _group_order(group: ActionOperad, n: int) -> int:
 
 
 # The one group-element policy of every law, at each inhabited arity n.  A
-# group that lists its elements and generators is decided on the generators
-# of G(n), as the module docstring states, and counts and replays all of
-# G(n).  Any other group is walked over one list per arity, read by every
-# law and slot: all of G(n) if the group lists it, and otherwise the distinct
-# elements among GROUP_SAMPLE_BUDGET draws with GROUP_SAMPLE_SEED, in
-# first-draw order.  Draws are the same when they are equal objects, for
-# braids the same word, never by the word problem.
+# law's cases are decided on generators exactly when `_right_action_fault`
+# holds at the levels they read, as the module docstring states, and then
+# count and replay all of G(n).  Otherwise they are walked over one list per
+# arity, read by every law and slot: all of G(n) if the group lists it, and
+# otherwise the distinct elements among GROUP_SAMPLE_BUDGET draws with
+# GROUP_SAMPLE_SEED, in first-draw order.  Draws are the same when they are
+# equal objects, for braids the same word, never by the word problem.
 GROUP_SAMPLE_BUDGET = 25
 GROUP_SAMPLE_SEED = 9
 
@@ -355,11 +356,6 @@ def _group_samples(group: ActionOperad, labels: Callable, bound: int) -> dict[in
     return {n: list(dict.fromkeys(group.sample(rng, n) for _ in draws)) for n, rng in rngs.items()}
 
 
-def _on_generators(group: ActionOperad) -> bool:
-    """Whether the laws decide each G(n) on its generators, by the policy above."""
-    return group.elements is not None and group.generators is not None
-
-
 def _right_action_fault(
     group: ActionOperad, m: int, labels: Sequence[str], read: Callable[[int, str, Any], str]
 ) -> tuple[str | None, list[tuple[Any, dict[str, str]]]]:
@@ -369,8 +365,13 @@ def _right_action_fault(
     generators of G(m), as the end of "the action at arity m ...", or None,
     with each generator s and its table {label: label.s}.  The action of
     every element of G(m) is read once, by element in listed order, and the
-    decision costs |G(m)| * generators * |labels| lookups.
+    decision costs |G(m)| * generators * |labels| lookups.  A group that
+    lists no elements or no generators fails at once, naming what it lacks,
+    with no generator, and no action is read.
     """
+    for listing in ("elements", "generators"):
+        if getattr(group, listing) is None:
+            return f"is not decided on generators: the group lists no {listing}", []
     tables = {g: {label: read(m, label, g) for label in labels} for g in group.elements(m)}
     generators = group.generators(m)
 
@@ -439,9 +440,10 @@ def _check_collection(
 ) -> Report:
     """
     The right-action laws of x at the arities and group elements of
-    `samples`, read through act.  Over a group decided on generators, by the
-    policy at GROUP_SAMPLE_BUDGET, the composition law at each arity is the
-    precondition itself, read from `checked` (see the module docstring).
+    `samples`, read through act.  By the policy at GROUP_SAMPLE_BUDGET, the
+    composition law at each arity is decided on generators exactly when
+    `_right_action_fault` holds there, read from `checked`: it is then the
+    precondition itself (see the module docstring).
     """
     report = Report(f"collection laws: {x.name}")
     group = x.group
@@ -473,10 +475,8 @@ def _check_collection(
         return checked[x, n][0] is None
 
     def composition() -> Iterator[tuple]:
-        decided = _on_generators(group)
         for n, gs in samples.items():
-            agree = functools.partial(decide, n) if decided else None
-            yield len(x.labels(n)) * len(gs) ** 2, agree, functools.partial(walk, n, gs)
+            yield len(x.labels(n)) * len(gs) ** 2, functools.partial(decide, n), functools.partial(walk, n, gs)
 
     report.check("action stays inside each level", typed())
     report.check("action unit law", unit())
@@ -500,9 +500,9 @@ def check_operad(p: FiniteGOperad) -> Report:
     every law and slot.
 
     Both equivariance laws and action composition follow the policy at
-    GROUP_SAMPLE_BUDGET: decided on generators, under the precondition and
-    with the counts of the listed walk, over a group that lists its
-    elements and generators, and walked over the listed elements otherwise.
+    GROUP_SAMPLE_BUDGET: decided on generators, with the counts of the
+    listed walk, exactly when `_right_action_fault` holds at the levels a
+    group of cases reads, and walked over the listed elements otherwise.
     """
     group = p.group
     bound = p.max_arity
@@ -514,7 +514,6 @@ def check_operad(p: FiniteGOperad) -> Report:
     report = Report(f"operad laws: {p.name}")
     # Each inhabited arity's group elements, listed once for every law.
     elements = _group_samples(group, labels, bound)
-    decided = _on_generators(group)
     checked = _checked_levels(group, act)
 
     def right(m: int) -> bool:
@@ -663,8 +662,7 @@ def check_operad(p: FiniteGOperad) -> Report:
         for n, same_head in itertools.groupby(signatures, key=lambda signature: signature[0]):
             sigs = [ks for _, ks in same_head]
             size = len(elements[n]) * len(labels(n)) * sum(len(product(ks)) for ks in sigs)
-            agree = functools.partial(slot_decided, n, sigs) if decided else None
-            yield size, agree, functools.partial(slot_walk, n, sigs, elements[n])
+            yield size, functools.partial(slot_decided, n, sigs), functools.partial(slot_walk, n, sigs, elements[n])
 
     # Equivariance in the argument slots (the acting elements block-sum up),
     # by signature, under the tuples gs.
@@ -686,21 +684,18 @@ def check_operad(p: FiniteGOperad) -> Report:
                     yield None
 
     def arguments_decided(n: int, ks: tuple[int, ...]) -> bool:
+        if not (all(map(right, (*ks, sum(ks)))) and typed_composites[n, ks]):
+            return False
         # One slot at a generator of its group, the others at the identity.
         identities = [group.identity(k) for k in ks]
         tuples = [(*identities[:i], s, *identities[i + 1:]) for i, k in enumerate(ks) for s in group.generators(k)]
-        return (
-            all(map(right, (*ks, sum(ks))))
-            and typed_composites[n, ks]
-            and not any(argument_walk(n, ks, tuples))
-        )
+        return not any(argument_walk(n, ks, tuples))
 
     def argument_slots() -> Iterator[tuple]:
         for n, ks in signatures:
             tuples = itertools.product(*(elements[k] for k in ks))
             size = len(labels(n)) * len(product(ks)) * math.prod(len(elements[k]) for k in ks)
-            agree = functools.partial(arguments_decided, n, ks) if decided else None
-            yield size, agree, functools.partial(argument_walk, n, ks, tuples)
+            yield size, functools.partial(arguments_decided, n, ks), functools.partial(argument_walk, n, ks, tuples)
 
     report.check("tables are well-typed", typed())
     report.check("operad unit", unit())
@@ -807,6 +802,7 @@ def endomorphism_operad(
         )
 
     position = {x: i for i, x in enumerate(alphabet)}
+    members = {n: set(labels) for n, labels in levels.items()}
 
     def rank(xs: Iterable[str]) -> int:
         """The index of an input tuple in lexicographic order, i.e. in a label."""
@@ -816,6 +812,8 @@ def endomorphism_operad(
         return index
 
     def action(n: int, label: str, g: Any) -> str:
+        if label not in members.get(n, ()):
+            raise ValueError(f"unknown label {label!r} at arity {n}")
         outputs = label.split(",")
         pi = group.project(g)
         return ",".join(

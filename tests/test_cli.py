@@ -375,6 +375,21 @@ def test_verify_all_is_deterministic_and_green(tmp_path, cli_run):
     assert reseeded.returncode == 0
 
 
+@pytest.mark.parametrize(
+    "decoys",
+    [
+        {name: "{}" for name in ("comm", "ass", "comm_trivial")},
+        {"comm": (PACKAGE_DATA / "comm_trivial.json").read_text()},
+    ],
+    ids=["malformed", "comm_trivial as comm"],
+)
+def test_verify_all_reads_the_packaged_documents_whatever_the_working_directory_holds(tmp_path, cli_run, decoys):
+    for name, text in decoys.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    result = cli_run("verify", "all", cwd=tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, (GOLDEN / "verify_all.txt").read_text(), "")
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_verify_all_refuses_a_budget_below_one(monkeypatch, cli_run, budget):
     # A budget of 0 would sample no element for any action-operad law.
@@ -697,6 +712,29 @@ def test_operad_compose_refuses_before_counting_past_its_limit(monkeypatch, cli_
         "error: --bound 4: ass.json o comm.json has more composite states than the limit 245\n"
     )
     assert calls == []
+
+
+def test_operad_compose_lists_a_class_at_its_arity_limit(cli_run):
+    # comm_trivial.json has max_arity 3, so no composite has arity above 9,
+    # and the one class at arity 9 is the product's last.
+    result = cli_run("operad", "compose", "comm_trivial.json", "comm_trivial.json", "--bound", "9")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[-1].startswith("n=9 (1 classes): ")
+
+
+@pytest.mark.parametrize("bound", ["10", "1000000000"])
+def test_operad_compose_refuses_a_bound_past_its_arity_limit(monkeypatch, cli_run, bound):
+    # Past 9 no level can hold a class; the refusal comes before the states
+    # are counted, so even a bound of 10^9 returns at once.
+    calls = _counted_compose(monkeypatch)
+    counted = []
+    monkeypatch.setattr(cli, "composite_states", lambda *args: counted.append(args))
+    result = cli_run("operad", "compose", "comm_trivial.json", "comm_trivial.json", "--bound", bound)
+    assert (result.returncode, result.stdout, calls, counted) == (2, "", [], [])
+    assert result.stderr == (
+        f"error: --bound {bound}: the arity bound must be at most "
+        "comm_trivial.json's max_arity times comm_trivial.json's, 9\n"
+    )
 
 
 @pytest.mark.parametrize("excess, code", [(0, 0), (1, 2)], ids=["at-the-limit", "limit+1"])

@@ -338,6 +338,20 @@ def test_endomorphism_action_permutes_inputs():
     assert endo.action(2, second, swap) == first
 
 
+@pytest.mark.parametrize(
+    "carrier, n, label",
+    [(("a", "b"), 1, "a"), (("a", "b"), 0, "a,b"), (("a", "b"), 1, "foreign"), (("a",), 1, "foreign")],
+    ids=["level 0 at arity 1", "level 1 at arity 0", "foreign on {a,b}", "foreign on {a}"],
+)
+def test_endomorphism_action_refuses_a_label_outside_its_level(carrier, n, label):
+    # A label of another level, read by position, would index past its
+    # outputs or be taken for a function it is not; "foreign" over {a} would
+    # act as a constant function.
+    endo = endomorphism_operad(carrier, instance_symmetric(), max_arity=1)
+    with pytest.raises(ValueError, match=f"^unknown label '{label}' at arity {n}$"):
+        endo.action(n, label, instance_symmetric().identity(n))
+
+
 def test_endomorphism_size_guard():
     with pytest.raises(ValueError, match="more than the limit"):
         endomorphism_operad(("a", "b", "c"), instance_symmetric(), max_arity=2)

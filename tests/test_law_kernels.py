@@ -30,7 +30,13 @@ level that the generators fix.  Every single-entry fault of nine of the
 operads, each entry answering each other label of its level or a label
 outside every level, is listed with no draw and must give the loops'
 outcome; those of ass.json are listed in `exhaustive_faults.py`, run by
-path.  Over the braid groups every law, in both slots, reads one distinct
+path.  So must every action fault of those nine operads and ass.json
+give `check_collection` the per-case outcome, and every single-entry fault
+of the eight over a finite group but ass.json give the monad laws theirs.
+A symmetric group that lists no generators fails the right-action
+precondition: the laws walk its elements to the loops' result, and the
+orbit quotients refuse its first level with a `ValueError` naming the
+collection and the arity.  Over the braid groups every law, in both slots, reads one distinct
 sample per arity, and the reference walks the same distinct samples:
 one compose or action entry of comm that `check_operad` reads answers a
 label outside its level, at every key up to arity 2, at keys up to arity 3
@@ -58,6 +64,7 @@ import collections
 import dataclasses
 import itertools
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
@@ -626,6 +633,72 @@ def test_monad_laws_match_the_per_case_loops(p, carrier):
             check_monad_laws(p, carrier, max_arity=bound)
         return
     assert monad_laws(p, carrier, bound) == reference_monad_laws(p, carrier, bound)
+
+
+# The action faults among the single-entry faults of each operad over a finite group.
+ACTION_FAULTS = {
+    "ass.json": 226,
+    "comm.json": 34,
+    "comm_trivial.json": 4,
+    "ass2": 10,
+    "comm/symmetric 3": 10,
+    "comm/symmetric 4": 34,
+    "comm/trivial 3": 4,
+    "endo {a} 2": 4,
+    "endo {a,b} 1": 20,
+}
+
+
+@pytest.mark.parametrize("name", ACTION_FAULTS)
+def test_every_action_fault_gives_the_collection_laws_of_the_per_case_loops(name):
+    # Action composition is decided on generators, so, as for check_operad,
+    # every action fault is listed, not drawn.
+    faults = [(key, value) for key, value in single_entry_faults(name) if len(key) == 3]
+    for key, value in faults:
+        fast = outcome(lambda: results(check_collection(rebind(OPERADS[name](), key, value))))
+        p = rebind(OPERADS[name](), key, value)
+        assert fast == outcome(lambda: results(reference_check_collection(p, p.max_arity))), key
+    assert len(faults) == ACTION_FAULTS[name]
+
+
+@pytest.mark.parametrize("name", [name for name in FINITE if name != "ass.json"])
+def test_every_single_entry_fault_gives_the_monad_laws_of_the_per_case_loops(name):
+    # Constancy on classes is decided on generators; a fault that leaves no
+    # right action inside its level must be refused instead.
+    bound = min(OPERADS[name]().max_arity, 2)
+    faults = single_entry_faults(name)
+    for key, value in faults:
+        fast = outcome(lambda: monad_laws(rebind(OPERADS[name](), key, value), ("a", "b"), bound))
+        reference = outcome(lambda: reference_monad_laws(rebind(OPERADS[name](), key, value), ("a", "b"), bound))
+        assert fast == reference, key
+        if not is_right_action(rebind(OPERADS[name](), key, value), bound):
+            assert fast[:2] == ("error", "ValueError"), key
+    assert len(faults) == SINGLE_ENTRY_FAULTS[name]
+
+
+@pytest.mark.parametrize("name", [name for name in FINITE if OPERADS[name]().group.name == "symmetric"])
+def test_a_group_that_lists_no_generators_is_walked_and_refused_by_the_quotients(name):
+    # The laws walk every element, to the per-case loops' result; the orbit
+    # quotients, which unite only along generators, refuse the first level.
+    def unlisted() -> FiniteGOperad:
+        p = OPERADS[name]()
+        p.group = dataclasses.replace(p.group, generators=None)
+        return p
+
+    p = unlisted()
+    assert results(check_operad(p)) == results(reference_check_operad(p))
+    assert results(check_collection(p)) == results(reference_check_collection(p, p.max_arity))
+    first = p.arities()[0]
+    fault = "is not decided on generators: the group lists no generators"
+    message = f"^{re.escape(p.name)}: the action at arity {first} {fault}$"
+    for run in (
+        lambda p: compose_collections(p, unit_collection(p.group), p.max_arity),
+        lambda p: free_algebra(p, ("a", "b"), min(p.max_arity, 2)),
+        lambda p: check_monad_laws(p, ("a", "b"), max_arity=min(p.max_arity, 2)),
+        pullback_witness_test,
+    ):
+        with pytest.raises(ValueError, match=message):
+            run(unlisted())
 
 
 @settings(max_examples=40, deadline=None)
