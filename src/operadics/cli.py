@@ -32,12 +32,12 @@ the strands of every braid word and `tmn` grid (`MAX_STRANDS`), a word
 given to `braid eq`, `reduce`, `pi` or `render` (`MAX_WORD_LETTERS`) and
 the grid of `perm tau`.  `verify pscomm` refuses an index bound above
 `MAX_PSCOMM_BOUND`, `verify all` a sample budget below 1, and `operad
-compose` an arity bound above X's max_arity times Y's, where no composite
-lies, with messages of their own.  A refused argument value is named
-first, in `_at_most`'s shape ``SUBJECT: ...``: a grid dimension as
-``M``/``N``, a bound as ``--bound B``, a carrier with an empty or a
-repeated element as ``--carrier ...``.  An empty ``--carrier`` is the
-empty carrier.
+compose` an arity bound above both the default 3 and X's max_arity times
+Y's, where no composite lies, with messages of their own.  A refused
+argument value is named first, in `_at_most`'s shape ``SUBJECT: ...``: a
+grid dimension as ``M``/``N``, a bound as ``--bound B``, a carrier with an
+empty or a repeated element as ``--carrier ...``.  An empty ``--carrier``
+is the empty carrier.
 """
 
 from __future__ import annotations
@@ -100,6 +100,8 @@ PACKAGED = ("comm", "ass", "comm_trivial")
 
 DEFAULT_SEED = 20260819
 DEFAULT_BUDGET = 200
+# The largest arity `operad compose` lists when no --bound is given.
+DEFAULT_COMPOSE_BOUND = 3
 
 # The most points `perm tau M N` prints: its image has m * n entries.
 MAX_TAU_POINTS = 1 << 20
@@ -237,9 +239,8 @@ def _read_text(path: Path, shown: str) -> str:
         raise CliError(f"{shown}: not UTF-8 text ({exc})") from None
 
 
-def _load_document(argument: str | Path) -> FiniteGOperad:
-    """The operad of a document: a `Path` as given, a file argument as `_resolve_document_path` finds it."""
-    path = argument if isinstance(argument, Path) else _resolve_document_path(argument)
+def _load_document(argument: str) -> FiniteGOperad:
+    path = _resolve_document_path(argument)
     text = _read_text(path, str(path))
     enabled = gc.isenabled()
     gc.disable()
@@ -529,7 +530,7 @@ def _cartesian_report(operads: dict[str, FiniteGOperad]) -> Report:
 def _cmd_verify_all(args) -> int:
     if args.budget < 1:
         raise CliError(f"--budget {args.budget}: the sample budget per law must be at least 1")
-    operads = {name: _load_document(DATA_DIR / f"{name}.json") for name in PACKAGED}
+    operads = {name: _load_document(str(DATA_DIR / f"{name}.json")) for name in PACKAGED}
     reports: list[Report] = []
     for instance in (instance_trivial(), instance_symmetric(), instance_braid()):
         reports.append(
@@ -618,12 +619,14 @@ def _cmd_operad_compose(args) -> int:
         )
     if args.bound < 0:
         raise CliError(f"--bound {args.bound}: the arity bound must be nonnegative")
-    # No composite state has arity above X's max_arity times Y's.
+    # No composite state has arity above X's max_arity times Y's; the
+    # default bound stays accepted where that product is smaller.
     limit = x.max_arity * y.max_arity
-    if args.bound > limit:
+    if args.bound > max(limit, DEFAULT_COMPOSE_BOUND):
         raise CliError(
             f"--bound {args.bound}: the arity bound must be at most "
             f"{args.file_x}'s max_arity times {args.file_y}'s, {limit}"
+            + ("" if limit >= DEFAULT_COMPOSE_BOUND else f", or the default {DEFAULT_COMPOSE_BOUND}")
         )
     _at_most(
         composite_states(x, y, args.bound, MAX_COMPOSITE_STATES + 1),
@@ -794,8 +797,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compose_parser.add_argument("file_x")
     compose_parser.add_argument("file_y")
-    compose_parser.add_argument("--bound", type=int, default=3,
-                                help="largest arity to list (default 3, at most the two max_arity values' product)")
+    compose_parser.add_argument("--bound", type=int, default=DEFAULT_COMPOSE_BOUND,
+                                help="largest arity to list (default 3; above 3, at most the two max_arity values' product)")
     compose_parser.set_defaults(handler=_cmd_operad_compose)
 
     example_parser = operad_sub.add_parser(

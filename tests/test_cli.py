@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from operadics import cli, free_monad, g_operads
-from operadics.action_operads import instance_trivial
+from operadics.action_operads import instance_symmetric, instance_trivial
 from operadics.braids import braid_identity
 from operadics.permutations import identity
 from operadics.reporting import Report
@@ -734,6 +734,30 @@ def test_operad_compose_refuses_a_bound_past_its_arity_limit(monkeypatch, cli_ru
     assert result.stderr == (
         f"error: --bound {bound}: the arity bound must be at most "
         "comm_trivial.json's max_arity times comm_trivial.json's, 9\n"
+    )
+
+
+def _unit_only_document() -> dict:
+    """The symmetric operad whose only operation is its unit, with max_arity 1."""
+    unit_only = g_operads.FiniteGOperad(
+        name="unit", group=instance_symmetric(), levels={0: (), 1: ("1",)}, unit="1",
+        action=lambda n, label, g: label, compose=lambda n, ks, head, args: "1", max_arity=1,
+    )
+    return g_operads.write_operad_document(unit_only)
+
+
+def test_operad_compose_keeps_its_default_bound_below_the_arity_limit(tmp_path, cli_run):
+    # unit o unit has no composite above arity 1 * 1, yet the default bound 3
+    # lists levels 0..3; an explicit bound past 3 is refused.
+    (tmp_path / "unit.json").write_text(json.dumps(_unit_only_document()))
+    result = cli_run("operad", "compose", "unit.json", "unit.json", cwd=tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "n=0 (0 classes)\nn=1 (1 classes): [1; 1; 1]\nn=2 (0 classes)\nn=3 (0 classes)\n"
+    refused = cli_run("operad", "compose", "unit.json", "unit.json", "--bound", "4", cwd=tmp_path)
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr == (
+        "error: --bound 4: the arity bound must be at most "
+        "unit.json's max_arity times unit.json's, 1, or the default 3\n"
     )
 
 
