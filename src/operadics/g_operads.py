@@ -37,10 +37,18 @@ induction on a word in the generators:
     slot at a generator and the others at the identity;
   - constancy on classes in `free_monad` is walked at each generator.
 Both equivariance decisions on generators also require every composite
-they read to lie in its level.  A group of cases so decided counts its
-listed size, and one whose decision fails or raises is walked case by case
-as listed, so verdicts, counts, witnesses and errors are those of the
-listed walk.
+they read to lie in its level.  Under these typing facts a group is
+decided with no walk at all when every level its two sides land in has
+one label (the one-label rule): both equivariance laws land in level
+sum(ks), and operad associativity, once every composite of the call lies
+in its level, lands each case in level sum(ls).  Two values in a level
+with one label are equal, and every read of such a group was already made
+by its typing facts, so a fault there is a label outside its level, which
+fails them and leaves the group to the walk.  A group of cases so decided
+counts its listed size, counted from the level sizes without listing a
+case, and one whose decision fails or raises is walked case by case as
+listed, so verdicts, counts, witnesses and errors are those of the listed
+walk.
 Every law, the loader, the document writer and the searches list their
 cases the same way.  Only arities whose level has a label (`_inhabited`)
 are walked, since no case reads an empty level: `_substitutions` lists
@@ -335,6 +343,12 @@ def _group_order(group: ActionOperad, n: int) -> int:
     return math.factorial(n) if group.name == "symmetric" else len(group.elements(n))
 
 
+def _require_finite_product(group: ActionOperad) -> None:
+    """Refuse a composition product over a group family that lists no elements."""
+    if group.elements is None:
+        raise ValueError("composition product needs a finite group of equivariance (trivial or symmetric)")
+
+
 # The one group-element policy of every law, at each inhabited arity n.  A
 # law's cases are decided on generators exactly when `_right_action_fault`
 # holds at the levels they read, as the module docstring states, and then
@@ -495,14 +509,19 @@ def check_operad(p: FiniteGOperad) -> Report:
     that depends only on arities is also done once per call: the label
     product of each arity tuple, the flat cases (ls, rs) of each length,
     each associativity position column and the identities of each
-    signature.  Nothing is kept after the call returns.  Only the inhabited
-    arities are walked, and only their group elements listed, once for
-    every law and slot.
+    signature, each on first use.  Nothing is kept after the call returns.
+    Only the inhabited arities are walked, and only their group elements
+    listed, once for every law and slot.
 
     Both equivariance laws and action composition follow the policy at
     GROUP_SAMPLE_BUDGET: decided on generators, with the counts of the
     listed walk, exactly when `_right_action_fault` holds at the levels a
     group of cases reads, and walked over the listed elements otherwise.
+    Under that precondition, and for associativity once every composite of
+    the call lies in its level, a group whose two sides land only in levels
+    with one label is decided with nothing walked or cabled, by the
+    one-label rule of the module docstring; the flat cases, columns and
+    rows of associativity are built only for a group that is not.
     """
     group = p.group
     bound = p.max_arity
@@ -545,29 +564,53 @@ def check_operad(p: FiniteGOperad) -> Report:
                 yield None if mu[1, (n,), p.unit, (head,)] == head else f"mu(unit; {head}) != {head}"
                 yield None if mu[n, (1,) * n, head, (p.unit,) * n] == head else f"mu({head}; unit...) != {head}"
 
+    # Whether every composite of a signature (n, ks) lies in its level, decided once per call.
+    def composites_in_level(n: int, ks: tuple[int, ...]) -> bool:
+        level = set(labels(sum(ks)))
+        return all(mu[n, ks, head, args] in level for head in labels(n) for args in product(ks))
+
+    typed_composites = _ReadThrough(composites_in_level)
+    sizes = [len(labels(m)) for m in range(bound + 1)]
+
+    def one_label(levels: Iterable[int]) -> bool:
+        return all(sizes[m] == 1 for m in levels)
+
     def associativity() -> Iterator[tuple]:
+        # Per length t: the number of flat cases (ls, rs), and whether every
+        # level sum(ls) that their two sides land in has one label, counted
+        # from the level sizes without listing a case.  counts[m] counts the
+        # cases with sum(ls) = m.
+        flat_counts = []
+        counts = [1] + [0] * bound
+        for _ in range(bound + 1):
+            flat_counts.append((sum(counts), one_label(m for m, count in enumerate(counts) if count)))
+            counts = [sum(sizes[k] * counts[m - k] for k in range(m + 1)) for m in range(bound + 1)]
+        # Every composite of the call lies in its level, decided once.
+        every_composite_typed = functools.cache(lambda: all(typed_composites[key] for key in signatures))
         # The arity tuples ls of each length over the inhabited arities with
-        # their label tuples, listed once.  The flat cases of a length are
-        # the tuples zip(ls, rs), so slicing one slices ls and rs.
-        flat_arities = {
-            total: [(ls, product(ls)) for ls in _within(bound, total, inhabited)] for total in range(bound + 1)
-        }
-        cases = {
-            total: [tuple(zip(ls, rs)) for ls, flats in flat_arities[total] for rs in flats] for total in flat_arities
-        }
-        positions = {k: {case: i for i, case in enumerate(cases[k])} for k in cases}
+        # their label tuples, listed on first use.  The flat cases of a length
+        # are the tuples zip(ls, rs), so slicing one slices ls and rs.
+        flat_arities = functools.cache(lambda total: [(ls, product(ls)) for ls in _within(bound, total, inhabited)])
+        cases = functools.cache(
+            lambda total: [tuple(zip(ls, rs)) for ls, flats in flat_arities(total) for rs in flats]
+        )
+        positions = functools.cache(lambda k: {case: i for i, case in enumerate(cases(k))})
         # Column (total, a, b): the position of each flat case's slice [a:b]
         # among the cases of length b - a, over the flat cases of length total.
-        column = _ReadThrough(lambda total, a, b: [positions[b - a][case[a:b]] for case in cases[total]])
+        def column_of(total: int, a: int, b: int) -> list[int]:
+            position = positions(b - a)
+            return [position[case[a:b]] for case in cases(total)]
+
+        column = _ReadThrough(column_of)
         # Rows of compose values, read once through mu: a composite c of
         # level total over the flat cases of that length, an argument q of
         # arity k as (sum(split), mu(k; split; q; rs)) over those of length
         # k, and a head of arity n over every (js, qs), keyed by zip(js, qs).
         composite_rows = _ReadThrough(
-            lambda total, c: [mu[total, ls, c, rs] for ls, flats in flat_arities[total] for rs in flats]
+            lambda total, c: [mu[total, ls, c, rs] for ls, flats in flat_arities(total) for rs in flats]
         )
         argument_rows = _ReadThrough(
-            lambda k, arg: [(sum(split), mu[k, split, arg, rs]) for split, flats in flat_arities[k] for rs in flats]
+            lambda k, arg: [(sum(split), mu[k, split, arg, rs]) for split, flats in flat_arities(k) for rs in flats]
         )
         head_rows = _ReadThrough(
             lambda n, head: {
@@ -577,15 +620,19 @@ def check_operad(p: FiniteGOperad) -> Report:
 
         def holds(n: int, ks: tuple[int, ...]) -> bool:
             """
-            Whether every case of the signature holds: for every (head, args),
-            the composite's row equals the head's row read at the inner
-            composites, which column i gathers from the row of args[i] at the
-            position of each flat case's slice for slot i among the cases of
-            length k_i.  The head's row reads None at an inner composite
-            outside its level, so it differs there.
+            Whether every case of the signature holds.  If every composite of
+            the call is typed, both sides of a case are composites of level
+            sum(ls), so where each such level has one label, they agree.
+            Otherwise, for every (head, args), the composite's row equals the
+            head's row read at the inner composites, which column i gathers
+            from the row of args[i] at the position of each flat case's slice
+            for slot i among the cases of length k_i.  The head's row reads
+            None at an inner composite outside its level, so it differs there.
             """
             offsets = list(itertools.accumulate(ks, initial=0))
             total = offsets[-1]
+            if flat_counts[total][1] and every_composite_typed():
+                return True
             columns = [column[total, a, b] for a, b in zip(offsets, offsets[1:])]
             for args in product(ks):
                 getters = [argument_rows[key].__getitem__ for key in zip(ks, args)]
@@ -601,7 +648,7 @@ def check_operad(p: FiniteGOperad) -> Report:
             offsets = list(itertools.accumulate(ks, initial=0))
             spans = list(zip(offsets, offsets[1:]))
             total = offsets[-1]
-            for ls, flats in flat_arities[total]:
+            for ls, flats in flat_arities(total):
                 splits = [ls[a:b] for a, b in spans]
                 inner_ks = tuple(map(sum, splits))
                 for head, args, composite in composites:
@@ -616,16 +663,9 @@ def check_operad(p: FiniteGOperad) -> Report:
                         yield None
 
         for n, ks in signatures:
-            size = len(labels(n)) * len(product(ks)) * len(cases[sum(ks)])
+            size = sizes[n] * len(product(ks)) * flat_counts[sum(ks)][0]
             if size:
                 yield size, functools.partial(holds, n, ks), functools.partial(replay, n, ks)
-
-    # Whether every composite of a signature (n, ks) lies in its level, decided once per call.
-    def composites_in_level(n: int, ks: tuple[int, ...]) -> bool:
-        level = set(labels(sum(ks)))
-        return all(mu[n, ks, head, args] in level for head in labels(n) for args in product(ks))
-
-    typed_composites = _ReadThrough(composites_in_level)
 
     # Equivariance in the operad slot (the acting element cables up), by
     # head arity n: the signatures with n slots under the elements gs, each
@@ -651,17 +691,17 @@ def check_operad(p: FiniteGOperad) -> Report:
                             )
                         yield None
 
+    # Both equivariance laws read each side in level sum(ks), so under the
+    # precondition a group whose such levels have one label holds unwalked.
     def slot_decided(n: int, sigs: list[tuple[int, ...]]) -> bool:
-        return (
-            right(n)
-            and all(right(sum(ks)) and typed_composites[n, ks] for ks in sigs)
-            and not any(slot_walk(n, sigs, group.generators(n)))
-        )
+        if not (right(n) and all(right(sum(ks)) and typed_composites[n, ks] for ks in sigs)):
+            return False
+        return one_label(map(sum, sigs)) or not any(slot_walk(n, sigs, group.generators(n)))
 
     def slot() -> Iterator[tuple]:
         for n, same_head in itertools.groupby(signatures, key=lambda signature: signature[0]):
             sigs = [ks for _, ks in same_head]
-            size = len(elements[n]) * len(labels(n)) * sum(len(product(ks)) for ks in sigs)
+            size = len(elements[n]) * sizes[n] * sum(len(product(ks)) for ks in sigs)
             yield size, functools.partial(slot_decided, n, sigs), functools.partial(slot_walk, n, sigs, elements[n])
 
     # Equivariance in the argument slots (the acting elements block-sum up),
@@ -686,6 +726,8 @@ def check_operad(p: FiniteGOperad) -> Report:
     def arguments_decided(n: int, ks: tuple[int, ...]) -> bool:
         if not (all(map(right, (*ks, sum(ks)))) and typed_composites[n, ks]):
             return False
+        if sizes[sum(ks)] == 1:
+            return True
         # One slot at a generator of its group, the others at the identity.
         identities = [group.identity(k) for k in ks]
         tuples = [(*identities[:i], s, *identities[i + 1:]) for i, k in enumerate(ks) for s in group.generators(k)]
@@ -694,7 +736,7 @@ def check_operad(p: FiniteGOperad) -> Report:
     def argument_slots() -> Iterator[tuple]:
         for n, ks in signatures:
             tuples = itertools.product(*(elements[k] for k in ks))
-            size = len(labels(n)) * len(product(ks)) * math.prod(len(elements[k]) for k in ks)
+            size = sizes[n] * len(product(ks)) * math.prod(len(elements[k]) for k in ks)
             yield size, functools.partial(arguments_decided, n, ks), functools.partial(argument_walk, n, ks, tuples)
 
     report.check("tables are well-typed", typed())
@@ -1463,8 +1505,10 @@ def composite_states(
     that `compose_collections` enumerates, sum_n |G(n)| * sum_(r; ks)
     |X(r)| * prod |Y(k_i)|, counted without listing a tuple or a group
     element.  None if the tuples (x; y_1..y_r) alone number cap or more,
-    in which case so do the composite tuples.
+    in which case so do the composite tuples.  A group that lists no
+    elements is refused, as `compose_collections` refuses it.
     """
+    _require_finite_product(x.group)
     heads = {r: len(x.labels(r)) for r in x.levels}
     arguments = {k: len(y.labels(k)) for k in range(bound + 1)}
     counts = _signature_counts(heads, arguments, bound, cap)
@@ -1612,10 +1656,7 @@ def compose_collections(
     collection and the arity.
     """
     group = x.group
-    if group.elements is None:
-        raise ValueError(
-            "composition product needs a finite group of equivariance (trivial or symmetric)"
-        )
+    _require_finite_product(group)
     if y.group is not x.group and y.group.name != group.name:
         raise ValueError(
             f"collections live over different groups: {x.group.name} and {y.group.name}"

@@ -139,7 +139,8 @@ def test_lawful_associativity_is_decided_by_rows_alone(monkeypatch, build, carri
     # through `_rows_or_replay` has a decision, and on a lawful operad each
     # must hold: both associativity laws decide by rows, and the four group
     # laws (operad slot, argument slots, action composition, constancy on
-    # classes) on generators at every arity, Sigma_0..Sigma_2 included.
+    # classes) on generators at every arity, Sigma_0..Sigma_2 included, or
+    # in `check_operad`, on comm's one-label levels, by the one-label rule.
     laws: list[list[int]] = []
 
     def rows_only(groups):
@@ -177,39 +178,51 @@ def test_equivariance_laws_report_the_first_counterexample():
 
 
 @pytest.mark.parametrize(
-    "group, projected, counts",
+    "build, projected, counts",
     [
-        (instance_symmetric(), 0 + 0 + 1 + 2, [45, 8, 428, 145, 79, 10, 4, 42]),
-        (instance_braid(), 1 + 1 + 13 + 21, [71, 8, 428, 555, 323, 36, 4, 612]),
+        (lambda: operad_comm(instance_symmetric(), max_arity=3), 0, [45, 8, 428, 145, 79, 10, 4, 42]),
+        (lambda: operad_ass(3), 0 + 0 + 1 + 2, [365, 20, 11680, 1691, 1139, 42, 10, 226]),
+        (lambda: operad_comm(instance_braid(), max_arity=3), 1 + 1 + 13 + 21, [71, 8, 428, 555, 323, 36, 4, 612]),
     ],
+    ids=["comm/symmetric 3", "ass3", "comm/braid 3"],
 )
-def test_check_operad_projects_each_group_element_once(group, projected, counts):
-    # Only the operad-slot law projects, each element it reads once: the
-    # generators of Sigma_0..Sigma_3, on which it is decided, or for the
-    # braids the distinct words among 25 draws per arity, which every law
-    # and slot reads.  The case counts were taken from the per-signature
-    # checker, the braid ones from `test_law_kernels`'s per-case reference
-    # on its distinct samples.
-    p = operad_comm(group, max_arity=3)
+def test_check_operad_projects_each_group_element_once(build, projected, counts):
+    # Only the operad-slot law projects, each element it reads at most once.
+    # Comm over Sigma_0..Sigma_3 has one label per level, so every group of
+    # cases is decided by the one-label rule and nothing is projected; ass3
+    # is decided on the generators of Sigma_0..Sigma_3; the braids are walked
+    # over the distinct words among 25 draws per arity, which every law and
+    # slot reads.  The case counts were taken from the per-signature checker,
+    # the ass3 and braid ones from `test_law_kernels`'s per-case reference,
+    # the braid ones on its distinct samples.
+    p = build()
+    group = p.group
     calls = []
     p.group = dataclasses.replace(group, project=lambda g: calls.append(g) or group.project(g))
     assert [r.checked for r in check_operad(p).results] == counts
     assert len(calls) == projected
 
 
-def test_check_operad_decides_the_group_laws_on_generators():
-    # A decision on generators that silently fell back to walking every
-    # element would still give every verdict, only slower.  The operad-slot
-    # law cables each element onto its signature and the argument-slot law
-    # block-sums each tuple of elements, both by operad_mu: comm up to arity
-    # 5 makes 2,318 calls deciding Sigma_0..Sigma_5 on generators, and
-    # 38,420 walking every element.
-    group = instance_symmetric()
+@pytest.mark.parametrize(
+    "build, cables",
+    [(lambda: operad_comm(instance_symmetric(), max_arity=5), 0), (lambda: operad_ass(3), 76)],
+    ids=["comm/symmetric 5", "ass3"],
+)
+def test_check_operad_decides_the_group_laws_on_generators(build, cables):
+    # A decision that silently fell back to walking every element would
+    # still give every verdict, only slower.  The operad-slot law cables
+    # each element onto its signature and the argument-slot law block-sums
+    # each tuple of elements, both by operad_mu.  Comm up to arity 5 would
+    # make 2,318 such calls deciding Sigma_0..Sigma_5 on generators and
+    # 38,420 walking every element; its levels have one label each, so the
+    # one-label rule decides every group with none.  ass3 makes 76 on
+    # generators and 224 walking every element.
+    p = build()
+    group = p.group
     calls = []
-    p = operad_comm(group, max_arity=5)
     p.group = dataclasses.replace(group, operad_mu=lambda g, fs: calls.append(g) or group.operad_mu(g, fs))
     assert check_operad(p).ok
-    assert len(calls) <= 2318
+    assert len(calls) == cables
 
 
 def test_collection_unit_law_reports_the_first_counterexample():
@@ -661,6 +674,19 @@ def test_composition_product_needs_enumerable_group():
     x = _constant_collection("x", {1: 1}, br)
     with pytest.raises(ValueError, match="finite group of equivariance"):
         compose_collections(x, x, 2)
+
+
+def test_the_state_count_refuses_a_group_that_lists_no_elements_as_the_product_does():
+    # The count reads |G(n)|, which a group family that lists no elements,
+    # as the braids, cannot give, so it refuses the group as the product
+    # does, with the same located error.
+    p = operad_comm(instance_braid(), max_arity=2)
+    errors = []
+    for run in (g_operads.composite_states, compose_collections):
+        with pytest.raises(ValueError, match="^composition product needs a finite group of equivariance") as caught:
+            run(p, p, 2)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
 
 
 def test_class_action_closes_on_canonical_representatives():

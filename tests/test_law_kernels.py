@@ -22,7 +22,9 @@ inside its level (decided by `is_right_action`) must instead make
 `free_algebra` and `check_monad_laws` raise a `ValueError`.  An inner
 composite outside its level, which hypothesis may not draw, must raise the
 same error after the same cases, and so must a composite outside its level
-whose row raises while a signature is decided by rows.  Faults that only
+whose row raises while a signature is decided by rows, and on comm.json,
+whose one-label levels decide every group unwalked, an entry outside its
+level that a later read composes with.  Faults that only
 an element outside the generators shows must be walked to the loops'
 result: an action entry of a cycle, a compose entry that the operad-slot
 law first reads at a rearranged signature, and a composite outside its
@@ -32,7 +34,8 @@ outside every level, is listed with no draw and must give the loops'
 outcome; those of ass.json are listed in `exhaustive_faults.py`, run by
 path.  So must every action fault of those nine operads and ass.json
 give `check_collection` the per-case outcome, and every single-entry fault
-of the eight over a finite group but ass.json give the monad laws theirs.
+of the eight over a finite group but ass.json give the monad laws theirs
+(ass.json's are in `exhaustive_faults.py`).
 A symmetric group that lists no generators fails the right-action
 precondition: the laws walk its elements to the loops' result, and the
 orbit quotients refuse its first level with a `ValueError` naming the
@@ -661,10 +664,13 @@ def test_every_action_fault_gives_the_collection_laws_of_the_per_case_loops(name
     assert len(faults) == ACTION_FAULTS[name]
 
 
-@pytest.mark.parametrize("name", [name for name in FINITE if name != "ass.json"])
-def test_every_single_entry_fault_gives_the_monad_laws_of_the_per_case_loops(name):
-    # Constancy on classes is decided on generators; a fault that leaves no
-    # right action inside its level must be refused instead.
+def check_every_single_entry_fault_of_the_monad_laws(name: str) -> int:
+    """
+    Require, at every single-entry fault of OPERADS[name], the per-case
+    loops' monad laws on ("a", "b") at bound min(max_arity, 2), and a
+    `ValueError` where the fault leaves no right action inside its level.
+    Returns the number of faults.
+    """
     bound = min(OPERADS[name]().max_arity, 2)
     faults = single_entry_faults(name)
     for key, value in faults:
@@ -673,7 +679,15 @@ def test_every_single_entry_fault_gives_the_monad_laws_of_the_per_case_loops(nam
         assert fast == reference, key
         if not is_right_action(rebind(OPERADS[name](), key, value), bound):
             assert fast[:2] == ("error", "ValueError"), key
-    assert len(faults) == SINGLE_ENTRY_FAULTS[name]
+    return len(faults)
+
+
+@pytest.mark.parametrize("name", [name for name in FINITE if name != "ass.json"])
+def test_every_single_entry_fault_gives_the_monad_laws_of_the_per_case_loops(name):
+    # Constancy on classes is decided on generators; a fault that leaves no
+    # right action inside its level must be refused instead.  ass.json's
+    # faults are run by `exhaustive_faults.py`.
+    assert check_every_single_entry_fault_of_the_monad_laws(name) == SINGLE_ENTRY_FAULTS[name]
 
 
 @pytest.mark.parametrize("name", [name for name in FINITE if OPERADS[name]().group.name == "symmetric"])
@@ -1189,6 +1203,57 @@ def test_a_read_that_raises_inside_the_rows_raises_at_the_same_case(monkeypatch)
     assert fast[0][:2] == ("error", "ValueError") and "foreign" in fast[0][2]
     # Two cases of the signature n=0 and the one that holds before the error.
     assert fast[1][-1] == ["operad associativity", 3]
+
+
+@pytest.mark.parametrize(
+    "key, counts",
+    [
+        # The 3-cycle's action answers "foreign", so level 3 is no right
+        # action; associativity, the earlier operad-slot groups and the
+        # earlier argument-slot groups are decided by the one-label rule, and
+        # the signature (1; 3), walked, composes with the foreign argument.
+        ((3, "*", Permutation((2, 3, 1))), [["operad associativity", 5500],
+                                            ["equivariance in the operad slot", 28],
+                                            ["equivariance in the argument slots", 8]]),
+        # mu(*; *, *) answers "foreign", so no composite-typed group is
+        # decided; associativity's rows read the foreign composite and raise,
+        # and the replay raises at the per-case loop's case.
+        ((2, (1, 1), "*", ("*", "*")), [["operad associativity", 13]]),
+    ],
+    ids=["action", "compose"],
+)
+def test_a_read_that_raises_inside_a_one_label_group_raises_at_the_same_case(monkeypatch, key, counts):
+    # On comm.json every level has one label, so every group of cases would
+    # be decided unwalked.  One entry answers a label outside its level, and
+    # the read that composes with it raises.  The one-label rule must not
+    # skip that read: each law's cases up to the error are the per-case
+    # loops'.
+    cases: list[list] = []
+    report_check = Report.check
+
+    def counted(self, law, stream):
+        def counting():
+            for case in stream:
+                cases[-1][1] += case if isinstance(case, int) else 1
+                yield case
+
+        cases.append([law, 0])
+        report_check(self, law, counting())
+
+    def run(check) -> tuple:
+        cases.clear()
+        monkeypatch.setattr(Report, "check", counted)
+        try:
+            return outcome(lambda: results(check(rebind(OPERADS["comm.json"](), key, "foreign")))), [
+                list(entry) for entry in cases
+            ]
+        finally:
+            monkeypatch.setattr(Report, "check", report_check)
+
+    fast, reference = run(check_operad), run(reference_check_operad)
+    assert fast == reference
+    assert fast[0] == ("error", "ValueError", f"unknown label 'foreign' at arity {key[0]}")
+    assert fast[1][2:] == counts
 
 
 # ------------------------------------------------------------ mu_sigma
