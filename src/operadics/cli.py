@@ -130,8 +130,9 @@ MAX_CABLE_LETTERS = 1 << 18
 # 16,000 letters `braid reduce` alone took 5.2 s.
 MAX_WORD_LETTERS = 4096
 # The highest index bound `verify pscomm` sweeps.  Bound 5 over the braid
-# groups took about 598 s CPU and peaked at 20.2 MB on a 2-vCPU machine;
-# bound 6 has never been run.
+# groups took 342-403 s CPU and peaked at 20.2-20.3 MB, and over the
+# symmetric groups 2.2-4.5 s at 19.6 MB, on a 2-vCPU machine; bound 6 has
+# never been run.
 MAX_PSCOMM_BOUND = 5
 # The most composite tuples (x; y_1..y_r; g) `operad compose` enumerates,
 # counted before any is listed.  156,573 of them (ass at arity 4 composed

@@ -36,19 +36,20 @@ induction on a word in the generators:
   - equivariance in the argument slots is walked per signature with one
     slot at a generator and the others at the identity;
   - constancy on classes in `free_monad` is walked at each generator.
-Both equivariance decisions on generators also require every composite
-they read to lie in its level.  Under these typing facts a group is
-decided with no walk at all when every level its two sides land in has
-one label (the one-label rule): both equivariance laws land in level
-sum(ks), and operad associativity, once every composite of the call lies
-in its level, lands each case in level sum(ls).  Two values in a level
-with one label are equal, and every read of such a group was already made
-by its typing facts, so a fault there is a label outside its level, which
-fails them and leaves the group to the walk.  A group of cases so decided
-counts its listed size, counted from the level sizes without listing a
-case, and one whose decision fails or raises is walked case by case as
-listed, so verdicts, counts, witnesses and errors are those of the listed
-walk.
+`check_operad` has one typing fact: the verdict of its first law, "tables
+are well-typed", which reads every composite and the action of every
+listed element.  Neither equivariance law is decided on generators unless
+that law passed.  When it passed, a group is decided with no walk at all
+if every level its two sides land in has one label (the one-label rule):
+both equivariance laws land in level sum(ks), and operad associativity in
+level sum(ls).  Two values in a level with one label are equal, and every
+read of such a group was already made by the typing law, so a fault there
+is a label outside its level, which fails that law and leaves the group
+to the walk.  Associativity's rows need no typing fact.  A group of cases
+so decided counts its listed size, counted from the level sizes without
+listing a case, and one whose decision fails or raises is walked case by
+case as listed, so verdicts, counts, witnesses and errors are those of
+the listed walk.
 Every law, the loader, the document writer and the searches list their
 cases the same way.  Only arities whose level has a label (`_inhabited`)
 are walked, since no case reads an empty level: `_substitutions` lists
@@ -517,9 +518,10 @@ def check_operad(p: FiniteGOperad) -> Report:
     GROUP_SAMPLE_BUDGET: decided on generators, with the counts of the
     listed walk, exactly when `_right_action_fault` holds at the levels a
     group of cases reads, and walked over the listed elements otherwise.
-    Under that precondition, and for associativity once every composite of
-    the call lies in its level, a group whose two sides land only in levels
-    with one label is decided with nothing walked or cabled, by the
+    Neither equivariance law is decided on generators, and no group by the
+    one-label rule, unless "tables are well-typed" passed, the call's one
+    typing fact.  When it passed, a group whose two sides land only in
+    levels with one label is decided with nothing walked or cabled, by the
     one-label rule of the module docstring; the flat cases, columns and
     rows of associativity are built only for a group that is not.
     """
@@ -564,12 +566,6 @@ def check_operad(p: FiniteGOperad) -> Report:
                 yield None if mu[1, (n,), p.unit, (head,)] == head else f"mu(unit; {head}) != {head}"
                 yield None if mu[n, (1,) * n, head, (p.unit,) * n] == head else f"mu({head}; unit...) != {head}"
 
-    # Whether every composite of a signature (n, ks) lies in its level, decided once per call.
-    def composites_in_level(n: int, ks: tuple[int, ...]) -> bool:
-        level = set(labels(sum(ks)))
-        return all(mu[n, ks, head, args] in level for head in labels(n) for args in product(ks))
-
-    typed_composites = _ReadThrough(composites_in_level)
     sizes = [len(labels(m)) for m in range(bound + 1)]
 
     def one_label(levels: Iterable[int]) -> bool:
@@ -585,8 +581,6 @@ def check_operad(p: FiniteGOperad) -> Report:
         for _ in range(bound + 1):
             flat_counts.append((sum(counts), one_label(m for m, count in enumerate(counts) if count)))
             counts = [sum(sizes[k] * counts[m - k] for k in range(m + 1)) for m in range(bound + 1)]
-        # Every composite of the call lies in its level, decided once.
-        every_composite_typed = functools.cache(lambda: all(typed_composites[key] for key in signatures))
         # The arity tuples ls of each length over the inhabited arities with
         # their label tuples, listed on first use.  The flat cases of a length
         # are the tuples zip(ls, rs), so slicing one slices ls and rs.
@@ -620,9 +614,9 @@ def check_operad(p: FiniteGOperad) -> Report:
 
         def holds(n: int, ks: tuple[int, ...]) -> bool:
             """
-            Whether every case of the signature holds.  If every composite of
-            the call is typed, both sides of a case are composites of level
-            sum(ls), so where each such level has one label, they agree.
+            Whether every case of the signature holds.  If the tables are
+            well-typed, both sides of a case are composites of level sum(ls),
+            so where each such level has one label, they agree.
             Otherwise, for every (head, args), the composite's row equals the
             head's row read at the inner composites, which column i gathers
             from the row of args[i] at the position of each flat case's slice
@@ -631,7 +625,7 @@ def check_operad(p: FiniteGOperad) -> Report:
             """
             offsets = list(itertools.accumulate(ks, initial=0))
             total = offsets[-1]
-            if flat_counts[total][1] and every_composite_typed():
+            if well_typed and flat_counts[total][1]:
                 return True
             columns = [column[total, a, b] for a, b in zip(offsets, offsets[1:])]
             for args in product(ks):
@@ -691,10 +685,11 @@ def check_operad(p: FiniteGOperad) -> Report:
                             )
                         yield None
 
-    # Both equivariance laws read each side in level sum(ks), so under the
-    # precondition a group whose such levels have one label holds unwalked.
+    # Both equivariance laws read each side in level sum(ks), so on
+    # well-typed tables and under the precondition a group whose such levels
+    # have one label holds unwalked.
     def slot_decided(n: int, sigs: list[tuple[int, ...]]) -> bool:
-        if not (right(n) and all(right(sum(ks)) and typed_composites[n, ks] for ks in sigs)):
+        if not (well_typed and right(n) and all(right(sum(ks)) for ks in sigs)):
             return False
         return one_label(map(sum, sigs)) or not any(slot_walk(n, sigs, group.generators(n)))
 
@@ -724,7 +719,7 @@ def check_operad(p: FiniteGOperad) -> Report:
                     yield None
 
     def arguments_decided(n: int, ks: tuple[int, ...]) -> bool:
-        if not (all(map(right, (*ks, sum(ks)))) and typed_composites[n, ks]):
+        if not (well_typed and all(map(right, (*ks, sum(ks))))):
             return False
         if sizes[sum(ks)] == 1:
             return True
@@ -740,6 +735,8 @@ def check_operad(p: FiniteGOperad) -> Report:
             yield size, functools.partial(arguments_decided, n, ks), functools.partial(argument_walk, n, ks, tuples)
 
     report.check("tables are well-typed", typed())
+    # The call's one typing fact, read by both equivariance laws' decisions and by the one-label rule.
+    well_typed = report.results[-1].passed
     report.check("operad unit", unit())
     report.check("operad associativity", _rows_or_replay(associativity()))
     report.check("equivariance in the operad slot", _rows_or_replay(slot()))
@@ -1038,9 +1035,12 @@ def enumerate_algebra_structures(p: FiniteGOperad, carrier: Sequence[str]) -> li
     it reads is set.  An associativity instance also reads the head's slot
     at the computed arguments; it is tested there only if that slot is
     already set, and otherwise left to `check_algebra`, which confirms
-    every complete table.
+    every complete table.  A repeated carrier element is refused with a
+    `ValueError`, as by `free_algebra` and `endomorphism_operad`.
     """
     carrier = tuple(carrier)
+    if len(set(carrier)) != len(carrier):
+        raise ValueError("carrier elements must be distinct")
     slots = [
         (n, label, xs)
         for n in range(p.max_arity + 1)

@@ -35,7 +35,9 @@ outcome; those of ass.json are listed in `exhaustive_faults.py`, run by
 path.  So must every action fault of those nine operads and ass.json
 give `check_collection` the per-case outcome, and every single-entry fault
 of the eight over a finite group but ass.json give the monad laws theirs
-(ass.json's are in `exhaustive_faults.py`).
+(ass.json's are in `exhaustive_faults.py`).  Every fault of `ACTION_FAULTS`
+leaves no right action, and must make `free_algebra` and
+`pullback_witness_test` raise the same located `ValueError`.
 A symmetric group that lists no generators fails the right-action
 precondition: the laws walk its elements to the loops' result, and the
 orbit quotients refuse its first level with a `ValueError` naming the
@@ -744,6 +746,38 @@ def test_the_unchanged_operads_match_the_per_case_loops(name):
 @given(p=faulty_operads(FINITE))
 def test_pullback_witness_test_matches_four_separate_free_algebras(p):
     assert outcome(lambda: pullback_witness_test(p)) == outcome(lambda: reference_pullback_witness_test(p))
+
+
+@pytest.mark.parametrize("name", ACTION_FAULTS)
+def test_every_action_fault_gives_the_free_algebra_and_pullback_test_of_the_per_case_loops(name):
+    """
+    `free_algebra` on ("a", "b") and `pullback_witness_test` at every action
+    fault: where it leaves no right action, both raise the located
+    `ValueError` of the first level it breaks, and elsewhere they equal
+    `reference_free_algebra` and `reference_pullback_witness_test`.  Each g
+    of a right action acts by a bijection, so one changed entry always
+    leaves none, and all 346 faults take the first branch.  Compose faults
+    are not run, since neither function reads compose.
+    """
+    def quotient(free: FreeAlgebra) -> tuple:
+        return free.classes_by_arity, free._canonical
+
+    located = rf"{re.escape(OPERADS[name]().name)}: the action at arity \d+ (sends .* outside its level|is not a right action)"
+    faults = [(key, value) for key, value in single_entry_faults(name) if len(key) == 3]
+    for key, value in faults:
+        def run(call: Callable[[FiniteGOperad], Any]) -> tuple:
+            return outcome(lambda: call(rebind(OPERADS[name](), key, value)))
+
+        free = run(lambda p: quotient(free_algebra(p, ("a", "b"))))
+        pullback = run(pullback_witness_test)
+        p = rebind(OPERADS[name](), key, value)
+        if is_right_action(p, p.max_arity):
+            assert free == run(lambda p: quotient(reference_free_algebra(p, ("a", "b")))), key
+            assert pullback == run(reference_pullback_witness_test), key
+        else:
+            assert free[:2] == ("error", "ValueError") and re.match(located, free[2]), (key, free)
+            assert pullback == free, key
+    assert len(faults) == ACTION_FAULTS[name]
 
 
 def cycles(perm: Permutation) -> int:

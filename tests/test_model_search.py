@@ -168,6 +168,14 @@ def test_the_algebra_search_finding_nothing_agrees_with_the_brute_force():
     assert enumerate_algebra_structures(ass, ()) == reference_enumerate_algebra_structures(ass, ()) == []
 
 
+def test_the_algebra_search_refuses_a_repeated_carrier_element():
+    # As free_algebra and endomorphism_operad do; it used to return 8
+    # copies of the one algebra on a single point.
+    p = operad_comm(instance_trivial(), max_arity=1)
+    with pytest.raises(ValueError, match="carrier elements must be distinct"):
+        enumerate_algebra_structures(p, ("a", "a"))
+
+
 def test_braid_comm_algebras_agree_with_the_brute_force():
     # The braid groups are infinite, so equivariance is checked on samples.
     p = operad_comm(instance_braid(), max_arity=2)

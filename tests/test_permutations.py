@@ -7,12 +7,14 @@ this file (plain-array composition, block moves on explicit index lists)
 rather than by the code under test.
 """
 
+import doctest
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from operadics import permutations
 from operadics.permutations import (
     Permutation,
     act_on_list,
@@ -391,3 +393,9 @@ def test_block_kernels_and_substitution_revalidate(sigma, data):
 def test_all_permutations_revalidate():
     for n in range(6):
         assert all(revalidates(p) for p in all_permutations(n))
+
+
+def test_the_docstring_examples_hold():
+    # The Tier-1 command collects no doctests, so the >>> examples run here.
+    result = doctest.testmod(permutations)
+    assert result.failed == 0 and result.attempted >= 2

@@ -9,7 +9,7 @@ below are the earlier per-state loops, kept verbatim up to naming, with
 the tuple-keyed union-find they ran on: every tuple is registered and
 related to its mates one group element at a time, for every element.
 Property tests compare classes and canonical maps exactly on small
-collections built from regular, trivial and sign orbits and from the
+collections built from trivial, sign and coset orbits G(n)/K and from the
 packaged operads and the unit-only operad, over the trivial and symmetric
 groups, and require `cartesian_condition` and `pullback_witness_test` to
 give the same verdict on the orbit collections dressed as operads and on
@@ -143,8 +143,48 @@ def reference_free_algebra(p, carrier, bound):
 # ------------------------------------------------------------ collections
 
 
+# One subgroup K of Σ_n per conjugacy class of subgroups, by the images of
+# its generators: Σ_0..Σ_4 have 1, 1, 2, 4 and 11 classes.  Primes mark
+# the class of the same isomorphism type that is not first listed: C2' is
+# generated by a double transposition, and V4' is the non-normal Klein group.
+SUBGROUPS = {
+    0: {"1": []},
+    1: {"1": []},
+    2: {"1": [], "S2": [(2, 1)]},
+    3: {"1": [], "C2": [(2, 1, 3)], "A3": [(2, 3, 1)], "S3": [(2, 1, 3), (1, 3, 2)]},
+    4: {
+        "1": [],
+        "C2": [(2, 1, 3, 4)],
+        "C2'": [(2, 1, 4, 3)],
+        "C3": [(2, 3, 1, 4)],
+        "C4": [(2, 3, 4, 1)],
+        "V4": [(2, 1, 4, 3), (3, 4, 1, 2)],
+        "V4'": [(2, 1, 3, 4), (1, 2, 4, 3)],
+        "S3": [(2, 1, 3, 4), (1, 3, 2, 4)],
+        "D4": [(2, 3, 4, 1), (3, 2, 1, 4)],
+        "A4": [(2, 3, 1, 4), (2, 1, 4, 3)],
+        "S4": [(2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3)],
+    },
+}
+
+
+def _subgroup(group, n, images):
+    """The subgroup of G(n) generated by the permutations with these images."""
+    generators = [Permutation(image) for image in images]
+    subgroup = {group.identity(n)}
+    while grown := {group.multiply(k, s) for k in subgroup for s in generators} - subgroup:
+        subgroup |= grown
+    return frozenset(subgroup)
+
+
 def _orbit(group, n, kind, prefix):
-    """Labels and action of one orbit: 'trivial' (a point), 'sign' (two points) or 'regular' (G(n))."""
+    """
+    Labels and action of one orbit: 'trivial' (a point), 'sign' (two
+    points), 'regular' (G(n)), or, for a name in SUBGROUPS[n] over the
+    symmetric groups, G(n)/K: the right cosets K g of that subgroup, each
+    labelled by its least element, on which h acts by K g -> K g h.  The
+    regular orbit is G(n)/1.
+    """
     if kind == "trivial":
         return (f"{prefix}",), lambda label, g: label
     if kind == "sign":
@@ -154,12 +194,16 @@ def _orbit(group, n, kind, prefix):
             return flip[label] if inversions(group.project(g)) % 2 else label
 
         return tuple(flip), sign
-    by_label = {f"{prefix}{group.describe(g)}": g for g in group.elements(n)}
+    subgroup = _subgroup(group, n, SUBGROUPS[n][kind] if kind != "regular" else [])
+    elements = group.elements(n)
+    rank = {g: i for i, g in enumerate(elements)}
+    label_of = {g: f"{prefix}{group.describe(min((group.multiply(k, g) for k in subgroup), key=rank.get))}" for g in elements}
+    by_label = {label: g for g, label in label_of.items()}
 
-    def regular(label, g):
-        return f"{prefix}{group.describe(group.multiply(by_label[label], g))}"
+    def coset(label, g):
+        return label_of[group.multiply(by_label[label], g)]
 
-    return tuple(by_label), regular
+    return tuple(by_label), coset
 
 
 def orbit_collection(name, group, orbits):
@@ -191,13 +235,15 @@ def packaged(name):
     return load_operad(json.loads((DATA / f"{name}.json").read_text()), name=name)
 
 
-_KINDS = st.sampled_from(["trivial", "sign", "regular"])
-
-
 @st.composite
 def collections(draw, group, name, arities):
-    # A regular orbit of arity 3 has six labels; one orbit there is enough.
-    orbits = {n: draw(st.lists(_KINDS, max_size=1 if n == 3 else 2)) for n in arities}
+    # Every G(n)/K over the symmetric groups; a regular orbit of arity 3 has
+    # six labels, so one orbit there and above is enough.
+    orbits = {}
+    for n in arities:
+        cosets = sorted(SUBGROUPS[n]) if group.name == "symmetric" else []
+        kinds = st.sampled_from(["trivial", "sign", "regular", *cosets])
+        orbits[n] = draw(st.lists(kinds, max_size=1 if n >= 3 else 2))
     return orbit_collection(name, group, orbits)
 
 
@@ -254,7 +300,7 @@ def _orbit_operad(collection):
     """A collection dressed as an operad for `free_algebra`, which reads only labels and actions."""
     return FiniteGOperad(
         collection.name, collection.group, collection.levels, unit="",
-        action=collection.action, compose=lambda *key: "", max_arity=BOUND,
+        action=collection.action, compose=lambda *key: "", max_arity=max(collection.levels),
     )
 
 
@@ -309,10 +355,34 @@ def test_free_algebras_past_arity_three_match_the_reference(name):
 def test_the_pointwise_criterion_agrees_with_the_pullback_square(group_name, data):
     # An operad is cartesian iff its actions are nearly free: no label is
     # fixed by an element with a nontrivial permutation.  Both sides read
-    # only labels and actions, so orbit operads cover every mix of free
-    # (regular), fixed (trivial) and half-fixed (sign) orbits.
-    p = _orbit_operad(data.draw(collections(GROUPS[group_name], "p", range(4)), label="p"))
+    # only labels and actions, so orbit operads cover every mix of
+    # transitive G(n)-sets G(n)/K up to arity 4, and of the sign orbit.
+    p = _orbit_operad(data.draw(collections(GROUPS[group_name], "p", range(5)), label="p"))
     assert cartesian_condition(p)[0] == pullback_witness_test(p)[0]
+
+
+@pytest.mark.parametrize("n, kind", [(n, kind) for n in SUBGROUPS for kind in SUBGROUPS[n]])
+def test_the_pointwise_criterion_agrees_on_every_transitive_symmetric_set(n, kind):
+    # Every transitive Σ_n-set is G(n)/K for one K of SUBGROUPS[n] up to
+    # isomorphism.  The label K g is fixed by g^-1 K g, and the symmetric
+    # groups project injectively, so the orbit is cartesian iff K is 1.
+    p = _orbit_operad(orbit_collection("p", GROUPS["symmetric"], {n: [kind]}))
+    assert cartesian_condition(p)[0] == pullback_witness_test(p)[0] == (kind == "1")
+
+
+def test_the_subgroups_are_one_per_conjugacy_class():
+    # Every subgroup of Σ_n for n <= 4 is generated by two elements.
+    group = GROUPS["symmetric"]
+    for n, named in SUBGROUPS.items():
+        elements = group.elements(n)
+
+        def conjugacy_class(subgroup):
+            return frozenset(frozenset(g.inverse() * k * g for k in subgroup) for g in elements)
+
+        pairs = itertools.combinations_with_replacement([g.image for g in elements], 2)
+        classes = {conjugacy_class(_subgroup(group, n, pair)) for pair in pairs}
+        listed = [conjugacy_class(_subgroup(group, n, images)) for images in named.values()]
+        assert len(listed) == len(classes) and set(listed) == classes, n
 
 
 # The endomorphism operads the generated sub-operads live in, built once:
