@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -66,6 +67,9 @@ class ActionOperad:
     sample: Callable[[random.Random, int], Any]
     elements: Callable[[int], list[Any]] | None = None
     generators: Callable[[int], list[Any]] | None = None
+    # |G(n)| of a finite family, len(elements(n)) counted without listing
+    # them; None for an infinite one.
+    order: Callable[[int], int] | None = None
 
 
 def instance_trivial() -> ActionOperad:
@@ -94,6 +98,7 @@ def instance_trivial() -> ActionOperad:
         sample=lambda rng, n: n,
         elements=lambda n: [n],
         generators=lambda n: [],
+        order=lambda n: 1,
     )
 
 
@@ -118,6 +123,7 @@ def instance_symmetric() -> ActionOperad:
         sample=sample,
         elements=lambda n: list(all_permutations(n)),
         generators=lambda n: [adjacent_transposition(n, i) for i in range(1, n)],
+        order=math.factorial,
     )
 
 

@@ -136,13 +136,19 @@ MAX_WORD_LETTERS = 4096
 MAX_PSCOMM_BOUND = 5
 # The most composite tuples (x; y_1..y_r; g) `operad compose` enumerates,
 # counted before any is listed.  156,573 of them (ass at arity 4 composed
-# with itself) took 0.64 s and peaked at 47 MB on a 2-vCPU machine.
+# with itself) took 0.25-0.28 s CPU and peaked at 26 MB on a 2-vCPU
+# machine, of which starting the command takes 0.17 s and 20 MB.  The
+# quotient keeps nothing per tuple: ass at arity 5 composed with itself
+# (28,652,493 tuples, 290,923 prefixes) took 1.6 s at an 89 MB peak as a
+# library call.  The limit stays where it was; raising it would change
+# what is refused.
 MAX_COMPOSITE_STATES = 200_000
 # The most tuples (p; x_1..x_n) `operad free` enumerates, sum over n <= bound
 # of |P(n)| * |X|^n, counted before any is listed.  198,535 of them (comm on
-# 58 carrier elements at bound 3) took 0.73 s and peaked at 76 MB, and
-# 168,421 (comm on 20 at bound 4) 0.63 s and 60 MB, on a 2-vCPU machine;
-# memory, not time, sets the limit.
+# 58 carrier elements at bound 3) took 0.30-0.47 s CPU and peaked at 37 MB,
+# and 168,421 (comm on 20 at bound 4) 0.29-0.32 s and 39 MB, on a 2-vCPU
+# machine, starting the command included; the classes and the stabilizers'
+# tables over X^n are most of that memory.  The limit stays where it was.
 MAX_FREE_STATES = 200_000
 # The most cases operad associativity may list in `operad check`, counted
 # from the level sizes of the loaded document before any case is listed.

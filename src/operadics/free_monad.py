@@ -28,14 +28,19 @@ generators of G(n) exactly when `g_operads._right_action_fault` holds at n,
 and walked over the listed elements otherwise, by the one group-element
 policy of `g_operads`.
 The correspondence reads its classes from the free algebra the laws were
-checked on, truncated to its bound, so one call runs one orbit quotient.
+checked on, truncated to its bound, so one call runs one quotient per arity.
 `free_algebra` keeps no quotient of its own: the free algebra is the
-composition product P o X with the carrier X a collection in arity 0
-under the trivial action, so it runs `g_operads._orbit_quotient` on P up
-to the bound and X at bound 0, and
-reads its classes (r; 0..0; label; xs; e) by r.  Each class is represented
-by its least state, and the action must be a right action that keeps every
-level, or the quotient raises a `ValueError`.
+arity-0 part of the composition product P o X with the carrier X in arity
+0, so it runs the two-stage `g_operads._orbit_quotient` at each arity r
+up to the bound.  Its points are the labels of P(r) and its rest is X^r:
+stage 1 finds the orbits of G(r) on P(r) along the generators, carrying
+each label to its orbit's least label h by a permutation of the r
+positions, and stage 2 the orbits on X^r of the stabilizer of h, acting
+through the projection.  Each class is represented by its least state, h
+with the least member of its stage-2 orbit, and `canonical` computes a
+class on demand from those two stages, with no table over the states.  The
+action must be a right action that keeps every level, or the quotient
+raises a `ValueError`.
 The algebra structures of that correspondence are found by the
 backtracking search of `g_operads.enumerate_algebra_structures`, the
 monad algebras by checking every candidate map (at most 2^7 for the
@@ -54,19 +59,21 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Iterator, NamedTuple, Sequence
 
 from .g_operads import (
-    FiniteGCollection,
     FiniteGOperad,
     _checked_levels,
     _group_samples,
     _inhabited,
+    _mixed_radix,
     _orbit_quotient,
     _ReadThrough,
     _rows_or_replay,
     _signatures,
+    _sorted_level,
     _within,
     enumerate_algebra_structures,
 )
@@ -98,13 +105,22 @@ class FreeAlgebraClass(NamedTuple):
 
 @dataclass
 class FreeAlgebra:
-    """All classes of the free algebra on a carrier, up to the arity bound."""
+    """
+    All classes of the free algebra on a carrier, up to the arity bound.
+    `canonical` computes an element's class on demand from the two-stage
+    quotient of its arity, kept per label of arity r as `_heads[r, label]`
+    = (places, classes, offset): the class of [label; xs] is classes[offset
+    + sum_i places[i][xs_i]], each place mapping a carrier element to its
+    rank times the weight of position i once the carry has moved it.
+    """
 
     operad: FiniteGOperad
     carrier: tuple[str, ...]
     max_arity: int
     classes_by_arity: dict[int, list[FreeAlgebraClass]]
-    _canonical: dict[tuple[str, tuple[str, ...]], FreeAlgebraClass] = field(repr=False, default_factory=dict)
+    _heads: dict[tuple[int, str], tuple[tuple[dict[str, int], ...], list[FreeAlgebraClass], int]] = field(
+        repr=False, default_factory=dict
+    )
 
     def classes(self, n: int) -> list[FreeAlgebraClass]:
         return list(self.classes_by_arity.get(n, []))
@@ -113,10 +129,21 @@ class FreeAlgebra:
         return [c for n in sorted(self.classes_by_arity) for c in self.classes_by_arity[n]]
 
     def canonical(self, label: str, items: Sequence[str]) -> FreeAlgebraClass:
-        key = (label, tuple(items))
-        if key not in self._canonical:
-            raise ValueError(f"unknown free-algebra element ({label!r}; {list(items)})")
-        return self._canonical[key]
+        """
+        The representative of [label; items]: the least label h of label's
+        orbit, with the items moved by the carry to h and then to the least
+        member of their orbit under h's stabilizer.  An element outside the
+        algebra, or above its bound, is a `ValueError`.
+        """
+        items = tuple(items)
+        found = self._heads.get((len(items), label))
+        if found is not None:
+            places, classes, offset = found
+            try:
+                return classes[offset + sum(map(operator.getitem, places, items))]
+            except KeyError:
+                pass
+        raise ValueError(f"unknown free-algebra element ({label!r}; {list(items)})")
 
 
 def free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None = None) -> FreeAlgebra:
@@ -125,6 +152,14 @@ def free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None
     that is not a right action, or that leaves its level, is a `ValueError`.
     """
     return _free_algebra(p, carrier, max_arity, _checked_levels(p.group))
+
+
+def _inverse(image: Sequence[int]) -> list[int]:
+    """The inverse of a permutation of range(len(image)) given by its images."""
+    inverse = [0] * len(image)
+    for j, i in enumerate(image):
+        inverse[i] = j
+    return inverse
 
 
 def _free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None, checked: _ReadThrough) -> FreeAlgebra:
@@ -138,19 +173,55 @@ def _free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | Non
     if bound > p.max_arity:
         raise ValueError(f"arity bound {bound} exceeds the operad's bound {p.max_arity}")
 
-    # The arity-0 part of P o X, X the carrier in arity 0: its states are
-    # (r; 0..0; label; xs; e), least key first in each class.
-    points = FiniteGCollection("carrier", p.group, {0: carrier}, lambda n, label, g: label)
+    # At arity r the points are the labels of P(r), and the rest is X^r
+    # numbered by mixed radix over the sorted carrier.  (label; xs) ~
+    # (label.s; xs o pi(s)) for each generator s of G(r), with (xs o t)[j] =
+    # xs[t[j]], and a carry is the t with (label; xs) ~ (root; xs o t).  With
+    # no carrier element, only the constants have states.
+    items = sorted(carrier)
     classes_by_arity: dict[int, list[FreeAlgebraClass]] = {n: [] for n in range(bound + 1)}
-    canonical: dict[tuple[str, tuple[str, ...]], FreeAlgebraClass] = {}
-    for _, _, states, roots in _orbit_quotient(p, points, 0, _inhabited(p.labels, bound), checked):
-        representatives: dict[int, FreeAlgebraClass] = {}
-        for i, ((n, _, label, xs, _), root) in enumerate(zip(states, roots)):
-            if root == i:
-                representatives[i] = FreeAlgebraClass(label, xs)
-                classes_by_arity[n].append(representatives[i])
-            canonical[label, xs] = representatives[root]
-    return FreeAlgebra(p, carrier, bound, classes_by_arity, canonical)
+    heads = {}
+
+    def step(inverse: list[int], carry: tuple[int, ...]) -> tuple[int, ...]:
+        """The carry inverse o carry of the target of the move (label; xs) ~ (label.s; xs o q), q = inverse^-1."""
+        return tuple(map(inverse.__getitem__, carry))
+
+    def schreier(kept: tuple[int, ...], moved: tuple[int, ...]) -> tuple[int, ...]:
+        return step(_inverse(moved), kept)
+
+    for r in _inhabited(p.labels, bound if items else 0):
+        labels, _, generators = _sorted_level(checked, p, r)
+        weights = [len(items) ** (r - 1 - j) for j in range(r)]
+        places = {w: {x: i * w for i, x in enumerate(items)} for w in weights}
+
+        def mates(s: tuple[int, ...]) -> list[int]:
+            """The rank of xs o s for every xs in X^r, in rank order."""
+            return _mixed_radix([range(0, len(items) * w, w) for w in (weights[j] for j in _inverse(s))])
+
+        moves = [
+            (acted, functools.partial(step, _inverse([i - 1 for i in p.group.project(s).image])), 0)
+            for s, acted in generators
+        ]
+        found = _orbit_quotient([(0, len(labels), moves)], tuple(range(r)), schreier, mates, len(items) ** r)
+        # Each root h's class of (h; xs) by the rank of xs: where h's
+        # stabilizer moves no xs, h's run of classes_by_arity[r] itself.
+        classes = classes_by_arity[r]
+        tables = {}
+        for h, (_, least) in found.orbits.items():
+            tuples = itertools.product(items, repeat=r)
+            if least is None:
+                tables[h] = (classes, len(classes))
+                classes.extend(FreeAlgebraClass(labels[h], xs) for xs in tuples)
+                continue
+            members = [
+                FreeAlgebraClass(labels[h], xs) if a == b else None for a, (b, xs) in enumerate(zip(least, tuples))
+            ]
+            classes.extend(filter(None, members))
+            tables[h] = ([members[b] for b in least], 0)
+        # The rank of xs o t weighs xs[t[j]] by weights[j].
+        for label, h, carry in zip(labels, found.root, found.carry):
+            heads[r, label] = (tuple(places[weights[j]] for j in _inverse(carry)), *tables[h])
+    return FreeAlgebra(p, carrier, bound, classes_by_arity, heads)
 
 
 def unit_eta(free: FreeAlgebra, x: str) -> FreeAlgebraClass:
@@ -198,8 +269,8 @@ def _restrict(free: FreeAlgebra, p: FiniteGOperad) -> FreeAlgebra:
     """
     bound = p.max_arity
     classes_by_arity = {n: free.classes_by_arity[n] for n in range(bound + 1)}
-    canonical = {key: cls for key, cls in free._canonical.items() if len(key[1]) <= bound}
-    return FreeAlgebra(p, free.carrier, bound, classes_by_arity, canonical)
+    heads = {key: head for key, head in free._heads.items() if key[0] <= bound}
+    return FreeAlgebra(p, free.carrier, bound, classes_by_arity, heads)
 
 
 def _truncate(p: FiniteGOperad, bound: int) -> FiniteGOperad:
@@ -350,15 +421,17 @@ def _monad_algebra_maps(free: FreeAlgebra) -> list[tuple[str, ...]]:
     satisfying the monad-algebra laws, as value tuples over all_classes().
     """
     classes = free.all_classes()
-    # The units and flattenings every candidate reads, each computed once.
+    # The units and flattenings every candidate reads, each computed once,
+    # and the classes [label; h(inner)] they read, each at its first read.
     units = [(unit_eta(free, x), x) for x in free.carrier]
     nestings = [(label, inner, mult_mu(free, label, inner)) for _, label, inner in _nestings(free)]
+    canonical = _ReadThrough(free.canonical)
     found = []
     for values in itertools.product(free.carrier, repeat=len(classes)):
         h = dict(zip(classes, values))
         if any(h[eta] != x for eta, x in units):
             continue
-        if all(h[flat] == h[free.canonical(label, tuple(h[c] for c in inner))] for label, inner, flat in nestings):
+        if all(h[flat] == h[canonical[label, tuple(h[c] for c in inner)]] for label, inner, flat in nestings):
             found.append(values)
     return found
 

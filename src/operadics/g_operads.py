@@ -97,19 +97,38 @@ whose positive word is its own minus the last letter.
 
 One orbit quotient, `_orbit_quotient`, serves the composition product and
 `free_monad`, whose free algebra is the arity-0 part of P o X with the
-carrier X in arity 0.  It computes the id of a state (r; ks; x; ys; g) as
-the offset of its signature (r; ks) + (head rank * argument tuples +
-argument-tuple rank) * |G(n)| + element rank, labels ranked sorted and
-elements by `_element_key`, so the root of a class, its least id, is its
-least key and its representative.  For right actions the identifications
-are orbits of group actions, so states are united only along generators:
+carrier X in arity 0.  It works in two stages, orbit-stabilizer with
+Schreier generators (Sims 1970).  A state is a point p, its significant
+coordinate, with a member z of the rest: for the composition product the
+points are the prefixes (r; ks; x; ys) of each arity n and the rest is
+G(n), and for the free algebra the points are the labels of P(r) and the
+rest is X^r.  A prefix's id is the offset of its signature (r; ks) + head
+rank * argument tuples + argument-tuple rank, labels ranked sorted and
+elements by `_element_key`, so ids run in key order with the point more
+significant than the rest.  For right actions the identifications are
+orbits of group actions, so states are related only along generators:
 those of G(r) in the x slot and those of each G(k_i) in its argument slot.
-It reads the precondition above from its caller's memo, and a level that
+Each generator relates the states over one point to those over another,
+changing z by what the generator and the signature alone fix: left
+multiplication in G(n) by a cable or block sum, or a permutation of the r
+positions of xs.  Stage 1 searches the orbits of the points along these
+moves from each orbit's least point, and records for each point its carry,
+the transversal element that takes its states to those over that root; an
+edge that closes a cycle gives a Schreier generator of the root's
+stabilizer K.  Stage 2 finds the orbits of K on the rest, the cosets K.g
+or K's orbits on X^r, along those generators, once per set of generators
+in a call.  A class is represented by its root, its least id: the orbit's
+least point with the least member of its stage-2 class, which is its least
+key.  Neither product keeps anything per state: `canonical` computes a
+state's class on demand from its point's root and carry and the stage-2
+table, and refuses a state the product does not enumerate.  The quotient
+reads the precondition above from its caller's memo, and a level that
 fails it is a `ValueError` naming the collection and the arity.
 `composite_states` counts the tuples the composition product enumerates
-from the level sizes alone, so a caller can refuse a product too large to
-build before listing anything, and `associativity_cases` counts the cases
-of operad associativity the same way, so a caller can refuse a check.
+from the level sizes and the family's `order` alone, so a caller can
+refuse a product too large to build before listing anything, and
+`associativity_cases` counts the cases of operad associativity the same
+way, so a caller can refuse a check.
 
 Algebra structures are found by finite-model search (`_backtrack`, in
 the style of SEM and Mace4) rather than by checking every candidate
@@ -134,7 +153,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .action_operads import ActionOperad, instance_symmetric, instance_trivial
 from .braids import permutation_braid
@@ -339,14 +358,9 @@ def _signature_counts(
     return counts if total < cap else None
 
 
-def _group_order(group: ActionOperad, n: int) -> int:
-    """|G(n)| of a finite group family, without listing the symmetric group."""
-    return math.factorial(n) if group.name == "symmetric" else len(group.elements(n))
-
-
 def _require_finite_product(group: ActionOperad) -> None:
-    """Refuse a composition product over a group family that lists no elements."""
-    if group.elements is None:
+    """Refuse a composition product over a group family that lists no elements or states no order."""
+    if group.elements is None or group.order is None:
         raise ValueError("composition product needs a finite group of equivariance (trivial or symmetric)")
 
 
@@ -1442,6 +1456,149 @@ def _state_key(group: ActionOperad, state: tuple) -> tuple:
     return (r, tuple(ks), x, tuple(ys), _element_key(group, g))
 
 
+def _mixed_radix(columns: Sequence[Sequence[int]]) -> list[int]:
+    """columns[0][d_0] + columns[1][d_1] + ... for every digit tuple (d_0, d_1, ...), in product order."""
+    sums = [0]
+    for column in columns:
+        sums = [total + value for total in sums for value in column]
+    return sums
+
+
+def _rank(digits: Iterable[int], radices: Iterable[int]) -> int:
+    """The mixed-radix number of digits over radices, most significant first."""
+    index = 0
+    for digit, radix in zip(digits, radices):
+        index = index * radix + digit
+    return index
+
+
+def _digits(index: int, radices: Sequence[int]) -> list[int]:
+    """The mixed-radix digits of index over radices, most significant first."""
+    digits = []
+    for radix in reversed(radices):
+        index, digit = divmod(index, radix)
+        digits.append(digit)
+    return digits[::-1]
+
+
+def _sorted_level(checked: _ReadThrough, c: FiniteGCollection, m: int) -> tuple[list[str], dict[str, int], list]:
+    """
+    Level m of c sorted, the rank of each label, and each generator s of
+    G(m) with the rank of label.s by label rank, read from `checked`, the
+    caller's memo of checked levels.  A level that fails the precondition
+    is a `ValueError` naming the collection and the arity.
+    """
+    fault, generators = checked[c, m]
+    if fault is not None:
+        raise ValueError(f"{c.name}: the action at arity {m} {fault}")
+    labels = sorted(c.labels(m))
+    rank = {label: i for i, label in enumerate(labels)}
+    return labels, rank, [(s, [rank[table[label]] for label in labels]) for s, table in generators]
+
+
+class _Quotient(NamedTuple):
+    """
+    One arity of the two-stage quotient `_orbit_quotient`: `root[p]` is the
+    least point of p's stage-1 orbit and `carry[p]` the transversal element
+    that takes the states over p to those over that root.  `orbits` maps
+    each root, ascending, to its block and to `least`, the least member of
+    each point's stage-2 class in the rest, or None where the stabilizer
+    acts trivially and every point of the rest is its own class.
+    """
+
+    root: list[int]
+    carry: list[Any]
+    orbits: dict[int, tuple[int, list[int] | None]]
+
+
+def _least_in_orbits(size: int, moves: list[list[int]]) -> list[int]:
+    """The least member of the orbit of each of range(size) under the permutations `moves`, found along them."""
+    least = [-1] * size
+    for start in range(size):
+        if least[start] < 0:
+            least[start] = start
+            orbit = [start]
+            for point in orbit:
+                for move in moves:
+                    image = move[point]
+                    if least[image] < 0:
+                        least[image] = start
+                        orbit.append(image)
+    return least
+
+
+def _orbit_quotient(
+    blocks: list[tuple[int, int, list[tuple[list[int], Callable[[Any], Any], int]]]],
+    start: Any,
+    schreier: Callable[[Any, Any], Any],
+    mates: Callable[[Any], list[int]],
+    size: int,
+) -> _Quotient:
+    """
+    The two-stage quotient of the states (p, z), p a point of `blocks` and z
+    one of the rest, range(size), as the module docstring describes.  Block
+    (base, count, moves) holds the points from base on; a move (targets,
+    step, block) relates each state over its point base + i to a state over
+    targets[i], a point of that block, and carries the transversal element
+    c of the first point to step(c).  Stage 1 searches the orbits of the
+    points along the moves, least point first, from the carry `start`; an
+    edge whose end already holds another carry c' closes a cycle whose
+    Schreier generator is schreier(c', step(c)).  Stage 2 finds the orbits
+    of each orbit's generators on the rest, moving along mates(generator),
+    once per set of generators in a call.
+    """
+    total = sum(count for _, count, _ in blocks)
+    root = [-1] * total
+    carry: list[Any] = [None] * total
+    generator = _ReadThrough(schreier)
+    tables: dict[frozenset, list[int] | None] = {}
+    orbits = {}
+    for first, (base, count, _) in enumerate(blocks):
+        for p0 in range(base, base + count):
+            if root[p0] >= 0:
+                continue
+            root[p0], carry[p0] = p0, start
+            pairs = set()
+            queue = [(p0, first)]
+            for p, block in queue:
+                at, _, moves = blocks[block]
+                i, c = p - at, carry[p]
+                for targets, step, to in moves:
+                    q, moved = targets[i], step(c)
+                    if root[q] < 0:
+                        root[q], carry[q] = p0, moved
+                        queue.append((q, to))
+                    elif moved != carry[q]:
+                        pairs.add((carry[q], moved))
+            generators = frozenset(generator[pair] for pair in pairs)
+            if generators not in tables:
+                tables[generators] = _least_in_orbits(size, [mates(s) for s in generators]) if generators else None
+            orbits[p0] = (first, tables[generators])
+    return _Quotient(root, carry, orbits)
+
+
+class _Composites(NamedTuple):
+    """
+    One arity n of a composition product, as `canonical` reads it: G(n) in
+    key order, each element's rank by the element and by its key, the
+    quotient of the prefixes, and each block's signature as (r, ks, base,
+    the sorted labels of the head slot and of each argument slot, and
+    their ranks).
+    """
+
+    elements: list[Any]
+    rank: dict[Any, int]
+    keyed: dict[tuple, int]
+    quotient: _Quotient
+    signatures: list[tuple[int, tuple[int, ...], int, list[list[str]], list[dict[str, int]]]]
+
+    def prefix(self, p0: int) -> tuple:
+        """The prefix (r; ks; x; ys) of the orbit whose least point is p0."""
+        r, ks, base, labels, _ = self.signatures[self.quotient.orbits[p0][0]]
+        head, *ys = (slot[d] for slot, d in zip(labels, _digits(p0 - base, list(map(len, labels)))))
+        return r, ks, head, tuple(ys)
+
+
 @dataclass
 class ComposedCollection:
     """
@@ -1449,23 +1606,40 @@ class ComposedCollection:
     each arity, equivalence classes of tuples (x; y_1..y_r; g) under the
     relations that move a group element out of x (cabling it) or out of
     the y_i (block-summing them), with the right action multiplying onto
-    the final coordinate.
+    the final coordinate.  `canonical` computes a tuple's class on demand
+    from the two-stage quotient of its arity, keyed by signature (r, ks).
     """
 
     name: str
     group: ActionOperad
     bound: int
     classes_by_arity: dict[int, list[tuple]]
-    _canonical: dict[tuple, tuple]
+    _signatures: dict[tuple[int, tuple[int, ...]], tuple[_Composites, int]]
 
     def classes(self, n: int) -> list[tuple]:
         return list(self.classes_by_arity.get(n, []))
 
     def canonical(self, state: tuple) -> tuple:
-        key = _state_key(self.group, state)
-        if key not in self._canonical:
-            raise ValueError(f"unknown composite tuple {self.describe_state(state)}")
-        return self._canonical[key]
+        """
+        The representative of state's class: its prefix's orbit root with
+        the least element of the coset K.(s g), s the prefix's carry and K
+        the root's stabilizer.  A tuple the product does not enumerate is a
+        `ValueError`.
+        """
+        r, ks, x, ys, key = _state_key(self.group, state)
+        arity, block = self._signatures.get((r, ks), (None, 0))
+        if arity is not None and len(ys) == r:
+            _, _, base, labels, ranks = arity.signatures[block]
+            digits = [rank.get(label) for rank, label in zip(ranks, (x, *ys))]
+            e = arity.keyed.get(key)
+            if e is not None and None not in digits:
+                quotient = arity.quotient
+                p = base + _rank(digits, map(len, labels))
+                p0 = quotient.root[p]
+                e = arity.rank[self.group.multiply(arity.elements[quotient.carry[p]], arity.elements[e])]
+                least = quotient.orbits[p0][1]
+                return (*arity.prefix(p0), arity.elements[e if least is None else least[e]])
+        raise ValueError(f"unknown composite tuple {self.describe_state(state)}")
 
     def act(self, state: tuple, gamma: Any) -> tuple:
         r, ks, x, ys, g = state
@@ -1504,9 +1678,10 @@ def composite_states(
     The number of composite tuples (x; y_1..y_r; g) with n = sum(ks) <= bound
     that `compose_collections` enumerates, sum_n |G(n)| * sum_(r; ks)
     |X(r)| * prod |Y(k_i)|, counted without listing a tuple or a group
-    element.  None if the tuples (x; y_1..y_r) alone number cap or more,
-    in which case so do the composite tuples.  A group that lists no
-    elements is refused, as `compose_collections` refuses it.
+    element: |G(n)| is the family's own `order`.  None if the tuples
+    (x; y_1..y_r) alone number cap or more, in which case so do the
+    composite tuples.  A group that lists no elements is refused, as
+    `compose_collections` refuses it.
     """
     _require_finite_product(x.group)
     heads = {r: len(x.labels(r)) for r in x.levels}
@@ -1514,7 +1689,7 @@ def composite_states(
     counts = _signature_counts(heads, arguments, bound, cap)
     if counts is None:
         return None
-    return sum(_group_order(x.group, n) * count for n, count in enumerate(counts) if count)
+    return sum(x.group.order(n) * count for n, count in enumerate(counts) if count)
 
 
 def associativity_cases(p: FiniteGOperad) -> int:
@@ -1531,129 +1706,16 @@ def associativity_cases(p: FiniteGOperad) -> int:
     return sum(_signature_counts(dict(enumerate(_signature_counts(sizes, sizes, bound))), sizes, bound))
 
 
-def _mixed_radix(columns: Sequence[Sequence[int]]) -> list[int]:
-    """columns[0][d_0] + columns[1][d_1] + ... for every digit tuple (d_0, d_1, ...), in product order."""
-    sums = [0]
-    for column in columns:
-        sums = [total + value for total in sums for value in column]
-    return sums
-
-
-def _orbit_quotient(
-    x: FiniteGCollection, y: FiniteGCollection, bound: int, heads: Sequence[int], checked: _ReadThrough
-) -> Iterator[tuple[int, list[Any], Iterator[tuple], list[int]]]:
-    """
-    The orbit quotient of the composite states (r; ks; x; ys; g) with r in
-    `heads` (ascending) and n = sum(ks) <= bound, numbered by mixed radix and
-    united along generators as the module docstring describes.  Yields, arity
-    by arity, n, the elements of G(n) in key order, the states in id order as
-    (r, ks, x, ys, element rank) and the root of each id.  Each level's
-    moves are read from `checked`, the caller's memo of checked levels
-    (`_checked_levels`), and a level that fails the precondition is a
-    `ValueError` naming the collection and the arity.
-    """
-    group = x.group
-    y_arities = _inhabited(y.labels, bound)
-    # The signatures (r; ks) within the bound by arity n = sum(ks), each by r, then ks.
-    by_arity: dict[int, list[tuple[int, tuple[int, ...]]]] = {n: [] for n in range(bound + 1)}
-    for r in heads:
-        for ks in _within(bound, r, y_arities):
-            by_arity[sum(ks)].append((r, ks))
-
-    def level(c: FiniteGCollection, m: int) -> tuple[list[str], list[tuple[Any, list[int]]]]:
-        """Level m of c sorted, with each generator s of G(m) and the rank of label.s by label rank."""
-        fault, generators = checked[c, m]
-        if fault is not None:
-            raise ValueError(f"{c.name}: the action at arity {m} {fault}")
-        labels = sorted(c.labels(m))
-        rank = {label: i for i, label in enumerate(labels)}
-        return labels, [(s, [rank[table[label]] for label in labels]) for s, table in generators]
-
-    levels = _ReadThrough(level)
-
-    def states(signatures: list[tuple[int, tuple[int, ...]]], order: int) -> Iterator[tuple]:
-        for r, ks in signatures:
-            arguments = list(itertools.product(*(levels[y, k][0] for k in ks)))
-            for head, ys, e in itertools.product(levels[x, r][0], arguments, range(order)):
-                yield r, ks, head, ys, e
-
-    for n in range(bound + 1):
-        signatures = by_arity[n]
-        if not signatures:
-            yield n, [], iter(()), []
-            continue
-        elements = sorted(group.elements(n), key=lambda g: _element_key(group, g))
-        element_rank = {g: e for e, g in enumerate(elements)}
-        order = len(elements)
-
-        def moved(factor: Any) -> list[int]:
-            """The rank of multiply(factor, g) for every g in G(n), in key order."""
-            return [element_rank[group.multiply(factor, g)] for g in elements]
-
-        offsets = {}
-        size = 0
-        for r, ks in signatures:
-            offsets[r, ks] = size
-            size += len(x.labels(r)) * math.prod(len(y.labels(k)) for k in ks) * order
-        # Union-find over the ids with path halving, every root the least id
-        # of its class, so no parent is greater than its child.
-        parent = list(range(size))
-
-        def unite(left: int, right: int, mates: list[int]) -> None:
-            for j, mate in enumerate(mates):
-                a, b = left + j, right + mate
-                while parent[a] != a:
-                    parent[a] = a = parent[parent[a]]
-                while parent[b] != b:
-                    parent[b] = b = parent[parent[b]]
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-
-        for r, ks in signatures:
-            base = offsets[r, ks]
-            radices = [len(y.labels(k)) for k in ks]
-            block = math.prod(radices) * order   # the ids of one head label
-            strides = [order * math.prod(radices[i + 1:]) for i in range(r)]
-            identities = [group.identity(k) for k in ks]
-            # Moving a generator h out of the x slot permutes the arguments
-            # and cables h onto the final coordinate: argument slot j lands
-            # at position pi(j) of the permuted signature, with its stride.
-            for h, acted in levels[x, r][1]:
-                pi = group.project(h)
-                landed = act_on_list(pi, radices)
-                weights = [order * math.prod(landed[p:]) for p in pi.image]
-                mates = _mixed_radix([
-                    *(range(0, m * weight, weight) for m, weight in zip(radices, weights)),
-                    moved(group.operad_mu(h, identities)),
-                ])
-                target = offsets[r, tuple(act_on_list(pi, ks))]
-                for a, b in enumerate(acted):
-                    unite(base + b * block, target + a * block, mates)
-            # Moving a generator s out of argument slot i block-sums it, with
-            # identities elsewhere, onto the final coordinate.
-            columns = [range(0, m * stride, stride) for m, stride in zip(radices, strides)]
-            for i, k in enumerate(ks):
-                for s, acted in levels[y, k][1]:
-                    blocked = moved(group.operad_mu(group.identity(r), [*identities[:i], s, *identities[i + 1:]]))
-                    restored = sorted(range(order), key=blocked.__getitem__)   # the inverse of blocked
-                    mates = _mixed_radix([*columns[:i], [d * strides[i] for d in acted], *columns[i + 1:], restored])
-                    for left in range(base, base + len(x.labels(r)) * block, block):
-                        unite(left, left, mates)
-
-        for i, above in enumerate(parent):
-            parent[i] = parent[above]   # final already, since above <= i
-        yield n, elements, states(signatures, order), parent
-
-
 def compose_collections(
     x: FiniteGCollection, y: FiniteGCollection, bound: int
 ) -> ComposedCollection:
     """
     Enumerate and quotient the composite tuples (x; y_1..y_r; g), n <= bound,
-    by `_orbit_quotient`: the orbits of G(r) acting through the x slot and of
-    prod G(k_i) acting through the argument slots.  An action that is not a
-    right one, or that leaves its level, is a `ValueError` naming the
-    collection and the arity.
+    by `_orbit_quotient`: first the orbits of the prefixes (r; ks; x; ys)
+    under G(r) acting through the x slot and prod G(k_i) through the
+    argument slots, then the cosets K.g in G(n) of each orbit's stabilizer
+    K.  An action that is not a right one, or that leaves its level, is a
+    `ValueError` naming the collection and the arity.
     """
     group = x.group
     _require_finite_product(group)
@@ -1661,24 +1723,92 @@ def compose_collections(
         raise ValueError(
             f"collections live over different groups: {x.group.name} and {y.group.name}"
         )
+    levels = _ReadThrough(functools.partial(_sorted_level, _checked_levels(group)))
+    y_arities = _inhabited(y.labels, bound)
+    # The signatures (r; ks) within the bound by arity n = sum(ks), each by r, then ks.
+    by_arity: dict[int, list[tuple[int, tuple[int, ...]]]] = {n: [] for n in range(bound + 1)}
+    for r in x.arities():
+        for ks in _within(bound, r, y_arities):
+            by_arity[sum(ks)].append((r, ks))
+
     classes_by_arity: dict[int, list[tuple]] = {}
-    canonical: dict[tuple, tuple] = {}
-    for n, elements, states, roots in _orbit_quotient(x, y, bound, x.arities(), _checked_levels(group)):
-        keys = [_element_key(group, g) for g in elements]
-        # A class is represented by its least key, which is its root and comes first.
-        representatives: dict[int, tuple] = {}
-        for i, ((r, ks, head, ys, e), root) in enumerate(zip(states, roots)):
-            if root == i:
-                representatives[i] = (r, ks, head, ys, elements[e])
-            canonical[(r, ks, head, ys, keys[e])] = representatives[root]
-        classes_by_arity[n] = list(representatives.values())
+    signatures: dict[tuple[int, tuple[int, ...]], tuple[_Composites, int]] = {}
+    for n, found in by_arity.items():
+        classes_by_arity[n] = classes = []
+        if not found:
+            continue
+        elements = sorted(group.elements(n), key=lambda g: _element_key(group, g))
+        rank = {g: e for e, g in enumerate(elements)}
+        order = group.order(n)
+
+        def right(factor: Any) -> list[int]:
+            """The rank of multiply(g, factor) for every g in G(n), in key order."""
+            return [rank[group.multiply(g, factor)] for g in elements]
+
+        # Prefix ids run by signature, then head rank, then argument-tuple rank.
+        offsets = {}
+        total = 0
+        for block, (r, ks) in enumerate(found):
+            offsets[r, ks] = block, total
+            total += len(x.labels(r)) * math.prod(len(y.labels(k)) for k in ks)
+        blocks = []
+        described = []
+        for r, ks in found:
+            block, base = offsets[r, ks]
+            slots = [levels[x, r], *(levels[y, k] for k in ks)]
+            radices = [len(labels) for labels, _, _ in slots[1:]]
+            arguments = math.prod(radices)
+            heads = range(base, base + len(slots[0][0]) * arguments, arguments)
+            identities = [group.identity(k) for k in ks]
+            moves = []
+            # Moving a generator h out of the x slot permutes the arguments
+            # and multiplies the carry by the inverse of h's cable: argument
+            # slot j lands at position pi(j) of the permuted signature, with
+            # its stride.
+            for h, acted in slots[0][2]:
+                pi = group.project(h)
+                landed = act_on_list(pi, radices)
+                weights = [math.prod(landed[p:]) for p in pi.image]
+                target_block, target = offsets[r, tuple(act_on_list(pi, ks))]
+                mates = [0] * len(acted)
+                for a, b in enumerate(acted):
+                    mates[b] = target + a * arguments
+                targets = _mixed_radix([mates, *(range(0, m * w, w) for m, w in zip(radices, weights))])
+                cable = group.invert(group.operad_mu(h, identities))
+                moves.append((targets, right(cable).__getitem__, target_block))
+            # Moving a generator s out of argument slot i multiplies the
+            # carry by its block sum, with identities elsewhere.
+            strides = [math.prod(radices[i + 1:]) for i in range(r)]
+            columns = [range(0, m * stride, stride) for m, stride in zip(radices, strides)]
+            for i, k in enumerate(ks):
+                for s, acted in slots[i + 1][2]:
+                    targets = _mixed_radix([heads, *columns[:i], [d * strides[i] for d in acted], *columns[i + 1:]])
+                    blocked = group.operad_mu(group.identity(r), [*identities[:i], s, *identities[i + 1:]])
+                    moves.append((targets, right(blocked).__getitem__, block))
+            blocks.append((base, len(heads) * arguments, moves))
+            described.append((r, ks, base, [labels for labels, _, _ in slots], [ranks for _, ranks, _ in slots]))
+
+        quotient = _orbit_quotient(
+            blocks,
+            rank[group.identity(n)],
+            lambda kept, moved: rank[group.multiply(elements[kept], group.invert(elements[moved]))],
+            lambda s: [rank[group.multiply(elements[s], g)] for g in elements],
+            order,
+        )
+        keyed = {_element_key(group, g): e for e, g in enumerate(elements)}
+        arity = _Composites(elements, rank, keyed, quotient, described)
+        for p0, (_, least) in quotient.orbits.items():
+            prefix = arity.prefix(p0)
+            cosets = range(order) if least is None else [e for e in range(order) if least[e] == e]
+            classes.extend((*prefix, elements[e]) for e in cosets)
+        signatures.update((signature, (arity, block)) for signature, (block, _) in offsets.items())
 
     return ComposedCollection(
         name=f"{x.name} o {y.name}",
         group=group,
         bound=bound,
         classes_by_arity=classes_by_arity,
-        _canonical=canonical,
+        _signatures=signatures,
     )
 
 

@@ -56,6 +56,12 @@ def test_shipped_instances_delegate_as_expected():
     assert braid.project(w) == underlying_permutation(w)
 
 
+def test_finite_families_count_their_elements_without_listing_them():
+    for group in (instance_trivial(), instance_symmetric()):
+        assert [group.order(n) for n in range(7)] == [len(group.elements(n)) for n in range(7)], group.name
+    assert instance_braid().order is None
+
+
 def test_corrupted_projection_fails_compatibility():
     braid = instance_braid()
     corrupted = dataclasses.replace(

@@ -689,6 +689,16 @@ def test_the_state_count_refuses_a_group_that_lists_no_elements_as_the_product_d
     assert errors[0] == errors[1]
 
 
+def test_the_state_count_reads_the_family_order_not_its_name():
+    # A trivial family renamed "symmetric" still has one element per arity,
+    # so over it every composite tuple is its own class.  Counting |G(n)|
+    # as n! for that name would give 14 tuples for these 10 classes.
+    renamed = dataclasses.replace(instance_trivial(), name="symmetric")
+    p = operad_comm(renamed, max_arity=2)
+    classes = sum(len(compose_collections(p, p, 2).classes(n)) for n in range(3))
+    assert g_operads.composite_states(p, p, 2) == classes == 10
+
+
 def test_class_action_closes_on_canonical_representatives():
     sym = instance_symmetric()
     x = _constant_collection("x", {1: 1, 2: 1}, sym)

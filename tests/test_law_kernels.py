@@ -81,6 +81,7 @@ from hypothesis import strategies as st
 
 from operadics import free_monad, g_operads
 from operadics.action_operads import instance_braid, instance_symmetric, instance_trivial
+from operadics.cli import MAX_FREE_STATES
 from operadics.free_monad import (
     FreeAlgebra,
     FreeAlgebraClass,
@@ -297,8 +298,11 @@ def reference_check_operad(
     return report
 
 
-def reference_free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None = None) -> FreeAlgebra:
-    """Enumerate the classes [p; x1..xn] for n up to the arity bound."""
+def reference_free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None = None) -> tuple[dict, dict]:
+    """
+    The classes [p; x1..xn] for n up to the arity bound, by arity, and each
+    state (label, items) with its class, by a union-find over every state.
+    """
     if p.group.elements is None:
         raise ValueError("free-algebra classes need a finite group of equivariance")
     carrier = tuple(carrier)
@@ -333,7 +337,14 @@ def reference_free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: 
             canonical[state] = representatives[root]
         classes_by_arity[n] = list(representatives.values())
 
-    return FreeAlgebra(p, carrier, bound, classes_by_arity, canonical)
+    return classes_by_arity, canonical
+
+
+def free_algebra_by_state(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | None = None) -> tuple[dict, dict]:
+    """`free_algebra`'s classes, and its canonical at every state `reference_free_algebra` lists."""
+    free = free_algebra(p, carrier, max_arity)
+    _, canonical = reference_free_algebra(p, carrier, max_arity)
+    return free.classes_by_arity, {state: free.canonical(*state) for state in canonical}
 
 
 def is_right_action(p: FiniteGOperad, bound: int) -> bool:
@@ -721,16 +732,12 @@ def test_a_group_that_lists_no_generators_is_walked_and_refused_by_the_quotients
 @given(p=faulty_operads(FINITE), carrier=st.sampled_from([("a",), ("a", "b"), ("b", "a"), ("y", "x", "z")]))
 def test_free_algebra_matches_the_tuple_keyed_union_find(p, carrier):
     bound = min(p.max_arity, 2)
-
-    def quotient(build):
-        free = build(p, carrier, bound)
-        return free.classes_by_arity, free._canonical
-
     if not is_right_action(p, bound):
         with pytest.raises(ValueError, match="outside its level|not a right action"):
-            quotient(free_algebra)
+            free_algebra(p, carrier, bound)
         return
-    assert outcome(lambda: quotient(free_algebra)) == outcome(lambda: quotient(reference_free_algebra))
+    expected = outcome(lambda: reference_free_algebra(p, carrier, bound))
+    assert outcome(lambda: free_algebra_by_state(p, carrier, bound)) == expected
 
 
 @pytest.mark.parametrize("name", sorted(OPERADS))
@@ -759,20 +766,17 @@ def test_every_action_fault_gives_the_free_algebra_and_pullback_test_of_the_per_
     leaves none, and all 346 faults take the first branch.  Compose faults
     are not run, since neither function reads compose.
     """
-    def quotient(free: FreeAlgebra) -> tuple:
-        return free.classes_by_arity, free._canonical
-
     located = rf"{re.escape(OPERADS[name]().name)}: the action at arity \d+ (sends .* outside its level|is not a right action)"
     faults = [(key, value) for key, value in single_entry_faults(name) if len(key) == 3]
     for key, value in faults:
         def run(call: Callable[[FiniteGOperad], Any]) -> tuple:
             return outcome(lambda: call(rebind(OPERADS[name](), key, value)))
 
-        free = run(lambda p: quotient(free_algebra(p, ("a", "b"))))
+        free = run(lambda p: free_algebra_by_state(p, ("a", "b")))
         pullback = run(pullback_witness_test)
         p = rebind(OPERADS[name](), key, value)
         if is_right_action(p, p.max_arity):
-            assert free == run(lambda p: quotient(reference_free_algebra(p, ("a", "b")))), key
+            assert free == run(lambda p: reference_free_algebra(p, ("a", "b"))), key
             assert pullback == run(reference_pullback_witness_test), key
         else:
             assert free[:2] == ("error", "ValueError") and re.match(located, free[2]), (key, free)
@@ -791,6 +795,22 @@ def cycles(perm: Permutation) -> int:
             seen.add(i)
             i = perm(i)
     return count
+
+
+# Per operad, the largest carrier `operad free` admits at a bound: the
+# states sum_n |P(n)| * |X|^n, n <= bound, stay within MAX_FREE_STATES, and
+# one more point passes it.
+LARGE_CARRIERS = {
+    "ass.json": (32, 3),
+    "comm.json": (58, 3),
+    "comm_trivial.json": (58, 3),
+    "ass2": (315, 2),
+    "comm/symmetric 3": (58, 3),
+    "comm/symmetric 4": (20, 4),
+    "comm/trivial 3": (58, 3),
+    "endo {a} 2": (446, 2),
+    "endo {a,b} 1": (49_999, 1),
+}
 
 
 @pytest.mark.parametrize("name", FINITE)
@@ -813,12 +833,28 @@ def test_class_counts_and_the_pullback_verdict_follow_burnside(name):
     y' the ys permuted by pi(g).  So the square is a bijection exactly when
     the two counts agree at every arity, which must be the verdict of
     `pullback_witness_test` (comm at arity 2 reads 10 against 9, a NO).
+
+    The counts are checked on 1-3 points up to the operad's bound, and on
+    the largest carrier `operad free` admits at the bound of
+    LARGE_CARRIERS: 32 points at bound 3 for ass.json (198,689 states), 58
+    at bound 3 for comm.json, comm_trivial.json and both comm up to arity
+    3 (198,535 each), 20 at bound 4 for comm over the symmetric groups up
+    to arity 4 (168,421), 315 at bound 2 for ass2 (198,766), 446 at bound 2
+    for the endomorphisms of {a} (199,363) and 49,999 at bound 1 for those
+    of {a,b} (199,998).
     """
     p = OPERADS[name]()
     group = p.group
-    for carrier in [("a",), ("a", "b"), ("a", "b", "c")]:
-        free = free_algebra(p, carrier)
-        for n in range(p.max_arity + 1):
+    points, top = LARGE_CARRIERS[name]
+
+    def states(size: int) -> int:
+        return sum(len(p.labels(n)) * size ** n for n in range(top + 1))
+
+    assert states(points) <= MAX_FREE_STATES < states(points + 1)
+    carriers = [(("a",), p.max_arity), (("a", "b"), p.max_arity), (("a", "b", "c"), p.max_arity)]
+    for carrier, bound in [*carriers, (tuple(f"x{i}" for i in range(points)), top)]:
+        free = free_algebra(p, carrier, bound)
+        for n in range(bound + 1):
             burnside = Fraction(
                 sum(
                     sum(p.action(n, label, g) == label for label in p.labels(n)) * len(carrier) ** cycles(group.project(g))
@@ -1131,29 +1167,32 @@ def test_each_call_decides_each_level_once(monkeypatch, name, call):
 def test_the_monad_laws_share_the_checked_levels_of_their_free_algebra(monkeypatch, make):
     # Constancy on classes is decided on generators at every arity, under
     # the precondition the free algebra's quotient already decided there.
-    # Arity 0 holds two levels, P(0) and the carrier's.
+    # The quotient reads P's levels only: the carrier is its rest, on which
+    # a stabilizer acts through the projection, not a collection of its own.
     p = make()
     counts = count_preconditions(monkeypatch)
     assert check_monad_laws(p, ("a", "b"), max_arity=3).ok
     assert counts.keys() and max(counts.values()) == 1
-    assert collections.Counter(n for n, _ in counts) == {0: 2, 1: 1, 2: 1, 3: 1}
+    assert collections.Counter(n for n, _ in counts) == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 @pytest.mark.parametrize("name", FINITE)
 def test_monad_laws_run_one_orbit_quotient(monkeypatch, name):
     # The algebra correspondence reads its classes from the free algebra
-    # the laws were checked on, truncated to its bound.
+    # the laws were checked on, truncated to its bound: one quotient per
+    # inhabited arity, each with one block, the labels of that level.
     p = OPERADS[name]()
+    bound = min(p.max_arity, 2)
     quotients = []
     orbit_quotient = free_monad._orbit_quotient
 
-    def counted(*args):
-        quotients.append(args[0])
-        return orbit_quotient(*args)
+    def counted(blocks, *args):
+        quotients.append([count for _, count, _ in blocks])
+        return orbit_quotient(blocks, *args)
 
     monkeypatch.setattr(free_monad, "_orbit_quotient", counted)
-    check_monad_laws(p, ("a", "b"), max_arity=min(p.max_arity, 2))
-    assert quotients == [p]
+    check_monad_laws(p, ("a", "b"), max_arity=bound)
+    assert quotients == [[len(p.labels(n))] for n in range(bound + 1) if p.labels(n)]
 
 
 def test_an_inner_composite_outside_its_level_raises_at_the_same_case(monkeypatch):

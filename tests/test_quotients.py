@@ -2,13 +2,15 @@
 The orbit quotients `compose_collections` and `free_algebra` against slow
 references, and the two pullback criteria against each other.
 
-Both constructions are views of one quotient, which numbers its states by
-mixed radix and unites them along group generators only; the free algebra
-is the composition product with the carrier in arity 0.  The references
-below are the earlier per-state loops, kept verbatim up to naming, with
-the tuple-keyed union-find they ran on: every tuple is registered and
-related to its mates one group element at a time, for every element.
-Property tests compare classes and canonical maps exactly on small
+Both constructions are views of one two-stage quotient, which searches the
+orbits of its points along group generators and then the orbits of each
+point's stabilizer on the rest; the free algebra is the arity-0 part of
+the composition product with the carrier in arity 0.  The references below
+are the earlier per-state loops, kept verbatim up to naming, with the
+tuple-keyed union-find they ran on: every tuple is registered and related
+to its mates one group element at a time, for every element.  Property
+tests compare the classes exactly, and `canonical` at every state a
+reference lists, on small
 collections built from trivial, sign and coset orbits G(n)/K and from the
 packaged operads and the unit-only operad, over the trivial and symmetric
 groups, and require `cartesian_condition` and `pullback_witness_test` to
@@ -29,7 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from operadics.action_operads import instance_symmetric, instance_trivial
-from operadics.free_monad import _truncate, cartesian_condition, free_algebra, pullback_witness_test
+from operadics.free_monad import _restrict, _truncate, cartesian_condition, free_algebra, pullback_witness_test
 from operadics.g_operads import (
     FiniteGCollection,
     FiniteGOperad,
@@ -47,6 +49,7 @@ from operadics.g_operads import (
 )
 from operadics.permutations import Permutation, act_on_list, inversions
 from shared import _UnionFind
+from test_law_kernels import FINITE, OPERADS
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "operadics" / "data"
 BOUND = 3
@@ -73,12 +76,25 @@ def _reference_key(group, state):
     return (r, tuple(ks), x, tuple(ys), (tuple(group.project(g).image), group.describe(g)))
 
 
+def reference_states(x, y, n):
+    """Every composite tuple (r; ks; x; ys; g) of arity n, in the order the per-state loop registers them."""
+    y_arities = [k for k in range(n + 1) if y.labels(k)]
+    for r in sorted(m for m in x.levels if x.labels(m)):
+        for ks in _compositions(n, y_arities, r):
+            for head in x.labels(r):
+                for ys in itertools.product(*(y.labels(k) for k in ks)):
+                    for g in x.group.elements(n):
+                        yield (r, ks, head, ys, g)
+
+
 def reference_compose_collections(x, y, bound):
-    """The per-state composition product: (classes_by_arity, canonical)."""
+    """
+    The per-state composition product: (classes_by_arity, canonical), with
+    canonical listing each state once with its class's representative.
+    """
     group = x.group
-    y_arities = [n for n in range(bound + 1) if y.labels(n)]
     classes_by_arity = {}
-    canonical = {}
+    canonical = []
 
     for n in range(bound + 1):
         uf = _UnionFind()
@@ -90,12 +106,8 @@ def reference_compose_collections(x, y, bound):
             uf.add(key)
             return key
 
-        for r in sorted(m for m in x.levels if x.labels(m)):
-            for ks in _compositions(n, y_arities, r):
-                for head in x.labels(r):
-                    for ys in itertools.product(*(y.labels(k) for k in ks)):
-                        for g in group.elements(n):
-                            register((r, ks, head, ys, g))
+        for state in reference_states(x, y, n):
+            register(state)
 
         for key in list(states):
             r, ks, head, ys, g = states[key]
@@ -114,8 +126,7 @@ def reference_compose_collections(x, y, bound):
                 right = register((r, ks, head, acted, g))
                 uf.unite(left, right)
 
-        for key in states:
-            canonical[key] = states[uf.find(key)]
+        canonical.extend((state, states[uf.find(key)]) for key, state in states.items())
         classes_by_arity[n] = [states[root] for root in sorted({uf.find(key) for key in states})]
     return classes_by_arity, canonical
 
@@ -138,6 +149,28 @@ def reference_free_algebra(p, carrier, bound):
             canonical[state] = root
         classes_by_arity[n] = sorted(set(roots.values()))
     return classes_by_arity, canonical
+
+
+def assert_the_reference_product(product, x, y, bound):
+    """
+    The product has the reference's classes, and its canonical gives the
+    reference's representative at every state the reference lists.
+    """
+    classes, canonical = reference_compose_collections(x, y, bound)
+    assert product.classes_by_arity == classes
+    for state, representative in canonical:
+        assert product.canonical(state) == representative, state
+
+
+def assert_the_reference_free_algebra(free, p, carrier, bound):
+    """
+    The free algebra has the reference's classes, and its canonical gives
+    the reference's representative at every state the reference lists.
+    """
+    classes, canonical = reference_free_algebra(p, carrier, bound)
+    assert {n: [(c.label, c.items) for c in cs] for n, cs in free.classes_by_arity.items()} == classes
+    for (label, xs), root in canonical.items():
+        assert free.canonical(label, xs) == root, (label, xs)
 
 
 # ------------------------------------------------------------ collections
@@ -258,10 +291,7 @@ def test_compose_collections_matches_the_reference(group_name, data):
     x = data.draw(collections(group, "x", range(4)), label="x")
     y = data.draw(collections(group, "y", range(3)), label="y")
     bound = data.draw(st.integers(0, BOUND), label="bound")
-    product = compose_collections(x, y, bound)
-    classes, canonical = reference_compose_collections(x, y, bound)
-    assert product.classes_by_arity == classes
-    assert product._canonical == canonical
+    assert_the_reference_product(compose_collections(x, y, bound), x, y, bound)
 
 
 PACKAGED_PAIRS = [
@@ -273,17 +303,14 @@ PACKAGED_PAIRS = [
 @pytest.mark.parametrize("left, right", PACKAGED_PAIRS)
 def test_packaged_composites_match_the_reference(left, right):
     x, y = packaged(left), packaged(right)
-    product = compose_collections(x, y, BOUND)
-    classes, canonical = reference_compose_collections(x, y, BOUND)
-    assert product.classes_by_arity == classes
-    assert product._canonical == canonical
+    assert_the_reference_product(compose_collections(x, y, BOUND), x, y, BOUND)
 
 
 @pytest.mark.parametrize("left, right", PACKAGED_PAIRS)
 def test_the_state_count_is_the_number_of_states_enumerated(left, right):
     x, y = packaged(left), packaged(right)
     for bound in range(BOUND + 2):
-        assert composite_states(x, y, bound) == len(compose_collections(x, y, bound)._canonical)
+        assert composite_states(x, y, bound) == sum(1 for n in range(bound + 1) for _ in reference_states(x, y, n))
 
 
 @pytest.mark.parametrize("group_name", ["trivial", "symmetric"])
@@ -292,8 +319,7 @@ def test_unit_composites_match_the_reference(group_name):
     unit = unit_collection(group)
     x = orbit_collection("x", group, {0: ["trivial"], 2: ["regular", "sign"], 3: ["sign"]})
     for left, right in ((unit, x), (x, unit)):
-        product = compose_collections(left, right, BOUND)
-        assert (product.classes_by_arity, product._canonical) == reference_compose_collections(left, right, BOUND)
+        assert_the_reference_product(compose_collections(left, right, BOUND), left, right, BOUND)
 
 
 def _orbit_operad(collection):
@@ -313,22 +339,26 @@ def test_free_algebra_matches_the_reference(group_name, data):
     carrier = data.draw(st.permutations("abc").map(tuple), label="carrier")
     carrier = carrier[: data.draw(st.integers(0, 3), label="size")]
     bound = data.draw(st.integers(0, BOUND), label="bound")
-    free = free_algebra(p, carrier, bound)
-    classes, canonical = reference_free_algebra(p, carrier, bound)
-    assert {n: [(c.label, c.items) for c in cs] for n, cs in free.classes_by_arity.items()} == classes
-    assert {state: (c.label, c.items) for state, c in free._canonical.items()} == canonical
+    assert_the_reference_free_algebra(free_algebra(p, carrier, bound), p, carrier, bound)
 
 
 @pytest.mark.parametrize("name", ["ass", "comm", "comm_trivial"])
 def test_packaged_free_algebras_match_the_reference(name):
     p = packaged(name)
-    free = free_algebra(p, ("b", "a"), BOUND)
-    classes, canonical = reference_free_algebra(p, ("b", "a"), BOUND)
-    assert {n: [(c.label, c.items) for c in cs] for n, cs in free.classes_by_arity.items()} == classes
-    assert {state: (c.label, c.items) for state, c in free._canonical.items()} == canonical
+    assert_the_reference_free_algebra(free_algebra(p, ("b", "a"), BOUND), p, ("b", "a"), BOUND)
 
 
-# Past arity 3, uniting along generators does much less work than uniting
+@pytest.mark.parametrize("name", FINITE)
+def test_the_finite_operads_match_the_references(name):
+    # Each operad of the law tests over a finite group, composed with itself
+    # and freely generated on two points.
+    p = OPERADS[name]()
+    bound = min(p.max_arity, BOUND)
+    assert_the_reference_product(compose_collections(p, p, bound), p, p, bound)
+    assert_the_reference_free_algebra(free_algebra(p, ("b", "a"), bound), p, ("b", "a"), bound)
+
+
+# Past arity 3, moving along generators does much less work than uniting
 # along every element: n - 1 generators against n! elements.
 LARGE_FREE_ALGEBRAS = {
     "comm/symmetric 5 on 3, bound 5": (lambda: operad_comm(GROUPS["symmetric"], max_arity=5), 5),
@@ -340,10 +370,7 @@ LARGE_FREE_ALGEBRAS = {
 def test_free_algebras_past_arity_three_match_the_reference(name):
     build, bound = LARGE_FREE_ALGEBRAS[name]
     p = build()
-    free = free_algebra(p, ("c", "a", "b"), bound)
-    classes, canonical = reference_free_algebra(p, ("c", "a", "b"), bound)
-    assert {n: [(c.label, c.items) for c in cs] for n, cs in free.classes_by_arity.items()} == classes
-    assert {state: (c.label, c.items) for state, c in free._canonical.items()} == canonical
+    assert_the_reference_free_algebra(free_algebra(p, ("c", "a", "b"), bound), p, ("c", "a", "b"), bound)
 
 
 # ------------------------------------------------------ the cartesian theorem
@@ -583,6 +610,49 @@ def test_a_missing_compose_record_is_named_despite_a_duplicate(name, removed, du
     message = f"compose: missing entry for n={gone['n']}, ks={gone['ks']}, args={gone['args']}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         load_operad(document)
+
+
+# ------------------------------------------------------ refusals
+
+
+def test_the_free_canonical_refuses_what_the_algebra_does_not_hold():
+    # canonical is computed from the quotient, not looked up in a table of
+    # every state, so it must refuse each outsider itself, with the message
+    # of the table's missing key.
+    p = packaged("ass")
+    free = free_algebra(p, ("b", "a"), 2)
+    small = _restrict(free, _truncate(p, 1))
+    outsiders = [
+        (free, "21", ("a",)),           # a label of level 2 at arity 1
+        (free, "12", ("a", "c")),       # an item outside the carrier
+        (free, "123", ("a", "b", "a")), # arity 3, above the bound 2
+        (small, "12", ("a", "b")),      # arity 2, above the restriction's bound 1
+        (small, "12", ()),              # a label of level 2 at arity 0
+    ]
+    for algebra, label, items in outsiders:
+        with pytest.raises(ValueError) as caught:
+            algebra.canonical(label, items)
+        assert str(caught.value) == f"unknown free-algebra element ({label!r}; {list(items)})"
+    assert free.canonical("21", ("a", "b")) == ("12", ("b", "a"))
+    assert small.canonical("1", ("a",)) == ("1", ("a",))
+
+
+def test_the_composite_canonical_refuses_what_the_product_does_not_hold():
+    e = GROUPS["symmetric"].identity
+    product = compose_collections(packaged("ass"), packaged("comm"), 2)
+    outsiders = [
+        (2, (1, 1), "1", ("*", "*"), e(2)),       # the head "1" of level 1 in slot 2
+        (1, (2,), "1", ("12",), e(2)),            # an argument outside comm's level 2
+        (1, (3,), "1", ("*",), e(3)),             # arity 3, above the bound 2
+        (2, (1, 1), "12", ("*", "*"), e(3)),      # an element of G(3) at arity 2
+        (2, (1, 1), "12", ("*", "*", "*"), e(2)), # more arguments than slots
+        (1, (1, 1), "1", ("*", "*"), e(2)),       # more slots than the head's arity
+    ]
+    for state in outsiders:
+        with pytest.raises(ValueError) as caught:
+            product.canonical(state)
+        assert str(caught.value) == f"unknown composite tuple {product.describe_state(state)}"
+    assert product.canonical((2, (1, 1), "21", ("*", "*"), e(2))) in product.classes(2)
 
 
 # ------------------------------------------------------ call-count guard
