@@ -46,17 +46,19 @@ backtracking search of `g_operads.enumerate_algebra_structures`, the
 monad algebras by checking every candidate map (at most 2^7 for the
 packaged operads over {a, b} at the correspondence bound).
 `cartesian_condition` and `pullback_witness_test` decide, in two
-independent ways, whether the construction preserves pullbacks; the
-latter only by injectivity, since over a point the comparison map is
-always onto.  The laws and quotients of one call share one memo of
-checked levels (`g_operads._checked_levels`), so one call decides each
-level of P once.
+independent ways, whether the construction preserves pullbacks.  Over a
+point the comparison map is always onto, so the latter compares class
+counts, per orbit of P(n) read from the class labels, and pushes classes
+only at the first arity whose counts differ, to name the witness.  The
+laws and quotients of one call share one memo of checked levels
+(`g_operads._checked_levels`), so one call decides each level of P once.
 As in `g_operads`, every law here walks, and lists group elements for,
 only P's inhabited arities.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import operator
@@ -462,13 +464,19 @@ def pullback_witness_test(p: FiniteGOperad) -> tuple[bool, str]:
     The transformation-level criterion on one concrete square: apply the
     free construction to the pullback of two two-element sets over a
     point and check, arity by arity, that classes of pairs biject with
-    pairs of classes.  Returns (True, "") or (False, witness).  The three
-    free algebras share one memo of checked levels, and each class is
-    pushed forward once.
+    pairs of classes.  Returns (True, "") or (False, witness).
 
     Over a point the comparison map is always onto: a pair ([q; xs], [q.g; ys])
-    is the image of [q; (x_i, y'_i)], with y' the ys permuted by pi(g).  So
-    injectivity into F(left) x F(right) decides whether it is a bijection.
+    is the image of [q; (x_i, y'_i)], with y' the ys permuted by pi(g).  So it
+    is a bijection at arity n exactly when |F(pairs)(n)| equals the size of
+    the fiber product, the sum over the orbits O of P(n) of
+    |F(left)_O(n)| * |F(right)_O(n)|.  A class carries its orbit's least
+    label, so a count of class labels gives each |F(left)_O(n)|, and the
+    right carrier, of two points too, has the same counts.  Only the free
+    algebras on pairs and on left are built, sharing one memo of checked
+    levels, and no class is pushed, until the first arity whose counts
+    differ: there the right algebra is built and each class of pairs is
+    pushed forward until two meet, which names the witness.
     """
     left = ("x1", "x2")
     right = ("y1", "y2")
@@ -479,14 +487,17 @@ def pullback_witness_test(p: FiniteGOperad) -> tuple[bool, str]:
     checked = _checked_levels(p.group)
     free_pairs = _free_algebra(p, pairs, None, checked)
     free_left = _free_algebra(p, left, None, checked)
-    free_right = _free_algebra(p, right, None, checked)
 
     def push(free_target, mapping, cls):
         return free_target.canonical(cls.label, tuple(mapping[x] for x in cls.items))
 
     for n in range(free_pairs.max_arity + 1):
+        orbits = collections.Counter(cls.label for cls in free_left.classes_by_arity[n])
+        if len(free_pairs.classes_by_arity[n]) == sum(count * count for count in orbits.values()):
+            continue
+        free_right = _free_algebra(p, right, None, checked)
         images = {}
-        for cls in free_pairs.classes(n):
+        for cls in free_pairs.classes_by_arity[n]:
             image = (push(free_left, first, cls), push(free_right, second, cls))
             if image in images:
                 return False, (

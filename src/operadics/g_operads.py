@@ -783,12 +783,6 @@ def _perm_label(p: Permutation) -> str:
     return "".join(str(i) for i in p.image) if p.n else "e"
 
 
-def _label_perm(label: str) -> Permutation:
-    if label == "e":
-        return Permutation(())
-    return Permutation(tuple(int(c) for c in label))
-
-
 def operad_ass(max_arity: int = 3) -> FiniteGOperad:
     """
     All permutations at each arity, acting on themselves by right
@@ -797,18 +791,29 @@ def operad_ass(max_arity: int = 3) -> FiniteGOperad:
     if max_arity > 9:
         raise ValueError("digit labels support arities up to 9 only")
     group = instance_symmetric()
+    levels = {n: tuple(sorted(_perm_label(p) for p in all_permutations(n))) for n in range(max_arity + 1)}
+
+    @functools.cache
+    def perms(n: int) -> dict[str, Permutation]:
+        """The labels of level n with their permutations, built at the level's first read."""
+        return {_perm_label(p): p for p in all_permutations(n)}
+
+    def action(n: int, label: str, g: Any) -> str:
+        if n not in levels or label not in perms(n):
+            raise ValueError(f"unknown label {label!r} at arity {n}")
+        return _perm_label(group.multiply(perms(n)[label], g))
+
+    def compose(n: int, ks: Sequence[int], head: str, args: Sequence[str]) -> str:
+        # `FiniteGOperad.compose` has checked the signature: every label is in its level.
+        return _perm_label(group.operad_mu(perms(n)[head], [perms(k)[a] for k, a in zip(ks, args)]))
+
     return FiniteGOperad(
         name="ass",
         group=group,
-        levels={
-            n: tuple(sorted(_perm_label(p) for p in all_permutations(n)))
-            for n in range(max_arity + 1)
-        },
+        levels=levels,
         unit="1",
-        action=lambda n, label, g: _perm_label(group.multiply(_label_perm(label), g)),
-        compose=lambda n, ks, head, args: _perm_label(
-            group.operad_mu(_label_perm(head), [_label_perm(a) for a in args])
-        ),
+        action=action,
+        compose=compose,
         max_arity=max_arity,
     )
 

@@ -365,6 +365,21 @@ def test_endomorphism_action_refuses_a_label_outside_its_level(carrier, n, label
         endo.action(n, label, instance_symmetric().identity(n))
 
 
+@pytest.mark.parametrize(
+    "n, label, arity",
+    [(2, "321", 3), (2, "321", 2), (1, "x", 1), (3, "12", 3), (1, "e", 1), (0, "1", 0), (4, "1234", 4)],
+    ids=["level 3 at arity 2", "level 3 at arity 2 by an element of it", "not a permutation",
+         "level 2 at arity 3", "level 0 at arity 1", "level 1 at arity 0", "above the bound"],
+)
+def test_ass_action_refuses_a_label_outside_its_level(n, label, arity):
+    # Read as a permutation, a label of another level would compose with an
+    # element of its own arity and answer a label of that level, or fail
+    # with an error that names neither the label nor the arity.
+    ass = operad_ass(3)
+    with pytest.raises(ValueError, match=f"^unknown label '{label}' at arity {n}$"):
+        ass.action(n, label, instance_symmetric().identity(arity))
+
+
 def test_endomorphism_size_guard():
     with pytest.raises(ValueError, match="more than the limit"):
         endomorphism_operad(("a", "b", "c"), instance_symmetric(), max_arity=2)

@@ -57,8 +57,10 @@ per-orbit form decides the pullback square, as an oracle for
 Counting wrappers pin the savings: `check_operad` reads each compose and
 action key of a packaged document once and makes at most 878 `operad_mu`
 and 612 `multiply` calls on comm over the braid groups, one `pullback_witness_test`
-checks the action of each level of P once, and one `check_monad_laws` runs
-one orbit quotient.  The one-pass
+checks the action of each level of P once, builds the free algebra on the
+right carrier and pushes classes only at the first arity whose class counts
+differ (never on a cartesian operad, arity 2 only on comm.json), and one
+`check_monad_laws` runs one orbit quotient.  The one-pass
 `mu_sigma` must equal the composite of its two block factors, arity 0
 included.
 """
@@ -1126,6 +1128,49 @@ def test_one_pullback_test_checks_each_level_of_p_once(monkeypatch, name):
     monkeypatch.setattr(g_operads, "_right_action_fault", counted)
     pullback_witness_test(p)
     assert checked == {n: 1 for n in range(p.max_arity + 1) if p.labels(n)}
+
+
+def count_pullback_work(monkeypatch) -> tuple[list[FreeAlgebra], collections.Counter]:
+    """
+    From here on, the free algebras `pullback_witness_test` builds, in build
+    order, and the `FreeAlgebra.canonical` calls, by the arity of the pushed class.
+    """
+    built: list[FreeAlgebra] = []
+    pushed: collections.Counter = collections.Counter()
+    build, canonical = free_monad._free_algebra, FreeAlgebra.canonical
+
+    def counted_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def counted_canonical(free, label, items):
+        pushed[len(items)] += 1
+        return canonical(free, label, items)
+
+    monkeypatch.setattr(free_monad, "_free_algebra", counted_build)
+    monkeypatch.setattr(FreeAlgebra, "canonical", counted_canonical)
+    return built, pushed
+
+
+@pytest.mark.parametrize("name", [name for name in FINITE if free_monad.cartesian_condition(OPERADS[name]())[0]])
+def test_a_cartesian_operad_is_decided_by_class_counts_alone(monkeypatch, name):
+    # Equal counts at every arity: the algebras on pairs and on left only,
+    # and no class pushed.
+    built, pushed = count_pullback_work(monkeypatch)
+    assert pullback_witness_test(OPERADS[name]()) == (True, "")
+    assert [free.carrier for free in built] == [("x1y1", "x1y2", "x2y1", "x2y2"), ("x1", "x2")]
+    assert not pushed
+
+
+def test_comm_pushes_classes_only_at_the_first_arity_whose_counts_differ(monkeypatch):
+    # Arity 2 of comm.json has 10 classes of pairs but 3 * 3 = 9 fiber pairs,
+    # so the right algebra is built once and only arity-2 classes are pushed.
+    built, pushed = count_pullback_work(monkeypatch)
+    assert not pullback_witness_test(OPERADS["comm.json"]())[0]
+    pairs, left, right = built
+    assert right.carrier == ("y1", "y2")
+    assert (len(pairs.classes(2)), len(left.classes(2)) ** 2) == (10, 9)
+    assert set(pushed) == {2}
 
 
 def count_preconditions(monkeypatch) -> collections.Counter:
