@@ -153,8 +153,9 @@ MAX_FREE_STATES = 200_000
 # The most cases operad associativity may list in `operad check`, counted
 # from the level sizes of the loaded document before any case is listed.
 # On a 2-vCPU machine, ass up to arity 4 (2,051,104 cases, the largest
-# golden) took 0.65 s CPU and comm up to arity 6 (1,010,478) 0.78 s, while
-# comm up to arity 7 (14,163,676) took 9.1 s.
+# golden) took 0.30-0.38 s CPU and peaked at 25 MB, starting the command
+# included, and comm up to arity 6 (1,010,478) 0.78 s, while comm up to
+# arity 7 (14,163,676) took 9.1 s.
 MAX_CHECK_CASES = 4_000_000
 
 

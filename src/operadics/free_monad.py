@@ -19,14 +19,17 @@ and monad algebras, drawing its tuples of classes by `g_operads._within`
 are built.
 Its laws read each flattening [label; classes] and each action value
 through `g_operads._ReadThrough` tables that live only for that call, so
-each is computed once per report.  Associativity decides each (q, ps) by
-two rows over the class tuples of one length (`g_operads._rows_or_replay`):
-the row of q's composite with the p_i, and q flattening the rows of the p_i
-read at the position of each tuple's slices, each position column built
-once per call.  Constancy on classes at arity n is decided on the
-generators of G(n) exactly when `g_operads._right_action_fault` holds at n,
-and walked over the listed elements otherwise, by the one group-element
-policy of `g_operads`.
+each is computed once per report.  Associativity has the row shape of
+operad associativity in `g_operads`: one row per label, its flattenings
+over the class tuples of its arity, and the positions and slice columns of
+`g_operads._slice_columns`, each built once per call.  It decides each
+(q, ps) by two rows over the tuples of one length
+(`g_operads._rows_or_replay`): the row of q's composite with the p_i, and
+q's row read at the position of each middle tuple, which the columns
+gather from the rows of the p_i.  Constancy on classes at arity n is
+decided on the generators of G(n) exactly when
+`g_operads._right_action_fault` holds at n, and walked over the listed
+elements otherwise, by the one group-element policy of `g_operads`.
 The correspondence reads its classes from the free algebra the laws were
 checked on, truncated to its bound, so one call runs one quotient per arity.
 `free_algebra` keeps no quotient of its own: the free algebra is the
@@ -73,8 +76,10 @@ from .g_operads import (
     _mixed_radix,
     _orbit_quotient,
     _ReadThrough,
+    _require_bound,
     _rows_or_replay,
     _signatures,
+    _slice_columns,
     _sorted_level,
     _within,
     enumerate_algebra_structures,
@@ -172,6 +177,7 @@ def _free_algebra(p: FiniteGOperad, carrier: Sequence[str], max_arity: int | Non
     if len(set(carrier)) != len(carrier):
         raise ValueError("carrier elements must be distinct")
     bound = p.max_arity if max_arity is None else max_arity
+    _require_bound(bound)
     if bound > p.max_arity:
         raise ValueError(f"arity bound {bound} exceeds the operad's bound {p.max_arity}")
 
@@ -368,17 +374,17 @@ def check_monad_laws(
         # each label's row of flattenings over the tuples of its arity.
         pool = free.all_classes()
         tuples = {m: _within(bound, m, pool, [c.arity for c in pool]) for m in range(bound + 1)}
-        positions = {m: {flat: i for i, flat in enumerate(tuples[m])} for m in tuples}
         rows = _ReadThrough(lambda r, label: [flatten[label, flat] for flat in tuples[r]])
-        # Column (total, a, b): the position of each tuple's slice [a:b] among
-        # the tuples of length b - a, over the tuples of length total.
-        column = _ReadThrough(lambda total, a, b: [positions[b - a][flat[a:b]] for flat in tuples[total]])
+        positions, column = _slice_columns(tuples.__getitem__)
 
         def rows_agree(q: str, ps: tuple[str, ...], outer: str, rs: tuple[int, ...], columns: list[list[int]]) -> bool:
-            """Whether q on the p_i's rows read at the columns gives the outer label's row."""
+            """
+            Whether q's row, read at the position of each middle tuple (the
+            p_i's rows read at the columns), gives the outer label's row.
+            """
             getters = [rows[key].__getitem__ for key in zip(rs, ps)]
-            middles = zip(*map(map, getters, columns)) if rs else [()]
-            return list(map(flatten.__getitem__, zip(itertools.repeat(q), middles))) == rows[sum(rs), outer]
+            places = map(positions(len(rs)).__getitem__, zip(*map(map, getters, columns)) if rs else [()])
+            return list(map(rows[len(rs), q].__getitem__, places)) == rows[sum(rs), outer]
 
         for n, rs in _signatures(bound, _inhabited(p.labels, bound)):
             starts = list(itertools.accumulate(rs, initial=0))

@@ -63,8 +63,13 @@ tables that live for one call: the first read of a key goes through
 every later read is a dict subscript.  Reads are taken to depend on the key
 alone, so a law may decide a group of cases by rows, or on generators, and
 replay the group case by case only when that fails (`_rows_or_replay`).  Both
-associativity laws, here and in `free_monad`, have one row shape: a list
-per label over the flat tuples of a length, read at position columns.
+associativity laws, here and in `free_monad`, have one row shape: one row
+per (arity, label), a list over the tuples of that length, read by
+position, with each tuple's position and each slice's column of positions
+from `_slice_columns`.  Operad associativity's tuples are the flat cases
+(ls, rs), and a row's element at one is (sum(ls), mu(m; ls; c; rs)), itself
+an element of a flat case, so a head's row is read at the position of the
+inner case that its arguments' rows gather.
 
 One representation serves every finite operad: `FiniteGOperad` holds a
 compose table keyed by (n, ks, head, args) and an action table keyed by
@@ -275,6 +280,18 @@ def _rows_or_replay(
             yield from replay()
 
 
+def _slice_columns(tuples: Callable[[int], Sequence[tuple]]) -> tuple[Callable[[int], dict[tuple, int]], _ReadThrough]:
+    """
+    For `tuples`, which lists the tuples of each length: positions(m), each
+    tuple's position in tuples(m), and column[total, a, b], the position
+    of each tuple of length total's slice [a:b] among the tuples of length
+    b - a, in the order of tuples(total).  Each is built on first use.
+    """
+    positions = functools.cache(lambda m: {t: i for i, t in enumerate(tuples(m))})
+    column = _ReadThrough(lambda total, a, b: [positions(b - a)[t[a:b]] for t in tuples(total)])
+    return positions, column
+
+
 @dataclass
 class AlgebraStructure:
     """A finite carrier together with one evaluation map per arity."""
@@ -323,7 +340,7 @@ def _within(bound: int, slots: int, items: Sequence, weights: Sequence[int] | No
     bound is built.  An arity weighs itself (the default), a class its arity.
     """
     pairs = list(zip(items, items if weights is None else weights))
-    level = [((), bound)]
+    level = [((), bound)] if bound >= 0 else []
     for _ in range(slots):
         level = [(t + (item,), left - w) for t, left in level for item, w in pairs if w <= left]
     return [t for t, _ in level]
@@ -356,6 +373,12 @@ def _signature_counts(
                 return None
         ways = [min(cap, sum(w * ways[s - k] for k, w in weights if k <= s)) for s in range(bound + 1)]
     return counts if total < cap else None
+
+
+def _require_bound(bound: int) -> None:
+    """Refuse a negative arity bound, within which no tuple has arities."""
+    if bound < 0:
+        raise ValueError(f"arity bound {bound} must be nonnegative")
 
 
 def _require_finite_product(group: ActionOperad) -> None:
@@ -522,9 +545,10 @@ def check_operad(p: FiniteGOperad) -> Report:
     by all its laws: the first read of a key calls `p.compose` or
     `p.action`, and every later read of that key is a subscript.  The work
     that depends only on arities is also done once per call: the label
-    product of each arity tuple, the flat cases (ls, rs) of each length,
-    each associativity position column and the identities of each
-    signature, each on first use.  Nothing is kept after the call returns.
+    product of each arity tuple, the flat cases (ls, rs) of each length
+    with their positions, each associativity slice column, each label's
+    associativity row and the identities of each signature, each on first
+    use.  Nothing is kept after the call returns.
     Only the inhabited arities are walked, and only their group elements
     listed, once for every law and slot.
 
@@ -599,32 +623,13 @@ def check_operad(p: FiniteGOperad) -> Report:
         # their label tuples, listed on first use.  The flat cases of a length
         # are the tuples zip(ls, rs), so slicing one slices ls and rs.
         flat_arities = functools.cache(lambda total: [(ls, product(ls)) for ls in _within(bound, total, inhabited)])
-        cases = functools.cache(
-            lambda total: [tuple(zip(ls, rs)) for ls, flats in flat_arities(total) for rs in flats]
-        )
-        positions = functools.cache(lambda k: {case: i for i, case in enumerate(cases(k))})
-        # Column (total, a, b): the position of each flat case's slice [a:b]
-        # among the cases of length b - a, over the flat cases of length total.
-        def column_of(total: int, a: int, b: int) -> list[int]:
-            position = positions(b - a)
-            return [position[case[a:b]] for case in cases(total)]
-
-        column = _ReadThrough(column_of)
-        # Rows of compose values, read once through mu: a composite c of
-        # level total over the flat cases of that length, an argument q of
-        # arity k as (sum(split), mu(k; split; q; rs)) over those of length
-        # k, and a head of arity n over every (js, qs), keyed by zip(js, qs).
-        composite_rows = _ReadThrough(
-            lambda total, c: [mu[total, ls, c, rs] for ls, flats in flat_arities(total) for rs in flats]
-        )
-        argument_rows = _ReadThrough(
-            lambda k, arg: [(sum(split), mu[k, split, arg, rs]) for split, flats in flat_arities(k) for rs in flats]
-        )
-        head_rows = _ReadThrough(
-            lambda n, head: {
-                tuple(zip(js, qs)): mu[n, js, head, qs] for m, js in signatures if m == n for qs in product(js)
-            }
-        )
+        cases = functools.cache(lambda total: [tuple(zip(ls, rs)) for ls, flats in flat_arities(total) for rs in flats])
+        positions, column = _slice_columns(cases)
+        # The row of a label c of arity m, read once through mu: the element
+        # (sum(ls), mu(m; ls; c; rs)) at each flat case (ls, rs) of length m.
+        # Its elements are themselves the flat cases' (arity, label) pairs,
+        # which the rows of composites, arguments and heads all share.
+        rows = _ReadThrough(lambda m, c: [(sum(ls), mu[m, ls, c, rs]) for ls, flats in flat_arities(m) for rs in flats])
 
         def holds(n: int, ks: tuple[int, ...]) -> bool:
             """
@@ -632,21 +637,24 @@ def check_operad(p: FiniteGOperad) -> Report:
             well-typed, both sides of a case are composites of level sum(ls),
             so where each such level has one label, they agree.
             Otherwise, for every (head, args), the composite's row equals the
-            head's row read at the inner composites, which column i gathers
-            from the row of args[i] at the position of each flat case's slice
-            for slot i among the cases of length k_i.  The head's row reads
-            None at an inner composite outside its level, so it differs there.
+            head's row read at the positions of the inner cases: column i
+            gathers slot i's element from the row of args[i] at the position
+            of each flat case's slice for slot i, and the n elements of a
+            flat case form the inner case, a flat case of length n.  An inner
+            composite outside its level has no position, so the lookup
+            raises and the signature is replayed.
             """
             offsets = list(itertools.accumulate(ks, initial=0))
             total = offsets[-1]
             if well_typed and flat_counts[total][1]:
                 return True
             columns = [column[total, a, b] for a, b in zip(offsets, offsets[1:])]
+            position = positions(n).__getitem__
             for args in product(ks):
-                getters = [argument_rows[key].__getitem__ for key in zip(ks, args)]
-                inner = list(zip(*map(map, getters, columns))) if ks else [()]
+                getters = [rows[key].__getitem__ for key in zip(ks, args)]
+                inner = list(map(position, zip(*map(map, getters, columns)) if ks else [()]))
                 for head in labels(n):
-                    if composite_rows[total, mu[n, ks, head, args]] != list(map(head_rows[n, head].get, inner)):
+                    if rows[total, mu[n, ks, head, args]] != list(map(rows[n, head].__getitem__, inner)):
                         return False
             return True
 
@@ -1671,7 +1679,9 @@ class ComposedCollection:
             by_label.update(((n, name), state) for name, state in zip(names, states))
 
         def action(n: int, label: str, gamma: Any) -> str:
-            return label_of[_state_key(self.group, self.act(by_label[(n, label)], gamma))]
+            if (n, label) not in by_label:
+                raise ValueError(f"unknown label {label!r} at arity {n}")
+            return label_of[_state_key(self.group, self.act(by_label[n, label], gamma))]
 
         return FiniteGCollection(self.name, self.group, labels, action)
 
@@ -1689,6 +1699,7 @@ def composite_states(
     `compose_collections` refuses it.
     """
     _require_finite_product(x.group)
+    _require_bound(bound)
     heads = {r: len(x.labels(r)) for r in x.levels}
     arguments = {k: len(y.labels(k)) for k in range(bound + 1)}
     counts = _signature_counts(heads, arguments, bound, cap)
@@ -1724,6 +1735,7 @@ def compose_collections(
     """
     group = x.group
     _require_finite_product(group)
+    _require_bound(bound)
     if y.group is not x.group and y.group.name != group.name:
         raise ValueError(
             f"collections live over different groups: {x.group.name} and {y.group.name}"

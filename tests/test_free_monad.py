@@ -71,6 +71,17 @@ def test_free_algebra_needs_finite_group():
         free_algebra(braided, ("a", "b"))
 
 
+def test_a_negative_bound_is_refused_before_any_level_is_read():
+    # With no arity within the bound, the laws once read an algebra table
+    # entry of arity 1 and blamed the operad for it.
+    for run in (
+        lambda: free_algebra(operad_ass(3), ("a",), max_arity=-1),
+        lambda: check_monad_laws(operad_ass(3), ("a",), max_arity=-1),
+    ):
+        with pytest.raises(ValueError, match="^arity bound -1 must be nonnegative$"):
+            run()
+
+
 def test_classes_are_label_items_tuples():
     # Classes of two separately built algebras are equal values with equal
     # hashes, the hash of the pair (label, items).

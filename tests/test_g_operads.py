@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -244,11 +245,12 @@ def test_signatures_enumeration():
     weights=st.lists(st.integers(0, 6), max_size=5),
     ascending=st.booleans(),
     slots=st.integers(0, 4),
-    bound=st.integers(0, 6),
+    bound=st.integers(-2, 6),
 )
 def test_within_is_the_filtered_product_in_order(weights, ascending, slots, bound):
     # The reference builds every tuple and drops those over the bound.
-    # Callers list items by ascending weight; other orders work too.
+    # Callers list items by ascending weight; other orders work too.  Below
+    # a negative bound not even the empty tuple fits.
     if ascending:
         weights.sort()
     arities = list(itertools.product(weights, repeat=slots))
@@ -702,6 +704,31 @@ def test_the_state_count_refuses_a_group_that_lists_no_elements_as_the_product_d
             run(p, p, 2)
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("run", [g_operads.composite_states, compose_collections], ids=["count", "product"])
+def test_the_state_count_and_the_product_refuse_a_negative_bound(run):
+    # No composite tuple has a negative arity; listing the empty argument
+    # tuple anyway once left the product reading a level it never built.
+    ass = operad_ass(3)
+    comm = operad_comm(instance_symmetric(), 3)
+    with pytest.raises(ValueError, match="^arity bound -1 must be nonnegative$"):
+        run(ass, comm, -1)
+
+
+@pytest.mark.parametrize(
+    "n, label",
+    [(2, "bogus"), (4, "bogus"), (1, "(1, (2,), '1', ('*',), ((1, 2), '1 2'))")],
+    ids=["unknown at arity 2", "above the bound", "a label of arity 2 at arity 1"],
+)
+def test_composed_collection_action_refuses_a_label_outside_its_level(n, label):
+    # As every other collection does, by name and arity, not by the key of
+    # a table the caller never sees.
+    xy = compose_collections(operad_ass(3), operad_comm(instance_symmetric(), 3), 3)
+    labelled = xy.collection()
+    assert label not in labelled.labels(n)
+    with pytest.raises(ValueError, match=f"^unknown label {re.escape(repr(label))} at arity {n}$"):
+        labelled.action(n, label, instance_symmetric().identity(n))
 
 
 def test_the_state_count_reads_the_family_order_not_its_name():

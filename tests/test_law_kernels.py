@@ -11,9 +11,11 @@ references below are the earlier loops, kept verbatim up to naming, which
 redo that work for every case and walk every group element, the
 collection laws and constancy on classes included; the reference
 pullback test builds its four free algebras separately and pushes each
-class once per pair it meets.  Hypothesis draws the packaged documents
-and operads made by `operad_ass`, `operad_comm` and `endomorphism_operad`,
-and changes one compose or action entry by rebinding `p.compose` or
+class once per pair it meets.  Hypothesis draws the packaged documents,
+operads made by `operad_ass`, `operad_comm` and `endomorphism_operad`, and
+ass with each level's labels renamed p0, p1, ... by rank, whose names
+recur from level to level, so that only its arity tells a row's elements
+apart; it changes one compose or action entry by rebinding `p.compose` or
 `p.action`, so both sides see the fault.  Every law must give the same
 verdict, case count and witness, or both sides the same error; the free
 algebras must have the same classes and canonical maps, and the pullback
@@ -28,13 +30,14 @@ level that a later read composes with.  Faults that only
 an element outside the generators shows must be walked to the loops'
 result: an action entry of a cycle, a compose entry that the operad-slot
 law first reads at a rearranged signature, and a composite outside its
-level that the generators fix.  Every single-entry fault of nine of the
+level that the generators fix.  Every single-entry fault of ten of the
 operads, each entry answering each other label of its level or a label
 outside every level, is listed with no draw and must give the loops'
 outcome; those of ass.json are listed in `exhaustive_faults.py`, run by
-path.  So must every action fault of those nine operads and ass.json
+path, with those of the relabelled ass up to arity 3.  So must every
+action fault of those ten operads and ass.json
 give `check_collection` the per-case outcome, and every single-entry fault
-of the eight over a finite group but ass.json give the monad laws theirs
+of the nine over a finite group but ass.json give the monad laws theirs
 (ass.json's are in `exhaustive_faults.py`).  Every fault of `ACTION_FAULTS`
 leaves no right action, and must make `free_algebra` and
 `pullback_witness_test` raise the same located `ValueError`.
@@ -104,6 +107,7 @@ from operadics.g_operads import (
     operad_ass,
     operad_comm,
     unit_collection,
+    write_operad_document,
 )
 from operadics.permutations import (
     Permutation,
@@ -479,12 +483,40 @@ def reference_mu_sigma(sigma: Permutation, taus: Sequence[Permutation]) -> Permu
 
 DOCUMENTS = {name: json.loads((DATA / f"{name}.json").read_text()) for name in ("ass", "comm", "comm_trivial")}
 
+
+def relabelled(document: dict) -> dict:
+    """
+    The document with each level's labels renamed p0, p1, ... by rank, so
+    that p0 names a label at every arity and a multi-label level's names
+    recur at the others: only a row element's arity tells them apart.
+    """
+    names = {int(n): {label: f"p{i}" for i, label in enumerate(labels)} for n, labels in document["levels"].items()}
+    return {
+        **document,
+        "levels": {n: list(names[int(n)].values()) for n in document["levels"]},
+        "action": {n: [[names[int(n)][x] for x in row] for row in rows] for n, rows in document["action"].items()},
+        "unit": names[1][document["unit"]],
+        "compose": [
+            {
+                **record,
+                "args": [names[arity][x] for arity, x in zip([record["n"], *record["ks"]], record["args"])],
+                "result": names[sum(record["ks"])][record["result"]],
+            }
+            for record in document["compose"]
+        ],
+    }
+
+
+# ass up to arities 2 and 3 with the labels of every level renamed by rank.
+RELABELLED = {bound: relabelled(write_operad_document(operad_ass(bound))) for bound in (2, 3)}
+
 # Each factory builds a fresh operad, so a rebound entry never outlives its example.
 OPERADS: dict[str, Callable[[], FiniteGOperad]] = {
     "ass.json": lambda: load_operad(DOCUMENTS["ass"], "ass"),
     "comm.json": lambda: load_operad(DOCUMENTS["comm"], "comm"),
     "comm_trivial.json": lambda: load_operad(DOCUMENTS["comm_trivial"], "comm_trivial"),
     "ass2": lambda: operad_ass(2),
+    "relabelled ass2": lambda: load_operad(RELABELLED[2], "relabelled ass"),
     "comm/symmetric 3": lambda: operad_comm(instance_symmetric(), max_arity=3),
     "comm/symmetric 4": lambda: operad_comm(instance_symmetric(), max_arity=4),
     "comm/trivial 3": lambda: operad_comm(instance_trivial(), max_arity=3),
@@ -534,13 +566,13 @@ def faulty_operads(draw, names: Sequence[str] = tuple(OPERADS), foreign: bool = 
     return rebind(p, key, value)
 
 
-def single_entry_faults(name: str) -> list[tuple[tuple, str]]:
+def single_entry_faults(build: Callable[[], FiniteGOperad]) -> list[tuple[tuple, str]]:
     """
-    Every single-entry fault of OPERADS[name], listed with no draw: each
-    entry of `entries`, answering in turn each other label of its level and
-    then "foreign".
+    Every single-entry fault of the operad build() makes, listed with no
+    draw: each entry of `entries`, answering in turn each other label of its
+    level and then "foreign".
     """
-    p = OPERADS[name]()
+    p = build()
     substitutions, actions = entries(p)
     faults = []
     for read, listed in ((p.compose, substitutions), (p.action, actions)):
@@ -592,16 +624,16 @@ def test_check_operad_matches_the_per_case_loops(p):
     )
 
 
-def check_every_single_entry_fault(name: str) -> int:
+def check_every_single_entry_fault(build: Callable[[], FiniteGOperad]) -> int:
     """
-    Require, at every single-entry fault of OPERADS[name], the per-case
-    loops' outcome from `check_operad`: each law's verdict, count and
-    witness, or the same error.  Returns the number of faults.
+    Require, at every single-entry fault of the operad build() makes, the
+    per-case loops' outcome from `check_operad`: each law's verdict, count
+    and witness, or the same error.  Returns the number of faults.
     """
-    faults = single_entry_faults(name)
+    faults = single_entry_faults(build)
     for key, value in faults:
-        fast = outcome(lambda: results(check_operad(rebind(OPERADS[name](), key, value))))
-        assert fast == outcome(lambda: results(reference_check_operad(rebind(OPERADS[name](), key, value)))), key
+        fast = outcome(lambda: results(check_operad(rebind(build(), key, value))))
+        assert fast == outcome(lambda: results(reference_check_operad(rebind(build(), key, value)))), key
     return len(faults)
 
 
@@ -611,6 +643,7 @@ SINGLE_ENTRY_FAULTS = {
     "comm.json": 160,
     "comm_trivial.json": 39,
     "ass2": 43,
+    "relabelled ass2": 43,
     "comm/symmetric 3": 45,
     "comm/symmetric 4": 160,
     "comm/trivial 3": 39,
@@ -624,7 +657,7 @@ SINGLE_ENTRY_FAULTS = {
 def test_every_single_entry_fault_is_reported_as_the_per_case_loops_report_it(name):
     # A decision on generators is exactly where one fault at one element
     # outside the generators could hide, so every fault is listed, not drawn.
-    assert check_every_single_entry_fault(name) == SINGLE_ENTRY_FAULTS[name]
+    assert check_every_single_entry_fault(OPERADS[name]) == SINGLE_ENTRY_FAULTS[name]
 
 
 def reference_monad_laws(p: FiniteGOperad, carrier: Sequence[str], bound: int) -> list[tuple]:
@@ -659,6 +692,7 @@ ACTION_FAULTS = {
     "comm.json": 34,
     "comm_trivial.json": 4,
     "ass2": 10,
+    "relabelled ass2": 10,
     "comm/symmetric 3": 10,
     "comm/symmetric 4": 34,
     "comm/trivial 3": 4,
@@ -671,7 +705,7 @@ ACTION_FAULTS = {
 def test_every_action_fault_gives_the_collection_laws_of_the_per_case_loops(name):
     # Action composition is decided on generators, so, as for check_operad,
     # every action fault is listed, not drawn.
-    faults = [(key, value) for key, value in single_entry_faults(name) if len(key) == 3]
+    faults = [(key, value) for key, value in single_entry_faults(OPERADS[name]) if len(key) == 3]
     for key, value in faults:
         fast = outcome(lambda: results(check_collection(rebind(OPERADS[name](), key, value))))
         p = rebind(OPERADS[name](), key, value)
@@ -679,20 +713,20 @@ def test_every_action_fault_gives_the_collection_laws_of_the_per_case_loops(name
     assert len(faults) == ACTION_FAULTS[name]
 
 
-def check_every_single_entry_fault_of_the_monad_laws(name: str) -> int:
+def check_every_single_entry_fault_of_the_monad_laws(build: Callable[[], FiniteGOperad]) -> int:
     """
-    Require, at every single-entry fault of OPERADS[name], the per-case
-    loops' monad laws on ("a", "b") at bound min(max_arity, 2), and a
-    `ValueError` where the fault leaves no right action inside its level.
-    Returns the number of faults.
+    Require, at every single-entry fault of the operad build() makes, the
+    per-case loops' monad laws on ("a", "b") at bound min(max_arity, 2),
+    and a `ValueError` where the fault leaves no right action inside its
+    level.  Returns the number of faults.
     """
-    bound = min(OPERADS[name]().max_arity, 2)
-    faults = single_entry_faults(name)
+    bound = min(build().max_arity, 2)
+    faults = single_entry_faults(build)
     for key, value in faults:
-        fast = outcome(lambda: monad_laws(rebind(OPERADS[name](), key, value), ("a", "b"), bound))
-        reference = outcome(lambda: reference_monad_laws(rebind(OPERADS[name](), key, value), ("a", "b"), bound))
+        fast = outcome(lambda: monad_laws(rebind(build(), key, value), ("a", "b"), bound))
+        reference = outcome(lambda: reference_monad_laws(rebind(build(), key, value), ("a", "b"), bound))
         assert fast == reference, key
-        if not is_right_action(rebind(OPERADS[name](), key, value), bound):
+        if not is_right_action(rebind(build(), key, value), bound):
             assert fast[:2] == ("error", "ValueError"), key
     return len(faults)
 
@@ -702,7 +736,7 @@ def test_every_single_entry_fault_gives_the_monad_laws_of_the_per_case_loops(nam
     # Constancy on classes is decided on generators; a fault that leaves no
     # right action inside its level must be refused instead.  ass.json's
     # faults are run by `exhaustive_faults.py`.
-    assert check_every_single_entry_fault_of_the_monad_laws(name) == SINGLE_ENTRY_FAULTS[name]
+    assert check_every_single_entry_fault_of_the_monad_laws(OPERADS[name]) == SINGLE_ENTRY_FAULTS[name]
 
 
 @pytest.mark.parametrize("name", [name for name in FINITE if OPERADS[name]().group.name == "symmetric"])
@@ -751,6 +785,21 @@ def test_the_unchanged_operads_match_the_per_case_loops(name):
         assert monad_laws(p, ("a", "b"), bound) == reference_monad_laws(p, ("a", "b"), bound)
 
 
+def test_the_relabelled_ass_has_the_laws_and_classes_of_ass():
+    # Up to arity 3, p0 names a label at every arity and p1 at arities 2
+    # and 3, so a row element that dropped its arity would merge them.
+    relabelled = load_operad(RELABELLED[3], "relabelled ass")
+    ass = OPERADS["ass.json"]()
+    assert results(check_operad(relabelled)) == results(check_operad(ass)) == results(reference_check_operad(relabelled))
+    assert results(check_monad_laws(relabelled, ("a", "b"), max_arity=2)) == results(
+        check_monad_laws(ass, ("a", "b"), max_arity=2)
+    )
+    for p in (relabelled, ass):
+        assert [len(compose_collections(p, p, 3).classes(n)) for n in range(4)] == [4, 6, 20, 90]
+        assert [len(free_algebra(p, ("a", "b")).classes(n)) for n in range(4)] == [1, 2, 4, 8]
+    assert pullback_witness_test(relabelled) == reference_pullback_witness_test(relabelled) == (True, "")
+
+
 @settings(max_examples=40, deadline=None)
 @given(p=faulty_operads(FINITE))
 def test_pullback_witness_test_matches_four_separate_free_algebras(p):
@@ -765,11 +814,11 @@ def test_every_action_fault_gives_the_free_algebra_and_pullback_test_of_the_per_
     `ValueError` of the first level it breaks, and elsewhere they equal
     `reference_free_algebra` and `reference_pullback_witness_test`.  Each g
     of a right action acts by a bijection, so one changed entry always
-    leaves none, and all 346 faults take the first branch.  Compose faults
+    leaves none, and all 356 faults take the first branch.  Compose faults
     are not run, since neither function reads compose.
     """
     located = rf"{re.escape(OPERADS[name]().name)}: the action at arity \d+ (sends .* outside its level|is not a right action)"
-    faults = [(key, value) for key, value in single_entry_faults(name) if len(key) == 3]
+    faults = [(key, value) for key, value in single_entry_faults(OPERADS[name]) if len(key) == 3]
     for key, value in faults:
         def run(call: Callable[[FiniteGOperad], Any]) -> tuple:
             return outcome(lambda: call(rebind(OPERADS[name](), key, value)))
@@ -807,6 +856,7 @@ LARGE_CARRIERS = {
     "comm.json": (58, 3),
     "comm_trivial.json": (58, 3),
     "ass2": (315, 2),
+    "relabelled ass2": (315, 2),
     "comm/symmetric 3": (58, 3),
     "comm/symmetric 4": (20, 4),
     "comm/trivial 3": (58, 3),
